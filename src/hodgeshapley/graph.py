@@ -75,7 +75,7 @@ class EdgeWeighting:
     def explicit(entries: Mapping[Edge, object], default=1) -> "EdgeWeighting":
         default = Fraction(default)
         items = tuple(sorted((Edge(*e), Fraction(w)) for e, w in entries.items()))
-        if default <= 0 or any(w <= 0 for _, w in items):
+        if default <= 0 or any(w.numerator <= 0 for _, w in items):
             raise ValueError("edge weights must be strictly positive")
         return EdgeWeighting(EXPLICIT, entries=items, default=default)
 
@@ -181,7 +181,45 @@ class GameGraph:
 
     @cached_property
     def weight_floats(self) -> np.ndarray:
-        return np.array([float(w) for w in self.weight_fractions], dtype=np.float64)
+        """Float weight per feasible edge; equals ``float`` of each weight fraction."""
+        return self.player_weights[self.edge_player, self.edge_slot]
+
+    @cached_property
+    def edge_slot(self) -> np.ndarray:
+        """Column of each edge in ``player_weights``: its base without the player's bit."""
+        return _squeeze_bit(self.edge_base, self.edge_player)
+
+    @cached_property
+    def player_weights(self) -> np.ndarray:
+        """Float weight of edge ``(S, S|{i})`` at ``[i, slot]``, shape ``(n, 2**(n-1))``.
+
+        ``slot`` is S with bit i squeezed out, so row i lines up with the
+        half-views ``x.reshape(2**(n-1-i), 2, 2**i)[:, 0]`` of a vector on
+        all ``2**n`` coalitions.  Edges not in the graph weigh 0.
+        """
+        n, w = self.n, self.weighting
+        half = 1 << max(n - 1, 0)
+        if w.kind == CONSTANT:
+            table = np.full((n, half), float(w.constant_value))
+        elif w.kind == BY_CARDINALITY:
+            # squeezing out a bit the base lacks keeps its size
+            by_size = np.array([float(x) for x in w.table])
+            table = np.tile(by_size[_popcounts(max(n - 1, 0))], (n, 1))
+        else:
+            table = np.full((n, half), float(w.default))
+            bases = np.array([e.base for e, _ in w.entries])
+            players = np.array([e.player for e, _ in w.entries])
+            # int / int rounds exactly as float(Fraction) does
+            values = np.array([x.numerator / x.denominator for _, x in w.entries])
+            # entries for edges outside the cube never apply
+            ok = (players >= 0) & (players < n) & (bases >= 0) & (bases < (1 << n))
+            bases, players = bases[ok].astype(np.int64), players[ok].astype(np.int64)
+            values = values[ok]
+            ok = (bases >> players) & 1 == 0
+            table[players[ok], _squeeze_bit(bases[ok], players[ok])] = values[ok]
+        if not self.is_full_cube:
+            table[~_edge_mask(n, self.edge_player, self.edge_slot)] = 0.0
+        return table
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -197,25 +235,69 @@ class GameGraph:
         return int(self.degrees[self.vertex_pos[S]])
 
 
-def _neighbors(g_vertices: set, n: int, S: int):
-    for i in range(n):
-        yield S ^ (1 << i)
+def _popcounts(n: int) -> np.ndarray:
+    """Size |S| of every coalition S in ``range(2**n)``, as uint8."""
+    out = np.zeros(1 << n, dtype=np.uint8)
+    for b in range(n):
+        out[1 << b:2 << b] = out[:1 << b] + 1
+    return out
+
+
+def _squeeze_bit(base: np.ndarray, player: np.ndarray) -> np.ndarray:
+    """base with bit ``player`` removed and the higher bits shifted down one."""
+    low = base & ((np.int64(1) << player) - 1)
+    return ((base >> (player + 1)) << player) | low
+
+
+def _edge_mask(n: int, edge_player: np.ndarray, edge_slot: np.ndarray) -> np.ndarray:
+    """(n, 2**(n-1)) bool: True where the edge (slot, player) is present."""
+    mask = np.zeros((n, 1 << max(n - 1, 0)), dtype=bool)
+    mask[edge_player, edge_slot] = True
+    return mask
+
+
+def _all_formable(n: int, vertices: np.ndarray, edge_base: np.ndarray,
+                  edge_player: np.ndarray) -> bool:
+    """True when every vertex can be formed from {} one player at a time.
+
+    Each sweep over the players extends every formation path by at least
+    one step, so n sweeps reach the fixpoint.  A True answer implies that
+    the graph is connected too.
+    """
+    present = _edge_mask(n, edge_player, _squeeze_bit(edge_base, edge_player))
+    formed = np.zeros(1 << n, dtype=bool)
+    formed[0] = True
+    for _ in range(n):
+        before = int(np.count_nonzero(formed))
+        for i in range(n):
+            f = formed.reshape(-1, 2, 1 << i)
+            f[:, 1] |= f[:, 0] & present[i].reshape(-1, 1 << i)
+        if int(np.count_nonzero(formed)) == before:
+            break
+    return bool(formed[vertices].all())
 
 
 def _validate(n: int, vertices: np.ndarray, edge_base: np.ndarray,
               edge_player: np.ndarray) -> None:
-    vset = set(vertices.tolist())
     full = (1 << n) - 1
-    if 0 not in vset:
+    feasible = np.zeros(1 << n, dtype=bool)
+    feasible[vertices] = True
+    if not feasible[0]:
         raise InfeasibilityError("the empty coalition must be feasible", coalition=0)
-    if full not in vset:
+    if not feasible[full]:
         raise InfeasibilityError("the grand coalition must be feasible", coalition=full)
     dst = edge_base | (np.int64(1) << edge_player)
-    for b, d in zip(edge_base.tolist(), dst.tolist()):
-        if b not in vset or d not in vset:
-            raise InfeasibilityError(
-                f"edge endpoint {co.coalition_key(d if b in vset else b)} is infeasible",
-                coalition=d if b in vset else b)
+    dangling = ~(feasible[edge_base] & feasible[dst])
+    if dangling.any():
+        k = int(np.argmax(dangling))
+        b, d = int(edge_base[k]), int(dst[k])
+        bad = d if feasible[b] else b
+        raise InfeasibilityError(f"edge endpoint {co.coalition_key(bad)} is infeasible",
+                                 coalition=bad)
+    if _all_formable(n, vertices, edge_base, edge_player):
+        return
+    # something fails: the searches below find and name it
+    vset = set(vertices.tolist())
     # adjacency over feasible edges only
     adj: dict[int, list[int]] = {v: [] for v in vset}
     up: dict[int, list[int]] = {v: [] for v in vset}
@@ -292,14 +374,14 @@ def restrict(g: GameGraph, removed_vertices: Iterable[co.Coalition] = (),
         if (e.base >> e.player) & 1:
             raise DomainError(f"edge base {co.coalition_key(e.base)} already contains "
                               f"player {e.player}")
-    keep_v = np.array([S for S in g.vertices.tolist() if S not in rv], dtype=np.int64)
-    keep = []
-    for k, (b, p) in enumerate(zip(g.edge_base.tolist(), g.edge_player.tolist())):
-        d = b | (1 << p)
-        if b in rv or d in rv or Edge(b, p) in re:
-            continue
-        keep.append(k)
-    keep = np.array(keep, dtype=np.int64)
+    removed = np.zeros(1 << g.n, dtype=bool)
+    removed[list(rv)] = True
+    keep_v = g.vertices[~removed[g.vertices]]
+    keep = ~(removed[g.edge_base] | removed[g.edge_dst])
+    cut = [e.base * g.n + e.player for e in re
+           if 0 <= e.player < g.n and 0 <= e.base < (1 << g.n)]
+    if cut:
+        keep &= ~np.isin(g.edge_base * g.n + g.edge_player, cut)
     edge_base = g.edge_base[keep]
     edge_player = g.edge_player[keep]
     _validate(g.n, keep_v, edge_base, edge_player)
@@ -314,10 +396,8 @@ def degree(g: GameGraph, S: co.Coalition) -> int:
 def degree_product_weighting(g: GameGraph) -> GameGraph:
     """Reweight every edge by the product of its endpoint degrees."""
     deg = g.degrees
-    entries = {}
-    for k, e in enumerate(g.edges()):
-        entries[e] = Fraction(int(deg[g.edge_src_pos[k]]) * int(deg[g.edge_dst_pos[k]]))
-    weighting = EdgeWeighting.explicit(entries)
+    products = (deg[g.edge_src_pos] * deg[g.edge_dst_pos]).tolist()
+    weighting = EdgeWeighting.explicit(dict(zip(g.edges(), products)))
     return GameGraph(g.n, g.vertices, g.edge_base, g.edge_player, weighting)
 
 

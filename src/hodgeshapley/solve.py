@@ -2,12 +2,20 @@
 
 Each component game solves the singular system ``L_w v_i = L_{w_i} v``
 normalized by ``v_i({}) = 0``.  Dense backends pin the empty coalition
-(delete its row and column and solve the reduced nonsingular system);
-the conjugate-gradient backend works matrix-free on the full vertex
-space with the constant nullspace handled by deflation (iterates are
-projected back to mean zero each step) and shifts the solution
-afterwards.  Both routes land on the same answer, which is unique up to
-constants on a connected graph.
+(delete its row and column and solve the reduced nonsingular system).
+
+Float mode keeps vectors on all ``2**n`` coalitions, one column per
+player; infeasible coalitions of a restricted graph are rows that stay
+exactly 0.  Player i's edges pair the two halves of the strided view
+``x.reshape(2**(n-1-i), 2, 2**i, k)``, so ``L_{w_i}`` is a difference of
+half-views scaled by ``GameGraph.player_weights[i]``, and ``L_w`` is the
+sum of the n of them.  The right-hand sides of all players come from one
+such sweep, and conjugate gradient runs on all of them at once in
+preallocated buffers: each column keeps its own step sizes, is deflated
+to mean zero over the feasible coalitions every step (the constant
+nullspace), stops when it meets the tolerance, and is shifted to
+``v_i({}) = 0`` afterwards.  Both routes land on the same answer, which
+is unique up to constants on a connected graph.
 """
 
 from __future__ import annotations
@@ -199,58 +207,125 @@ def _player_rhs_rational(g: GameGraph, u_vals: list) -> list[list[Fraction]]:
     return out
 
 
-def _player_rhs_float(g: GameGraph, u_vals: np.ndarray) -> list[np.ndarray]:
-    m = g.num_vertices
-    wdu = g.weight_floats * (u_vals[g.edge_dst_pos] - u_vals[g.edge_src_pos])
-    out = []
-    for i in range(g.n):
-        mask = g.edge_player == i
-        f = wdu[mask]
-        b = (np.bincount(g.edge_dst_pos[mask], weights=f, minlength=m)
-             - np.bincount(g.edge_src_pos[mask], weights=f, minlength=m))
-        out.append(b)
+def _add_player_laplacian(w_i: np.ndarray, i: int, x: np.ndarray, out: np.ndarray,
+                          scratch: np.ndarray) -> None:
+    """out += L_{w_i} x column by column; the rows of x and out are the 2**n coalitions.
+
+    Player i's edges join the two halves of ``x.reshape(2**(n-1-i), 2,
+    2**i, k)``, and ``w_i`` (``GameGraph.player_weights[i]``) lines up with
+    either half.  scratch has half of x's rows and at least k columns.
+    """
+    shape = (x.shape[0] >> (i + 1), 2, 1 << i, x.shape[1])
+    x, out = x.reshape(shape), out.reshape(shape)
+    d = scratch[:, :shape[3]].reshape(shape[0], shape[2], shape[3])
+    np.subtract(x[:, 1], x[:, 0], out=d)
+    d *= w_i.reshape(shape[0], shape[2], 1)
+    out[:, 1] += d
+    out[:, 0] -= d
+
+
+def _rhs_float(g: GameGraph, values: np.ndarray, players: Sequence[int]) -> np.ndarray:
+    """Right-hand sides L_{w_i} v on all 2**n coalitions, one column per player."""
+    out = np.zeros((1 << g.n, len(players)))
+    scratch = np.empty((out.shape[0] // 2, 1))
+    for col, i in enumerate(players):
+        _add_player_laplacian(g.player_weights[i], i, values.reshape(-1, 1),
+                              out[:, col:col + 1], scratch)
     return out
 
 
-def _cg_deflated(g: GameGraph, b: np.ndarray, tol: float, max_iters: int):
-    """CG for L_w x = b on the mean-zero subspace; returns (x, iters, relres, history)."""
+def _laplacian_float(w: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = L_w x column by column."""
+    out.fill(0.0)
+    for i in range(w.shape[0]):
+        _add_player_laplacian(w[i], i, x, out, scratch)
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, max_iters: int):
+    """Deflated CG for L_w X = R, every column at once; R is overwritten.
+
+    Column j solves for player ``players[j]`` with the scalar recurrence
+    of one-right-hand-side CG.  A converged column moves behind the active
+    ones and is not touched again.  Returns (X, iterations, residuals),
+    with columns and lists in the order of ``players``.
+    """
+    n_rows, k = R.shape
+    w = g.player_weights
     m = g.num_vertices
-    w = g.weight_floats
-    src = g.edge_src_pos
-    dst = g.edge_dst_pos
+    infeasible = np.flatnonzero(g.vertex_pos < 0)
 
-    def apply(x):
-        f = w * (x[dst] - x[src])
-        return (np.bincount(dst, weights=f, minlength=m)
-                - np.bincount(src, weights=f, minlength=m))
+    def deflate(x):
+        x -= x.sum(axis=0) / m
+        x[infeasible] = 0.0
 
-    b = b - b.mean()
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros(m), 0, 0.0, []
-    x = np.zeros(m)
-    r = b.copy()
-    p = r.copy()
-    rr = float(r @ r)
-    history = []
-    for k in range(1, max_iters + 1):
-        Ap = apply(p)
-        alpha = rr / float(p @ Ap)
-        x += alpha * p
-        r -= alpha * Ap
+    deflate(R)
+    X = np.zeros_like(R)
+    P = R.copy()
+    AP = np.empty_like(R)
+    scratch = np.empty((n_rows // 2, k))
+    rr = _column_dots(R, R)
+    b_norm = np.sqrt(rr)
+    iterations = [0] * k
+    residuals = [0.0] * k
+    history = [[] for _ in range(k)]
+    slot = list(range(k))  # buffer column -> index into players; active ones first
+
+    def swap(j, t):
+        for buf in (X, R, P):
+            buf[:, [j, t]] = buf[:, [t, j]]
+        for arr in (rr, b_norm):
+            arr[[j, t]] = arr[[t, j]]
+        slot[j], slot[t] = slot[t], slot[j]
+
+    active = k
+    for j in reversed(range(k)):
+        if b_norm[j] == 0.0:
+            active -= 1
+            swap(j, active)
+    for it in range(1, max_iters + 1):
+        if not active:
+            break
+        x, r, p, ap = X[:, :active], R[:, :active], P[:, :active], AP[:, :active]
+        _laplacian_float(w, p, ap, scratch)
+        alpha = rr[:active] / _column_dots(p, ap)
+        half = scratch[:, :active]
+        for rows in (slice(0, n_rows // 2), slice(n_rows // 2, n_rows)):
+            np.multiply(p[rows], alpha, out=half)
+            x[rows] += half
+        ap *= alpha
+        r -= ap
         # deflation: keep iterates orthogonal to the constant kernel
-        x -= x.mean()
-        r -= r.mean()
-        rr_new = float(r @ r)
-        rel = math.sqrt(rr_new) / b_norm
-        history.append(rel)
-        if rel <= tol:
-            return x, k, rel, history
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise ConvergenceError(
-        f"CG did not reach tolerance {tol} in {max_iters} iterations "
-        f"(relative residual {history[-1]:.3e})", residual_history=history)
+        deflate(x)
+        deflate(r)
+        rr_new = _column_dots(r, r)
+        rel = np.sqrt(rr_new) / b_norm[:active]
+        for j in range(active):
+            history[slot[j]].append(float(rel[j]))
+        p *= rr_new / rr[:active]
+        p += r
+        rr[:active] = rr_new
+        for j in reversed(range(active)):
+            if rel[j] <= tol:
+                iterations[slot[j]] = it
+                residuals[slot[j]] = float(rel[j])
+                active -= 1
+                swap(j, active)
+    if active:
+        c = min(slot[:active])
+        raise ConvergenceError(
+            f"CG for player {players[c]} did not reach tolerance {tol} in {max_iters} "
+            f"iterations (relative residual {history[c][-1]:.3e})",
+            residual_history=history[c])
+    for j in range(k):  # columns back in the order of players
+        while slot[j] != j:
+            swap(j, slot[j])
+    X -= X[0].copy()  # normalize v_i({}) = 0
+    X[infeasible] = 0.0
+    return X, iterations, residuals
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +350,9 @@ def _verify_mean_zero(g: GameGraph, b, rational: bool) -> None:
         if total != 0:
             raise ArithmeticError("right-hand side is not mean-zero; this is a bug")
     else:
-        scale = float(np.max(np.abs(b))) if len(b) else 0.0
-        if abs(float(np.sum(b))) > 1e-8 * max(1.0, scale) * g.num_vertices:
+        # one column per player; infeasible rows are 0 and add nothing
+        scale = np.max(np.abs(b), axis=0)
+        if np.any(np.abs(b.sum(axis=0)) > 1e-8 * np.maximum(1.0, scale) * g.num_vertices):
             raise ArithmeticError("right-hand side is not mean-zero; this is a bug")
 
 
@@ -286,15 +362,22 @@ def _solve_one_rational(g: GameGraph, b: list) -> list:
     return [Fraction(0)] + x
 
 
-def _solve_one_float(g: GameGraph, b: np.ndarray, cfg: SolverConfig):
-    _verify_mean_zero(g, b, rational=False)
-    if cfg.backend == DENSE_FLOAT:
+def _solve_float(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
+    """Components of a float game for the given players, as columns on all
+    2**n coalitions; returns (X, iterations, residuals) like _cg_float."""
+    B = _rhs_float(g, np.asarray(v.values), players)
+    _verify_mean_zero(g, B, rational=False)
+    if cfg.backend == CG_FLOAT:
+        return _cg_float(g, B, players, cfg.cg_tolerance, cfg.max_iters_for(g.n))
+    X = np.zeros_like(B)
+    residuals = []
+    for j in range(len(players)):
+        b = B[g.vertices, j]
         x = np.zeros(g.num_vertices)
         x[1:] = _float_factor(g).solve(b[1:])
-        return x, 0, _relative_residual(g, x, b)
-    x, iters, rel, _ = _cg_deflated(g, b, cfg.cg_tolerance, cfg.max_iters_for(g.n))
-    x = x - x[0]  # normalize v_i({}) = 0
-    return x, iters, rel
+        X[g.vertices, j] = x
+        residuals.append(_relative_residual(g, x, b))
+    return X, [0] * len(players), residuals
 
 
 def _relative_residual(g: GameGraph, x: np.ndarray, b: np.ndarray) -> float:
@@ -310,23 +393,23 @@ def solve_component(g: GameGraph, v: Game, i: int, cfg: SolverConfig | None = No
     _check_modes(g, v, cfg)
     if not 0 <= i < g.n:
         raise ConfigError(f"player index {i} outside [0, {g.n})")
-    u = ops.vertex_function_from_game(g, v)
-    b = ops.laplacian_i_apply(i, u)
     if v.is_rational:
+        u = ops.vertex_function_from_game(g, v)
+        b = ops.laplacian_i_apply(i, u)
         x = _solve_one_rational(g, list(b.values))
         return ops.game_from_vertex_function(ops.VertexFunction(g, RATIONAL, x), v.names)
-    x, _, _ = _solve_one_float(g, np.asarray(b.values), cfg)
-    return ops.game_from_vertex_function(ops.VertexFunction(g, FLOAT, x), v.names)
+    X, _, _ = _solve_float(g, v, [i], cfg)
+    return Game(g.n, FLOAT, X[:, 0], v.names)
 
 
 def decompose(g: GameGraph, v: Game, cfg: SolverConfig | None = None) -> Decomposition:
     """All component games of v on g, with per-player solve diagnostics."""
     cfg = cfg or SolverConfig()
     _check_modes(g, v, cfg)
-    u = ops.vertex_function_from_game(g, v)
     components = []
     stats = []
     if v.is_rational:
+        u = ops.vertex_function_from_game(g, v)
         rhs = _player_rhs_rational(g, list(u.values))
         for i in range(g.n):
             x = _solve_one_rational(g, rhs[i])
@@ -342,15 +425,12 @@ def decompose(g: GameGraph, v: Game, cfg: SolverConfig | None = None) -> Decompo
             raise ArithmeticError("exact decomposition failed the efficiency identity; "
                                   "this is a bug")
     else:
-        rhs = _player_rhs_float(g, np.asarray(u.values))
-        total = np.zeros(g.num_vertices)
+        X, iterations, residuals = _solve_float(g, v, range(g.n), cfg)
         for i in range(g.n):
-            x, iters, rel = _solve_one_float(g, rhs[i], cfg)
-            total += x
-            components.append(ops.game_from_vertex_function(
-                ops.VertexFunction(g, FLOAT, x), v.names))
-            stats.append(PlayerSolveStats(i, cfg.backend, iters, rel))
-        gap = float(np.max(np.abs(total - np.asarray(u.values))))
+            components.append(Game(g.n, FLOAT, X[:, i], v.names))
+            stats.append(PlayerSolveStats(i, cfg.backend, iterations[i], residuals[i]))
+        miss = X.sum(axis=1) - np.asarray(v.values)
+        gap = float(np.max(np.abs(miss[g.vertices])))
     return Decomposition(g, v, tuple(components), tuple(stats), gap)
 
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hodgeshapley import coalition as co
@@ -149,3 +150,108 @@ def test_constraints_spec():
 def test_is_full_cube():
     assert gr.full_hypercube(3).is_full_cube
     assert not gr.restrict(gr.full_hypercube(3), [bits(1)]).is_full_cube
+
+
+@pytest.mark.parametrize("n, removed_vertices, removed_edges, message, coalition", [
+    # disconnected (and unformable): the connectivity error wins
+    (3, [bits(0), bits(1), bits(2)], [],
+     "graph is disconnected: [0,1] cannot be reached from the empty coalition", bits(0, 1)),
+    (3, [bits(0), bits(1)], [gr.Edge(0, 2)],
+     "graph is disconnected: [0,1] cannot be reached from the empty coalition", bits(0, 1)),
+    (4, [bits(0), bits(1), bits(2)], [gr.Edge(0, 3)],
+     "graph is disconnected: [0,1] cannot be reached from the empty coalition", bits(0, 1)),
+    # connected but not formable one player at a time
+    (3, [], [gr.Edge(0, 0)],
+     "coalition [0] cannot be formed starting from the empty coalition", bits(0)),
+    (3, [bits(0, 1)], [gr.Edge(0, 0), gr.Edge(0, 1)],
+     "coalition [0] cannot be formed starting from the empty coalition", bits(0)),
+    (4, [bits(0, 1), bits(0, 2), bits(1, 2)], [],
+     "coalition [0,1,2] cannot be formed starting from the empty coalition", bits(0, 1, 2)),
+    (4, [], [gr.Edge(bits(0), 1), gr.Edge(bits(1), 0)],
+     "coalition [0,1] cannot be formed starting from the empty coalition", bits(0, 1)),
+])
+def test_restrict_error_precedence(n, removed_vertices, removed_edges, message, coalition):
+    with pytest.raises(InfeasibilityError) as err:
+        gr.restrict(gr.full_hypercube(n), removed_vertices, removed_edges)
+    assert str(err.value) == message
+    assert err.value.coalition == coalition
+
+
+def _formable_reference(n, vertices, edges):
+    """Coalitions reachable from {} by adding one player at a time (a plain loop)."""
+    present = set(edges)
+    formable = {0}
+    for T in sorted(vertices):
+        if any(T >> i & 1 and (T & ~(1 << i)) in formable and (T & ~(1 << i), i) in present
+               for i in range(n)):
+            formable.add(T)
+    return formable
+
+
+def test_restrict_matches_loop_reference():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        g = gr.full_hypercube(n)
+        candidates = [S for S in co.enumerate_coalitions(n) if S not in (0, (1 << n) - 1)]
+        removed = rng.sample(candidates, k=rng.randint(0, len(candidates) // 3))
+        cut = [e for e in g.edges() if rng.random() < 0.1]
+        kept_v = [S for S in range(1 << n) if S not in removed]
+        kept_e = [(e.base, e.player) for e in g.edges()
+                  if e.base not in removed and e.base | 1 << e.player not in removed
+                  and e not in cut]
+        formable = _formable_reference(n, kept_v, kept_e)
+        try:
+            h = gr.restrict(g, removed, cut)
+        except InfeasibilityError as err:
+            assert formable != set(kept_v)
+            assert err.coalition in set(kept_v) - formable or \
+                str(err).startswith("graph is disconnected")
+            continue
+        assert formable == set(kept_v)
+        assert h.vertices.tolist() == kept_v
+        assert list(zip(h.edge_base.tolist(), h.edge_player.tolist())) == kept_e
+
+
+def _weight_graphs():
+    explicit = gr.EdgeWeighting.explicit(
+        {gr.Edge(0, 0): Fraction(1, 3), gr.Edge(bits(1), 0): Fraction(7, 5),
+         gr.Edge(bits(0), 1): 2, gr.Edge(bits(2), 3): Fraction(1, 10)},
+        default=Fraction(2, 3))
+    weightings = [gr.EdgeWeighting.constant(Fraction(1, 3)),
+                  gr.EdgeWeighting.by_cardinality([Fraction(1, 3), 2, Fraction(5, 7), 9]),
+                  explicit]
+    for w in weightings:
+        full = gr.full_hypercube(4, w)
+        yield full
+        # removes the explicitly weighted edges ({1}, 0) and ({0}, 1) with {0,1}
+        yield gr.restrict(full, [bits(0, 1), bits(2, 3)], [gr.Edge(bits(0), 2)])
+    yield gr.degree_product_weighting(gr.restrict(gr.full_hypercube(4), [bits(1, 2)]))
+
+
+def test_weight_floats_equal_fraction_floats():
+    for g in _weight_graphs():
+        expected = np.array([float(w) for w in g.weight_fractions])
+        assert g.weight_floats.dtype == np.float64
+        assert np.array_equal(g.weight_floats, expected)
+
+
+def test_player_weights_layout():
+    for g in _weight_graphs():
+        n = g.n
+        assert g.player_weights.shape == (n, 1 << (n - 1))
+        expected = np.zeros((n, 1 << (n - 1)))
+        for e, w in zip(g.edges(), g.weight_fractions):
+            low = e.base & ((1 << e.player) - 1)
+            expected[e.player, (e.base >> (e.player + 1)) << e.player | low] = float(w)
+        assert np.array_equal(g.player_weights, expected)
+
+
+def test_degree_product_weighting_unchanged():
+    # the numpy products give the same EdgeWeighting as per-edge Fractions
+    g = gr.restrict(gr.full_hypercube(4), [bits(1), bits(0, 2, 3)])
+    deg = g.degrees
+    expected = gr.EdgeWeighting.explicit(
+        {e: Fraction(int(deg[g.edge_src_pos[k]]) * int(deg[g.edge_dst_pos[k]]))
+         for k, e in enumerate(g.edges())})
+    assert gr.degree_product_weighting(g).weighting == expected

@@ -324,3 +324,79 @@ def test_float_efficiency_gap_small():
     v = gm.game_from_values(6, vals, gm.FLOAT)
     dec = sv.decompose(gr.full_hypercube(6), v, sv.SolverConfig(backend=sv.CG_FLOAT))
     assert dec.efficiency_gap < 1e-10
+
+
+def _restricted_explicit_graph(n, seed):
+    rng = random.Random(seed)
+    entries = {e: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+               for e in gr.full_hypercube(n).edges() if rng.random() < 0.5}
+    g = gr.full_hypercube(n, gr.EdgeWeighting.explicit(entries))
+    return gr.restrict(g, [bits(0, 1), bits(1, 2, 3)], [gr.Edge(bits(4), 0)])
+
+
+def test_cg_restricted_explicit_matches_exact():
+    rng = random.Random(32)
+    n = 5
+    g = _restricted_explicit_graph(n, 33)
+    v_rat = gm.game_from_values(n, random_dyadic_values(rng, n))
+    exact = sv.decompose(g, v_rat)
+    cg = sv.decompose(g, v_rat.as_float(), sv.SolverConfig(backend=sv.CG_FLOAT))
+    infeasible = [S for S in range(1 << n) if not g.contains_vertex(S)]
+    assert infeasible
+    for i in range(n):
+        ref = np.array([float(x) for x in exact.components[i].values])
+        got = np.asarray(cg.components[i].values)
+        feasible = g.vertices
+        assert np.allclose(got[feasible], ref[feasible], atol=1e-8)
+        assert all(got[S] == 0.0 for S in infeasible)
+    assert cg.efficiency_gap < 1e-8
+
+
+def test_cg_diagnostics_per_player():
+    rng = np.random.default_rng(34)
+    n = 5
+    g = _restricted_explicit_graph(n, 35)
+    vals = rng.standard_normal(1 << n)
+    vals[0] = 0.0
+    # player 2 is null, so its right-hand side vanishes and CG does no step
+    vals = np.array([vals[S & ~(1 << 2)] for S in range(1 << n)])
+    cfg = sv.SolverConfig(backend=sv.CG_FLOAT, cg_tolerance=1e-10)
+    dec = sv.decompose(g, gm.game_from_values(n, vals, gm.FLOAT), cfg)
+    assert [s.player for s in dec.diagnostics] == list(range(n))
+    assert all(s.residual <= cfg.cg_tolerance for s in dec.diagnostics)
+    assert dec.diagnostics[2].iterations == 0 and dec.diagnostics[2].residual == 0.0
+    assert not np.any(dec.components[2].values)
+    assert len({s.iterations for s in dec.diagnostics}) > 1
+    assert len({s.residual for s in dec.diagnostics}) == n
+
+
+def test_cg_convergence_error_names_player():
+    rng = np.random.default_rng(36)
+    n = 4
+    vals = rng.standard_normal(1 << n)
+    vals[0] = 0.0
+    # player 0 is null and converges at once; player 1 is the first to fail
+    vals = np.array([vals[S & ~1] for S in range(1 << n)])
+    g = gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality([1, 3, 2, 5]))
+    cfg = sv.SolverConfig(backend=sv.CG_FLOAT, cg_max_iters=2)
+    with pytest.raises(ConvergenceError) as err:
+        sv.decompose(g, gm.game_from_values(n, vals, gm.FLOAT), cfg)
+    assert "player 1 " in str(err.value)
+    assert len(err.value.residual_history) == 2
+    assert err.value.residual_history[-1] > cfg.cg_tolerance
+
+
+def test_float_solve_component_matches_decompose():
+    rng = np.random.default_rng(37)
+    n = 5
+    vals = rng.standard_normal(1 << n)
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    for g in (gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)),
+              _restricted_explicit_graph(n, 38)):
+        for backend in (sv.CG_FLOAT, sv.DENSE_FLOAT):
+            cfg = sv.SolverConfig(backend=backend)
+            dec = sv.decompose(g, v, cfg)
+            for i in range(n):
+                one = sv.solve_component(g, v, i, cfg)
+                assert np.allclose(one.values, dec.components[i].values, rtol=0, atol=1e-10)
