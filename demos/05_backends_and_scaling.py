@@ -1,8 +1,10 @@
 """Solver backends: exact rationals, sparse direct floats, matrix-free CG.
 
-The exact backend reproduces reference fractions bit-for-bit and scales
-to about a dozen players (p-adic lifting keeps it fast well past where
-naive fraction elimination bogs down).  The conjugate-gradient backend
+The exact backend reproduces reference fractions bit-for-bit.  On the
+full cube with constant weights it takes every component from integer
+Walsh-Hadamard transforms, up to 16 players; elsewhere it factors the
+Laplacian and scales to about a dozen players (p-adic lifting keeps it
+fast well past where naive fraction elimination bogs down).  The conjugate-gradient backend
 never forms a matrix: it runs all n players' solves at once on arrays
 over the 2**n coalitions, with numpy alone, and handles 2**16
 coalitions in about a second; on the unweighted cube its iteration

@@ -73,7 +73,7 @@ class Game:
         if len(self.values) != size:
             raise ValueError(f"value table has length {len(self.values)}, expected {size}")
         if self.mode == RATIONAL:
-            vals = tuple(Fraction(x) for x in self.values)
+            vals = tuple(x if type(x) is Fraction else Fraction(x) for x in self.values)
             if vals[0] != 0:
                 raise ValueError("v({}) must be 0")
         elif self.mode == FLOAT:

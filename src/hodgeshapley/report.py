@@ -46,17 +46,13 @@ def build_table(d: Decomposition, v: Game) -> DecompositionTable:
     order = sorted(g.vertices.tolist(), key=lambda S: (co.size(S), S))
     game_col = tuple(v.values[S] for S in order)
     comp_cols = tuple(tuple(c.values[S] for S in order) for c in d.components)
+    # exact in rational mode, relative to the game's largest value in float mode
+    tol = 0 if v.is_rational else 1e-6 * max(1.0, float(np.max(np.abs(v.values))))
     for r, S in enumerate(order):
         total = sum(col[r] for col in comp_cols)
-        if v.is_rational:
-            if total != game_col[r]:
-                raise ValueError(f"component columns do not sum to v at "
-                                 f"{co.coalition_key(S)}")
-        else:
-            scale = max(1.0, float(np.max(np.abs(np.asarray(v.values)))))
-            if abs(total - game_col[r]) > 1e-6 * scale:
-                raise ValueError(f"component columns do not sum to v at "
-                                 f"{co.coalition_key(S)}")
+        if abs(total - game_col[r]) > tol:
+            raise ValueError(f"component columns do not sum to v at "
+                             f"{co.coalition_key(S)}")
     return DecompositionTable(g.n, v.mode, v.names, tuple(order), game_col, comp_cols)
 
 

@@ -229,3 +229,14 @@ def test_shapley_coefficient_domain_guards():
         cf.verify_shapley_coefficient(3, 3, 0)
     with pytest.raises(DomainError):
         cf.verify_shapley_coefficient(3, 1, 5)
+
+
+def test_spectral_engine_equals_component_explicit():
+    rng = random.Random(49)
+    for n in range(1, 7):
+        g = gr.full_hypercube(n, gr.EdgeWeighting.constant(Fraction(7, 3)))
+        v = rational_game(rng, n)
+        dec = sv.decompose(g, v)
+        assert dec.diagnostics[0].backend == sv.SPECTRAL
+        for i in range(n):
+            assert dec.components[i].values == cf.component_explicit(v, i, g).values

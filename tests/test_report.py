@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,21 @@ def test_render_reverifies_column_sums():
         g, v, (dec.components[0],) * 3, dec.diagnostics, dec.efficiency_gap)
     with pytest.raises(ValueError):
         rp.render_table(broken, v, "text")
+
+
+def test_render_reverifies_float_column_sums_per_row():
+    g = gr.full_hypercube(3)
+    v = gm.make_glove_game().as_float()
+    dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
+    rp.build_table(dec, v)
+    values = dec.components[1].values.copy()
+    values[bits(0, 2)] += 1e-3
+    corrupted = gm.Game(3, gm.FLOAT, values)
+    broken = sv.Decomposition(
+        g, v, (dec.components[0], corrupted, dec.components[2]), dec.diagnostics,
+        dec.efficiency_gap)
+    with pytest.raises(ValueError, match=re.escape(co.coalition_key(bits(0, 2)))):
+        rp.build_table(broken, v)
 
 
 def test_render_rejects_wrong_game():

@@ -9,7 +9,7 @@ from hodgeshapley import game as gm
 from hodgeshapley import graph as gr
 from hodgeshapley import operators as ops
 from hodgeshapley import solve as sv
-from hodgeshapley.errors import ConfigError, ConvergenceError
+from hodgeshapley.errors import CapacityError, ConfigError, ConvergenceError
 from oracles import lstsq_component, random_rational_values, random_dyadic_values
 from test_operators import random_graph
 
@@ -292,7 +292,7 @@ def test_solve_component_agrees_with_decompose():
 
 
 def test_dixon_path_matches_lu_path():
-    # same solves through both exact kernels (the threshold sits at 160 unknowns)
+    # same solves through both exact kernels (the threshold sits at 31 unknowns)
     rng = random.Random(30)
     n = 5
     g = gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality([1, 2, 3, 1, 2]))
@@ -400,3 +400,101 @@ def test_float_solve_component_matches_decompose():
             for i in range(n):
                 one = sv.solve_component(g, v, i, cfg)
                 assert np.allclose(one.values, dec.components[i].values, rtol=0, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the exact spectral engine (full cube, constant weights)
+# ---------------------------------------------------------------------------
+
+def test_spectral_bit_exact_against_factored_path():
+    # explicit({}, c) is the same Laplacian under a kind that factors
+    rng = random.Random(40)
+    for n in range(1, 9):
+        for c in (1, Fraction(5, 2)):
+            v = rational_game(rng, n)
+            spectral = sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.constant(c)), v)
+            factored = sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.explicit({}, c)), v)
+            assert [s.backend for s in spectral.diagnostics] == [sv.SPECTRAL] * n
+            assert [s.backend for s in factored.diagnostics] == [sv.DENSE_RATIONAL] * n
+            for a, b in zip(spectral.components, factored.components):
+                assert a.values == b.values
+            assert spectral.efficiency_gap == 0
+
+
+def test_spectral_solve_component_is_column_of_decompose():
+    rng = random.Random(41)
+    n = 5
+    g = gr.full_hypercube(n, gr.EdgeWeighting.constant(3))
+    v = rational_game(rng, n)
+    dec = sv.decompose(g, v)
+    for i in range(n):
+        assert sv.solve_component(g, v, i).values == dec.components[i].values
+
+
+def test_spectral_routing():
+    rng = random.Random(42)
+    n = 4
+    v = rational_game(rng, n)
+    g = gr.full_hypercube(n)
+    assert sv.decompose(gr.restrict(g, []), v).diagnostics[0].backend == sv.SPECTRAL
+    holdout = gr.restrict(g, [bits(1, 2)])
+    assert sv.decompose(holdout, v).diagnostics[0].backend == sv.DENSE_RATIONAL
+    weighted = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
+    assert sv.decompose(weighted, v).diagnostics[0].backend == sv.DENSE_RATIONAL
+    with pytest.raises(ConfigError):
+        sv.SolverConfig(backend=sv.SPECTRAL)
+
+
+def test_spectral_null_players_get_exact_zeros():
+    rng = random.Random(43)
+    n = 6
+    base = random_rational_values(rng, n)
+    null = (1 << 1) | (1 << 4)
+    v = gm.game_from_values(n, [base[S & ~null] for S in co.enumerate_coalitions(n)])
+    dec = sv.decompose(gr.full_hypercube(n), v)
+    for i in (1, 4):
+        assert all(x == 0 and isinstance(x, Fraction) for x in dec.components[i].values)
+    assert not all(x == 0 for x in dec.components[0].values)
+
+
+def test_spectral_verification_catches_corrupted_transform(monkeypatch):
+    original = sv._walsh_hadamard
+
+    def corrupted(x):
+        original(x)
+        x[-1, -1] += 1
+
+    monkeypatch.setattr(sv, "_walsh_hadamard", corrupted)
+    v = rational_game(random.Random(44), 4)
+    with pytest.raises(ArithmeticError, match="verification"):
+        sv.decompose(gr.full_hypercube(4), v)
+    with pytest.raises(ArithmeticError, match="verification"):
+        sv.solve_component(gr.full_hypercube(4), v, 2)
+
+
+def test_spectral_capacity_error_before_any_work(monkeypatch):
+    n = sv._SPECTRAL_MAX_N + 1
+    v = gm.game_from_values(n, [0] * (1 << n))
+
+    def never(x):
+        raise AssertionError("transform ran past the cap")
+
+    monkeypatch.setattr(sv, "_walsh_hadamard", never)
+    with pytest.raises(CapacityError, match=r"n = 17 .* s and .* MB"):
+        sv.decompose(gr.full_hypercube(n), v)
+    with pytest.raises(CapacityError):
+        sv.solve_component(gr.full_hypercube(n), v, 0)
+
+
+def test_exact_capacity_error_before_dense_assembly(monkeypatch):
+    # 8191 pinned unknowns: past the lifting limit, and the dense system
+    # would hold 67M fractions; the refusal comes before any of it is built
+    n = 13
+    g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
+    v = gm.game_from_values(n, [0] * (1 << n))
+    monkeypatch.setattr(sv, "FractionLU", None)
+    monkeypatch.setattr(sv, "DixonSolver", None)
+    with pytest.raises(CapacityError, match="67,092,481"):
+        sv.decompose(g, v)
+    with pytest.raises(CapacityError):
+        sv.solve_poisson_rational(g, [Fraction(0)] * g.num_vertices)
