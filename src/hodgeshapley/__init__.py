@@ -17,7 +17,7 @@ from .game import (FLOAT, RATIONAL, Game, format_scalar, game_from_map, game_fro
                    game_from_values, is_inessential, linear_combine, load_game,
                    make_glove_game, make_inessential_game, make_pure_bargaining_game,
                    parse_scalar, pullback)
-from .graph import (Edge, EdgeWeighting, GameGraph, constraints_from_spec, degree,
+from .graph import (Edge, EdgeWeighting, GameGraph, constraints_from_spec,
                     degree_product_weighting, full_hypercube, load_constraints, restrict)
 from .operators import (EdgeFunction, VertexFunction, d, d_i, d_star, edge_difference,
                         edge_inner_product, game_from_vertex_function, laplacian_apply,

@@ -13,6 +13,7 @@ All diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +24,9 @@ from . import closed_form as cf
 from . import coalition as co
 from .errors import CapacityError, ConfigError, ConvergenceError, DomainError, \
     InfeasibilityError, SpecFileError
-from .game import FLOAT, RATIONAL, Game, format_scalar, load_game
+from .game import FLOAT, RATIONAL, Game, format_scalar, load_game, read_spec_file
 from .graph import EdgeWeighting, degree_product_weighting, full_hypercube, \
-    load_constraints, restrict
+    load_constraints, restrict, weighting_from_spec
 from .reference_tables import ALL_REFERENCES
 from .report import compare_allocations, render_table
 from .solve import CG_FLOAT, DENSE_FLOAT, DENSE_RATIONAL, SolverConfig, decompose, \
@@ -65,15 +66,7 @@ def _build_weighting(tag: str, n: int) -> EdgeWeighting | None:
     if tag == "size-plus-one":
         return EdgeWeighting.size_plus_one(n)
     if tag.startswith("file:"):
-        import json
-        path = tag[len("file:"):]
-        with open(path) as fh:
-            try:
-                spec = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SpecFileError(f"invalid JSON: {exc}", location=path) from None
-        from .graph import weighting_from_spec
-        return weighting_from_spec(spec, n)
+        return weighting_from_spec(read_spec_file(tag[len("file:"):]), n)
     raise SpecFileError(f"unknown weighting {tag!r}; expected constant[:c], "
                         "size-plus-one, degree-product, or file:PATH")
 
@@ -117,7 +110,6 @@ def _solver_config(spec: RunSpec) -> SolverConfig:
 
 def _format_allocation(values, fmt: str) -> str:
     if fmt == "json":
-        import json
         payload = [format_scalar(x) if isinstance(x, Fraction) else float(x)
                    for x in values]
         return json.dumps({"allocation": payload}) + "\n"

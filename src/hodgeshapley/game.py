@@ -111,9 +111,6 @@ class Game:
             return self
         return Game(self.n, RATIONAL, [Fraction(float(x)) for x in self.values], self.names)
 
-    def values_list(self) -> list:
-        return list(self.values)
-
 
 def game_from_values(n: int, values: Sequence, mode: str = RATIONAL,
                      names: Sequence[str] | None = None) -> Game:
@@ -229,14 +226,18 @@ def game_from_spec(spec: Mapping) -> Game:
     return game_from_values(n, vals, mode, names=[str(p) for p in players])
 
 
-def load_game(path) -> Game:
-    """Load a game spec from a JSON file."""
+def read_spec_file(path):
+    """Parse a JSON spec file; malformed JSON raises SpecFileError naming the path."""
     with open(path) as fh:
         try:
-            spec = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SpecFileError(f"invalid JSON: {exc}", location=str(path)) from None
-    return game_from_spec(spec)
+
+
+def load_game(path) -> Game:
+    """Load a game spec from a JSON file."""
+    return game_from_spec(read_spec_file(path))
 
 
 def game_to_spec(v: Game) -> dict:

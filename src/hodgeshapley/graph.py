@@ -10,7 +10,6 @@ coalition by adding one player at a time.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import coalition as co
 from .errors import DomainError, InfeasibilityError, SpecFileError
-from .game import parse_scalar, RATIONAL
+from .game import RATIONAL, parse_scalar, read_spec_file
 
 
 class Edge(NamedTuple):
@@ -222,6 +221,13 @@ class GameGraph:
         return table
 
     @cached_property
+    def player_weight_fractions(self) -> np.ndarray:
+        """Exact twin of ``player_weights``: an object array of fractions."""
+        table = np.full((self.n, 1 << max(self.n - 1, 0)), Fraction(0), dtype=object)
+        table[self.edge_player, self.edge_slot] = np.asarray(self.weight_fractions, dtype=object)
+        return table
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         """Orientation-blind incident-edge count per feasible vertex."""
         deg = np.zeros(self.num_vertices, dtype=np.int64)
@@ -388,11 +394,6 @@ def restrict(g: GameGraph, removed_vertices: Iterable[co.Coalition] = (),
     return GameGraph(g.n, keep_v, edge_base, edge_player, g.weighting)
 
 
-def degree(g: GameGraph, S: co.Coalition) -> int:
-    """Feasible incident-edge count of S (orientation-blind)."""
-    return g.degree(S)
-
-
 def degree_product_weighting(g: GameGraph) -> GameGraph:
     """Reweight every edge by the product of its endpoint degrees."""
     deg = g.degrees
@@ -450,9 +451,4 @@ def constraints_from_spec(spec: Mapping, n: int):
 
 
 def load_constraints(path, n: int):
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFileError(f"invalid JSON: {exc}", location=str(path)) from None
-    return constraints_from_spec(spec, n)
+    return constraints_from_spec(read_spec_file(path), n)

@@ -7,6 +7,11 @@ direction: incoming edges contribute ``+w f``, outgoing edges ``-w f``.
 Composing the two gives the (weighted) graph Laplacian without ever
 materializing a matrix; each apply is one pass over the feasible edges.
 
+Values are numpy arrays whose dtype carries the scalar mode: ``object``
+arrays of ``Fraction`` in rational mode, ``float64`` in float mode.  Each
+operator is written once for both; the mode only picks the dtype, the
+zero and the edge weights (``weight_fractions`` or ``weight_floats``).
+
 Edge values are stored in canonical orientation only (base to base|{i});
 the sign convention for the reverse orientation lives entirely inside
 ``d_star``.  Float-mode reductions accumulate in fixed edge-index order,
@@ -26,13 +31,33 @@ from .game import RATIONAL, Game
 from .graph import GameGraph
 
 
+def _zero(mode: str):
+    return Fraction(0) if mode == RATIONAL else 0.0
+
+
+def _as_values(mode: str, values) -> np.ndarray:
+    return np.asarray(values, dtype=object if mode == RATIONAL else np.float64)
+
+
+def _edge_weights(g: GameGraph, mode: str) -> np.ndarray:
+    return _as_values(mode, g.weight_fractions if mode == RATIONAL else g.weight_floats)
+
+
+def _scalar(x):
+    """A reduction's result as a Python scalar: a Fraction, or a float."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 @dataclass(frozen=True, eq=False)
 class VertexFunction:
     """A scalar per feasible vertex, ordered like graph.vertices."""
 
     graph: GameGraph
     mode: str
-    values: list | np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _as_values(self.mode, self.values))
 
     def value_at(self, S: co.Coalition):
         pos = self.graph.vertex_pos[S]
@@ -41,14 +66,10 @@ class VertexFunction:
         return self.values[pos]
 
     def norm_inf(self):
-        if self.mode == RATIONAL:
-            return max((abs(x) for x in self.values), default=Fraction(0))
-        return float(np.max(np.abs(self.values))) if len(self.values) else 0.0
+        return _scalar(np.abs(self.values).max(initial=_zero(self.mode)))
 
     def total(self):
-        if self.mode == RATIONAL:
-            return sum(self.values, Fraction(0))
-        return float(np.sum(self.values))
+        return _scalar(self.values.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +78,10 @@ class EdgeFunction:
 
     graph: GameGraph
     mode: str
-    values: list | np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _as_values(self.mode, self.values))
 
     def value_at(self, edge) -> object:
         k = self.graph.edge_index.get(tuple(edge))
@@ -66,8 +90,6 @@ class EdgeFunction:
         return self.values[k]
 
     def is_zero(self) -> bool:
-        if self.mode == RATIONAL:
-            return all(x == 0 for x in self.values)
         return not np.any(self.values)
 
 
@@ -75,11 +97,7 @@ def vertex_function_from_game(g: GameGraph, v: Game) -> VertexFunction:
     """Restrict a game's value table to the feasible vertices of g."""
     if v.n != g.n:
         raise DomainError("game and graph have different player counts")
-    if v.is_rational:
-        vals = [v.values[S] for S in g.vertices.tolist()]
-    else:
-        vals = np.asarray(v.values)[g.vertices]
-    return VertexFunction(g, v.mode, vals)
+    return VertexFunction(g, v.mode, _as_values(v.mode, v.values)[g.vertices])
 
 
 def game_from_vertex_function(u: VertexFunction, names=None) -> Game:
@@ -89,14 +107,9 @@ def game_from_vertex_function(u: VertexFunction, names=None) -> Game:
     consumer in this package reads feasible coalitions exclusively.
     """
     g = u.graph
-    if u.mode == RATIONAL:
-        vals = [Fraction(0)] * (1 << g.n)
-        for S, x in zip(g.vertices.tolist(), u.values):
-            vals[S] = x
-    else:
-        vals = np.zeros(1 << g.n)
-        vals[g.vertices] = u.values
-    return Game(g.n, u.mode, tuple(vals) if u.mode == RATIONAL else vals, names)
+    vals = np.full(1 << g.n, _zero(u.mode), dtype=u.values.dtype)
+    vals[g.vertices] = u.values
+    return Game(g.n, u.mode, vals, names)
 
 
 def _check_same_graph(a, b):
@@ -109,13 +122,7 @@ def _check_same_graph(a, b):
 def d(u: VertexFunction) -> EdgeFunction:
     """Discrete gradient: marginal value along each feasible edge."""
     g = u.graph
-    if u.mode == RATIONAL:
-        vals = [u.values[dp] - u.values[sp]
-                for sp, dp in zip(g.edge_src_pos.tolist(), g.edge_dst_pos.tolist())]
-    else:
-        arr = np.asarray(u.values)
-        vals = arr[g.edge_dst_pos] - arr[g.edge_src_pos]
-    return EdgeFunction(g, u.mode, vals)
+    return EdgeFunction(g, u.mode, u.values[g.edge_dst_pos] - u.values[g.edge_src_pos])
 
 
 def d_i(i: int, u: VertexFunction) -> EdgeFunction:
@@ -123,30 +130,21 @@ def d_i(i: int, u: VertexFunction) -> EdgeFunction:
     g = u.graph
     if not 0 <= i < g.n:
         raise DomainError(f"player index {i} outside [0, {g.n})")
-    if u.mode == RATIONAL:
-        vals = [u.values[dp] - u.values[sp] if p == i else Fraction(0)
-                for sp, dp, p in zip(g.edge_src_pos.tolist(), g.edge_dst_pos.tolist(),
-                                     g.edge_player.tolist())]
-    else:
-        arr = np.asarray(u.values)
-        vals = np.where(g.edge_player == i, arr[g.edge_dst_pos] - arr[g.edge_src_pos], 0.0)
+    mine = g.edge_player == i
+    vals = np.full(g.num_edges, _zero(u.mode), dtype=u.values.dtype)
+    vals[mine] = u.values[g.edge_dst_pos[mine]] - u.values[g.edge_src_pos[mine]]
     return EdgeFunction(g, u.mode, vals)
 
 
 def d_star(f: EdgeFunction) -> VertexFunction:
     """Weighted adjoint of d: signed, weighted edge sums at each vertex."""
     g = f.graph
-    if f.mode == RATIONAL:
-        out = [Fraction(0)] * g.num_vertices
-        for k, w in enumerate(g.weight_fractions):
-            wf = w * f.values[k]
-            out[g.edge_dst_pos[k]] += wf
-            out[g.edge_src_pos[k]] -= wf
-    else:
-        wf = g.weight_floats * np.asarray(f.values)
-        out = (np.bincount(g.edge_dst_pos, weights=wf, minlength=g.num_vertices)
-               - np.bincount(g.edge_src_pos, weights=wf, minlength=g.num_vertices))
-    return VertexFunction(g, f.mode, out)
+    wf = _edge_weights(g, f.mode) * f.values
+    incoming = np.full(g.num_vertices, _zero(f.mode), dtype=wf.dtype)
+    outgoing = incoming.copy()
+    np.add.at(incoming, g.edge_dst_pos, wf)
+    np.add.at(outgoing, g.edge_src_pos, wf)
+    return VertexFunction(g, f.mode, incoming - outgoing)
 
 
 def laplacian_apply(u: VertexFunction) -> VertexFunction:
@@ -163,18 +161,10 @@ def laplacian_i_apply(i: int, u: VertexFunction) -> VertexFunction:
 def edge_inner_product(f: EdgeFunction, g2: EdgeFunction):
     """Weighted l2 inner product over feasible edges."""
     _check_same_graph(f, g2)
-    g = f.graph
-    if f.mode == RATIONAL:
-        return sum((w * x * y for w, x, y in zip(g.weight_fractions, f.values, g2.values)),
-                   Fraction(0))
-    return float(np.dot(g.weight_floats * np.asarray(f.values), np.asarray(g2.values)))
+    return _scalar(np.dot(_edge_weights(f.graph, f.mode) * f.values, g2.values))
 
 
 def edge_difference(f: EdgeFunction, g2: EdgeFunction) -> EdgeFunction:
     """Pointwise f - g2 on the shared graph."""
     _check_same_graph(f, g2)
-    if f.mode == RATIONAL:
-        vals = [x - y for x, y in zip(f.values, g2.values)]
-    else:
-        vals = np.asarray(f.values) - np.asarray(g2.values)
-    return EdgeFunction(f.graph, f.mode, vals)
+    return EdgeFunction(f.graph, f.mode, f.values - g2.values)

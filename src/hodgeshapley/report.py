@@ -7,6 +7,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -68,31 +69,47 @@ def render_table(d: Decomposition, v: Game, format: str = "text") -> str:
     raise ValueError(f"unknown format {format!r}; expected one of {_FORMATS}")
 
 
+def _cells(t: DecompositionTable, r: int) -> list[str]:
+    """Row r's game value and component values as text."""
+    return [format_scalar(x) for x in (t.game_column[r], *(c[r] for c in t.component_columns))]
+
+
 def _render_text(t: DecompositionTable) -> str:
-    headers = ["S", "v"] + [f"v_{i + 1}" for i in range(t.n)]
-    rows = []
-    for r, S in enumerate(t.coalitions):
-        rows.append([co.coalition_label(S, t.names), format_scalar(t.game_column[r])]
-                    + [format_scalar(col[r]) for col in t.component_columns])
-    widths = [max(len(h), *(len(row[c]) for row in rows)) for c, h in enumerate(headers)]
-    lines = ["  ".join(h.rjust(widths[c]) for c, h in enumerate(headers)),
-             "  ".join("-" * w for w in widths)]
-    for r, row in enumerate(rows):
-        if r == len(rows) - 1:
-            lines.append("  ".join("-" * w for w in widths))
-        lines.append("  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row)))
+    rows = [[co.coalition_label(S, t.names)] + _cells(t, r) for r, S in enumerate(t.coalitions)]
+    # a second rule sets the grand coalition apart
+    lines = _text_table(["S", "v"] + [f"v_{i + 1}" for i in range(t.n)], rows, len(rows) - 1)
     alloc = ", ".join(format_scalar(x) for x in t.allocation)
     lines.append(f"allocation: ({alloc})")
     return "\n".join(lines) + "\n"
 
 
 def _render_csv(t: DecompositionTable) -> str:
+    # rows stream into the writer: 2**n rows of text need not be held twice
+    rows = ([co.coalition_key(S)] + _cells(t, r) for r, S in enumerate(t.coalitions))
+    return _csv_table(["coalition", "v"] + [f"v_{i + 1}" for i in range(t.n)], rows)
+
+
+def _text_table(headers: list[str], rows: list[list[str]], rule_before: int | None = None
+                ) -> list[str]:
+    """Lines of right-justified columns two spaces apart, the header over a
+    rule; a second rule goes before row ``rule_before`` if given."""
+    widths = [max(len(h), *(len(row[c]) for row in rows)) for c, h in enumerate(headers)]
+
+    def line(cells):
+        return "  ".join(cell.rjust(w) for cell, w in zip(cells, widths))
+
+    rule = "  ".join("-" * w for w in widths)
+    body = [line(row) for row in rows]
+    if rule_before is not None:
+        body.insert(rule_before, rule)
+    return [line(headers), rule] + body
+
+
+def _csv_table(headers: list[str], rows: Iterable[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["coalition", "v"] + [f"v_{i + 1}" for i in range(t.n)])
-    for r, S in enumerate(t.coalitions):
-        writer.writerow([co.coalition_key(S), format_scalar(t.game_column[r])]
-                        + [format_scalar(col[r]) for col in t.component_columns])
+    writer.writerow(headers)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -161,18 +178,9 @@ def compare_allocations(g: GameGraph, v: Game, cfg: SolverConfig | None = None,
     rows = [[_player_name(v, i), format_scalar(hodge[i]), format_scalar(other[i]),
              format_scalar(diffs[i])] for i in range(g.n)]
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(rows)
-        return buf.getvalue()
+        return _csv_table(headers, rows)
     if format == "text":
-        widths = [max(len(h), *(len(row[c]) for row in rows)) for c, h in enumerate(headers)]
-        lines = ["  ".join(h.rjust(widths[c]) for c, h in enumerate(headers)),
-                 "  ".join("-" * w for w in widths)]
-        lines += ["  ".join(cell.rjust(widths[c]) for c, cell in enumerate(row))
-                  for row in rows]
-        return "\n".join(lines) + "\n"
+        return "\n".join(_text_table(headers, rows)) + "\n"
     raise ValueError(f"unknown format {format!r}; expected one of {_FORMATS}")
 
 

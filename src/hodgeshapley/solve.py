@@ -1,8 +1,16 @@
 """Solver backends and the per-player decomposition driver.
 
 Each component game solves the singular system ``L_w v_i = L_{w_i} v``
-normalized by ``v_i({}) = 0``.  Dense backends pin the empty coalition
-(delete its row and column and solve the reduced nonsingular system).
+normalized by ``v_i({}) = 0``.  Only the scalar field differs between the
+modes, so one code path serves both: vectors live on all ``2**n``
+coalitions, one column per player, as ``object`` arrays of fractions in
+rational mode and ``float64`` arrays in float mode; infeasible coalitions
+of a restricted graph are rows that stay exactly 0.  Player i's edges
+pair the two halves of the strided view ``x.reshape(2**(n-1-i), 2, 2**i,
+k)``, so ``L_{w_i}`` is a difference of half-views scaled by row i of
+``GameGraph.player_weights`` (or its exact twin
+``player_weight_fractions``), and ``L_w`` is the sum of the n of them.
+The right-hand sides of all players come from one such sweep.
 
 Rational mode has two engines.  On the full cube with a constant weight
 c the Walsh transform diagonalises both operators: ``L_w`` has
@@ -12,22 +20,18 @@ this in integers (v scaled by its denominator lcm, the quotient by
 ``lcm(1..n)``), inverse-transforms every player's column in one sweep,
 verifies ``L_w X = L_{w_i} v`` column by column in integers, and only
 then builds fractions; it takes ``n <= 16``.  Every other graph factors
-the pinned Laplacian once per graph: fraction LU up to 31 unknowns,
-p-adic lifting up to 4096, and a ``CapacityError`` beyond, raised before
-the dense system is built.
+the pinned Laplacian (empty coalition's row and column deleted) once per
+graph: fraction LU up to 31 unknowns, p-adic lifting up to 4096.
 
-Float mode keeps vectors on all ``2**n`` coalitions, one column per
-player; infeasible coalitions of a restricted graph are rows that stay
-exactly 0.  Player i's edges pair the two halves of the strided view
-``x.reshape(2**(n-1-i), 2, 2**i, k)``, so ``L_{w_i}`` is a difference of
-half-views scaled by ``GameGraph.player_weights[i]``, and ``L_w`` is the
-sum of the n of them.  The right-hand sides of all players come from one
-such sweep, and conjugate gradient runs on all of them at once in
-preallocated buffers: each column keeps its own step sizes, is deflated
-to mean zero over the feasible coalitions every step (the constant
-nullspace), stops when it meets the tolerance, and is shifted to
-``v_i({}) = 0`` afterwards.  Both routes land on the same answer, which
-is unique up to constants on a connected graph.
+Float mode either factors the pinned Laplacian sparsely (``dense_float``,
+up to 4096 unknowns) or runs conjugate gradient on all columns at once
+in preallocated buffers (``cg_float``): each column keeps its own step
+sizes, is deflated to mean zero over the feasible coalitions every step
+(the constant nullspace), stops when it meets the tolerance, and is
+shifted to ``v_i({}) = 0`` afterwards.  Past a factorization's limit
+the solve raises ``CapacityError`` before any right-hand side or matrix
+is built.  All routes land on the same answer, which is unique up to
+constants on a connected graph.
 """
 
 from __future__ import annotations
@@ -175,7 +179,7 @@ class _RationalPinnedSolver:
             self._kind = "lu"
             self._lu = FractionLU(rows)
 
-    def solve(self, b: list[Fraction]) -> list[Fraction]:
+    def solve(self, b: Sequence[Fraction]) -> list[Fraction]:
         if self._kind == "lu":
             return self._lu.solve(b)
         scaled = [x * s for x, s in zip(b, self._scales)]
@@ -196,9 +200,18 @@ def _rational_solver(g: GameGraph) -> _RationalPinnedSolver:
 def _float_factor(g: GameGraph):
     factor = _float_factors.get(g)
     if factor is None:
+        m = g.num_vertices - 1
+        if m > _MAX_UNKNOWNS:
+            # splu fill-in on the cube, on a 2-vCPU box: 6.5 s and 0.2 GB at
+            # 4095 unknowns (n = 12), 581 s and 2.5 GB at 16383 (n = 14),
+            # so about m**3.2 in time and m**1.8 in memory
+            growth = m / 4095
+            raise CapacityError(
+                f"sparse direct float solve of {m} unknowns exceeds the limit of "
+                f"{_MAX_UNKNOWNS}: estimated {6.5 * growth ** 3.2:,.0f} s and "
+                f"{0.2 * growth ** 1.8:,.1f} GB; use the cg_float backend")
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
-        m = g.num_vertices
         w = g.weight_floats
         s = g.edge_src_pos
         t = g.edge_dst_pos
@@ -206,7 +219,7 @@ def _float_factor(g: GameGraph):
         cols = np.concatenate([s, t, t, s])
         vals = np.concatenate([w, w, -w, -w])
         keep = (rows > 0) & (cols > 0)
-        L = csc_matrix((vals[keep], (rows[keep] - 1, cols[keep] - 1)), shape=(m - 1, m - 1))
+        L = csc_matrix((vals[keep], (rows[keep] - 1, cols[keep] - 1)), shape=(m, m))
         factor = splu(L.tocsc())
         _float_factors[g] = factor
     return factor
@@ -215,22 +228,6 @@ def _float_factor(g: GameGraph):
 # ---------------------------------------------------------------------------
 # right-hand sides and the conjugate-gradient kernel
 # ---------------------------------------------------------------------------
-
-def _player_rhs_rational(g: GameGraph, u_vals: list) -> list[list[Fraction]]:
-    """All right-hand sides L_{w_i} v in one pass over the edges."""
-    out = [[Fraction(0)] * g.num_vertices for _ in range(g.n)]
-    src = g.edge_src_pos.tolist()
-    dst = g.edge_dst_pos.tolist()
-    players = g.edge_player.tolist()
-    for k, w in enumerate(g.weight_fractions):
-        s, t = src[k], dst[k]
-        wdu = w * (u_vals[t] - u_vals[s])
-        if wdu:
-            b = out[players[k]]
-            b[t] += wdu
-            b[s] -= wdu
-    return out
-
 
 def _add_player_laplacian(w_i: np.ndarray | None, i: int, x: np.ndarray, out: np.ndarray,
                           scratch: np.ndarray) -> None:
@@ -267,9 +264,9 @@ def _walsh_hadamard(x: np.ndarray) -> None:
         h[:, 0] = s
 
 
-def _spectral_rational(g: GameGraph, v: Game, players: Sequence[int]) -> list[tuple]:
+def _spectral_rational(g: GameGraph, v: Game, players: Sequence[int]) -> np.ndarray:
     """Exact components of v for the given players on a full cube with
-    constant weights, each as a tuple of fractions on all 2**n coalitions.
+    constant weights, as fraction columns on all 2**n coalitions.
 
     In integers: X = 2**n * lcm(1..n) * D * (component), D the lcm of v's
     denominators.  X is checked against ``L X = 2**n * lcm(1..n) * L_i (D v)``
@@ -310,16 +307,21 @@ def _spectral_rational(g: GameGraph, v: Game, players: Sequence[int]) -> list[tu
             raise ArithmeticError("spectral solve failed its exact verification; this is a bug")
     del lhs, scratch
     denom = D * ell << n
-    return [tuple(Fraction(y, denom) for y in X[:, col].tolist()) for col in range(k)]
+    return np.frompyfunc(lambda y: Fraction(y, denom), 1, 1)(X)
 
 
-def _rhs_float(g: GameGraph, values: np.ndarray, players: Sequence[int]) -> np.ndarray:
-    """Right-hand sides L_{w_i} v on all 2**n coalitions, one column per player."""
-    out = np.zeros((1 << g.n, len(players)))
-    scratch = np.empty((out.shape[0] // 2, 1))
+def _rhs(g: GameGraph, values: np.ndarray, players: Sequence[int]) -> np.ndarray:
+    """Right-hand sides L_{w_i} v on all 2**n coalitions, one column per player.
+
+    The output has the dtype of values: object for fractions, weighted by
+    ``GameGraph.player_weight_fractions``, or float64, weighted by
+    ``player_weights``.
+    """
+    out = np.zeros((values.shape[0], len(players)), dtype=values.dtype)
+    scratch = np.empty((values.shape[0] // 2, 1), dtype=values.dtype)
+    w = g.player_weight_fractions if values.dtype == object else g.player_weights
     for col, i in enumerate(players):
-        _add_player_laplacian(g.player_weights[i], i, values.reshape(-1, 1),
-                              out[:, col:col + 1], scratch)
+        _add_player_laplacian(w[i], i, values.reshape(-1, 1), out[:, col:col + 1], scratch)
     return out
 
 
@@ -432,52 +434,72 @@ def _check_modes(g: GameGraph, v: Game, cfg: SolverConfig) -> None:
                           "(use Game.as_float())")
 
 
-def _verify_mean_zero(g: GameGraph, b, rational: bool) -> None:
-    # L_{w_i} v lies in the range of d*, hence is orthogonal to constants.
-    if rational:
-        total = sum(b, Fraction(0))
-        if total != 0:
-            raise ArithmeticError("right-hand side is not mean-zero; this is a bug")
-    else:
-        # one column per player; infeasible rows are 0 and add nothing
-        scale = np.max(np.abs(b), axis=0)
-        if np.any(np.abs(b.sum(axis=0)) > 1e-8 * np.maximum(1.0, scale) * g.num_vertices):
-            raise ArithmeticError("right-hand side is not mean-zero; this is a bug")
+def _verify_mean_zero(g: GameGraph, B: np.ndarray) -> None:
+    # L_{w_i} v lies in the range of d*, hence is orthogonal to constants:
+    # exactly for fractions, to round-off for floats.  One column per
+    # player; infeasible rows are 0 and add nothing.
+    tol = 0
+    if B.dtype != object:
+        tol = 1e-8 * np.maximum(1.0, np.max(np.abs(B), axis=0)) * g.num_vertices
+    if np.any(np.abs(B.sum(axis=0)) > tol):
+        raise ArithmeticError("right-hand side is not mean-zero; this is a bug")
 
 
 def _spectral_applies(g: GameGraph) -> bool:
     return g.is_full_cube and g.weighting.kind == CONSTANT
 
 
-def _solve_one_rational(g: GameGraph, b: list) -> list:
-    _verify_mean_zero(g, b, rational=True)
-    x = _rational_solver(g).solve(b[1:])
-    return [Fraction(0)] + x
+def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
+    """Components of v for the given players, as columns on all 2**n coalitions.
 
-
-def _solve_float(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
-    """Components of a float game for the given players, as columns on all
-    2**n coalitions; returns (X, iterations, residuals) like _cg_float."""
-    B = _rhs_float(g, np.asarray(v.values), players)
-    _verify_mean_zero(g, B, rational=False)
-    if cfg.backend == CG_FLOAT:
-        return _cg_float(g, B, players, cfg.cg_tolerance, cfg.max_iters_for(g.n))
-    X = np.zeros_like(B)
+    Returns (X, engine, iterations, residuals), the lists in the order of
+    players.  X holds fractions in rational mode and floats in float mode;
+    infeasible rows are zero.
+    """
+    k = len(players)
+    if v.is_rational and _spectral_applies(g):
+        return _spectral_rational(g, v, players), SPECTRAL, [0] * k, [0.0] * k
+    # the pinned solver comes first, so that a system past its capacity
+    # is refused before any right-hand side is built
+    solver = None
+    if cfg.backend == DENSE_RATIONAL:
+        solver = _rational_solver(g)
+    elif cfg.backend == DENSE_FLOAT:
+        solver = _float_factor(g)
+    values = np.asarray(v.values, dtype=object if v.is_rational else np.float64)
+    B = _rhs(g, values, players)
+    _verify_mean_zero(g, B)
+    if solver is None:
+        X, iterations, residuals = _cg_float(g, B, players, cfg.cg_tolerance,
+                                             cfg.max_iters_for(g.n))
+        return X, cfg.backend, iterations, residuals
+    X = np.full(B.shape, values[0], dtype=B.dtype)  # v({}) = 0 in the mode's scalars
     residuals = []
-    for j in range(len(players)):
+    for j in range(k):
         b = B[g.vertices, j]
-        x = np.zeros(g.num_vertices)
-        x[1:] = _float_factor(g).solve(b[1:])
-        X[g.vertices, j] = x
-        residuals.append(_relative_residual(g, x, b))
-    return X, [0] * len(players), residuals
+        X[g.vertices[1:], j] = solver.solve(b[1:])
+        # an exact solve has no residual
+        residuals.append(0.0 if v.is_rational else _relative_residual(g, X[g.vertices, j], b))
+    return X, cfg.backend, [0] * k, residuals
 
 
 def _relative_residual(g: GameGraph, x: np.ndarray, b: np.ndarray) -> float:
-    u = ops.VertexFunction(g, FLOAT, x)
-    r = np.asarray(ops.laplacian_apply(u).values) - b
+    r = ops.laplacian_apply(ops.VertexFunction(g, FLOAT, x)).values - b
     b_norm = float(np.linalg.norm(b))
     return float(np.linalg.norm(r)) / b_norm if b_norm else 0.0
+
+
+def _efficiency_gap(g: GameGraph, v: Game, X: np.ndarray, engine: str):
+    """Largest miss of the component sum against v over feasible coalitions."""
+    if engine == SPECTRAL:
+        # the exact verification of every column implies the identity
+        return Fraction(0)
+    miss = X.sum(axis=1) - np.asarray(v.values, dtype=X.dtype)
+    gap = ops._scalar(np.abs(miss[g.vertices]).max())
+    if v.is_rational and gap != 0:
+        raise ArithmeticError("exact decomposition failed the efficiency identity; "
+                              "this is a bug")
+    return gap
 
 
 def solve_component(g: GameGraph, v: Game, i: int, cfg: SolverConfig | None = None) -> Game:
@@ -486,53 +508,18 @@ def solve_component(g: GameGraph, v: Game, i: int, cfg: SolverConfig | None = No
     _check_modes(g, v, cfg)
     if not 0 <= i < g.n:
         raise ConfigError(f"player index {i} outside [0, {g.n})")
-    if v.is_rational:
-        if _spectral_applies(g):
-            return Game(g.n, RATIONAL, _spectral_rational(g, v, [i])[0], v.names)
-        u = ops.vertex_function_from_game(g, v)
-        b = ops.laplacian_i_apply(i, u)
-        x = _solve_one_rational(g, list(b.values))
-        return ops.game_from_vertex_function(ops.VertexFunction(g, RATIONAL, x), v.names)
-    X, _, _ = _solve_float(g, v, [i], cfg)
-    return Game(g.n, FLOAT, X[:, 0], v.names)
+    X, _, _, _ = _solve(g, v, [i], cfg)
+    return Game(g.n, v.mode, X[:, 0], v.names)
 
 
 def decompose(g: GameGraph, v: Game, cfg: SolverConfig | None = None) -> Decomposition:
     """All component games of v on g, with per-player solve diagnostics."""
     cfg = cfg or SolverConfig()
     _check_modes(g, v, cfg)
-    components = []
-    stats = []
-    if v.is_rational and _spectral_applies(g):
-        # the verification of every column implies the efficiency identity
-        for i, values in enumerate(_spectral_rational(g, v, range(g.n))):
-            components.append(Game(g.n, RATIONAL, values, v.names))
-            stats.append(PlayerSolveStats(i, SPECTRAL, 0, 0.0))
-        gap = Fraction(0)
-    elif v.is_rational:
-        u = ops.vertex_function_from_game(g, v)
-        rhs = _player_rhs_rational(g, list(u.values))
-        for i in range(g.n):
-            x = _solve_one_rational(g, rhs[i])
-            components.append(ops.game_from_vertex_function(
-                ops.VertexFunction(g, RATIONAL, x), v.names))
-            stats.append(PlayerSolveStats(i, cfg.backend, 0, 0.0))
-        gap = Fraction(0)
-        u_vals = list(u.values)
-        for pos, S in enumerate(g.vertices.tolist()):
-            total = sum((c.values[S] for c in components), Fraction(0))
-            gap = max(gap, abs(total - u_vals[pos]))
-        if gap != 0:
-            raise ArithmeticError("exact decomposition failed the efficiency identity; "
-                                  "this is a bug")
-    else:
-        X, iterations, residuals = _solve_float(g, v, range(g.n), cfg)
-        for i in range(g.n):
-            components.append(Game(g.n, FLOAT, X[:, i], v.names))
-            stats.append(PlayerSolveStats(i, cfg.backend, iterations[i], residuals[i]))
-        miss = X.sum(axis=1) - np.asarray(v.values)
-        gap = float(np.max(np.abs(miss[g.vertices])))
-    return Decomposition(g, v, tuple(components), tuple(stats), gap)
+    X, engine, iterations, residuals = _solve(g, v, range(g.n), cfg)
+    components = tuple(Game(g.n, v.mode, X[:, i], v.names) for i in range(g.n))
+    stats = tuple(PlayerSolveStats(i, engine, iterations[i], residuals[i]) for i in range(g.n))
+    return Decomposition(g, v, components, stats, _efficiency_gap(g, v, X, engine))
 
 
 def residual_orthogonality(g: GameGraph, v: Game, dec: Decomposition) -> list:
@@ -555,4 +542,7 @@ def edge_residual(g: GameGraph, v: Game, dec: Decomposition, i: int) -> ops.Edge
 
 def solve_poisson_rational(g: GameGraph, rhs: Sequence[Fraction]) -> list[Fraction]:
     """Exact solve of L_w u = rhs with u({}) = 0; rhs indexed like graph.vertices."""
-    return _solve_one_rational(g, list(rhs))
+    solver = _rational_solver(g)
+    b = np.asarray(rhs, dtype=object)
+    _verify_mean_zero(g, b.reshape(-1, 1))
+    return [Fraction(0)] + solver.solve(b[1:])

@@ -119,6 +119,14 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert main(["decompose", "--game", str(missing)]) == 2
 
 
+def test_weights_file_invalid_json(glove_path, tmp_path, capsys):
+    bad = tmp_path / "bad_weights.json"
+    bad.write_text("{not json")
+    assert main(["decompose", "--game", glove_path, "--weights", f"file:{bad}"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: invalid JSON" in err
+
+
 def test_exit_code_invalid_values(tmp_path, capsys):
     bad = tmp_path / "bad_value.json"
     bad.write_text(json.dumps({"players": ["a"], "values": {"[0]": "1/0"}}))

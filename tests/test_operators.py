@@ -257,3 +257,94 @@ def test_vertex_function_from_game_checks_players():
     g = gr.full_hypercube(3)
     with pytest.raises(Exception):
         ops.vertex_function_from_game(g, gm.make_pure_bargaining_game(2, 1))
+
+
+# ---------------------------------------------------------------------------
+# one implementation per operator: both modes against per-mode reference
+# formulas (list loops over fractions, the float formulas with bincount)
+# ---------------------------------------------------------------------------
+
+def _same_bits(a, b):
+    return a.dtype == np.float64 and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _fractions(values):
+    return (isinstance(values, np.ndarray) and values.dtype == object
+            and all(type(x) is Fraction for x in values))
+
+
+def _random_pair(rng, g):
+    """The same vertex and edge functions in rational and in float mode;
+    the vertex function vanishes on the empty coalition, like a game."""
+    u = vf(g, [0] + [Fraction(rng.randint(-20, 20), rng.randint(1, 9))
+                     for _ in range(g.num_vertices - 1)])
+    f = random_edge_function(rng, g)
+    u_f = ops.VertexFunction(g, gm.FLOAT, np.array([float(x) for x in u.values]))
+    f_f = ops.EdgeFunction(g, gm.FLOAT, np.array([float(x) for x in f.values]))
+    return u, f, u_f, f_f
+
+
+def test_float_operators_bit_identical_to_reference_formulas():
+    rng = random.Random(14)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(2, 6))
+        _, _, u, f = _random_pair(rng, g)
+        _, _, _, h = _random_pair(rng, g)
+        src, dst, w = g.edge_src_pos, g.edge_dst_pos, g.weight_floats
+        diff = u.values[dst] - u.values[src]
+        assert _same_bits(ops.d(u).values, diff)
+        for i in range(g.n):
+            assert _same_bits(ops.d_i(i, u).values, np.where(g.edge_player == i, diff, 0.0))
+        wf = w * f.values
+        expected = (np.bincount(dst, weights=wf, minlength=g.num_vertices)
+                    - np.bincount(src, weights=wf, minlength=g.num_vertices))
+        assert _same_bits(ops.d_star(f).values, expected)
+        assert _same_bits(ops.edge_difference(f, h).values, f.values - h.values)
+        ip = ops.edge_inner_product(f, h)
+        assert type(ip) is float and ip == float(np.dot(wf, h.values))
+        norm, total = u.norm_inf(), u.total()
+        assert type(norm) is float and norm == float(np.max(np.abs(u.values)))
+        assert type(total) is float and total == float(np.sum(u.values))
+        assert not f.is_zero() and ops.EdgeFunction(g, gm.FLOAT, 0 * f.values).is_zero()
+        v = ops.game_from_vertex_function(u)
+        padded = np.zeros(1 << g.n)
+        padded[g.vertices] = u.values
+        assert _same_bits(np.asarray(v.values), padded)
+        assert _same_bits(ops.vertex_function_from_game(g, v).values, u.values)
+
+
+def test_rational_operators_are_fraction_arrays_equal_to_list_formulas():
+    rng = random.Random(15)
+    for _ in range(12):
+        g = random_graph(rng, rng.randint(2, 5))
+        u, f, _, _ = _random_pair(rng, g)
+        h = random_edge_function(rng, g)
+        src, dst = g.edge_src_pos.tolist(), g.edge_dst_pos.tolist()
+        players, weights = g.edge_player.tolist(), g.weight_fractions
+        uv, fv, hv = list(u.values), list(f.values), list(h.values)
+        results = {"d": (ops.d(u).values, [uv[t] - uv[s] for s, t in zip(src, dst)])}
+        for i in range(g.n):
+            results[f"d_{i}"] = (ops.d_i(i, u).values,
+                                 [uv[t] - uv[s] if p == i else Fraction(0)
+                                  for s, t, p in zip(src, dst, players)])
+        star = [Fraction(0)] * g.num_vertices
+        for k, wk in enumerate(weights):
+            star[dst[k]] += wk * fv[k]
+            star[src[k]] -= wk * fv[k]
+        results["d_star"] = (ops.d_star(f).values, star)
+        results["difference"] = (ops.edge_difference(f, h).values,
+                                 [x - y for x, y in zip(fv, hv)])
+        v = ops.game_from_vertex_function(u)
+        results["from_game"] = (ops.vertex_function_from_game(g, v).values, uv)
+        for name, (got, expected) in results.items():
+            assert _fractions(got), name
+            assert list(got) == expected, name
+        ip = ops.edge_inner_product(f, h)
+        assert type(ip) is Fraction
+        assert ip == sum((wk * x * y for wk, x, y in zip(weights, fv, hv)), Fraction(0))
+        assert type(u.norm_inf()) is Fraction and u.norm_inf() == max(abs(x) for x in uv)
+        assert type(u.total()) is Fraction and u.total() == sum(uv, Fraction(0))
+        padded = [Fraction(0)] * (1 << g.n)
+        for S, x in zip(g.vertices.tolist(), uv):
+            padded[S] = x
+        assert v.values == tuple(padded)

@@ -164,3 +164,97 @@ def test_player_names_in_tables():
     dec = sv.decompose(g, v)
     text = rp.render_table(dec, v, "text")
     assert "{left,r1}" in text
+
+
+_GOLDEN_FULL_TEXT = """\
+      S  v    v_1    v_2    v_3
+-------  -  -----  -----  -----
+     {}  0      0      0      0
+    {1}  0   5/12  -5/24  -5/24
+    {2}  0  -5/24    1/6   1/24
+    {3}  0  -5/24   1/24    1/6
+  {1,2}  1    5/8    3/8      0
+  {1,3}  1    5/8      0    3/8
+  {2,3}  0   -1/4    1/8    1/8
+-------  -  -----  -----  -----
+{1,2,3}  1    2/3    1/6    1/6
+allocation: (2/3, 1/6, 1/6)
+"""
+_GOLDEN_FULL_CSV = """\
+coalition,v,v_1,v_2,v_3
+[],0,0,0,0
+[0],0,5/12,-5/24,-5/24
+[1],0,-5/24,1/6,1/24
+[2],0,-5/24,1/24,1/6
+"[0,1]",1,5/8,3/8,0
+"[0,2]",1,5/8,0,3/8
+"[1,2]",0,-1/4,1/8,1/8
+"[0,1,2]",1,2/3,1/6,1/6
+"""
+_GOLDEN_FULL_COMPARE_TEXT = """\
+player  component  classical  abs diff
+------  ---------  ---------  --------
+     1        2/3        2/3         0
+     2        1/6        1/6         0
+     3        1/6        1/6         0
+"""
+_GOLDEN_FULL_COMPARE_CSV = """\
+player,component,classical,abs diff
+1,2/3,2/3,0
+2,1/6,1/6,0
+3,1/6,1/6,0
+"""
+_GOLDEN_HOLDOUT_TEXT = """\
+      S  v    v_1    v_2   v_3
+-------  -  -----  -----  ----
+     {}  0      0      0     0
+    {1}  0   3/10  -1/10  -1/5
+    {3}  0  -3/10   1/10   1/5
+  {1,2}  1    2/5    3/5     0
+  {1,3}  1    1/2   1/10   2/5
+  {2,3}  0   -2/5    1/5   1/5
+-------  -  -----  -----  ----
+{1,2,3}  1    1/2   3/10   1/5
+allocation: (1/2, 3/10, 1/5)
+"""
+_GOLDEN_HOLDOUT_CSV = """\
+coalition,v,v_1,v_2,v_3
+[],0,0,0,0
+[0],0,3/10,-1/10,-1/5
+[2],0,-3/10,1/10,1/5
+"[0,1]",1,2/5,3/5,0
+"[0,2]",1,1/2,1/10,2/5
+"[1,2]",0,-2/5,1/5,1/5
+"[0,1,2]",1,1/2,3/10,1/5
+"""
+_GOLDEN_HOLDOUT_COMPARE_TEXT = """\
+player  component  precedence  abs diff
+------  ---------  ----------  --------
+     1        1/2         1/2         0
+     2       3/10         1/4      1/20
+     3        1/5         1/4      1/20
+"""
+_GOLDEN_HOLDOUT_COMPARE_CSV = """\
+player,component,precedence,abs diff
+1,1/2,1/2,0
+2,3/10,1/4,1/20
+3,1/5,1/4,1/20
+"""
+
+
+@pytest.mark.parametrize("holdout, table_text, table_csv, compare_text, compare_csv", [
+    (False, _GOLDEN_FULL_TEXT, _GOLDEN_FULL_CSV,
+     _GOLDEN_FULL_COMPARE_TEXT, _GOLDEN_FULL_COMPARE_CSV),
+    (True, _GOLDEN_HOLDOUT_TEXT, _GOLDEN_HOLDOUT_CSV,
+     _GOLDEN_HOLDOUT_COMPARE_TEXT, _GOLDEN_HOLDOUT_COMPARE_CSV),
+])
+def test_text_and_csv_layout_golden(holdout, table_text, table_csv, compare_text, compare_csv):
+    g = gr.full_hypercube(3)
+    if holdout:
+        g = gr.restrict(g, [bits(1)])
+    v = gm.make_glove_game()
+    dec = sv.decompose(g, v)
+    assert rp.render_table(dec, v, "text") == table_text
+    assert rp.render_table(dec, v, "csv") == table_csv
+    assert rp.compare_allocations(g, v, format="text") == compare_text
+    assert rp.compare_allocations(g, v, format="csv") == compare_csv

@@ -1,4 +1,6 @@
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -498,3 +500,36 @@ def test_exact_capacity_error_before_dense_assembly(monkeypatch):
         sv.decompose(g, v)
     with pytest.raises(CapacityError):
         sv.solve_poisson_rational(g, [Fraction(0)] * g.num_vertices)
+
+
+def test_exact_capacity_error_before_right_hand_sides(monkeypatch):
+    # one removed coalition keeps the factored path: 8190 pinned unknowns
+    n = 13
+    g = gr.restrict(gr.full_hypercube(n), [bits(0, 1)])
+    v = gm.game_from_values(n, [0] * (1 << n))
+
+    def never(*args):
+        raise AssertionError("right-hand sides built past the cap")
+
+    monkeypatch.setattr(sv, "_rhs", never)
+    with pytest.raises(CapacityError, match="8190 unknowns"):
+        sv.decompose(g, v)
+    with pytest.raises(CapacityError, match="8190 unknowns"):
+        sv.solve_component(g, v, 3)
+
+
+def test_dense_float_capacity_error_before_factoring(monkeypatch):
+    # 8191 pinned unknowns; splu fill-in would take about a minute
+    n = 13
+    g = gr.full_hypercube(n)
+    v = gm.game_from_values(n, np.zeros(1 << n), gm.FLOAT)
+    cfg = sv.SolverConfig(backend=sv.DENSE_FLOAT)
+    monkeypatch.setattr(sv, "_float_factors", weakref.WeakKeyDictionary())
+    # importing scipy.sparse would now fail, so the refusal must come first
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
+    with pytest.raises(CapacityError, match=r"8191 unknowns .* s and .* GB"):
+        sv.decompose(g, v, cfg)
+    with pytest.raises(CapacityError):
+        sv.solve_component(g, v, 0, cfg)
+    assert len(sv._float_factors) == 0
