@@ -1,26 +1,22 @@
-"""Exact rational solvers for the pinned Laplacian systems.
+"""Exact rational solves of the pinned Laplacian systems by p-adic lifting.
 
-Two kernels sit behind the dense rational backend:
-
-* ``FractionLU`` -- textbook LU over ``fractions.Fraction``.  Factor once,
-  solve many right-hand sides.  Practical up to a few hundred unknowns.
-
-* ``DixonSolver`` -- p-adic lifting for integer systems.  One modular
-  matrix inverse (numpy, word-sized arithmetic), then each solve lifts a
-  p-adic digit expansion of the solution and recovers exact fractions by
-  rational reconstruction.  Every returned solution is verified against
-  the exact integer matrix, so heuristic digit-count bounds cannot give
-  silently wrong answers; on a shortfall the digit count is doubled and
-  the lift rerun.
-
-Keeping the matrix integral is the caller's job (scale each row by its
-denominator lcm; row scaling leaves the solution unchanged).
+``DixonSolver`` takes a nonsingular integer matrix (the caller scales the
+weights by their common denominator, which keeps the Laplacian symmetric
+and leaves the solution unchanged).  It computes one modular matrix
+inverse (numpy, word-sized arithmetic); each solve then lifts a p-adic
+digit expansion of the solution and recovers exact fractions by rational
+reconstruction.  The residual update ``A @ x`` runs over A's nonzeros in
+int64 when that is exact and on Python ints otherwise, so entries of any
+size are accepted.  Every returned solution is verified against the exact
+integer matrix, so heuristic digit-count bounds cannot give silently
+wrong answers; on a shortfall the digit count is doubled and the lift
+rerun.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -36,59 +32,10 @@ class SingularMatrixError(ValueError):
     pass
 
 
-class FractionLU:
-    """LU factorization (row-pivoted, exact) of a square rational matrix."""
-
-    def __init__(self, rows: list[list[Fraction]]):
-        m = len(rows)
-        A = [list(map(Fraction, row)) for row in rows]
-        perm = list(range(m))
-        for k in range(m):
-            piv = next((r for r in range(k, m) if A[r][k] != 0), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            if piv != k:
-                A[k], A[piv] = A[piv], A[k]
-                perm[k], perm[piv] = perm[piv], perm[k]
-            inv_piv = 1 / A[k][k]
-            for r in range(k + 1, m):
-                if A[r][k] == 0:
-                    continue
-                f = A[r][k] * inv_piv
-                A[r][k] = f  # store the multiplier in the eliminated slot
-                Ar, Ak = A[r], A[k]
-                for c in range(k + 1, m):
-                    if Ak[c]:
-                        Ar[c] -= f * Ak[c]
-        self._lu = A
-        self._perm = perm
-        self._m = m
-
-    def solve(self, b: list[Fraction]) -> list[Fraction]:
-        m = self._m
-        A = self._lu
-        y = [b[self._perm[r]] for r in range(m)]
-        for r in range(m):
-            Ar = A[r]
-            acc = y[r]
-            for c in range(r):
-                if Ar[c] and y[c]:
-                    acc -= Ar[c] * y[c]
-            y[r] = acc
-        for r in range(m - 1, -1, -1):
-            Ar = A[r]
-            acc = y[r]
-            for c in range(r + 1, m):
-                if Ar[c] and y[c]:
-                    acc -= Ar[c] * y[c]
-            y[r] = acc / Ar[r]
-        return y
-
-
-def _modular_inverse_matrix(A_mod: np.ndarray, p: int) -> np.ndarray | None:
+def _modular_inverse_matrix(A: np.ndarray, p: int) -> np.ndarray | None:
     """Inverse of A mod p by Gauss-Jordan; None when singular mod p."""
-    m = A_mod.shape[0]
-    M = np.concatenate([A_mod % p, np.eye(m, dtype=np.int64)], axis=1)
+    m = A.shape[0]
+    M = np.concatenate([(A % p).astype(np.int64), np.eye(m, dtype=np.int64)], axis=1)
     for k in range(m):
         nz = np.nonzero(M[k:, k])[0]
         if len(nz) == 0:
@@ -105,24 +52,19 @@ def _modular_inverse_matrix(A_mod: np.ndarray, p: int) -> np.ndarray | None:
 
 
 class DixonSolver:
-    """Exact rational solves of an integer system via p-adic lifting."""
+    """Exact rational solves of an integer system via p-adic lifting.
 
-    def __init__(self, A_int: np.ndarray):
-        A_int = np.asarray(A_int, dtype=np.int64)
-        m = A_int.shape[0]
+    A is a dense square array of int64 or of Python ints (object dtype).
+    """
+
+    def __init__(self, A: np.ndarray):
+        m = A.shape[0]
         if m > _MAX_UNKNOWNS:
             raise ValueError(f"system too large for the lifting solver ({m} unknowns)")
-        max_abs = int(np.max(np.abs(A_int))) if m else 0
-        row_nnz = int(np.max(np.count_nonzero(A_int, axis=1))) if m else 0
         self._m = m
-        # int64 safety of the residual update A @ x with x < p
-        limit = (1 << 62) // max(1, max_abs * max(1, row_nnz))
-        usable = [p for p in _PRIMES if p <= limit]
-        if not usable:
-            raise ValueError("matrix entries too large for word-sized lifting")
         C = None
-        for p in usable:
-            C = _modular_inverse_matrix(A_int, p)
+        for p in _PRIMES:
+            C = _modular_inverse_matrix(A, p)
             if C is not None:
                 self.p = p
                 break
@@ -130,14 +72,22 @@ class DixonSolver:
             raise SingularMatrixError("matrix is singular (or singular modulo all probe primes)")
         self._C_hi = (C // _SPLIT).astype(np.float64)
         self._C_lo = (C % _SPLIT).astype(np.float64)
-        from scipy.sparse import csr_matrix
-        self._A_sparse = csr_matrix(A_int)
+        # A's nonzeros row by row; a nonsingular matrix has no empty row
+        rows, self._cols = np.nonzero(A)
+        self._starts = np.searchsorted(rows, np.arange(m))
+        self._entries = A[rows, self._cols].astype(object)
+        max_abs = max(map(abs, self._entries), default=0)
+        row_nnz = int(np.bincount(rows).max())
+        # A @ x with 0 <= x < p is exact in int64 below this bound
+        exact_in_int64 = max_abs * row_nnz * self.p < (1 << 62)
+        self._data = self._entries.astype(np.int64) if exact_in_int64 else self._entries
         # Hadamard bound: log2 |det A| <= sum of row-norm logs
-        if max_abs and max_abs * max_abs * m < (1 << 62):
-            sq = (A_int * A_int).sum(axis=1)
-        else:
-            sq = (A_int.astype(object) ** 2).sum(axis=1)
+        sq = np.add.reduceat(self._entries * self._entries, self._starts)
         self._log2_det = sum(0.5 * int(x).bit_length() for x in sq)
+
+    def _product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A @ x over A's nonzeros, in the dtype of data."""
+        return np.add.reduceat(data * x.astype(data.dtype)[self._cols], self._starts)
 
     def _matvec_mod(self, r_mod: np.ndarray) -> np.ndarray:
         p = self.p
@@ -145,34 +95,30 @@ class DixonSolver:
         lo = self._C_lo @ r_mod
         return (hi.astype(np.int64) % p * _SPLIT + lo.astype(np.int64)) % p
 
-    def _lift(self, b: list[int], steps: int) -> list[Fraction] | None:
-        p, m = self.p, self._m
-        r = list(b)
+    def _lift(self, b: np.ndarray, steps: int) -> list[Fraction] | None:
+        p = self.p
+        r = b
         digits = []
         for _ in range(steps):
-            r_mod = np.array([x % p for x in r], dtype=np.float64)
-            x = self._matvec_mod(r_mod)
+            x = self._matvec_mod((r % p).astype(np.float64))
             digits.append(x)
-            Ax = self._A_sparse @ x
-            r = [(ri - int(axi)) // p for ri, axi in zip(r, Ax)]
+            r = (r - self._product(self._data, x)) // p
         M = p ** steps
         bound = isqrt(M // 2)
-        # combine digits per entry (Horner from the top digit down)
+        acc = np.zeros(self._m, dtype=object)
+        for x in reversed(digits):  # Horner from the top digit down
+            acc = acc * p + x.astype(object)
         sol = []
         den = 1
-        for j in range(m):
-            acc = 0
-            for i in range(steps - 1, -1, -1):
-                acc = acc * p + int(digits[i][j])
-            acc %= M
+        for a in acc:
             # try the running common denominator first, else reconstruct
-            y = acc * den % M
+            y = a * den % M
             if y > M - bound:
                 y -= M
             if abs(y) <= bound:
                 sol.append(Fraction(y, den))
                 continue
-            nd = _rational_reconstruct(acc, M, bound)
+            nd = _rational_reconstruct(a, M, bound)
             if nd is None:
                 return None
             num, d = nd
@@ -181,7 +127,8 @@ class DixonSolver:
         return sol
 
     def solve(self, b: list[int]) -> list[Fraction]:
-        max_b = max((abs(x) for x in b), default=1)
+        b = np.array(b, dtype=object)
+        max_b = max(map(abs, b), default=1)
         log2_needed = 2 * self._log2_det + max(1, max_b).bit_length() + self._m.bit_length() + 30
         steps = int(log2_needed / np.log2(self.p)) + 2
         for _ in range(6):
@@ -191,16 +138,11 @@ class DixonSolver:
             steps *= 2
         raise ArithmeticError("p-adic lifting failed to produce a verified solution")
 
-    def _check(self, x: list[Fraction], b: list[int]) -> bool:
-        A = self._A_sparse
-        indptr, indices, data = A.indptr, A.indices, A.data
-        for r in range(self._m):
-            acc = Fraction(0)
-            for k in range(indptr[r], indptr[r + 1]):
-                acc += int(data[k]) * x[indices[k]]
-            if acc != b[r]:
-                return False
-        return True
+    def _check(self, x: list[Fraction], b: np.ndarray) -> bool:
+        """A x == b exactly, checked as A (den x) == den b in Python ints."""
+        den = lcm(*(f.denominator for f in x))
+        x_int = np.array([f.numerator * (den // f.denominator) for f in x], dtype=object)
+        return bool(np.all(self._product(self._entries, x_int) == den * b))
 
 
 def _rational_reconstruct(x: int, M: int, bound: int):

@@ -19,9 +19,10 @@ of T, so ``v_i^(T) = [i in T] v^(T) / |T|``.  The spectral engine does
 this in integers (v scaled by its denominator lcm, the quotient by
 ``lcm(1..n)``), inverse-transforms every player's column in one sweep,
 verifies ``L_w X = L_{w_i} v`` column by column in integers, and only
-then builds fractions; it takes ``n <= 16``.  Every other graph factors
-the pinned Laplacian (empty coalition's row and column deleted) once per
-graph: fraction LU up to 31 unknowns, p-adic lifting up to 4096.
+then builds fractions; it takes ``n <= 16``.  Every other graph scales
+its weights by their common denominator and factors the integer pinned
+Laplacian (empty coalition's row and column deleted) once per graph for
+p-adic lifting, up to 4096 unknowns.  Neither engine imports scipy.
 
 Float mode either factors the pinned Laplacian sparsely (``dense_float``,
 up to 4096 unknowns) or runs conjugate gradient on all columns at once
@@ -45,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from . import operators as ops
-from ._exact import _MAX_UNKNOWNS, DixonSolver, FractionLU
+from ._exact import _MAX_UNKNOWNS, DixonSolver
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .game import FLOAT, RATIONAL, Game
 from .graph import CONSTANT, GameGraph, _popcounts
@@ -58,11 +59,6 @@ _BACKENDS = (DENSE_RATIONAL, DENSE_FLOAT, CG_FLOAT)
 # it shows up in PlayerSolveStats.backend and is not a configurable backend.
 SPECTRAL = "spectral"
 
-# Beyond this many pinned unknowns, exact solves switch from fraction LU
-# to p-adic lifting.  Factor times of size-plus-one cubes on a 2-vCPU box:
-# 31 unknowns 0.016 s (LU) vs 0.002 s (lifting), 63 unknowns 0.2 s vs
-# 0.008 s, 127 unknowns 2.5 s vs 0.05 s.
-_LU_LIMIT = 31
 # Largest player count of the spectral engine: a full decompose at n = 16
 # takes about 6 s and 225 MB peak RSS on a 2-vCPU box, and both grow
 # faster than 2**n.
@@ -134,59 +130,40 @@ _float_factors: "weakref.WeakKeyDictionary[GameGraph, object]" = weakref.WeakKey
 
 
 class _RationalPinnedSolver:
-    """Exact solver for the reduced (empty-coalition-pinned) weighted Laplacian."""
+    """Exact solver for the reduced (empty-coalition-pinned) weighted Laplacian.
+
+    The weights are scaled by their common denominator ``D_w``, so the
+    pinned matrix is a symmetric integer matrix and ``L x = b`` becomes
+    ``(D_w L) x = D_w b``.
+    """
 
     def __init__(self, g: GameGraph):
         m = g.num_vertices - 1
         if m > _MAX_UNKNOWNS:
+            # restricted size-plus-one cubes on a 2-vCPU box, at 509 / 1021 /
+            # 2045 unknowns: factor 1.05 / 8.3 / 67 s, one solve 0.08 / 0.53 /
+            # 2.8 s, +12 / 48 / 192 MB RSS; so about m**3, m**2.5 and 46 m**2 bytes
+            growth = m / 2045
             raise CapacityError(
                 f"exact solve of {m} unknowns exceeds the limit of {_MAX_UNKNOWNS}: "
-                f"the dense system would hold {m * m:,} fractions")
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        for k in range(g.num_edges):
-            s = int(g.edge_src_pos[k]) - 1
-            t = int(g.edge_dst_pos[k]) - 1
-            w = g.weight_fractions[k]
-            if s >= 0:
-                rows[s][s] += w
-            if t >= 0:
-                rows[t][t] += w
-            if s >= 0 and t >= 0:
-                rows[s][t] -= w
-                rows[t][s] -= w
-        if m <= _LU_LIMIT:
-            self._kind = "lu"
-            self._lu = FractionLU(rows)
-            return
-        try:
-            scales = []
-            int_rows = np.zeros((m, m), dtype=np.int64)
-            for r, row in enumerate(rows):
-                scale = math.lcm(*(x.denominator for x in row)) if row else 1
-                scales.append(scale)
-                for c, x in enumerate(row):
-                    if x:
-                        y = x.numerator * (scale // x.denominator)
-                        if abs(y) >= (1 << 62):
-                            raise OverflowError("scaled weights exceed the lifting range")
-                        int_rows[r, c] = y
-            self._scales = scales
-            self._dixon = DixonSolver(int_rows)
-            self._kind = "dixon"
-        except (OverflowError, ValueError):
-            # weights too large for word-sized lifting: fall back to plain
-            # LU, slow but exact
-            self._kind = "lu"
-            self._lu = FractionLU(rows)
+                f"the dense system would hold {m * m:,} entries; estimated "
+                f"{67 * growth ** 3:,.0f} s to factor, {2.8 * growth ** 2.5:,.0f} s per "
+                f"player's solve and {0.19 * growth ** 2:,.1f} GB")
+        self._scale = math.lcm(*(w.denominator for w in g.weight_fractions))
+        w = [x.numerator * (self._scale // x.denominator) for x in g.weight_fractions]
+        # a diagonal entry sums at most n weights
+        w = np.array(w, dtype=np.int64 if max(w) * g.n < 1 << 62 else object)
+        s, t = g.edge_src_pos, g.edge_dst_pos
+        A = np.zeros((m + 1, m + 1), dtype=w.dtype)
+        np.add.at(A, (s, s), w)
+        np.add.at(A, (t, t), w)
+        A[s, t] = A[t, s] = -w
+        self._lift = DixonSolver(A[1:, 1:])
 
     def solve(self, b: Sequence[Fraction]) -> list[Fraction]:
-        if self._kind == "lu":
-            return self._lu.solve(b)
-        scaled = [x * s for x, s in zip(b, self._scales)]
-        denom = math.lcm(*(x.denominator for x in scaled)) if scaled else 1
-        b_int = [int(x * denom) for x in scaled]
-        y = self._dixon.solve(b_int)
-        return [x / denom for x in y]
+        d = math.lcm(*(x.denominator for x in b))
+        y = self._lift.solve([x.numerator * (d // x.denominator) * self._scale for x in b])
+        return [x / d for x in y]
 
 
 def _rational_solver(g: GameGraph) -> _RationalPinnedSolver:

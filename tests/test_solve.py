@@ -1,7 +1,10 @@
+import os
 import random
+import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from hodgeshapley import graph as gr
 from hodgeshapley import operators as ops
 from hodgeshapley import solve as sv
 from hodgeshapley.errors import CapacityError, ConfigError, ConvergenceError
-from oracles import lstsq_component, random_rational_values, random_dyadic_values
+from oracles import dense_laplacian, lstsq_component, random_rational_values, \
+    random_dyadic_values
 from test_operators import random_graph
 
 
@@ -293,30 +297,73 @@ def test_solve_component_agrees_with_decompose():
         assert sv.solve_component(g, v, i).values == dec.components[i].values
 
 
-def test_dixon_path_matches_lu_path():
-    # same solves through both exact kernels (the threshold sits at 31 unknowns)
+def _dense_apply(L, x):
+    return [sum((a * y for a, y in zip(row, x) if a), Fraction(0)) for row in L]
+
+
+def _assert_solves_oracle_system(g, v, dec):
+    # each component x solves L x = L_i v on the feasible vertices, x({}) = 0,
+    # with both matrices assembled from the raw edge list
+    edges = [(e.base, e.player) for e in g.edges()]
+    feasible, L = dense_laplacian(g.n, g.vertices.tolist(), edges, g.weight_fractions)
+    vals = [v.values[S] for S in feasible]
+    for i, comp in enumerate(dec.components):
+        own = [(e, w) for e, w in zip(edges, g.weight_fractions) if e[1] == i]
+        _, L_i = dense_laplacian(g.n, feasible, [e for e, _ in own], [w for _, w in own])
+        x = [comp.values[S] for S in feasible]
+        assert x[0] == 0
+        assert _dense_apply(L, x) == _dense_apply(L_i, vals)
+
+
+def test_lifting_matches_oracle_system():
     rng = random.Random(30)
     n = 5
     g = gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality([1, 2, 3, 1, 2]))
-    v = rational_game(rng, n)
-    via_lu = sv.decompose(g, v)
-    from hodgeshapley._exact import DixonSolver
-    from hodgeshapley.solve import _RationalPinnedSolver
-    solver = _RationalPinnedSolver.__new__(_RationalPinnedSolver)
-    _RationalPinnedSolver.__init__(solver, g)
-    assert solver._kind == "lu"
-    # force the lifting path by rebuilding with a tiny LU limit
-    import hodgeshapley.solve as solve_mod
-    old = solve_mod._LU_LIMIT
-    solve_mod._LU_LIMIT = 1
-    solve_mod._rational_solvers.pop(g, None)
-    try:
-        via_dixon = sv.decompose(g, v)
-    finally:
-        solve_mod._LU_LIMIT = old
-        solve_mod._rational_solvers.pop(g, None)
-    for a, b in zip(via_lu.components, via_dixon.components):
-        assert a.values == b.values
+    for graph in (g, gr.restrict(g, [bits(0, 1), bits(2, 3, 4)])):
+        v = rational_game(rng, n)
+        dec = sv.decompose(graph, v)
+        assert dec.efficiency_gap == 0
+        _assert_solves_oracle_system(graph, v, dec)
+
+
+def test_oversized_weights_lift_on_python_ints():
+    # scaled by their common denominator the weights reach 10**30, past
+    # int64, so the lifting's residual update runs on Python ints
+    n = 6
+    g0 = gr.full_hypercube(n)
+    entries = {e: Fraction(10) ** (15 if (e.base + e.player) % 2 else -15)
+               for e in g0.edges()}
+    g = gr.restrict(gr.full_hypercube(n, gr.EdgeWeighting.explicit(entries)), [bits(1, 4)])
+    assert g.num_vertices - 1 == 62
+    v = rational_game(random.Random(37), n)
+    dec = sv.decompose(g, v)
+    assert dec.efficiency_gap == 0 and isinstance(dec.efficiency_gap, Fraction)
+    assert all(r == 0 for r in sv.residual_orthogonality(g, v, dec))
+    _assert_solves_oracle_system(g, v, dec)
+    assert sv._rational_solver(g)._lift._data.dtype == object
+
+
+_EXACT_WITHOUT_SCIPY = """
+import sys
+from fractions import Fraction
+from hodgeshapley import closed_form, coalition as co, game as gm, graph as gr, solve as sv
+n = 6
+g = gr.restrict(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)), [co.from_members([0, 1])])
+v = gm.game_from_values(n, [Fraction(S % 7, 1 + S % 3) for S in range(1 << n)])
+assert sv.decompose(g, v).efficiency_gap == 0
+assert closed_form.verify_shapley_coefficient(4, 2, 0) == Fraction(1, 12)
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded[:3]
+"""
+
+
+def test_exact_solves_never_import_scipy():
+    # a fresh interpreter, so that no other test has imported scipy yet
+    src = str(Path(sv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _EXACT_WITHOUT_SCIPY],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_float_efficiency_gap_small():
@@ -494,11 +541,18 @@ def test_exact_capacity_error_before_dense_assembly(monkeypatch):
     n = 13
     g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
     v = gm.game_from_values(n, [0] * (1 << n))
-    monkeypatch.setattr(sv, "FractionLU", None)
     monkeypatch.setattr(sv, "DixonSolver", None)
     with pytest.raises(CapacityError, match="67,092,481"):
         sv.decompose(g, v)
     with pytest.raises(CapacityError):
+        sv.solve_poisson_rational(g, [Fraction(0)] * g.num_vertices)
+
+
+def test_exact_capacity_error_states_cost():
+    n = 13
+    g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
+    with pytest.raises(CapacityError, match=r"8191 unknowns .* estimated [\d,]+ s to factor, "
+                                            r"[\d,]+ s per player's solve and [\d.]+ GB"):
         sv.solve_poisson_rational(g, [Fraction(0)] * g.num_vertices)
 
 
