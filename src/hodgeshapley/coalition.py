@@ -104,6 +104,24 @@ def coalition_key(S: Coalition) -> str:
     return "[" + ",".join(str(p) for p in members(S)) + "]"
 
 
+def joined_members(coalitions: Iterable[Coalition], names: Sequence[str]) -> list[str]:
+    """``",".join(names[p] for p in members(S))`` for each coalition S.
+
+    ``names`` holds one string per player.  The joins go through two
+    tables, one per half of the player indices, of ``2**(n/2)`` entries
+    each, so a long list costs one lookup pair per coalition.
+    """
+    h = (len(names) + 1) // 2
+    low = [",".join(names[p] for p in members(S)) for S in range(1 << h)]
+    high = [",".join(names[p + h] for p in members(S)) for S in range(1 << (len(names) - h))]
+    mask = (1 << h) - 1
+    out = []
+    for S in coalitions:
+        a, b = low[S & mask], high[S >> h]
+        out.append(f"{a},{b}" if a and b else a or b)
+    return out
+
+
 def coalition_label(S: Coalition, names: Sequence[str] | None = None) -> str:
     """Human-readable label: member names, or 1-indexed numbers like {1,3}."""
     if S == 0:

@@ -11,7 +11,7 @@ coalition by adding one player at a time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -35,21 +35,44 @@ BY_CARDINALITY = "by_cardinality"
 EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
+def _int_arrays(*seqs) -> tuple[np.ndarray, ...]:
+    """Integer sequences as int64 arrays when every value fits, else as object arrays."""
+    arrays = [a if isinstance(a, np.ndarray) and a.dtype.kind == "i" else np.array(a, dtype=object)
+              for a in seqs]
+    if all(a.dtype.kind == "i" or not len(a) or -(1 << 63) <= min(a) and max(a) < 1 << 63
+           for a in arrays):
+        return tuple(a.astype(np.int64) for a in arrays)
+    return tuple(a.astype(object) for a in arrays)
+
+
+def _no_entries() -> np.ndarray:
+    return np.zeros(0, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
 class EdgeWeighting:
     """Strictly positive weight per hypercube edge.
 
     Kinds: a single constant; a per-cardinality table indexed by |base|
-    (length n); or an explicit per-edge map with default 1.  A weight of
-    zero is never allowed -- absent cooperation is modeled by removing
-    the edge, which keeps the Laplacian kernel one-dimensional.
+    (length n); or explicit per-edge weights with a default for unlisted
+    edges.  A weight of zero is never allowed -- absent cooperation is
+    modeled by removing the edge, which keeps the Laplacian kernel
+    one-dimensional.
+
+    Explicit weights are four parallel arrays sorted by (base, player):
+    ``bases``, ``players`` and each weight in lowest terms as
+    ``numerators`` over ``denominators``.  The two ratio arrays are int64
+    when every value fits and object arrays of Python ints otherwise.
     """
 
     kind: str
     constant_value: Fraction = Fraction(1)
     table: tuple[Fraction, ...] = ()
-    entries: tuple[tuple[Edge, Fraction], ...] = ()
     default: Fraction = Fraction(1)
+    bases: np.ndarray = field(default_factory=_no_entries)
+    players: np.ndarray = field(default_factory=_no_entries)
+    numerators: np.ndarray = field(default_factory=_no_entries)
+    denominators: np.ndarray = field(default_factory=_no_entries)
 
     @staticmethod
     def constant(c=1) -> "EdgeWeighting":
@@ -72,15 +95,70 @@ class EdgeWeighting:
 
     @staticmethod
     def explicit(entries: Mapping[Edge, object], default=1) -> "EdgeWeighting":
+        """Weights for the listed edges ``(base, player)``; every other edge weighs default."""
+        edges = [Edge(*e) for e in entries]
+        weights = [Fraction(w) for w in entries.values()]
+        return EdgeWeighting._explicit_arrays(
+            [e.base for e in edges], [e.player for e in edges],
+            [w.numerator for w in weights], [w.denominator for w in weights], default)
+
+    @staticmethod
+    def _explicit_arrays(bases, players, numerators, denominators, default=1) -> "EdgeWeighting":
+        """Explicit weighting from parallel sequences, one entry per distinct edge.
+
+        Each numerator/denominator pair must be in lowest terms with a
+        positive denominator, as ``Fraction`` keeps them.
+        """
         default = Fraction(default)
-        items = tuple(sorted((Edge(*e), Fraction(w)) for e, w in entries.items()))
-        if default <= 0 or any(w.numerator <= 0 for _, w in items):
+        bases = np.asarray(bases, dtype=np.int64)
+        players = np.asarray(players, dtype=np.int64)
+        nums, dens = _int_arrays(numerators, denominators)
+        if default <= 0 or np.any(nums <= 0):
             raise ValueError("edge weights must be strictly positive")
-        return EdgeWeighting(EXPLICIT, entries=items, default=default)
+        off_cube = (players < 0) | (players >= co.PLAYER_CAP) | (bases < 0) \
+            | (bases >= 1 << co.PLAYER_CAP)
+        if off_cube.any():
+            k = int(np.argmax(off_cube))
+            raise ValueError(f"({int(bases[k])}, {int(players[k])}) is not an edge of a "
+                             f"coalition hypercube")
+        inside = (bases >> players) & 1 == 1
+        if inside.any():
+            k = int(np.argmax(inside))
+            raise ValueError(f"edge base {co.coalition_key(int(bases[k]))} already contains "
+                             f"player {int(players[k])}")
+        keys = _edge_keys(bases, players)
+        if np.any(np.diff(keys) < 0):
+            order = np.argsort(keys)
+            bases, players, nums, dens = bases[order], players[order], nums[order], dens[order]
+        return EdgeWeighting(EXPLICIT, default=default, bases=bases, players=players,
+                             numerators=nums, denominators=dens)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeWeighting):
+            return NotImplemented
+        return (self.kind, self.constant_value, self.table, self.default) == \
+            (other.kind, other.constant_value, other.table, other.default) \
+            and all(np.array_equal(getattr(self, a), getattr(other, a))
+                    for a in ("bases", "players", "numerators", "denominators"))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.constant_value, self.table, self.default,
+                     len(self.bases)))
 
     @cached_property
-    def _entry_map(self) -> dict:
-        return dict(self.entries)
+    def _keys(self) -> np.ndarray:
+        return _edge_keys(self.bases, self.players)
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        """Explicit weights as float64, each rounded as ``float(Fraction)`` rounds it."""
+        nums, dens = self.numerators, self.denominators
+        out = np.empty(len(nums))
+        # int64 / int64 in numpy is correctly rounded only when both are exact floats
+        exact = (nums < 1 << 53) & (dens < 1 << 53)
+        out[exact] = nums[exact].astype(np.float64) / dens[exact].astype(np.float64)
+        out[~exact] = [x / y for x, y in zip(nums[~exact].tolist(), dens[~exact].tolist())]
+        return out
 
     def weight(self, edge: Edge) -> Fraction:
         if self.kind == CONSTANT:
@@ -90,12 +168,23 @@ class EdgeWeighting:
             if s >= len(self.table):
                 raise ValueError(f"cardinality table too short for edge base size {s}")
             return self.table[s]
-        return self._entry_map.get(Edge(*edge), self.default)
+        base, player = int(edge[0]), int(edge[1])
+        if 0 <= player < co.PLAYER_CAP and 0 <= base < 1 << co.PLAYER_CAP:
+            key = _edge_keys(base, player)
+            k = int(np.searchsorted(self._keys, key))
+            if k < len(self._keys) and self._keys[k] == key:
+                return Fraction(int(self.numerators[k]), int(self.denominators[k]))
+        return self.default
 
     @property
     def permutation_invariant(self) -> bool:
         """True when the weighting is symmetric under every player relabeling."""
         return self.kind in (CONSTANT, BY_CARDINALITY)
+
+
+def _edge_keys(base, player):
+    """One integer per edge, ascending in (base, player) order."""
+    return base * co.PLAYER_CAP + player
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +263,34 @@ class GameGraph:
     # -- weights and degrees ----------------------------------------------
 
     @cached_property
-    def weight_fractions(self) -> tuple[Fraction, ...]:
+    def weight_ratios(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numerator and denominator of each edge's weight in lowest terms.
+
+        Both are int64 when every value fits and object arrays otherwise.
+        """
         w = self.weighting
-        return tuple(w.weight(e) for e in self.edges())
+        if w.kind == EXPLICIT:
+            # a listed edge picks its entry, any other the default after them
+            keys = _edge_keys(self.edge_base, self.edge_player)
+            pick = np.searchsorted(w._keys, keys)
+            listed = pick < len(w._keys)
+            listed[listed] = w._keys[pick[listed]] == keys[listed]
+            pick[~listed] = len(w._keys)
+            nums = np.append(w.numerators.astype(object), w.default.numerator)
+            dens = np.append(w.denominators.astype(object), w.default.denominator)
+        else:
+            ratios = w.table if w.kind == BY_CARDINALITY else [w.constant_value]
+            nums = np.array([x.numerator for x in ratios], dtype=object)
+            dens = np.array([x.denominator for x in ratios], dtype=object)
+            pick = _popcounts(self.n)[self.edge_base] if w.kind == BY_CARDINALITY \
+                else np.zeros(self.num_edges, dtype=np.int64)
+        return _int_arrays(nums[pick], dens[pick])
+
+    @cached_property
+    def weight_fractions(self) -> tuple[Fraction, ...]:
+        """Exact weight per feasible edge; built only where rational mode asks for it."""
+        nums, dens = self.weight_ratios
+        return tuple(map(Fraction, nums.tolist(), dens.tolist()))
 
     @cached_property
     def weight_floats(self) -> np.ndarray:
@@ -206,16 +320,10 @@ class GameGraph:
             table = np.tile(by_size[_popcounts(max(n - 1, 0))], (n, 1))
         else:
             table = np.full((n, half), float(w.default))
-            bases = np.array([e.base for e, _ in w.entries])
-            players = np.array([e.player for e, _ in w.entries])
-            # int / int rounds exactly as float(Fraction) does
-            values = np.array([x.numerator / x.denominator for _, x in w.entries])
             # entries for edges outside the cube never apply
-            ok = (players >= 0) & (players < n) & (bases >= 0) & (bases < (1 << n))
-            bases, players = bases[ok].astype(np.int64), players[ok].astype(np.int64)
-            values = values[ok]
-            ok = (bases >> players) & 1 == 0
-            table[players[ok], _squeeze_bit(bases[ok], players[ok])] = values[ok]
+            ok = (w.players < n) & (w.bases < (1 << n))
+            players = w.players[ok]
+            table[players, _squeeze_bit(w.bases[ok], players)] = w.floats[ok]
         if not self.is_full_cube:
             table[~_edge_mask(n, self.edge_player, self.edge_slot)] = 0.0
         return table
@@ -397,8 +505,9 @@ def restrict(g: GameGraph, removed_vertices: Iterable[co.Coalition] = (),
 def degree_product_weighting(g: GameGraph) -> GameGraph:
     """Reweight every edge by the product of its endpoint degrees."""
     deg = g.degrees
-    products = (deg[g.edge_src_pos] * deg[g.edge_dst_pos]).tolist()
-    weighting = EdgeWeighting.explicit(dict(zip(g.edges(), products)))
+    products = deg[g.edge_src_pos] * deg[g.edge_dst_pos]
+    weighting = EdgeWeighting._explicit_arrays(g.edge_base, g.edge_player, products,
+                                               np.ones_like(products))
     return GameGraph(g.n, g.vertices, g.edge_base, g.edge_player, weighting)
 
 
@@ -421,6 +530,8 @@ def weighting_from_spec(spec: Mapping, n: int) -> EdgeWeighting:
         for item in spec.get("entries", []):
             S = co.parse_coalition(item["base"], n)
             p = int(item["player"])
+            if not 0 <= p < n:
+                raise SpecFileError(f"player {p} outside [0, {n})", location="weights.entries")
             if (S >> p) & 1:
                 raise SpecFileError(f"edge base {item['base']} already contains player {p}",
                                     location="weights.entries")

@@ -1,4 +1,12 @@
-"""Render decompositions as tables and compare allocation rules."""
+"""Render decompositions as tables and compare allocation rules.
+
+A table's rows are the feasible coalitions ordered by one lexsort on
+(size, bitset), and its efficiency check is one vectorised comparison.
+Float cells are formatted with ``%.12g`` once per row, which gives the
+text of ``game.format_scalar`` cell by cell; rational cells go through
+``format_scalar``.  The CSV quotes exactly what ``csv.writer`` quotes:
+only coalition keys with a comma, since no cell holds a comma or quote.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +15,14 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import coalition as co
 from . import closed_form as cf
-from .game import Game, format_scalar
-from .graph import GameGraph
+from .game import FLOAT, Game, format_scalar
+from .graph import GameGraph, _popcounts
 from .solve import Decomposition, SolverConfig, decompose
 
 _FORMATS = ("text", "csv", "json")
@@ -44,17 +52,18 @@ def build_table(d: Decomposition, v: Game) -> DecompositionTable:
     g = d.graph
     if v.n != g.n or v.mode != d.source.mode:
         raise ValueError("decomposition was not produced from this game")
-    order = sorted(g.vertices.tolist(), key=lambda S: (co.size(S), S))
-    game_col = tuple(v.values[S] for S in order)
-    comp_cols = tuple(tuple(c.values[S] for S in order) for c in d.components)
+    order = g.vertices[np.lexsort((g.vertices, _popcounts(g.n)[g.vertices]))]
+    dtype = object if v.is_rational else np.float64
+    columns = np.array([np.asarray(x.values, dtype=dtype)[order] for x in (v, *d.components)])
     # exact in rational mode, relative to the game's largest value in float mode
     tol = 0 if v.is_rational else 1e-6 * max(1.0, float(np.max(np.abs(v.values))))
-    for r, S in enumerate(order):
-        total = sum(col[r] for col in comp_cols)
-        if abs(total - game_col[r]) > tol:
-            raise ValueError(f"component columns do not sum to v at "
-                             f"{co.coalition_key(S)}")
-    return DecompositionTable(g.n, v.mode, v.names, tuple(order), game_col, comp_cols)
+    bad = np.flatnonzero(np.abs(columns[1:].sum(axis=0) - columns[0]) > tol)
+    if len(bad):
+        raise ValueError(f"component columns do not sum to v at "
+                         f"{co.coalition_key(int(order[bad[0]]))}")
+    game_col, *comp_cols = map(tuple, columns.tolist())
+    return DecompositionTable(g.n, v.mode, v.names, tuple(order.tolist()), game_col,
+                              tuple(comp_cols))
 
 
 def render_table(d: Decomposition, v: Game, format: str = "text") -> str:
@@ -69,13 +78,23 @@ def render_table(d: Decomposition, v: Game, format: str = "text") -> str:
     raise ValueError(f"unknown format {format!r}; expected one of {_FORMATS}")
 
 
-def _cells(t: DecompositionTable, r: int) -> list[str]:
-    """Row r's game value and component values as text."""
-    return [format_scalar(x) for x in (t.game_column[r], *(c[r] for c in t.component_columns))]
+def _value_rows(t: DecompositionTable) -> Iterator[str]:
+    """Each row's game value and component values as comma-joined text.
+
+    Float cells go through one ``%.12g`` format per row, which gives the
+    text of ``format_scalar``.
+    """
+    rows = zip(t.game_column, *t.component_columns)
+    if t.mode == FLOAT:
+        fmt = ",".join(["%.12g"] * (t.n + 1))
+        return (fmt % row for row in rows)
+    return (",".join(map(format_scalar, row)) for row in rows)
 
 
 def _render_text(t: DecompositionTable) -> str:
-    rows = [[co.coalition_label(S, t.names)] + _cells(t, r) for r, S in enumerate(t.coalitions)]
+    names = t.names if t.names is not None else [str(p + 1) for p in range(t.n)]
+    rows = [["{" + label + "}", *cells.split(",")]
+            for label, cells in zip(co.joined_members(t.coalitions, names), _value_rows(t))]
     # a second rule sets the grand coalition apart
     lines = _text_table(["S", "v"] + [f"v_{i + 1}" for i in range(t.n)], rows, len(rows) - 1)
     alloc = ", ".join(format_scalar(x) for x in t.allocation)
@@ -84,9 +103,15 @@ def _render_text(t: DecompositionTable) -> str:
 
 
 def _render_csv(t: DecompositionTable) -> str:
-    # rows stream into the writer: 2**n rows of text need not be held twice
-    rows = ([co.coalition_key(S)] + _cells(t, r) for r, S in enumerate(t.coalitions))
-    return _csv_table(["coalition", "v"] + [f"v_{i + 1}" for i in range(t.n)], rows)
+    # the quoting of csv.writer: only a key with a comma needs quotes, no
+    # cell does; rows stream into the buffer, so 2**n rows of text are not
+    # held twice
+    buf = io.StringIO()
+    buf.write(",".join(["coalition", "v"] + [f"v_{i + 1}" for i in range(t.n)]) + "\n")
+    keys = co.joined_members(t.coalitions, [str(p) for p in range(t.n)])
+    for key, cells in zip(keys, _value_rows(t)):
+        buf.write(f'"[{key}]",{cells}\n' if "," in key else f"[{key}],{cells}\n")
+    return buf.getvalue()
 
 
 def _text_table(headers: list[str], rows: list[list[str]], rule_before: int | None = None

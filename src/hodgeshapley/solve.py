@@ -149,8 +149,9 @@ class _RationalPinnedSolver:
                 f"the dense system would hold {m * m:,} entries; estimated "
                 f"{67 * growth ** 3:,.0f} s to factor, {2.8 * growth ** 2.5:,.0f} s per "
                 f"player's solve and {0.19 * growth ** 2:,.1f} GB")
-        self._scale = math.lcm(*(w.denominator for w in g.weight_fractions))
-        w = [x.numerator * (self._scale // x.denominator) for x in g.weight_fractions]
+        nums, dens = g.weight_ratios
+        self._scale = math.lcm(*set(dens.tolist()))
+        w = [x * (self._scale // y) for x, y in zip(nums.tolist(), dens.tolist())]
         # a diagonal entry sums at most n weights
         w = np.array(w, dtype=np.int64 if max(w) * g.n < 1 << 62 else object)
         s, t = g.edge_src_pos, g.edge_dst_pos

@@ -109,3 +109,11 @@ def test_labels():
     assert co.coalition_label(0) == "{}"
     assert co.coalition_label(0b011) == "{1,2}"  # 1-indexed display
     assert co.coalition_label(0b011, names=("a", "b", "c")) == "{a,b}"
+
+
+def test_joined_members_matches_members():
+    for n in range(0, 8):
+        names = [f"p{i}" for i in range(n)]
+        got = co.joined_members(range(1 << n), names)
+        assert got == [",".join(names[p] for p in co.members(S)) for S in range(1 << n)]
+    assert co.joined_members([0b101, 0], ["a", "b", "c"]) == ["a,c", ""]

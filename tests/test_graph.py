@@ -6,7 +6,7 @@ import pytest
 
 from hodgeshapley import coalition as co
 from hodgeshapley import graph as gr
-from hodgeshapley.errors import DomainError, InfeasibilityError
+from hodgeshapley.errors import DomainError, InfeasibilityError, SpecFileError
 
 
 def bits(*players):
@@ -255,3 +255,102 @@ def test_degree_product_weighting_unchanged():
         {e: Fraction(int(deg[g.edge_src_pos[k]]) * int(deg[g.edge_dst_pos[k]]))
          for k, e in enumerate(g.edges())})
     assert gr.degree_product_weighting(g).weighting == expected
+
+
+def _loop_player_weights(g, fractions):
+    """The (n, 2**(n-1)) float table of player_weights, by a plain loop over edges."""
+    table = np.zeros((g.n, 1 << (g.n - 1)))
+    for e, w in zip(g.edges(), fractions):
+        low = e.base & ((1 << e.player) - 1)
+        table[e.player, (e.base >> (e.player + 1)) << e.player | low] = float(w)
+    return table
+
+
+def _assert_weights_match(g, expected):
+    """g's weights equal expected, a Fraction per edge in edge order, bit for bit."""
+    for e, w in zip(g.edges(), expected):
+        got = g.weighting.weight(e)
+        assert type(got) is Fraction and got == w
+    assert g.weight_fractions == tuple(expected)
+    assert all(type(w) is Fraction for w in g.weight_fractions)
+    floats = np.array([float(w) for w in expected])
+    assert g.weight_floats.tobytes() == floats.tobytes()
+    assert g.player_weights.tobytes() == _loop_player_weights(g, expected).tobytes()
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_degree_product_arrays_match_mapping(n):
+    rng = random.Random(n)
+    # coalitions of size 2..n-2 at pairwise distance >= 3 keep every other one formable
+    removed = [bits(1)] if n == 3 else []
+    while n > 3 and len(removed) < n - 3:
+        S = rng.randrange(1, (1 << n) - 1)
+        if 2 <= co.size(S) <= n - 2 and all(co.distance(S, T) >= 3 for T in removed):
+            removed.append(S)
+    g = gr.restrict(gr.full_hypercube(n), removed)
+    deg = g.degrees
+    mapping = {e: Fraction(int(deg[g.edge_src_pos[k]]) * int(deg[g.edge_dst_pos[k]]))
+               for k, e in enumerate(g.edges())}
+    from_map = gr.GameGraph(n, g.vertices, g.edge_base, g.edge_player,
+                            gr.EdgeWeighting.explicit(mapping))
+    h = gr.degree_product_weighting(g)
+    assert h.weighting == from_map.weighting
+    assert h.weighting.numerators.dtype == np.int64
+    for graph in (h, from_map):
+        _assert_weights_match(graph, list(mapping.values()))
+
+
+# numerators from 2**53 on: numpy's int64 division would round two of these
+# differently from float(Fraction); from 2**63 on: no longer int64
+_BIG = [Fraction(2 ** 53 + 1, 7), Fraction(2 ** 53 + 3, 3), Fraction(2 ** 62 + 1, 3),
+        Fraction(2 ** 53 + 1, 2 ** 53), Fraction(2 ** 60 + 12345, 10 ** 18 + 7)]
+_HUGE = [Fraction(2 ** 63 + 1, 5), Fraction(10 ** 30 + 1, 10 ** 29 + 3), Fraction(3, 2 ** 64)]
+
+
+@pytest.mark.parametrize("extra, dtype", [(_BIG, np.int64), (_BIG + _HUGE, object)])
+def test_explicit_arrays_round_like_fractions(extra, dtype):
+    assert any(float(np.int64(w.numerator)) / float(np.int64(w.denominator)) != float(w)
+               for w in _BIG)
+    full = gr.full_hypercube(5)
+    rng = random.Random(len(extra))
+    # every edge of the cube is listed, including those restrict removes
+    mapping = {e: extra[k % len(extra)] if k % 3 else Fraction(rng.randrange(1, 50),
+                                                               rng.randrange(1, 9))
+               for k, e in enumerate(full.edges())}
+    weighting = gr.EdgeWeighting.explicit(dict(reversed(mapping.items())),
+                                          default=Fraction(2, 3))
+    assert weighting.numerators.dtype == weighting.denominators.dtype == dtype
+    assert weighting == gr.EdgeWeighting.explicit(mapping, default=Fraction(2, 3))
+    assert list(zip(weighting.bases.tolist(), weighting.players.tolist())) == sorted(mapping)
+    for g in (gr.full_hypercube(5, weighting),
+              gr.restrict(gr.full_hypercube(5, weighting), [bits(1, 2)], [gr.Edge(bits(0), 3)])):
+        _assert_weights_match(g, [mapping[e] for e in g.edges()])
+    # unlisted edges weigh the default
+    sparse = gr.EdgeWeighting.explicit({gr.Edge(0, 0): extra[-1]}, default=extra[0])
+    _assert_weights_match(gr.full_hypercube(3, sparse),
+                          [extra[-1] if e == (0, 0) else extra[0]
+                           for e in gr.full_hypercube(3).edges()])
+
+
+@pytest.mark.parametrize("entries", [
+    {gr.Edge(1, 0): 2, gr.Edge(0, -1): 3},   # base {0} already holds player 0
+    {gr.Edge(0, -1): 3},
+    {gr.Edge(-1, 0): 2},
+    {gr.Edge(bits(0, 2), 2): 5},
+    {gr.Edge(0, co.PLAYER_CAP): 2},
+    {gr.Edge(1 << co.PLAYER_CAP, 0): 2},
+])
+def test_explicit_rejects_malformed_entries(entries):
+    with pytest.raises(ValueError):
+        gr.EdgeWeighting.explicit(entries)
+
+
+@pytest.mark.parametrize("base, player, message", [
+    ("[0]", 0, "already contains player 0"),
+    ("[]", -1, "player -1 outside"),
+    ("[]", 3, "player 3 outside"),
+])
+def test_weight_spec_rejects_malformed_entries(base, player, message):
+    spec = {"kind": "explicit", "entries": [{"base": base, "player": player, "w": "2"}]}
+    with pytest.raises(SpecFileError, match=message):
+        gr.weighting_from_spec(spec, 3)

@@ -1,6 +1,9 @@
+import csv
+import io
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hodgeshapley import coalition as co
@@ -258,3 +261,125 @@ def test_text_and_csv_layout_golden(holdout, table_text, table_csv, compare_text
     assert rp.render_table(dec, v, "csv") == table_csv
     assert rp.compare_allocations(g, v, format="text") == compare_text
     assert rp.compare_allocations(g, v, format="csv") == compare_csv
+
+
+def _float_golden_decomposition():
+    """A cg_float decomposition on a restricted degree-product n = 5 graph.
+
+    The game takes 1e-17, -2.5e20 and 2/3 among quarter-integer values.  At
+    the -2.5e20 scale the last bits CG produces depend on the reduction
+    order of the numpy build, so the components are rounded to multiples of
+    2**30, far below the ~1e19 magnitudes they print at, to keep the pinned
+    text independent of that order.
+    """
+    n = 5
+    g = gr.degree_product_weighting(
+        gr.restrict(gr.full_hypercube(n), [bits(0, 1), bits(2, 3, 4)]))
+    vals = np.array([(S * 37 % 23 - 11) / 4 for S in range(1 << n)])
+    vals[0] = 0.0
+    vals[bits(0)] = 1e-17
+    vals[bits(1, 2)] = -2.5e20
+    vals[bits(0, 2)] = 2 / 3
+    v = gm.Game(n, gm.FLOAT, vals)
+    dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
+    grid = 2.0 ** 30
+    comps = tuple(gm.Game(n, gm.FLOAT, np.round(c.values / grid) * grid + 0.0)
+                  for c in dec.components)
+    return v, sv.Decomposition(g, v, comps, dec.diagnostics, dec.efficiency_gap)
+
+
+_GOLDEN_FLOAT_TEXT = """\
+          S               v                 v_1                 v_2                 v_3                 v_4                 v_5
+-----------  --------------  ------------------  ------------------  ------------------  ------------------  ------------------
+         {}               0                   0                   0                   0                   0                   0
+        {1}           1e-17   7.67195767154e+18  -4.62962962943e+18  -8.99470899485e+18   2.97619047637e+18   2.97619047637e+18
+        {2}            -1.5  -8.99470899485e+18   -2.5462962963e+19   4.93386243386e+19  -7.44047619039e+18  -7.44047619039e+18
+        {3}           -0.25  -3.70370370376e+18   3.98809523814e+19  -2.03703703702e+19  -7.90343915376e+18  -7.90343915376e+18
+        {4}            2.25   2.38095238045e+18  -7.90343915376e+18  -5.95238095274e+18   1.01190476188e+19   1.35582010618e+18
+        {5}             1.5   2.38095238045e+18  -7.90343915376e+18  -5.95238095274e+18   1.35582010618e+18   1.01190476188e+19
+      {1,3}  0.666666666667   1.66666666664e+19                   0  -1.66666666664e+19                   0                   0
+      {2,3}        -2.5e+20  -3.59788359783e+19  -6.58068783067e+19  -5.26455026458e+19  -4.77843915341e+19  -4.77843915341e+19
+      {1,4}               0   7.01058201096e+18  -9.25925925887e+18   -9.6560846565e+18    8.7632275137e+18   3.14153439178e+18
+      {2,4}           -2.25                   0  -1.80224867726e+19                   0   1.80224867726e+19                   0
+      {3,4}              -1   1.42195767191e+18  -4.62962963373e+17  -1.52447089945e+19   1.75595238092e+19  -3.27380952433e+18
+      {1,5}           -0.75   7.01058201096e+18  -9.25925925887e+18   -9.6560846565e+18   3.14153439178e+18    8.7632275137e+18
+      {2,5}            2.75                   0  -1.80224867726e+19                   0                   0   1.80224867726e+19
+      {3,5}           -1.75   1.42195767191e+18  -4.62962963373e+17  -1.52447089945e+19  -3.27380952433e+18   1.75595238092e+19
+      {4,5}            0.75   3.50529100548e+18  -1.08796296301e+19  -6.91137566128e+18   7.14285714243e+18   7.14285714243e+18
+    {1,2,3}           -1.25    6.6005291005e+19   -2.5462962963e+19  -2.56613756612e+19  -7.44047619039e+18  -7.44047619039e+18
+    {1,2,4}            1.25   7.67195767154e+18  -1.50462962962e+19  -8.99470899485e+18   1.33928571431e+19   2.97619047637e+18
+    {1,3,4}             2.5   1.07142857147e+19  -7.90343915376e+18  -1.42857142859e+19   1.01190476188e+19   1.35582010618e+18
+    {2,3,4}            0.25  -3.70370370376e+18  -2.59259259263e+19  -2.03703703702e+19   5.79034391529e+19  -7.90343915376e+18
+    {1,2,5}             0.5   7.67195767154e+18  -1.50462962962e+19  -8.99470899485e+18   2.97619047637e+18   1.33928571431e+19
+    {1,3,5}            1.75   1.07142857147e+19  -7.90343915376e+18  -1.42857142859e+19   1.35582010618e+18   1.01190476188e+19
+    {2,3,5}            -0.5  -3.70370370376e+18  -2.59259259263e+19  -2.03703703702e+19  -7.90343915376e+18   5.79034391529e+19
+    {1,4,5}            -1.5   6.87830687841e+18  -1.10449735445e+19  -9.78835978798e+18   6.97751322702e+18   6.97751322702e+18
+    {2,4,5}               2   2.38095238045e+18  -1.66666666664e+19  -5.95238095274e+18   1.01190476188e+19   1.01190476188e+19
+  {1,2,3,4}              -2   1.66666666664e+19  -1.80224867726e+19  -1.66666666664e+19   1.80224867726e+19                   0
+  {1,2,3,5}           -2.75   1.66666666664e+19  -1.80224867726e+19  -1.66666666664e+19                   0   1.80224867726e+19
+  {1,2,4,5}           -0.25   7.01058201096e+18  -1.48809523808e+19   -9.6560846565e+18    8.7632275137e+18    8.7632275137e+18
+  {1,3,4,5}               1   9.75529100511e+18  -1.08796296301e+19  -1.31613756609e+19   7.14285714243e+18   7.14285714243e+18
+  {2,3,4,5}           -1.25   1.42195767191e+18  -2.12962962958e+19  -1.52447089945e+19   1.75595238092e+19   1.75595238092e+19
+-----------  --------------  ------------------  ------------------  ------------------  ------------------  ------------------
+{1,2,3,4,5}            2.25   1.07142857147e+19  -1.66666666664e+19  -1.42857142859e+19   1.01190476188e+19   1.01190476188e+19
+allocation: (1.07142857147e+19, -1.66666666664e+19, -1.42857142859e+19, 1.01190476188e+19, 1.01190476188e+19)
+"""
+_GOLDEN_FLOAT_CSV = """\
+coalition,v,v_1,v_2,v_3,v_4,v_5
+[],0,0,0,0,0,0
+[0],1e-17,7.67195767154e+18,-4.62962962943e+18,-8.99470899485e+18,2.97619047637e+18,2.97619047637e+18
+[1],-1.5,-8.99470899485e+18,-2.5462962963e+19,4.93386243386e+19,-7.44047619039e+18,-7.44047619039e+18
+[2],-0.25,-3.70370370376e+18,3.98809523814e+19,-2.03703703702e+19,-7.90343915376e+18,-7.90343915376e+18
+[3],2.25,2.38095238045e+18,-7.90343915376e+18,-5.95238095274e+18,1.01190476188e+19,1.35582010618e+18
+[4],1.5,2.38095238045e+18,-7.90343915376e+18,-5.95238095274e+18,1.35582010618e+18,1.01190476188e+19
+"[0,2]",0.666666666667,1.66666666664e+19,0,-1.66666666664e+19,0,0
+"[1,2]",-2.5e+20,-3.59788359783e+19,-6.58068783067e+19,-5.26455026458e+19,-4.77843915341e+19,-4.77843915341e+19
+"[0,3]",0,7.01058201096e+18,-9.25925925887e+18,-9.6560846565e+18,8.7632275137e+18,3.14153439178e+18
+"[1,3]",-2.25,0,-1.80224867726e+19,0,1.80224867726e+19,0
+"[2,3]",-1,1.42195767191e+18,-4.62962963373e+17,-1.52447089945e+19,1.75595238092e+19,-3.27380952433e+18
+"[0,4]",-0.75,7.01058201096e+18,-9.25925925887e+18,-9.6560846565e+18,3.14153439178e+18,8.7632275137e+18
+"[1,4]",2.75,0,-1.80224867726e+19,0,0,1.80224867726e+19
+"[2,4]",-1.75,1.42195767191e+18,-4.62962963373e+17,-1.52447089945e+19,-3.27380952433e+18,1.75595238092e+19
+"[3,4]",0.75,3.50529100548e+18,-1.08796296301e+19,-6.91137566128e+18,7.14285714243e+18,7.14285714243e+18
+"[0,1,2]",-1.25,6.6005291005e+19,-2.5462962963e+19,-2.56613756612e+19,-7.44047619039e+18,-7.44047619039e+18
+"[0,1,3]",1.25,7.67195767154e+18,-1.50462962962e+19,-8.99470899485e+18,1.33928571431e+19,2.97619047637e+18
+"[0,2,3]",2.5,1.07142857147e+19,-7.90343915376e+18,-1.42857142859e+19,1.01190476188e+19,1.35582010618e+18
+"[1,2,3]",0.25,-3.70370370376e+18,-2.59259259263e+19,-2.03703703702e+19,5.79034391529e+19,-7.90343915376e+18
+"[0,1,4]",0.5,7.67195767154e+18,-1.50462962962e+19,-8.99470899485e+18,2.97619047637e+18,1.33928571431e+19
+"[0,2,4]",1.75,1.07142857147e+19,-7.90343915376e+18,-1.42857142859e+19,1.35582010618e+18,1.01190476188e+19
+"[1,2,4]",-0.5,-3.70370370376e+18,-2.59259259263e+19,-2.03703703702e+19,-7.90343915376e+18,5.79034391529e+19
+"[0,3,4]",-1.5,6.87830687841e+18,-1.10449735445e+19,-9.78835978798e+18,6.97751322702e+18,6.97751322702e+18
+"[1,3,4]",2,2.38095238045e+18,-1.66666666664e+19,-5.95238095274e+18,1.01190476188e+19,1.01190476188e+19
+"[0,1,2,3]",-2,1.66666666664e+19,-1.80224867726e+19,-1.66666666664e+19,1.80224867726e+19,0
+"[0,1,2,4]",-2.75,1.66666666664e+19,-1.80224867726e+19,-1.66666666664e+19,0,1.80224867726e+19
+"[0,1,3,4]",-0.25,7.01058201096e+18,-1.48809523808e+19,-9.6560846565e+18,8.7632275137e+18,8.7632275137e+18
+"[0,2,3,4]",1,9.75529100511e+18,-1.08796296301e+19,-1.31613756609e+19,7.14285714243e+18,7.14285714243e+18
+"[1,2,3,4]",-1.25,1.42195767191e+18,-2.12962962958e+19,-1.52447089945e+19,1.75595238092e+19,1.75595238092e+19
+"[0,1,2,3,4]",2.25,1.07142857147e+19,-1.66666666664e+19,-1.42857142859e+19,1.01190476188e+19,1.01190476188e+19
+"""
+
+
+def test_float_text_and_csv_golden():
+    v, dec = _float_golden_decomposition()
+    assert rp.render_table(dec, v, "text") == _GOLDEN_FLOAT_TEXT
+    assert rp.render_table(dec, v, "csv") == _GOLDEN_FLOAT_CSV
+
+
+def test_float_csv_matches_per_cell_reference():
+    n = 10
+    g = gr.degree_product_weighting(
+        gr.restrict(gr.full_hypercube(n), [bits(0, 1, 2), bits(3, 4, 5, 6)]))
+    rng = np.random.default_rng(10)
+    vals = rng.standard_normal(1 << n) * 10.0 ** rng.integers(-20, 21, size=1 << n)
+    vals[0] = 0.0
+    specials = [-0.0, 5e-324, 1e-17, 0.1, 2 / 3, 1e16, 123456789012.5, -2.5e20, 1e100]
+    vals[1:1 + len(specials)] = specials
+    v = gm.Game(n, gm.FLOAT, vals)
+    dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["coalition", "v"] + [f"v_{i + 1}" for i in range(n)])
+    for S in sorted(g.vertices.tolist(), key=lambda S: (co.size(S), S)):
+        writer.writerow([co.coalition_key(S), gm.format_scalar(v.values[S])]
+                        + [gm.format_scalar(c.values[S]) for c in dec.components])
+    assert rp.render_table(dec, v, "csv") == buf.getvalue()
