@@ -3,14 +3,31 @@
 ``DixonSolver`` takes a nonsingular integer matrix (the caller scales the
 weights by their common denominator, which keeps the Laplacian symmetric
 and leaves the solution unchanged).  It computes one modular matrix
-inverse (numpy, word-sized arithmetic); each solve then lifts a p-adic
-digit expansion of the solution and recovers exact fractions by rational
-reconstruction.  The residual update ``A @ x`` runs over A's nonzeros in
-int64 when that is exact and on Python ints otherwise, so entries of any
-size are accepted.  Every returned solution is verified against the exact
-integer matrix, so heuristic digit-count bounds cannot give silently
-wrong answers; on a shortfall the digit count is doubled and the lift
-rerun.
+inverse and then, per right-hand side, lifts a p-adic digit expansion of
+the solution and recovers exact fractions by rational reconstruction.
+
+The inverse is Gauss-Jordan on ``[A | I]`` mod p, blocked in panels of
+``_PANEL`` pivot columns.  Within a panel the row-by-row steps touch only
+the panel's ``m x _PANEL`` slice and record the panel's transform
+``I + V``; the rest of the matrix then takes one product ``V @ M[panel
+rows]`` mod p, over the columns those rows can reach, in column chunks.
+That product runs in float64 BLAS with V split into 13-bit halves: each
+half's entries stay below ``2**13`` and M's below ``p < 2**25.1``, so a
+sum of ``_PANEL = 32`` products stays below ``2**43.1``, far inside the
+53-bit mantissa, and is exact.  Each lifting step's product of the
+inverse with a residual mod p splits the residual the same way; its sums
+of ``m <= 2**12`` products stay below ``2**50.1``.
+
+Lifting stops as early as the answer allows: the digits accumulate as
+``acc += x * p**k``, and at ``k = 2, 4, 8, ...`` the solver reconstructs
+a candidate and returns the first one that passes ``_check``.  The
+Hadamard bound on ``det A`` fixes the digit count at which a candidate is
+guaranteed; past it the count doubles a few more times as a last resort.
+The residual update ``A @ x`` runs over A's nonzeros in int64 when that
+is exact and on Python ints otherwise, so entries of any size are
+accepted.  ``_check`` verifies every returned solution against the exact
+integer matrix; it is the only correctness guarantee, so neither an
+early candidate nor a digit-count bound can give a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -20,12 +37,20 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-# Primes just above 2**25: small enough that Gauss-Jordan stays in int64
-# and the split matvec stays exact in float64, large enough that lifting
-# needs few digits.
+# Primes just above 2**25: a product of two residues (< 2**50.2) is exact
+# in int64 in a panel's elimination steps, a residue times a 13-bit half
+# keeps the float64 products exact (module docstring), and each lifted
+# digit carries 25 bits of the answer.
 _PRIMES = (33554467, 33554473, 33554501, 33554509, 33554519)
 _SPLIT = 1 << 13
-_MAX_UNKNOWNS = 1 << 12  # dense modular inverse beyond this is impractical
+_PANEL = 32  # pivot columns per panel of the blocked inverse
+_CHUNK = 256  # columns per chunk of a panel's update
+# Memory, not time, sets this cap: the inverse works on an m x 2m int64
+# array and the solver keeps an m x m float64 copy of the result; with the
+# caller's dense system that is about 38 m**2 bytes (0.6 GB at the cap).
+# The lifting step's float64 product is exact only up to m = 2**12 too.
+_MAX_UNKNOWNS = 1 << 12
+_LAST_RESORT_DOUBLINGS = 5
 
 
 class SingularMatrixError(ValueError):
@@ -33,21 +58,56 @@ class SingularMatrixError(ValueError):
 
 
 def _modular_inverse_matrix(A: np.ndarray, p: int) -> np.ndarray | None:
-    """Inverse of A mod p by Gauss-Jordan; None when singular mod p."""
+    """Inverse of A mod p by panel-blocked Gauss-Jordan; None when singular mod p."""
     m = A.shape[0]
     M = np.concatenate([(A % p).astype(np.int64), np.eye(m, dtype=np.int64)], axis=1)
-    for k in range(m):
-        nz = np.nonzero(M[k:, k])[0]
-        if len(nz) == 0:
-            return None
-        piv = k + int(nz[0])
-        if piv != k:
-            M[[k, piv]] = M[[piv, k]]
-        M[k] = (M[k] * pow(int(M[k, k]), -1, p)) % p
-        col = M[:, k].copy()
-        col[k] = 0
-        M -= np.outer(col, M[k])
-        M %= p
+    # outside its own identity entry, every row of the right half is zero
+    # past its first `reach` columns
+    reach = 0
+    for k0 in range(0, m, _PANEL):
+        k1 = min(k0 + _PANEL, m)
+        b = k1 - k0
+        # W is the panel's columns, then V: the panel's steps so far have
+        # multiplied M by I + V, where V is zero outside the columns k0..k1-1
+        W = np.zeros((m, 2 * b), dtype=np.int64)
+        W[:, :b] = M[:, k0:k1]
+        for j in range(b):
+            k = k0 + j
+            nz = np.flatnonzero(W[k:, j])
+            if len(nz) == 0:
+                return None
+            piv = k + int(nz[0])
+            if piv != k:
+                for X in (M, W):
+                    X[[k, piv]] = X[[piv, k]]
+            reach = max(reach, piv + 1)
+            # the step is I + u e_k^T: scale row k, clear column k elsewhere.
+            # It leaves the panel's columns left of j as they are, and turns
+            # I + V into I + V + u (e_k + V[k])^T; V's columns past j are
+            # still zero, so one slice of width b holds all that changes.
+            inv = pow(int(W[k, j]), -1, p)
+            u = W[:, j] * (p - inv) % p
+            u[k] = (inv - 1) % p
+            r = W[k, j + 1:j + 1 + b].copy()
+            r[-1] += 1
+            live = W[:, j + 1:j + 1 + b]
+            live += np.outer(u, r)
+            live %= p
+        # apply I + V to the columns right of the panel that its rows reach;
+        # columns left of k1 are never read again.  The product runs in
+        # float64 on 13-bit halves of V (exact, see the module docstring);
+        # hi * 2**13 + lo + M stays below 2**56, so int64 holds the sum.
+        V_hi = (W[:, b:] // _SPLIT).astype(np.float64)
+        V_lo = (W[:, b:] % _SPLIT).astype(np.float64)
+        for c0 in range(k1, m + reach, _CHUNK):
+            c1 = min(c0 + _CHUNK, m + reach)
+            X = M[k0:k1, c0:c1].astype(np.float64)
+            out = M[:, c0:c1]
+            acc = (V_hi @ X).astype(np.int64)
+            acc *= _SPLIT
+            acc += (V_lo @ X).astype(np.int64)
+            acc += out
+            np.remainder(acc, p, out=out)
     return M[:, m:]
 
 
@@ -70,8 +130,7 @@ class DixonSolver:
                 break
         if C is None:
             raise SingularMatrixError("matrix is singular (or singular modulo all probe primes)")
-        self._C_hi = (C // _SPLIT).astype(np.float64)
-        self._C_lo = (C % _SPLIT).astype(np.float64)
+        self._C = C.astype(np.float64)
         # A's nonzeros row by row; a nonsingular matrix has no empty row
         rows, self._cols = np.nonzero(A)
         self._starts = np.searchsorted(rows, np.arange(m))
@@ -90,52 +149,41 @@ class DixonSolver:
         return np.add.reduceat(data * x.astype(data.dtype)[self._cols], self._starts)
 
     def _matvec_mod(self, r_mod: np.ndarray) -> np.ndarray:
+        """C @ r mod p on r's 13-bit halves: each float64 sum of m <= 2**12
+        products below 2**38.1 is exact."""
         p = self.p
-        hi = self._C_hi @ r_mod
-        lo = self._C_lo @ r_mod
+        hi = self._C @ (r_mod // _SPLIT)
+        lo = self._C @ (r_mod % _SPLIT)
         return (hi.astype(np.int64) % p * _SPLIT + lo.astype(np.int64)) % p
 
-    def _lift(self, b: np.ndarray, steps: int) -> list[Fraction] | None:
-        p = self.p
-        r = b
-        digits = []
-        for _ in range(steps):
-            x = self._matvec_mod((r % p).astype(np.float64))
-            digits.append(x)
-            r = (r - self._product(self._data, x)) // p
-        M = p ** steps
-        bound = isqrt(M // 2)
-        acc = np.zeros(self._m, dtype=object)
-        for x in reversed(digits):  # Horner from the top digit down
-            acc = acc * p + x.astype(object)
-        sol = []
-        den = 1
-        for a in acc:
-            # try the running common denominator first, else reconstruct
-            y = a * den % M
-            if y > M - bound:
-                y -= M
-            if abs(y) <= bound:
-                sol.append(Fraction(y, den))
-                continue
-            nd = _rational_reconstruct(a, M, bound)
-            if nd is None:
-                return None
-            num, d = nd
-            den = den * d // gcd(den, d)
-            sol.append(Fraction(num, d))
-        return sol
+    def _guaranteed_digits(self, max_b: int) -> int:
+        """Digits after which reconstruction finds the solution (Hadamard bound)."""
+        log2_needed = 2 * self._log2_det + max(1, max_b).bit_length() + self._m.bit_length() + 30
+        return int(log2_needed / np.log2(self.p)) + 2
 
     def solve(self, b: list[int]) -> list[Fraction]:
         b = np.array(b, dtype=object)
         max_b = max(map(abs, b), default=1)
-        log2_needed = 2 * self._log2_det + max(1, max_b).bit_length() + self._m.bit_length() + 30
-        steps = int(log2_needed / np.log2(self.p)) + 2
-        for _ in range(6):
-            sol = self._lift(b, steps)
-            if sol is not None and self._check(sol, b):
-                return sol
-            steps *= 2
+        # try powers of two below the guaranteed count, then that count,
+        # then double it as a last resort
+        guaranteed = self._guaranteed_digits(max_b)
+        tries = {1 << e for e in range(1, guaranteed.bit_length()) if 1 << e < guaranteed}
+        tries.update(guaranteed << e for e in range(_LAST_RESORT_DOUBLINGS + 1))
+        p = self.p
+        # with A x exact in int64 (|A x| < 2**62) and |r| < 2**62, r - A x
+        # fits int64 and dividing by p brings it back below 2**62
+        r = b.astype(np.int64) if self._data.dtype == np.int64 and max_b < 1 << 62 else b
+        acc = np.zeros(self._m, dtype=object)
+        pk = 1
+        for k in range(1, max(tries) + 1):
+            x = self._matvec_mod((r % p).astype(np.float64))
+            acc += x.astype(object) * pk
+            pk *= p
+            r = (r - self._product(self._data, x)) // p
+            if k in tries:
+                sol = _reconstruct(acc, pk)
+                if sol is not None and self._check(sol, b):
+                    return sol
         raise ArithmeticError("p-adic lifting failed to produce a verified solution")
 
     def _check(self, x: list[Fraction], b: np.ndarray) -> bool:
@@ -143,6 +191,28 @@ class DixonSolver:
         den = lcm(*(f.denominator for f in x))
         x_int = np.array([f.numerator * (den // f.denominator) for f in x], dtype=object)
         return bool(np.all(self._product(self._entries, x_int) == den * b))
+
+
+def _reconstruct(acc: np.ndarray, M: int) -> list[Fraction] | None:
+    """Fractions congruent to acc mod M, each within the balanced bound; None if none."""
+    bound = isqrt(M // 2)
+    sol = []
+    den = 1
+    for a in acc:
+        # try the running common denominator first, else reconstruct
+        y = a * den % M
+        if y > M - bound:
+            y -= M
+        if abs(y) <= bound:
+            sol.append(Fraction(y, den))
+            continue
+        nd = _rational_reconstruct(a, M, bound)
+        if nd is None:
+            return None
+        num, d = nd
+        den = den * d // gcd(den, d)
+        sol.append(Fraction(num, d))
+    return sol
 
 
 def _rational_reconstruct(x: int, M: int, bound: int):

@@ -6,7 +6,8 @@ side), ``verify`` (invariant checks on the given input), ``fixtures``
 (replay the built-in benchmark decompositions and diff every value).
 
 Exit codes: 0 success; 1 failed invariant in verify/fixtures; 2 spec
-parse error; 3 infeasible/disconnected graph; 4 solver non-convergence.
+parse error; 3 infeasible/disconnected graph; 4 solver non-convergence,
+or float components that miss the game in a rendered table.
 All diagnostics go to stderr.
 """
 

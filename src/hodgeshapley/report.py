@@ -21,11 +21,17 @@ import numpy as np
 
 from . import coalition as co
 from . import closed_form as cf
+from .errors import ConvergenceError
 from .game import FLOAT, Game, format_scalar
 from .graph import GameGraph, _popcounts
 from .solve import Decomposition, SolverConfig, decompose
 
 _FORMATS = ("text", "csv", "json")
+
+
+class _FloatEfficiencyError(ConvergenceError, ValueError):
+    """Float components miss the game: too little precision, not a bad
+    input, though a ValueError like every failed table check."""
 
 
 @dataclass(frozen=True)
@@ -57,10 +63,16 @@ def build_table(d: Decomposition, v: Game) -> DecompositionTable:
     columns = np.array([np.asarray(x.values, dtype=dtype)[order] for x in (v, *d.components)])
     # exact in rational mode, relative to the game's largest value in float mode
     tol = 0 if v.is_rational else 1e-6 * max(1.0, float(np.max(np.abs(v.values))))
-    bad = np.flatnonzero(np.abs(columns[1:].sum(axis=0) - columns[0]) > tol)
+    gaps = np.abs(columns[1:].sum(axis=0) - columns[0])
+    bad = np.flatnonzero(gaps > tol)
     if len(bad):
-        raise ValueError(f"component columns do not sum to v at "
-                         f"{co.coalition_key(int(order[bad[0]]))}")
+        where = co.coalition_key(int(order[bad[0]]))
+        if v.is_rational:
+            raise ValueError(f"component columns do not sum to v at {where}")
+        raise _FloatEfficiencyError(
+            f"float components miss v at {where} by {gaps[bad[0]]:.3g} (tolerance "
+            f"{tol:.3g}); the weights may be too badly scaled for float64: use the "
+            f"exact backend (--backend dense-rational)")
     game_col, *comp_cols = map(tuple, columns.tolist())
     return DecompositionTable(g.n, v.mode, v.names, tuple(order.tolist()), game_col,
                               tuple(comp_cols))

@@ -20,9 +20,12 @@ this in integers (v scaled by its denominator lcm, the quotient by
 ``lcm(1..n)``), inverse-transforms every player's column in one sweep,
 verifies ``L_w X = L_{w_i} v`` column by column in integers, and only
 then builds fractions; it takes ``n <= 16``.  Every other graph scales
-its weights by their common denominator and factors the integer pinned
-Laplacian (empty coalition's row and column deleted) once per graph for
-p-adic lifting, up to 4096 unknowns.  Neither engine imports scipy.
+its weights by their common denominator and inverts the integer pinned
+Laplacian (empty coalition's row and column deleted) mod p once per
+graph, by panel-blocked Gauss-Jordan with float64 BLAS panel updates;
+each solve then lifts p-adic digits only until a reconstructed candidate
+passes the exact check, up to 4096 unknowns.  Neither engine imports
+scipy.
 
 Float mode either factors the pinned Laplacian sparsely (``dense_float``,
 up to 4096 unknowns) or runs conjugate gradient on all columns at once
@@ -140,15 +143,16 @@ class _RationalPinnedSolver:
     def __init__(self, g: GameGraph):
         m = g.num_vertices - 1
         if m > _MAX_UNKNOWNS:
-            # restricted size-plus-one cubes on a 2-vCPU box, at 509 / 1021 /
-            # 2045 unknowns: factor 1.05 / 8.3 / 67 s, one solve 0.08 / 0.53 /
-            # 2.8 s, +12 / 48 / 192 MB RSS; so about m**3, m**2.5 and 46 m**2 bytes
+            # restricted size-plus-one cubes on a 2-vCPU box, one BLAS thread,
+            # at 509 / 1021 / 2045 / 4093 unknowns: factor 0.13 / 0.83 / 5.3 /
+            # 39 s, one solve 0.03 / 0.09 / 0.59 / 4.0 s, +11 / 39 / 157 / 637 MB
+            # RSS; so about m**3 (the factor's asymptote), m**2.7 and 38 m**2 bytes
             growth = m / 2045
             raise CapacityError(
                 f"exact solve of {m} unknowns exceeds the limit of {_MAX_UNKNOWNS}: "
                 f"the dense system would hold {m * m:,} entries; estimated "
-                f"{67 * growth ** 3:,.0f} s to factor, {2.8 * growth ** 2.5:,.0f} s per "
-                f"player's solve and {0.19 * growth ** 2:,.1f} GB")
+                f"{5.3 * growth ** 3:,.0f} s to factor, {0.6 * growth ** 2.7:,.0f} s per "
+                f"player's solve and {0.16 * growth ** 2:,.1f} GB")
         nums, dens = g.weight_ratios
         self._scale = math.lcm(*set(dens.tolist()))
         w = [x * (self._scale // y) for x, y in zip(nums.tolist(), dens.tolist())]

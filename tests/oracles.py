@@ -88,3 +88,24 @@ def random_dyadic_values(rng, n, max_num=64, den_pow=6):
             for _ in range(1 << n)]
     vals[0] = Fraction(0)
     return vals
+
+
+def modular_inverse(A, p):
+    """Inverse of the integer matrix A (list of rows) mod p, by textbook
+    Gauss-Jordan on Python ints with the first nonzero pivot below the
+    diagonal; None when A is singular mod p."""
+    m = len(A)
+    M = [[int(x) % p for x in row] + [int(i == j) for j in range(m)]
+         for i, row in enumerate(A)]
+    for k in range(m):
+        piv = next((i for i in range(k, m) if M[i][k]), None)
+        if piv is None:
+            return None
+        M[k], M[piv] = M[piv], M[k]
+        inv = pow(M[k][k], -1, p)
+        M[k] = [x * inv % p for x in M[k]]
+        for i in range(m):
+            c = M[i][k]
+            if i != k and c:
+                M[i] = [(x - c * y) % p for x, y in zip(M[i], M[k])]
+    return [row[m:] for row in M]

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -146,6 +147,27 @@ def test_exit_code_non_convergence(glove_path, capsys):
                  "--max-iters", "1"])
     assert code == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_float_efficiency_miss(tmp_path, capsys):
+    # weights spanning 1 to 2**64 leave float components that miss the game
+    # by more than the table's tolerance: a precision shortfall (exit 4),
+    # not a bad spec file (exit 2)
+    n = 5
+    values = [0.0] + [float((7 * S) % 19 - 9) for S in range(1, 1 << n)]
+    gpath = tmp_path / "g5.json"
+    gpath.write_text(json.dumps(gm.game_to_spec(gm.game_from_values(n, values, gm.FLOAT))))
+    wpath = tmp_path / "w5.json"
+    wpath.write_text(json.dumps({"kind": "explicit", "entries": [
+        {"base": "[]", "player": 0, "w": str(2 ** 64 + 1)},
+        {"base": "[1]", "player": 2, "w": f"{2 ** 53 + 1}/3"},
+        {"base": "[2,3]", "player": 4, "w": "7/5"}]}))
+    args = ["decompose", "--game", str(gpath), "--weights", f"file:{wpath}", "--format", "csv"]
+    assert main(args + ["--backend", "cg"]) == 4
+    err = capsys.readouterr().err
+    assert re.search(r"miss v at \[\d(,\d)*\] by [\d.e+-]+ \(tolerance", err), err
+    assert "--backend dense-rational" in err
+    assert main(args + ["--backend", "dense-rational"]) == 0
 
 
 def test_csv_format(glove_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -14,9 +15,10 @@ from hodgeshapley import game as gm
 from hodgeshapley import graph as gr
 from hodgeshapley import operators as ops
 from hodgeshapley import solve as sv
+from hodgeshapley import _exact
 from hodgeshapley.errors import CapacityError, ConfigError, ConvergenceError
-from oracles import dense_laplacian, lstsq_component, random_rational_values, \
-    random_dyadic_values
+from oracles import dense_laplacian, lstsq_component, modular_inverse, \
+    random_rational_values, random_dyadic_values
 from test_operators import random_graph
 
 
@@ -341,6 +343,134 @@ def test_oversized_weights_lift_on_python_ints():
     assert all(r == 0 for r in sv.residual_orthogonality(g, v, dec))
     _assert_solves_oracle_system(g, v, dec)
     assert sv._rational_solver(g)._lift._data.dtype == object
+
+
+_P = _exact._PRIMES[0]
+
+
+def _random_matrix(rng, m, zero_pivot_at=None, zero_rows=()):
+    """A random integer m x m matrix, entries in [-p, 2p], so reduction mod p
+    matters.  Each row in zero_rows agrees, on its first zero_pivot_at + 1
+    entries and mod p, with a combination of rows 0 .. zero_pivot_at - 1:
+    Gauss-Jordan then meets a zero at column zero_pivot_at in all of them."""
+    A = [[rng.randint(-_P, 2 * _P) for _ in range(m)] for _ in range(m)]
+    k = zero_pivot_at
+    for i in zero_rows:
+        coef = [rng.randrange(_P) for _ in range(k)]
+        for j in range(k + 1):
+            combo = sum(c * A[t][j] for c, t in zip(coef, range(k))) % _P
+            A[i][j] = combo + _P * rng.randint(-1, 1)
+    return A
+
+
+def _assert_inverse_mod_p(A):
+    m = len(A)
+    C = _exact._modular_inverse_matrix(np.array(A, dtype=np.int64), _P)
+    assert C is not None
+    C = C.tolist()
+    for i in range(m):
+        for j in range(m):
+            assert sum(C[i][t] * A[t][j] for t in range(m)) % _P == (i == j)
+    assert C == modular_inverse(A, _P)
+
+
+def _singular_minor(A, rows):
+    return modular_inverse([[A[i][j] for j in range(len(rows))] for i in rows], _P) is None
+
+
+def test_blocked_inverse_smaller_than_one_panel():
+    A = _random_matrix(random.Random(50), 7)
+    assert len(A) < _exact._PANEL
+    _assert_inverse_mod_p(A)
+
+
+def test_blocked_inverse_partial_last_panel():
+    A = _random_matrix(random.Random(51), 2 * _exact._PANEL + 13)
+    _assert_inverse_mod_p(A)
+
+
+def test_blocked_inverse_zero_leading_pivot():
+    A = _random_matrix(random.Random(52), 40)
+    A[0][0] = 2 * _P
+    _assert_inverse_mod_p(A)
+
+
+def test_blocked_inverse_swap_inside_a_panel():
+    # column 5 has a zero pivot in row 5 only; row 6, in the same panel, takes over
+    A = _random_matrix(random.Random(53), 40, zero_pivot_at=5, zero_rows=[5])
+    assert _singular_minor(A, range(6)) and not _singular_minor(A, [0, 1, 2, 3, 4, 6])
+    _assert_inverse_mod_p(A)
+
+
+def test_blocked_inverse_swap_across_a_panel_boundary():
+    # column 20 has zero pivots in rows 20 .. 35, so the pivot comes from row
+    # 36, in the next panel; column 31, the first panel's last, needs a
+    # swap too when rows 31 .. 33 are made zero there
+    A = _random_matrix(random.Random(54), 45, zero_pivot_at=20, zero_rows=range(20, 36))
+    assert all(_singular_minor(A, [*range(20), i]) for i in range(20, 36))
+    assert not _singular_minor(A, [*range(20), 36])
+    _assert_inverse_mod_p(A)
+    A = _random_matrix(random.Random(55), 45, zero_pivot_at=31, zero_rows=range(31, 34))
+    assert _singular_minor(A, range(32)) and not _singular_minor(A, [*range(31), 34])
+    _assert_inverse_mod_p(A)
+
+
+def test_blocked_inverse_singular_mod_p_returns_none():
+    rng = random.Random(56)
+    A = _random_matrix(rng, 40)
+    A[33] = [(2 * x) % _P + _P * rng.randint(-1, 1) for x in A[3]]
+    assert modular_inverse(A, _P) is None
+    assert _exact._modular_inverse_matrix(np.array(A, dtype=np.int64), _P) is None
+
+
+def _pinned_integer_laplacian(g):
+    """The solver's scaled pinned matrix, rebuilt from the oracle's Laplacian."""
+    edges = [(e.base, e.player) for e in g.edges()]
+    _, L = dense_laplacian(g.n, g.vertices.tolist(), edges, g.weight_fractions)
+    scale = math.lcm(*(x.denominator for row in L for x in row))
+    return [[int(x * scale) for x in row[1:]] for row in L[1:]]
+
+
+def test_lifting_stops_before_the_hadamard_count(monkeypatch):
+    n = 8
+    g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
+    v = rational_game(random.Random(57), n)
+    matvecs = []
+    lifts = []
+    matvec, solve = _exact.DixonSolver._matvec_mod, _exact.DixonSolver.solve
+
+    def counted_matvec(self, r):
+        matvecs.append(1)
+        return matvec(self, r)
+
+    def counted_solve(self, b):
+        before = len(matvecs)
+        x = solve(self, b)
+        lifts.append((len(matvecs) - before, self._guaranteed_digits(max(map(abs, b)))))
+        return x
+
+    monkeypatch.setattr(_exact.DixonSolver, "_matvec_mod", counted_matvec)
+    monkeypatch.setattr(_exact.DixonSolver, "solve", counted_solve)
+    dec = sv.decompose(g, v)
+    assert len(lifts) == n
+    assert all(0 < digits < guaranteed for digits, guaranteed in lifts), lifts
+    assert dec.efficiency_gap == 0
+    _assert_solves_oracle_system(g, v, dec)
+
+
+def test_lifting_rejects_early_candidates_on_a_200_digit_rhs():
+    n = 8
+    A = _pinned_integer_laplacian(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)))
+    solver = _exact.DixonSolver(np.array(A, dtype=np.int64))
+    rng = random.Random(58)
+    x_true = [10 ** 200 + 7] + [rng.randint(-9, 9) for _ in range(len(A) - 1)]
+    b = [sum(a * y for a, y in zip(row, x_true)) for row in A]
+    assert max(len(str(abs(y))) for y in b) >= 200
+    verdicts = []
+    check = solver._check
+    solver._check = lambda x, rhs: verdicts.append(check(x, rhs)) or verdicts[-1]
+    assert solver.solve(b) == x_true
+    assert verdicts[-1] and False in verdicts, verdicts
 
 
 _EXACT_WITHOUT_SCIPY = """
