@@ -22,9 +22,9 @@ from .graph import (Edge, EdgeWeighting, GameGraph, constraints_from_spec,
 from .operators import (EdgeFunction, VertexFunction, d, d_i, d_star, edge_difference,
                         edge_inner_product, game_from_vertex_function, laplacian_apply,
                         laplacian_i_apply, vertex_function_from_game)
-from .solve import (CG_FLOAT, DENSE_FLOAT, DENSE_RATIONAL, Decomposition,
-                    PlayerSolveStats, SolverConfig, decompose, edge_residual,
-                    residual_orthogonality, solve_component)
+from .solve import (CG_FLOAT, DENSE_RATIONAL, Decomposition, PlayerSolveStats,
+                    SolverConfig, decompose, edge_residual, residual_orthogonality,
+                    solve_component)
 from .closed_form import (GreensKernel, component_explicit, greens_kernel,
                           feasible_permutations, precedence_shapley_oracle,
                           pure_bargaining_component, shapley_direct,

@@ -30,11 +30,9 @@ from .graph import EdgeWeighting, degree_product_weighting, full_hypercube, \
     load_constraints, restrict, weighting_from_spec
 from .reference_tables import ALL_REFERENCES
 from .report import compare_allocations, render_table
-from .solve import CG_FLOAT, DENSE_FLOAT, DENSE_RATIONAL, SolverConfig, decompose, \
-    residual_orthogonality
+from .solve import CG_FLOAT, DENSE_RATIONAL, SolverConfig, decompose, residual_orthogonality
 
-_BACKEND_FLAGS = {"dense-rational": DENSE_RATIONAL, "dense-float": DENSE_FLOAT,
-                  "cg": CG_FLOAT}
+_BACKEND_FLAGS = {"dense-rational": DENSE_RATIONAL, "cg": CG_FLOAT}
 _METHODS = ("direct", "permutation", "hodge", "precedence")
 
 
@@ -98,7 +96,7 @@ def _coerce_mode(v: Game, backend: str) -> Game:
         print("note: promoting float game to exact rationals for dense-rational",
               file=sys.stderr)
         return v.as_rational()
-    if backend in (DENSE_FLOAT, CG_FLOAT) and v.mode != FLOAT:
+    if backend == CG_FLOAT and v.mode != FLOAT:
         print(f"note: converting rational game to floats for {backend}", file=sys.stderr)
         return v.as_float()
     return v
@@ -206,16 +204,14 @@ def _cmd_fixtures(spec: RunSpec) -> int:
         if bad == 0:
             tables_ok += 1
         mismatches += bad
-    # exercise the float backends on the plain-cube benchmark
+    # exercise the float backend on the plain-cube benchmark
     ref = ALL_REFERENCES[0]
-    v_float = ref.game().as_float()
     expect = np.array([[float(x) for x in row[1:]] for row in ref.expected().values()])
-    for backend in (DENSE_FLOAT, CG_FLOAT):
-        dec = decompose(ref.graph(), v_float, SolverConfig(backend=backend))
-        got = np.array([[c.values[S] for c in dec.components] for S in ref.expected()])
-        if not np.allclose(got, expect, atol=1e-9):
-            mismatches += 1
-            print(f"MISMATCH {ref.key} under {backend}", file=sys.stderr)
+    dec = decompose(ref.graph(), ref.game().as_float(), SolverConfig(backend=CG_FLOAT))
+    got = np.array([[c.values[S] for c in dec.components] for S in ref.expected()])
+    if not np.allclose(got, expect, atol=1e-9):
+        mismatches += 1
+        print(f"MISMATCH {ref.key} under {CG_FLOAT}", file=sys.stderr)
     print(f"{tables_ok}/{len(ALL_REFERENCES)} tables reproduced")
     return 0 if mismatches == 0 and tables_ok == len(ALL_REFERENCES) else 1
 

@@ -83,6 +83,8 @@ def apply_permutation(sigma: Sequence[int], S: Coalition) -> Coalition:
 
 def parse_coalition(text: str, n: int | None = None) -> Coalition:
     """Parse a serialized member list such as "[0,2]" (0-indexed)."""
+    if not isinstance(text, str):
+        raise SpecFileError(f"coalition literal must be a string like '[0,2]', got {text!r}")
     t = text.strip()
     if not (t.startswith("[") and t.endswith("]")):
         raise SpecFileError(f"coalition literal must look like '[0,2]', got {text!r}")

@@ -46,7 +46,10 @@ def parse_scalar(value, mode: str):
                 return float(Fraction(value))
             except (ValueError, ZeroDivisionError):
                 raise SpecFileError(f"bad numeric literal {value!r}") from None
-        return float(value)
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            raise SpecFileError(f"bad numeric literal {value!r}") from None
     raise SpecFileError(f"unknown scalar mode {mode!r}")
 
 
@@ -211,14 +214,17 @@ def game_from_spec(spec: Mapping) -> Game:
     mode = spec.get("mode", RATIONAL)
     if mode not in (RATIONAL, FLOAT):
         raise SpecFileError(f"unknown mode {mode!r}", location="mode")
+    table = spec.get("values", {})
+    if not isinstance(table, Mapping):
+        raise SpecFileError("'values' must map coalition literals to values", location="values")
     zero = Fraction(0) if mode == RATIONAL else 0.0
     vals = [zero] * (1 << n)
-    for key, literal in dict(spec.get("values", {})).items():
+    for key, literal in table.items():
         try:
             S = co.parse_coalition(key, n)
+            x = parse_scalar(literal, mode)
         except ValueError as exc:
             raise SpecFileError(str(exc), location=f"values.{key}") from None
-        x = parse_scalar(literal, mode)
         if S == 0 and x != 0:
             raise SpecFileError("the empty coalition may only be listed with value 0",
                                 location=f"values.{key}")

@@ -245,12 +245,6 @@ class GameGraph:
     def contains_vertex(self, S: co.Coalition) -> bool:
         return 0 <= S < (1 << self.n) and self.vertex_pos[S] >= 0
 
-    def contains_edge(self, edge: Edge) -> bool:
-        base, player = edge
-        if not self.contains_vertex(base) or (base >> player) & 1:
-            return False
-        return self.edge_index.get(Edge(base, player)) is not None
-
     def edges(self) -> Iterable[Edge]:
         for b, p in zip(self.edge_base.tolist(), self.edge_player.tolist()):
             yield Edge(b, p)
@@ -515,27 +509,49 @@ def degree_product_weighting(g: GameGraph) -> GameGraph:
 # Constraint spec files (JSON)
 # ---------------------------------------------------------------------------
 
+_SPEC_KINDS = {"an object": Mapping, "a list": (list, tuple)}
+
+
+def _expect(value, kind: str, location: str):
+    """value, if it is of the kind named by a key of ``_SPEC_KINDS``."""
+    if not isinstance(value, _SPEC_KINDS[kind]):
+        raise SpecFileError(f"expected {kind}, got {type(value).__name__}", location=location)
+    return value
+
+
+def _coalition_at(text, n: int, location: str) -> co.Coalition:
+    try:
+        return co.parse_coalition(text, n)
+    except ValueError as exc:
+        raise SpecFileError(str(exc), location=location) from None
+
+
 def weighting_from_spec(spec: Mapping, n: int) -> EdgeWeighting:
-    kind = spec.get("kind")
+    kind = _expect(spec, "an object", "weights").get("kind")
     if kind == CONSTANT:
         return EdgeWeighting.constant(parse_scalar(spec.get("value", "1"), RATIONAL))
     if kind == BY_CARDINALITY:
-        values = spec.get("values", [])
+        values = _expect(spec.get("values", []), "a list", "weights.values")
         if len(values) != n:
             raise SpecFileError(f"by_cardinality table needs {n} entries, got {len(values)}",
                                 location="weights.values")
         return EdgeWeighting.by_cardinality([parse_scalar(x, RATIONAL) for x in values])
     if kind == EXPLICIT:
         entries = {}
-        for item in spec.get("entries", []):
-            S = co.parse_coalition(item["base"], n)
-            p = int(item["player"])
+        for k, item in enumerate(_expect(spec.get("entries", []), "a list", "weights.entries")):
+            where = f"weights.entries[{k}]"
+            try:
+                base, p, w = item["base"], int(item["player"]), item["w"]
+            except (KeyError, TypeError, ValueError):
+                raise SpecFileError("an explicit weight entry needs 'base', an integer "
+                                    "'player' and 'w'", location=where) from None
+            S = _coalition_at(base, n, where)
             if not 0 <= p < n:
-                raise SpecFileError(f"player {p} outside [0, {n})", location="weights.entries")
+                raise SpecFileError(f"player {p} outside [0, {n})", location=where)
             if (S >> p) & 1:
-                raise SpecFileError(f"edge base {item['base']} already contains player {p}",
-                                    location="weights.entries")
-            entries[Edge(S, p)] = parse_scalar(item["w"], RATIONAL)
+                raise SpecFileError(f"edge base {base} already contains player {p}",
+                                    location=where)
+            entries[Edge(S, p)] = parse_scalar(w, RATIONAL)
         return EdgeWeighting.explicit(entries)
     raise SpecFileError(f"unknown weighting kind {kind!r}", location="weights.kind")
 
@@ -547,14 +563,19 @@ def constraints_from_spec(spec: Mapping, n: int):
     [{"base": "[]", "player": 1}], "weights": {...}}.  Every field is
     optional; returns (removed_vertices, removed_edges, weighting_or_None).
     """
-    removed_vertices = [co.parse_coalition(t, n) for t in spec.get("removed_coalitions", [])]
+    _expect(spec, "an object", "constraints")
+    coalitions = _expect(spec.get("removed_coalitions", []), "a list", "removed_coalitions")
+    removed_vertices = [_coalition_at(t, n, f"removed_coalitions[{k}]")
+                        for k, t in enumerate(coalitions)]
     removed_edges = []
-    for item in spec.get("removed_edges", []):
+    for k, item in enumerate(_expect(spec.get("removed_edges", []), "a list", "removed_edges")):
+        where = f"removed_edges[{k}]"
         try:
-            removed_edges.append(Edge(co.parse_coalition(item["base"], n), int(item["player"])))
-        except (KeyError, TypeError):
-            raise SpecFileError("removed edge needs 'base' and 'player'",
-                                location="removed_edges") from None
+            base, p = item["base"], int(item["player"])
+        except (KeyError, TypeError, ValueError):
+            raise SpecFileError("removed edge needs 'base' and an integer 'player'",
+                                location=where) from None
+        removed_edges.append(Edge(_coalition_at(base, n, where), p))
     weighting = None
     if "weights" in spec:
         weighting = weighting_from_spec(spec["weights"], n)

@@ -58,10 +58,6 @@ class ReferenceDecomposition:
     def expected(self) -> dict:
         return {co.from_members(m, 3): vals for m, vals in self.rows}
 
-    @property
-    def num_component_values(self) -> int:
-        return sum(len(vals) - 1 for _, vals in self.rows)
-
 
 GLOVE_PLAIN = ReferenceDecomposition(
     key="glove-plain",

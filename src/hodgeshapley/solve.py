@@ -24,18 +24,18 @@ its weights by their common denominator and inverts the integer pinned
 Laplacian (empty coalition's row and column deleted) mod p once per
 graph, by panel-blocked Gauss-Jordan with float64 BLAS panel updates;
 each solve then lifts p-adic digits only until a reconstructed candidate
-passes the exact check, up to 4096 unknowns.  Neither engine imports
-scipy.
+passes the exact check, up to 4096 unknowns; past that limit the solve
+raises ``CapacityError`` before any right-hand side is built.
 
-Float mode either factors the pinned Laplacian sparsely (``dense_float``,
-up to 4096 unknowns) or runs conjugate gradient on all columns at once
-in preallocated buffers (``cg_float``): each column keeps its own step
-sizes, is deflated to mean zero over the feasible coalitions every step
-(the constant nullspace), stops when it meets the tolerance, and is
-shifted to ``v_i({}) = 0`` afterwards.  Past a factorization's limit
-the solve raises ``CapacityError`` before any right-hand side or matrix
-is built.  All routes land on the same answer, which is unique up to
-constants on a connected graph.
+Float mode has one engine, ``cg_float``: conjugate gradient on all
+columns at once in preallocated buffers, preconditioned by the inverse
+weighted degree (Jacobi), which is a scalar on a full cube with a
+constant weight.  Each column keeps its own step sizes, has its residual
+deflated to mean zero over the feasible coalitions every step (the
+constant nullspace), stops when its unpreconditioned relative residual
+meets the tolerance, and is shifted to ``v_i({}) = 0`` afterwards.
+Every route needs numpy alone.  All routes land on the same answer,
+which is unique up to constants on a connected graph.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ from .game import FLOAT, RATIONAL, Game
 from .graph import CONSTANT, GameGraph, _popcounts
 
 DENSE_RATIONAL = "dense_rational"
-DENSE_FLOAT = "dense_float"
 CG_FLOAT = "cg_float"
-_BACKENDS = (DENSE_RATIONAL, DENSE_FLOAT, CG_FLOAT)
+_BACKENDS = (DENSE_RATIONAL, CG_FLOAT)
 # The engine that rational mode runs on full cubes with constant weights;
 # it shows up in PlayerSolveStats.backend and is not a configurable backend.
 SPECTRAL = "spectral"
@@ -70,7 +69,8 @@ _SPECTRAL_MAX_N = 16
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Backend choice plus iterative-solver knobs.
+    """Backend choice (``dense_rational`` for rational-mode games,
+    ``cg_float`` for float-mode ones) plus iterative-solver knobs.
 
     ``cg_max_iters`` defaults to ``10 * 2**n`` at solve time; the
     unweighted cube Laplacian has condition number n on the mean-zero
@@ -129,7 +129,6 @@ class Decomposition:
 
 _rational_solvers: "weakref.WeakKeyDictionary[GameGraph, _RationalPinnedSolver]" = \
     weakref.WeakKeyDictionary()
-_float_factors: "weakref.WeakKeyDictionary[GameGraph, object]" = weakref.WeakKeyDictionary()
 
 
 class _RationalPinnedSolver:
@@ -177,34 +176,6 @@ def _rational_solver(g: GameGraph) -> _RationalPinnedSolver:
         solver = _RationalPinnedSolver(g)
         _rational_solvers[g] = solver
     return solver
-
-
-def _float_factor(g: GameGraph):
-    factor = _float_factors.get(g)
-    if factor is None:
-        m = g.num_vertices - 1
-        if m > _MAX_UNKNOWNS:
-            # splu fill-in on the cube, on a 2-vCPU box: 6.5 s and 0.2 GB at
-            # 4095 unknowns (n = 12), 581 s and 2.5 GB at 16383 (n = 14),
-            # so about m**3.2 in time and m**1.8 in memory
-            growth = m / 4095
-            raise CapacityError(
-                f"sparse direct float solve of {m} unknowns exceeds the limit of "
-                f"{_MAX_UNKNOWNS}: estimated {6.5 * growth ** 3.2:,.0f} s and "
-                f"{0.2 * growth ** 1.8:,.1f} GB; use the cg_float backend")
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-        w = g.weight_floats
-        s = g.edge_src_pos
-        t = g.edge_dst_pos
-        rows = np.concatenate([s, t, s, t])
-        cols = np.concatenate([s, t, t, s])
-        vals = np.concatenate([w, w, -w, -w])
-        keep = (rows > 0) & (cols > 0)
-        L = csc_matrix((vals[keep], (rows[keep] - 1, cols[keep] - 1)), shape=(m, m))
-        factor = splu(L.tocsc())
-        _float_factors[g] = factor
-    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +289,32 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
+def _inverse_degrees(w: np.ndarray, n_rows: int) -> np.ndarray:
+    """1 / diag(L_w) as a column on all 2**n rows; 0 on rows without edges."""
+    deg = np.zeros(n_rows)
+    for i, w_i in enumerate(w):
+        h = deg.reshape(n_rows >> (i + 1), 2, 1 << i)
+        w_i = w_i.reshape(n_rows >> (i + 1), 1 << i)
+        h[:, 0] += w_i
+        h[:, 1] += w_i
+    return np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)[:, None]
+
+
 def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, max_iters: int):
     """Deflated CG for L_w X = R, every column at once; R is overwritten.
 
     Column j solves for player ``players[j]`` with the scalar recurrence
-    of one-right-hand-side CG.  A converged column moves behind the active
-    ones and is not touched again.  Returns (X, iterations, residuals),
-    with columns and lists in the order of ``players``.
+    of one-right-hand-side CG, preconditioned by the inverse weighted
+    degree (Jacobi).  A column stops when its unpreconditioned relative
+    residual meets tol; it then moves behind the active ones and is not
+    touched again.  Returns (X, iterations, residuals), with columns and
+    lists in the order of ``players``.
     """
     n_rows, k = R.shape
     w = g.player_weights
     m = g.num_vertices
     infeasible = np.flatnonzero(g.vertex_pos < 0)
+    dinv = _inverse_degrees(w, n_rows)
 
     def deflate(x):
         x -= x.sum(axis=0) / m
@@ -337,11 +322,11 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
 
     deflate(R)
     X = np.zeros_like(R)
-    P = R.copy()
-    AP = np.empty_like(R)
+    P = R * dinv
+    AP = np.empty_like(R)  # holds L_w p, then the preconditioned residual z
     scratch = np.empty((n_rows // 2, k))
-    rr = _column_dots(R, R)
-    b_norm = np.sqrt(rr)
+    rz = _column_dots(R, P)
+    b_norm = np.sqrt(_column_dots(R, R))
     iterations = [0] * k
     residuals = [0.0] * k
     history = [[] for _ in range(k)]
@@ -350,7 +335,7 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     def swap(j, t):
         for buf in (X, R, P):
             buf[:, [j, t]] = buf[:, [t, j]]
-        for arr in (rr, b_norm):
+        for arr in (rz, b_norm):
             arr[[j, t]] = arr[[t, j]]
         slot[j], slot[t] = slot[t], slot[j]
 
@@ -364,23 +349,24 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
             break
         x, r, p, ap = X[:, :active], R[:, :active], P[:, :active], AP[:, :active]
         _laplacian_float(w, p, ap, scratch)
-        alpha = rr[:active] / _column_dots(p, ap)
+        alpha = rz[:active] / _column_dots(p, ap)
         half = scratch[:, :active]
         for rows in (slice(0, n_rows // 2), slice(n_rows // 2, n_rows)):
             np.multiply(p[rows], alpha, out=half)
             x[rows] += half
         ap *= alpha
         r -= ap
-        # deflation: keep iterates orthogonal to the constant kernel
-        deflate(x)
+        # L_w p is orthogonal to constants up to round-off, which deflation
+        # removes; x may carry a constant, which the normalization removes
         deflate(r)
-        rr_new = _column_dots(r, r)
-        rel = np.sqrt(rr_new) / b_norm[:active]
+        rel = np.sqrt(_column_dots(r, r)) / b_norm[:active]
         for j in range(active):
             history[slot[j]].append(float(rel[j]))
-        p *= rr_new / rr[:active]
-        p += r
-        rr[:active] = rr_new
+        np.multiply(r, dinv, out=ap)
+        rz_new = _column_dots(r, ap)
+        p *= rz_new / rz[:active]
+        p += ap
+        rz[:active] = rz_new
         for j in reversed(range(active)):
             if rel[j] <= tol:
                 iterations[slot[j]] = it
@@ -411,9 +397,8 @@ def _check_modes(g: GameGraph, v: Game, cfg: SolverConfig) -> None:
     if cfg.backend == DENSE_RATIONAL and v.mode != RATIONAL:
         raise ConfigError("dense_rational backend needs a rational-mode game "
                           "(use Game.as_rational())")
-    if cfg.backend in (DENSE_FLOAT, CG_FLOAT) and v.mode != FLOAT:
-        raise ConfigError(f"{cfg.backend} backend needs a float-mode game "
-                          "(use Game.as_float())")
+    if cfg.backend == CG_FLOAT and v.mode != FLOAT:
+        raise ConfigError("cg_float backend needs a float-mode game (use Game.as_float())")
 
 
 def _verify_mean_zero(g: GameGraph, B: np.ndarray) -> None:
@@ -439,36 +424,24 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     infeasible rows are zero.
     """
     k = len(players)
-    if v.is_rational and _spectral_applies(g):
+    if not v.is_rational:
+        B = _rhs(g, np.asarray(v.values, dtype=np.float64), players)
+        _verify_mean_zero(g, B)
+        X, iterations, residuals = _cg_float(g, B, players, cfg.cg_tolerance,
+                                             cfg.max_iters_for(g.n))
+        return X, CG_FLOAT, iterations, residuals
+    if _spectral_applies(g):
         return _spectral_rational(g, v, players), SPECTRAL, [0] * k, [0.0] * k
     # the pinned solver comes first, so that a system past its capacity
     # is refused before any right-hand side is built
-    solver = None
-    if cfg.backend == DENSE_RATIONAL:
-        solver = _rational_solver(g)
-    elif cfg.backend == DENSE_FLOAT:
-        solver = _float_factor(g)
-    values = np.asarray(v.values, dtype=object if v.is_rational else np.float64)
-    B = _rhs(g, values, players)
+    solver = _rational_solver(g)
+    B = _rhs(g, np.asarray(v.values, dtype=object), players)
     _verify_mean_zero(g, B)
-    if solver is None:
-        X, iterations, residuals = _cg_float(g, B, players, cfg.cg_tolerance,
-                                             cfg.max_iters_for(g.n))
-        return X, cfg.backend, iterations, residuals
-    X = np.full(B.shape, values[0], dtype=B.dtype)  # v({}) = 0 in the mode's scalars
-    residuals = []
+    X = np.full(B.shape, Fraction(0), dtype=object)
     for j in range(k):
-        b = B[g.vertices, j]
-        X[g.vertices[1:], j] = solver.solve(b[1:])
-        # an exact solve has no residual
-        residuals.append(0.0 if v.is_rational else _relative_residual(g, X[g.vertices, j], b))
-    return X, cfg.backend, [0] * k, residuals
-
-
-def _relative_residual(g: GameGraph, x: np.ndarray, b: np.ndarray) -> float:
-    r = ops.laplacian_apply(ops.VertexFunction(g, FLOAT, x)).values - b
-    b_norm = float(np.linalg.norm(b))
-    return float(np.linalg.norm(r)) / b_norm if b_norm else 0.0
+        X[g.vertices[1:], j] = solver.solve(B[g.vertices[1:], j])
+    # an exact solve has no residual
+    return X, DENSE_RATIONAL, [0] * k, [0.0] * k
 
 
 def _efficiency_gap(g: GameGraph, v: Game, X: np.ndarray, engine: str):

@@ -128,10 +128,34 @@ def test_weights_file_invalid_json(glove_path, tmp_path, capsys):
     assert f"error: {bad}: invalid JSON" in err
 
 
-def test_exit_code_invalid_values(tmp_path, capsys):
-    bad = tmp_path / "bad_value.json"
-    bad.write_text(json.dumps({"players": ["a"], "values": {"[0]": "1/0"}}))
-    assert main(["decompose", "--game", str(bad)]) == 2
+_GLOVE_SPEC = {"players": ["L", "R1", "R2"], "values": {"[0,1]": "1"}}
+
+
+@pytest.mark.parametrize("game, constraints, weights", [
+    ({"players": ["a"], "values": {"[0]": "1/0"}}, None, None),
+    ({"players": ["a"], "mode": "float", "values": {"[0]": [1]}}, None, None),
+    ({"players": ["a"], "values": 5}, None, None),
+    (_GLOVE_SPEC, {"removed_coalitions": [1]}, None),
+    (_GLOVE_SPEC, {"removed_coalitions": "[1]"}, None),
+    (_GLOVE_SPEC, {"removed_edges": [{"base": "[]", "player": "x"}]}, None),
+    (_GLOVE_SPEC, ["[1]"], None),
+    (_GLOVE_SPEC, None, {"kind": "explicit", "entries": [{"player": 0, "w": "2"}]}),
+    (_GLOVE_SPEC, None, {"kind": "by_cardinality", "values": 3}),
+    (_GLOVE_SPEC, None, [1, 2, 3]),
+], ids=["zero-denominator", "float-value-list", "values-not-object",
+        "coalition-not-string", "coalitions-not-list", "edge-player-not-integer",
+        "constraints-not-object", "weight-entry-without-base", "weight-table-not-list",
+        "weights-not-object"])
+def test_exit_code_invalid_values(tmp_path, capsys, game, constraints, weights):
+    argv = ["decompose"]
+    for flag, spec in (("--game", game), ("--constraints", constraints),
+                       ("--weights", weights)):
+        if spec is not None:
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(spec))
+            argv += [flag, str(path) if flag != "--weights" else f"file:{path}"]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_exit_code_infeasible(glove_path, tmp_path, capsys):

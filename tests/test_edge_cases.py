@@ -38,7 +38,7 @@ def test_two_player_weighted_exact():
 def test_dense_float_solve_component():
     g = gr.full_hypercube(3)
     v = gm.make_glove_game().as_float()
-    comp = sv.solve_component(g, v, 0, sv.SolverConfig(backend=sv.DENSE_FLOAT))
+    comp = sv.solve_component(g, v, 0, sv.SolverConfig(backend=sv.CG_FLOAT))
     assert abs(comp.grand_value() - 2 / 3) < 1e-12
     assert abs(comp.value(co.from_members([0])) - 5 / 12) < 1e-12
 

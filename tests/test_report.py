@@ -90,7 +90,7 @@ def test_json_round_trip():
 def test_json_round_trip_float_mode():
     g = gr.full_hypercube(3)
     v = gm.make_glove_game().as_float()
-    dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.DENSE_FLOAT))
+    dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
     doc = rp.parse_rendered_json(rp.render_table(dec, v, "json"))
     for row in doc["rows"]:
         S = co.from_members(row["coalition"])

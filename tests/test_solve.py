@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -220,11 +219,9 @@ def test_backend_equivalence():
         v_float = v_rat.as_float()
         g = gr.full_hypercube(n)
         exact = sv.decompose(g, v_rat, sv.SolverConfig(backend=sv.DENSE_RATIONAL))
-        direct = sv.decompose(g, v_float, sv.SolverConfig(backend=sv.DENSE_FLOAT))
         cg = sv.decompose(g, v_float, sv.SolverConfig(backend=sv.CG_FLOAT))
         for i in range(n):
             ref = np.array([float(x) for x in exact.components[i].values])
-            assert np.allclose(np.asarray(direct.components[i].values), ref, atol=1e-8)
             assert np.allclose(np.asarray(cg.components[i].values), ref, atol=1e-8)
 
 
@@ -238,6 +235,24 @@ def test_cg_iteration_count_on_cube():
     dec = sv.decompose(gr.full_hypercube(n), v, sv.SolverConfig(backend=sv.CG_FLOAT))
     assert max(s.iterations for s in dec.diagnostics) <= 10 * n
     assert all(s.backend == sv.CG_FLOAT for s in dec.diagnostics)
+
+
+def test_cg_jacobi_preconditioner_on_badly_scaled_weights():
+    # edge weights 10**k, k in [-6, 6]: unpreconditioned CG needs 387
+    # iterations on this case, Jacobi 80
+    rng = random.Random(45)
+    n = 6
+    entries = {e: Fraction(10) ** rng.randint(-6, 6) for e in gr.full_hypercube(n).edges()}
+    g = gr.full_hypercube(n, gr.EdgeWeighting.explicit(entries))
+    vals = np.random.default_rng(45).standard_normal(1 << n)
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
+    assert max(s.iterations for s in dec.diagnostics) <= 150
+    exact = sv.decompose(g, v.as_rational(), sv.SolverConfig(backend=sv.DENSE_RATIONAL))
+    for a, b in zip(exact.components, dec.components):
+        ref = np.array([float(x) for x in a.values])
+        assert np.max(np.abs(np.asarray(b.values) - ref)) <= 1e-7
 
 
 def test_least_squares_minimality():
@@ -473,25 +488,28 @@ def test_lifting_rejects_early_candidates_on_a_200_digit_rhs():
     assert verdicts[-1] and False in verdicts, verdicts
 
 
-_EXACT_WITHOUT_SCIPY = """
+_SOLVES_WITHOUT_SCIPY = """
 import sys
 from fractions import Fraction
-from hodgeshapley import closed_form, coalition as co, game as gm, graph as gr, solve as sv
+from hodgeshapley import cli, closed_form, coalition as co, game as gm, graph as gr, solve as sv
 n = 6
 g = gr.restrict(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)), [co.from_members([0, 1])])
 v = gm.game_from_values(n, [Fraction(S % 7, 1 + S % 3) for S in range(1 << n)])
 assert sv.decompose(g, v).efficiency_gap == 0
 assert closed_form.verify_shapley_coefficient(4, 2, 0) == Fraction(1, 12)
+cg = sv.decompose(g, v.as_float(), sv.SolverConfig(backend=sv.CG_FLOAT))
+assert cg.efficiency_gap < 1e-9
+assert cli.main(["fixtures"]) == 0
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded[:3]
 """
 
 
-def test_exact_solves_never_import_scipy():
+def test_solves_never_import_scipy():
     # a fresh interpreter, so that no other test has imported scipy yet
     src = str(Path(sv.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", _EXACT_WITHOUT_SCIPY],
+    proc = subprocess.run([sys.executable, "-c", _SOLVES_WITHOUT_SCIPY],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 
@@ -573,12 +591,11 @@ def test_float_solve_component_matches_decompose():
     v = gm.game_from_values(n, vals, gm.FLOAT)
     for g in (gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)),
               _restricted_explicit_graph(n, 38)):
-        for backend in (sv.CG_FLOAT, sv.DENSE_FLOAT):
-            cfg = sv.SolverConfig(backend=backend)
-            dec = sv.decompose(g, v, cfg)
-            for i in range(n):
-                one = sv.solve_component(g, v, i, cfg)
-                assert np.allclose(one.values, dec.components[i].values, rtol=0, atol=1e-10)
+        cfg = sv.SolverConfig(backend=sv.CG_FLOAT)
+        dec = sv.decompose(g, v, cfg)
+        for i in range(n):
+            one = sv.solve_component(g, v, i, cfg)
+            assert np.allclose(one.values, dec.components[i].values, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -700,20 +717,3 @@ def test_exact_capacity_error_before_right_hand_sides(monkeypatch):
         sv.decompose(g, v)
     with pytest.raises(CapacityError, match="8190 unknowns"):
         sv.solve_component(g, v, 3)
-
-
-def test_dense_float_capacity_error_before_factoring(monkeypatch):
-    # 8191 pinned unknowns; splu fill-in would take about a minute
-    n = 13
-    g = gr.full_hypercube(n)
-    v = gm.game_from_values(n, np.zeros(1 << n), gm.FLOAT)
-    cfg = sv.SolverConfig(backend=sv.DENSE_FLOAT)
-    monkeypatch.setattr(sv, "_float_factors", weakref.WeakKeyDictionary())
-    # importing scipy.sparse would now fail, so the refusal must come first
-    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
-    monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
-    with pytest.raises(CapacityError, match=r"8191 unknowns .* s and .* GB"):
-        sv.decompose(g, v, cfg)
-    with pytest.raises(CapacityError):
-        sv.solve_component(g, v, 0, cfg)
-    assert len(sv._float_factors) == 0
