@@ -12,10 +12,10 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, SpecFileError
 
-# Hard cap on the player count: 2**24 vertices / 24 * 2**23 edges keeps
-# float iterative solves feasible on a desktop.  Exact-rational backends
-# hit practical limits far earlier (around n = 12); that is documented,
-# not enforced.
+# Hard cap on the player count, for bitsets and edge keys.  It promises no
+# solve: float CG needs about 5.5 * n * 2**n * 8 bytes (0.9 GB at n = 20,
+# 17.7 GB at n = 24) and refuses at entry past physical memory; exact
+# solves stop at 4096 unknowns, or n = 16 on the spectral route.
 PLAYER_CAP = 24
 
 Coalition = int
@@ -39,6 +39,8 @@ def size(S: Coalition) -> int:
 
 def members(S: Coalition) -> tuple[int, ...]:
     """Sorted member indices of S."""
+    if S < 0:
+        raise ValueError(f"coalition {S} is negative")
     out = []
     while S:
         low = S & -S

@@ -1,16 +1,18 @@
 """The coalition hypercube graph, edge weightings, and restricted subgraphs.
 
 Vertices are coalitions (bitset ints); the oriented edge ``(S, S|{i})``
-is stored as its base coalition plus the joining player and always kept
-in that canonical orientation.  Restricted cooperation removes vertices
-and edges; the remaining graph must stay connected, keep the empty and
-grand coalitions, and keep every vertex reachable from the empty
-coalition by adding one player at a time.
+is named by its base coalition plus the joining player and always kept
+in that canonical orientation.  A graph is two boolean masks, one over
+the ``2**n`` coalitions and one over the ``n * 2**(n-1)`` cube edges in
+the solvers' ``(player, slot)`` layout; per-edge arrays are derived only
+when a per-edge API asks for them.  Restricted cooperation removes
+vertices and edges; the remaining graph must stay connected, keep the
+empty and grand coalitions, and keep every vertex reachable from the
+empty coalition by adding one player at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -149,32 +151,22 @@ class EdgeWeighting:
     def _keys(self) -> np.ndarray:
         return _edge_keys(self.bases, self.players)
 
-    @cached_property
-    def floats(self) -> np.ndarray:
-        """Explicit weights as float64, each rounded as ``float(Fraction)`` rounds it."""
-        nums, dens = self.numerators, self.denominators
-        out = np.empty(len(nums))
-        # int64 / int64 in numpy is correctly rounded only when both are exact floats
-        exact = (nums < 1 << 53) & (dens < 1 << 53)
-        out[exact] = nums[exact].astype(np.float64) / dens[exact].astype(np.float64)
-        out[~exact] = [x / y for x, y in zip(nums[~exact].tolist(), dens[~exact].tolist())]
-        return out
+    def by_size(self, n: int) -> tuple[Fraction, ...]:
+        """Weight of an edge without an explicit entry, by its base size 0, ..., n - 1."""
+        if self.kind != BY_CARDINALITY:
+            return (self.constant_value if self.kind == CONSTANT else self.default,) * n
+        if n > len(self.table):
+            raise ValueError(f"cardinality table too short for edge base size {n - 1}")
+        return self.table[:n]
 
     def weight(self, edge: Edge) -> Fraction:
-        if self.kind == CONSTANT:
-            return self.constant_value
-        if self.kind == BY_CARDINALITY:
-            s = co.size(edge.base)
-            if s >= len(self.table):
-                raise ValueError(f"cardinality table too short for edge base size {s}")
-            return self.table[s]
         base, player = int(edge[0]), int(edge[1])
         if 0 <= player < co.PLAYER_CAP and 0 <= base < 1 << co.PLAYER_CAP:
             key = _edge_keys(base, player)
             k = int(np.searchsorted(self._keys, key))
             if k < len(self._keys) and self._keys[k] == key:
                 return Fraction(int(self.numerators[k]), int(self.denominators[k]))
-        return self.default
+        return self.by_size(co.size(base) + 1)[-1]
 
     @property
     def permutation_invariant(self) -> bool:
@@ -191,48 +183,88 @@ def _edge_keys(base, player):
 class GameGraph:
     """A connected subgraph of the coalition hypercube with positive edge weights.
 
-    Immutable after construction; the heavyweight index structures used by
-    the solvers are built lazily and cached on the instance.
+    ``edge_mask[i, slot]`` marks the edge ``(S, S|{i})``, slot being S
+    with bit i squeezed out, so row i lines up with the half-views
+    ``x.reshape(2**(n-1-i), 2, 2**i)[:, 0]`` of a vector on all ``2**n``
+    coalitions.  Per-vertex and per-edge arrays are derived lazily and
+    cached; edges come in ascending ``(base, player)`` order, the order of
+    every ``EdgeFunction``.
     """
 
     n: int
-    vertices: np.ndarray        # feasible coalition bitsets, ascending
-    edge_base: np.ndarray       # base coalition per feasible edge
-    edge_player: np.ndarray     # joining player per feasible edge
+    vertex_mask: np.ndarray     # (2**n,) bool: feasible coalitions
+    edge_mask: np.ndarray       # (n, 2**(n-1)) bool: feasible edges by player and slot
     weighting: EdgeWeighting
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=np.int64))
-        object.__setattr__(self, "edge_base", np.asarray(self.edge_base, dtype=np.int64))
-        object.__setattr__(self, "edge_player", np.asarray(self.edge_player, dtype=np.int64))
+        object.__setattr__(self, "vertex_mask", np.asarray(self.vertex_mask, dtype=bool))
+        object.__setattr__(self, "edge_mask", np.asarray(self.edge_mask, dtype=bool))
+        shapes = self.vertex_mask.shape, self.edge_mask.shape
+        if shapes != ((1 << self.n,), (self.n, 1 << max(self.n - 1, 0))):
+            raise ValueError(f"masks of shapes {shapes} do not fit {self.n} players")
         if self.weighting.kind == BY_CARDINALITY and len(self.weighting.table) != self.n:
             raise ValueError(f"cardinality weight table needs {self.n} entries, "
                              f"got {len(self.weighting.table)}")
 
     # -- basic shape ------------------------------------------------------
 
-    @property
+    @cached_property
     def num_vertices(self) -> int:
-        return len(self.vertices)
+        return int(np.count_nonzero(self.vertex_mask))
+
+    @cached_property
+    def num_edges(self) -> int:
+        return int(np.count_nonzero(self.edge_mask))
+
+    @cached_property
+    def is_full_cube(self) -> bool:
+        return bool(self.vertex_mask.all() and self.edge_mask.all())
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """Feasible coalition bitsets, ascending."""
+        return np.flatnonzero(self.vertex_mask)
+
+    @cached_property
+    def vertex_pos(self) -> np.ndarray:
+        """Dense position of each coalition among feasible vertices; -1 if infeasible."""
+        return np.where(self.vertex_mask, np.cumsum(self.vertex_mask) - 1, -1)
+
+    def contains_vertex(self, S: co.Coalition) -> bool:
+        return 0 <= S < (1 << self.n) and bool(self.vertex_mask[S])
+
+    def position(self, S: co.Coalition) -> int:
+        """Index of S in ``vertices``; DomainError unless S is a feasible vertex."""
+        if not self.contains_vertex(S):
+            shown = co.coalition_key(S) if S >= 0 else S
+            raise DomainError(f"coalition {shown} is not a feasible vertex")
+        return int(self.vertex_pos[S])
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Base and player of every feasible edge, ascending in (base, player)."""
+        n = self.n
+        present = np.zeros((1 << n, n), dtype=bool)  # [S, i]: the edge (S, S|{i})
+        for i in range(n):
+            present.reshape(-1, 2, 1 << i, n)[:, 0, :, i] = self.edge_mask[i].reshape(-1, 1 << i)
+        return np.nonzero(present)
 
     @property
-    def num_edges(self) -> int:
-        return len(self.edge_base)
+    def edge_base(self) -> np.ndarray:
+        return self._edges[0]
+
+    @property
+    def edge_player(self) -> np.ndarray:
+        return self._edges[1]
 
     @cached_property
     def edge_dst(self) -> np.ndarray:
         return self.edge_base | (np.int64(1) << self.edge_player)
 
     @cached_property
-    def is_full_cube(self) -> bool:
-        return self.num_vertices == (1 << self.n) and self.num_edges == self.n << max(self.n - 1, 0)
-
-    @cached_property
-    def vertex_pos(self) -> np.ndarray:
-        """Dense position of each coalition among feasible vertices; -1 if infeasible."""
-        pos = np.full(1 << self.n, -1, dtype=np.int64)
-        pos[self.vertices] = np.arange(self.num_vertices)
-        return pos
+    def edge_slot(self) -> np.ndarray:
+        """Column of each edge in ``edge_mask``: its base without the player's bit."""
+        return _squeeze_bit(self.edge_base, self.edge_player)
 
     @cached_property
     def edge_src_pos(self) -> np.ndarray:
@@ -241,9 +273,6 @@ class GameGraph:
     @cached_property
     def edge_dst_pos(self) -> np.ndarray:
         return self.vertex_pos[self.edge_dst]
-
-    def contains_vertex(self, S: co.Coalition) -> bool:
-        return 0 <= S < (1 << self.n) and self.vertex_pos[S] >= 0
 
     def edges(self) -> Iterable[Edge]:
         for b, p in zip(self.edge_base.tolist(), self.edge_player.tolist()):
@@ -256,29 +285,32 @@ class GameGraph:
 
     # -- weights and degrees ----------------------------------------------
 
+    def _slot_table(self, by_size: np.ndarray, entries: np.ndarray) -> np.ndarray:
+        """A value per edge of the full cube in the layout of ``edge_mask``.
+
+        The edge ``(S, S|{i})`` gets ``by_size[|S|]``, or the entry of the
+        weighting's explicit arrays that lists it; ``entries`` runs parallel
+        to those arrays.  Entries for edges outside the cube never apply.
+        """
+        n, w = self.n, self.weighting
+        # squeezing out a bit the base lacks keeps its size
+        table = np.tile(by_size[_popcounts(max(n - 1, 0))], (n, 1))
+        ok = (w.players < n) & (w.bases < (1 << n))
+        players = w.players[ok]
+        table[players, _squeeze_bit(w.bases[ok], players)] = entries[ok]
+        return table
+
     @cached_property
     def weight_ratios(self) -> tuple[np.ndarray, np.ndarray]:
         """Numerator and denominator of each edge's weight in lowest terms.
 
         Both are int64 when every value fits and object arrays otherwise.
         """
-        w = self.weighting
-        if w.kind == EXPLICIT:
-            # a listed edge picks its entry, any other the default after them
-            keys = _edge_keys(self.edge_base, self.edge_player)
-            pick = np.searchsorted(w._keys, keys)
-            listed = pick < len(w._keys)
-            listed[listed] = w._keys[pick[listed]] == keys[listed]
-            pick[~listed] = len(w._keys)
-            nums = np.append(w.numerators.astype(object), w.default.numerator)
-            dens = np.append(w.denominators.astype(object), w.default.denominator)
-        else:
-            ratios = w.table if w.kind == BY_CARDINALITY else [w.constant_value]
-            nums = np.array([x.numerator for x in ratios], dtype=object)
-            dens = np.array([x.denominator for x in ratios], dtype=object)
-            pick = _popcounts(self.n)[self.edge_base] if w.kind == BY_CARDINALITY \
-                else np.zeros(self.num_edges, dtype=np.int64)
-        return _int_arrays(nums[pick], dens[pick])
+        w, at = self.weighting, (self.edge_player, self.edge_slot)
+        sizes = w.by_size(self.n)
+        nums = self._slot_table(*_int_arrays([x.numerator for x in sizes], w.numerators))
+        dens = self._slot_table(*_int_arrays([x.denominator for x in sizes], w.denominators))
+        return _int_arrays(nums[at], dens[at])
 
     @cached_property
     def weight_fractions(self) -> tuple[Fraction, ...]:
@@ -292,55 +324,36 @@ class GameGraph:
         return self.player_weights[self.edge_player, self.edge_slot]
 
     @cached_property
-    def edge_slot(self) -> np.ndarray:
-        """Column of each edge in ``player_weights``: its base without the player's bit."""
-        return _squeeze_bit(self.edge_base, self.edge_player)
-
-    @cached_property
     def player_weights(self) -> np.ndarray:
-        """Float weight of edge ``(S, S|{i})`` at ``[i, slot]``, shape ``(n, 2**(n-1))``.
+        """Float weight of each edge in the layout of ``edge_mask``; absent edges weigh 0.
 
-        ``slot`` is S with bit i squeezed out, so row i lines up with the
-        half-views ``x.reshape(2**(n-1-i), 2, 2**i)[:, 0]`` of a vector on
-        all ``2**n`` coalitions.  Edges not in the graph weigh 0.
+        Each weight is rounded as ``float(Fraction)`` rounds it.
         """
-        n, w = self.n, self.weighting
-        half = 1 << max(n - 1, 0)
-        if w.kind == CONSTANT:
-            table = np.full((n, half), float(w.constant_value))
-        elif w.kind == BY_CARDINALITY:
-            # squeezing out a bit the base lacks keeps its size
-            by_size = np.array([float(x) for x in w.table])
-            table = np.tile(by_size[_popcounts(max(n - 1, 0))], (n, 1))
-        else:
-            table = np.full((n, half), float(w.default))
-            # entries for edges outside the cube never apply
-            ok = (w.players < n) & (w.bases < (1 << n))
-            players = w.players[ok]
-            table[players, _squeeze_bit(w.bases[ok], players)] = w.floats[ok]
-        if not self.is_full_cube:
-            table[~_edge_mask(n, self.edge_player, self.edge_slot)] = 0.0
+        w = self.weighting
+        nums, dens = w.numerators, w.denominators
+        floats = np.empty(len(nums))
+        # int64 / int64 in numpy is correctly rounded only when both are exact floats
+        exact = (nums < 1 << 53) & (dens < 1 << 53)
+        floats[exact] = nums[exact].astype(np.float64) / dens[exact].astype(np.float64)
+        floats[~exact] = [x / y for x, y in zip(nums[~exact].tolist(), dens[~exact].tolist())]
+        table = self._slot_table(np.array([float(x) for x in w.by_size(self.n)]), floats)
+        table[~self.edge_mask] = 0.0
         return table
 
     @cached_property
     def player_weight_fractions(self) -> np.ndarray:
         """Exact twin of ``player_weights``: an object array of fractions."""
-        table = np.full((self.n, 1 << max(self.n - 1, 0)), Fraction(0), dtype=object)
+        table = np.full(self.edge_mask.shape, Fraction(0), dtype=object)
         table[self.edge_player, self.edge_slot] = np.asarray(self.weight_fractions, dtype=object)
         return table
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Orientation-blind incident-edge count per feasible vertex."""
-        deg = np.zeros(self.num_vertices, dtype=np.int64)
-        np.add.at(deg, self.edge_src_pos, 1)
-        np.add.at(deg, self.edge_dst_pos, 1)
-        return deg
+        return _endpoint_sums(self.edge_mask)[self.vertex_mask]
 
     def degree(self, S: co.Coalition) -> int:
-        if not self.contains_vertex(S):
-            raise DomainError(f"coalition {co.coalition_key(S)} is not a feasible vertex")
-        return int(self.degrees[self.vertex_pos[S]])
+        return int(self.degrees[self.position(S)])
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -357,91 +370,60 @@ def _squeeze_bit(base: np.ndarray, player: np.ndarray) -> np.ndarray:
     return ((base >> (player + 1)) << player) | low
 
 
-def _edge_mask(n: int, edge_player: np.ndarray, edge_slot: np.ndarray) -> np.ndarray:
-    """(n, 2**(n-1)) bool: True where the edge (slot, player) is present."""
-    mask = np.zeros((n, 1 << max(n - 1, 0)), dtype=bool)
-    mask[edge_player, edge_slot] = True
-    return mask
+def _endpoint_sums(table: np.ndarray) -> np.ndarray:
+    """Per coalition, the sum of ``table`` (laid out like ``edge_mask``) over its edges."""
+    out = np.zeros(2 * table.shape[1], dtype=np.result_type(table.dtype, np.int64))
+    for i, t in enumerate(table):
+        h = out.reshape(-1, 2, 1 << i)
+        t = t.reshape(-1, 1 << i)
+        h[:, 0] += t
+        h[:, 1] += t
+    return out
 
 
-def _all_formable(n: int, vertices: np.ndarray, edge_base: np.ndarray,
-                  edge_player: np.ndarray) -> bool:
-    """True when every vertex can be formed from {} one player at a time.
+def _spread(reached: np.ndarray, edge_mask: np.ndarray, down: bool) -> np.ndarray:
+    """reached, grown in place along the edges until nothing changes.
 
-    Each sweep over the players extends every formation path by at least
-    one step, so n sweeps reach the fixpoint.  A True answer implies that
-    the graph is connected too.
+    Each sweep passes over the players once; an edge carries reach upward
+    (base to base|{i}), and downward as well when down is true.
     """
-    present = _edge_mask(n, edge_player, _squeeze_bit(edge_base, edge_player))
-    formed = np.zeros(1 << n, dtype=bool)
-    formed[0] = True
-    for _ in range(n):
-        before = int(np.count_nonzero(formed))
-        for i in range(n):
-            f = formed.reshape(-1, 2, 1 << i)
-            f[:, 1] |= f[:, 0] & present[i].reshape(-1, 1 << i)
-        if int(np.count_nonzero(formed)) == before:
-            break
-    return bool(formed[vertices].all())
+    while True:
+        before = int(np.count_nonzero(reached))
+        for i, present in enumerate(edge_mask):
+            r = reached.reshape(-1, 2, 1 << i)
+            present = present.reshape(-1, 1 << i)
+            r[:, 1] |= r[:, 0] & present
+            if down:
+                r[:, 0] |= r[:, 1] & present
+        if np.count_nonzero(reached) == before:
+            return reached
 
 
-def _validate(n: int, vertices: np.ndarray, edge_base: np.ndarray,
-              edge_player: np.ndarray) -> None:
+def _validate(n: int, vertex_mask: np.ndarray, edge_mask: np.ndarray) -> None:
+    """InfeasibilityError unless every feasible coalition can be formed from
+    {} one player at a time (which implies that the graph is connected).
+
+    A disconnected graph is reported as such, before any coalition that
+    cannot be formed; either way the smallest such coalition is named.
+    """
     full = (1 << n) - 1
-    feasible = np.zeros(1 << n, dtype=bool)
-    feasible[vertices] = True
-    if not feasible[0]:
+    if not vertex_mask[0]:
         raise InfeasibilityError("the empty coalition must be feasible", coalition=0)
-    if not feasible[full]:
+    if not vertex_mask[full]:
         raise InfeasibilityError("the grand coalition must be feasible", coalition=full)
-    dst = edge_base | (np.int64(1) << edge_player)
-    dangling = ~(feasible[edge_base] & feasible[dst])
-    if dangling.any():
-        k = int(np.argmax(dangling))
-        b, d = int(edge_base[k]), int(dst[k])
-        bad = d if feasible[b] else b
-        raise InfeasibilityError(f"edge endpoint {co.coalition_key(bad)} is infeasible",
-                                 coalition=bad)
-    if _all_formable(n, vertices, edge_base, edge_player):
+    formed = _spread(np.arange(1 << n) == 0, edge_mask, down=False)
+    if np.array_equal(formed, vertex_mask):
         return
-    # something fails: the searches below find and name it
-    vset = set(vertices.tolist())
-    # adjacency over feasible edges only
-    adj: dict[int, list[int]] = {v: [] for v in vset}
-    up: dict[int, list[int]] = {v: [] for v in vset}
-    for b, d in zip(edge_base.tolist(), dst.tolist()):
-        adj[b].append(d)
-        adj[d].append(b)
-        up[b].append(d)
-    # undirected connectivity: BFS from {} must reach every feasible vertex
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if seen != vset:
-        missing = min(vset - seen)
+    reached = _spread(formed.copy(), edge_mask, down=True)
+    if not np.array_equal(reached, vertex_mask):
+        S = int(np.argmax(vertex_mask & ~reached))
         raise InfeasibilityError(
-            f"graph is disconnected: {co.coalition_key(missing)} cannot be reached "
-            f"from the empty coalition", coalition=missing)
-    # feasibility: every coalition must be formable by adding players one at
-    # a time starting from the empty coalition (upward reachability)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in up[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if seen != vset:
-        missing = min(vset - seen)
-        raise InfeasibilityError(
-            f"coalition {co.coalition_key(missing)} cannot be formed starting from "
-            f"the empty coalition", coalition=missing)
+            f"graph is disconnected: {co.coalition_key(S)} cannot be reached "
+            f"from the empty coalition", coalition=S)
+    S = int(np.argmax(vertex_mask & ~formed))
+    raise InfeasibilityError(
+        f"coalition {co.coalition_key(S)} cannot be formed starting from "
+        f"the empty coalition", coalition=S)
 
 
 def full_hypercube(n: int, weighting: EdgeWeighting | None = None) -> GameGraph:
@@ -451,58 +433,49 @@ def full_hypercube(n: int, weighting: EdgeWeighting | None = None) -> GameGraph:
     co.check_player_count(n)
     if weighting is None:
         weighting = EdgeWeighting.constant(1)
-    verts = np.arange(1 << n, dtype=np.int64)
-    bases = []
-    players = []
-    for i in range(n):
-        free = verts[(verts >> i) & 1 == 0]
-        bases.append(free)
-        players.append(np.full(len(free), i, dtype=np.int64))
-    edge_base = np.concatenate(bases)
-    edge_player = np.concatenate(players)
-    order = np.lexsort((edge_player, edge_base))
     # full cube is trivially connected; skip validation
-    return GameGraph(n, verts, edge_base[order], edge_player[order], weighting)
+    return GameGraph(n, np.ones(1 << n, dtype=bool), np.ones((n, 1 << (n - 1)), dtype=bool),
+                     weighting)
 
 
 def restrict(g: GameGraph, removed_vertices: Iterable[co.Coalition] = (),
              removed_edges: Iterable[Edge] = ()) -> GameGraph:
-    """Subgraph with the given vertices (plus incident edges) and edges removed."""
-    rv = set(int(S) for S in removed_vertices)
-    full = (1 << g.n) - 1
+    """Subgraph with the given vertices (plus incident edges) and edges removed.
+
+    A removed edge must be an edge of the cube; one that g lacks already
+    is ignored.
+    """
+    n, full = g.n, (1 << g.n) - 1
+    rv = {int(S) for S in removed_vertices}
     if 0 in rv:
         raise InfeasibilityError("cannot remove the empty coalition", coalition=0)
     if full in rv:
         raise InfeasibilityError("cannot remove the grand coalition", coalition=full)
     for S in rv:
-        if not g.contains_vertex(S):
-            raise DomainError(f"removed coalition {co.coalition_key(S)} is not in the graph")
-    re = set(Edge(int(b), int(p)) for b, p in removed_edges)
-    for e in re:
-        if (e.base >> e.player) & 1:
-            raise DomainError(f"edge base {co.coalition_key(e.base)} already contains "
-                              f"player {e.player}")
-    removed = np.zeros(1 << g.n, dtype=bool)
-    removed[list(rv)] = True
-    keep_v = g.vertices[~removed[g.vertices]]
-    keep = ~(removed[g.edge_base] | removed[g.edge_dst])
-    cut = [e.base * g.n + e.player for e in re
-           if 0 <= e.player < g.n and 0 <= e.base < (1 << g.n)]
-    if cut:
-        keep &= ~np.isin(g.edge_base * g.n + g.edge_player, cut)
-    edge_base = g.edge_base[keep]
-    edge_player = g.edge_player[keep]
-    _validate(g.n, keep_v, edge_base, edge_player)
-    return GameGraph(g.n, keep_v, edge_base, edge_player, g.weighting)
+        g.position(S)  # raises unless S is a feasible vertex
+    vertex_mask = g.vertex_mask.copy()
+    vertex_mask[list(rv)] = False
+    edge_mask = g.edge_mask.copy()
+    for i in range(n):  # keep the edges whose two ends stay feasible
+        ends = vertex_mask.reshape(-1, 2, 1 << i)
+        edge_mask[i] &= (ends[:, 0] & ends[:, 1]).reshape(-1)
+    for b, p in {(int(b), int(p)) for b, p in removed_edges}:
+        if not (0 <= p < n and 0 <= b <= full):
+            raise DomainError(f"({b}, {p}) is not an edge of the {n}-player cube")
+        if (b >> p) & 1:
+            raise DomainError(f"edge base {co.coalition_key(b)} already contains player {p}")
+        edge_mask[p, _squeeze_bit(b, p)] = False
+    _validate(n, vertex_mask, edge_mask)
+    return GameGraph(n, vertex_mask, edge_mask, g.weighting)
 
 
 def degree_product_weighting(g: GameGraph) -> GameGraph:
     """Reweight every edge by the product of its endpoint degrees."""
-    deg = g.degrees
-    products = deg[g.edge_src_pos] * deg[g.edge_dst_pos]
+    deg = _endpoint_sums(g.edge_mask)
+    products = deg[g.edge_base] * deg[g.edge_dst]
     weighting = EdgeWeighting._explicit_arrays(g.edge_base, g.edge_player, products,
                                                np.ones_like(products))
-    return GameGraph(g.n, g.vertices, g.edge_base, g.edge_player, weighting)
+    return GameGraph(g.n, g.vertex_mask, g.edge_mask, weighting)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +499,21 @@ def _coalition_at(text, n: int, location: str) -> co.Coalition:
         raise SpecFileError(str(exc), location=location) from None
 
 
+def _edge_at(item, n: int, location: str, needs: str) -> Edge:
+    """The cube edge a spec entry names by 'base' and 'player'; needs says what a
+    malformed entry lacks."""
+    try:
+        base, p = item["base"], int(item["player"])
+    except (KeyError, TypeError, ValueError):
+        raise SpecFileError(needs, location=location) from None
+    S = _coalition_at(base, n, location)
+    if not 0 <= p < n:
+        raise SpecFileError(f"player {p} outside [0, {n})", location=location)
+    if (S >> p) & 1:
+        raise SpecFileError(f"edge base {base} already contains player {p}", location=location)
+    return Edge(S, p)
+
+
 def weighting_from_spec(spec: Mapping, n: int) -> EdgeWeighting:
     kind = _expect(spec, "an object", "weights").get("kind")
     if kind == CONSTANT:
@@ -537,21 +525,14 @@ def weighting_from_spec(spec: Mapping, n: int) -> EdgeWeighting:
                                 location="weights.values")
         return EdgeWeighting.by_cardinality([parse_scalar(x, RATIONAL) for x in values])
     if kind == EXPLICIT:
+        needs = "an explicit weight entry needs 'base', an integer 'player' and 'w'"
         entries = {}
         for k, item in enumerate(_expect(spec.get("entries", []), "a list", "weights.entries")):
             where = f"weights.entries[{k}]"
-            try:
-                base, p, w = item["base"], int(item["player"]), item["w"]
-            except (KeyError, TypeError, ValueError):
-                raise SpecFileError("an explicit weight entry needs 'base', an integer "
-                                    "'player' and 'w'", location=where) from None
-            S = _coalition_at(base, n, where)
-            if not 0 <= p < n:
-                raise SpecFileError(f"player {p} outside [0, {n})", location=where)
-            if (S >> p) & 1:
-                raise SpecFileError(f"edge base {base} already contains player {p}",
-                                    location=where)
-            entries[Edge(S, p)] = parse_scalar(w, RATIONAL)
+            edge = _edge_at(item, n, where, needs)
+            if "w" not in item:
+                raise SpecFileError(needs, location=where)
+            entries[edge] = parse_scalar(item["w"], RATIONAL)
         return EdgeWeighting.explicit(entries)
     raise SpecFileError(f"unknown weighting kind {kind!r}", location="weights.kind")
 
@@ -567,15 +548,10 @@ def constraints_from_spec(spec: Mapping, n: int):
     coalitions = _expect(spec.get("removed_coalitions", []), "a list", "removed_coalitions")
     removed_vertices = [_coalition_at(t, n, f"removed_coalitions[{k}]")
                         for k, t in enumerate(coalitions)]
-    removed_edges = []
-    for k, item in enumerate(_expect(spec.get("removed_edges", []), "a list", "removed_edges")):
-        where = f"removed_edges[{k}]"
-        try:
-            base, p = item["base"], int(item["player"])
-        except (KeyError, TypeError, ValueError):
-            raise SpecFileError("removed edge needs 'base' and an integer 'player'",
-                                location=where) from None
-        removed_edges.append(Edge(_coalition_at(base, n, where), p))
+    removed_edges = [_edge_at(item, n, f"removed_edges[{k}]",
+                              "removed edge needs 'base' and an integer 'player'")
+                     for k, item in enumerate(_expect(spec.get("removed_edges", []), "a list",
+                                                      "removed_edges"))]
     weighting = None
     if "weights" in spec:
         weighting = weighting_from_spec(spec["weights"], n)

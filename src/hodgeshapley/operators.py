@@ -60,10 +60,7 @@ class VertexFunction:
         object.__setattr__(self, "values", _as_values(self.mode, self.values))
 
     def value_at(self, S: co.Coalition):
-        pos = self.graph.vertex_pos[S]
-        if pos < 0:
-            raise DomainError(f"coalition {co.coalition_key(S)} is not a feasible vertex")
-        return self.values[pos]
+        return self.values[self.graph.position(S)]
 
     def norm_inf(self):
         return _scalar(np.abs(self.values).max(initial=_zero(self.mode)))

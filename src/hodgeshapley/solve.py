@@ -33,14 +33,19 @@ weighted degree (Jacobi), which is a scalar on a full cube with a
 constant weight.  Each column keeps its own step sizes, has its residual
 deflated to mean zero over the feasible coalitions every step (the
 constant nullspace), stops when its unpreconditioned relative residual
-meets the tolerance, and is shifted to ``v_i({}) = 0`` afterwards.
-Every route needs numpy alone.  All routes land on the same answer,
-which is unique up to constants on a connected graph.
+meets the tolerance, and is shifted to ``v_i({}) = 0`` afterwards.  It
+reads the graph through its vertex mask and ``player_weights`` only, so
+it derives no per-edge array, and it refuses with ``CapacityError`` at
+entry when its buffers, about ``5.5 * n * 2**n * 8`` bytes for a full
+decompose, would exceed physical memory.  Every route needs numpy
+alone.  All routes land on the same answer, which is unique up to
+constants on a connected graph.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +57,7 @@ from . import operators as ops
 from ._exact import _MAX_UNKNOWNS, DixonSolver
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .game import FLOAT, RATIONAL, Game
-from .graph import CONSTANT, GameGraph, _popcounts
+from .graph import CONSTANT, GameGraph, _endpoint_sums, _popcounts
 
 DENSE_RATIONAL = "dense_rational"
 CG_FLOAT = "cg_float"
@@ -289,15 +294,26 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
-def _inverse_degrees(w: np.ndarray, n_rows: int) -> np.ndarray:
-    """1 / diag(L_w) as a column on all 2**n rows; 0 on rows without edges."""
-    deg = np.zeros(n_rows)
-    for i, w_i in enumerate(w):
-        h = deg.reshape(n_rows >> (i + 1), 2, 1 << i)
-        w_i = w_i.reshape(n_rows >> (i + 1), 1 << i)
-        h[:, 0] += w_i
-        h[:, 1] += w_i
-    return np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)[:, None]
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine; 0 where the OS does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return 0
+
+
+def _check_cg_memory(g: GameGraph, k: int) -> None:
+    """CapacityError when k CG columns would not fit in physical memory."""
+    # per column four buffers of 2**n floats, half a scratch and the component
+    # game's copy, plus the (n, 2**(n-1)) weight table: a float decompose of
+    # full cubes peaked 5.2 * n * 2**n * 8 bytes over the game at n = 16..20
+    # (833 MiB at n = 20); the estimate allows 5.5
+    need = (8 << g.n) * (5 * k + g.n / 2)
+    have = _physical_memory()
+    if have and need > have:
+        raise CapacityError(
+            f"float solve of {k} players at n = {g.n} needs about {need / 2 ** 30:,.1f} GiB, "
+            f"more than this machine's {have / 2 ** 30:,.1f} GiB of physical memory")
 
 
 def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, max_iters: int):
@@ -313,8 +329,10 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     n_rows, k = R.shape
     w = g.player_weights
     m = g.num_vertices
-    infeasible = np.flatnonzero(g.vertex_pos < 0)
-    dinv = _inverse_degrees(w, n_rows)
+    infeasible = np.flatnonzero(~g.vertex_mask)
+    deg = _endpoint_sums(w)[:, None]
+    # the Jacobi preconditioner 1 / diag(L_w), 0 on rows without edges
+    dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
 
     def deflate(x):
         x -= x.sum(axis=0) / m
@@ -425,6 +443,7 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     """
     k = len(players)
     if not v.is_rational:
+        _check_cg_memory(g, k)
         B = _rhs(g, np.asarray(v.values, dtype=np.float64), players)
         _verify_mean_zero(g, B)
         X, iterations, residuals = _cg_float(g, B, players, cfg.cg_tolerance,
@@ -450,7 +469,7 @@ def _efficiency_gap(g: GameGraph, v: Game, X: np.ndarray, engine: str):
         # the exact verification of every column implies the identity
         return Fraction(0)
     miss = X.sum(axis=1) - np.asarray(v.values, dtype=X.dtype)
-    gap = ops._scalar(np.abs(miss[g.vertices]).max())
+    gap = ops._scalar(np.abs(miss[g.vertex_mask]).max())
     if v.is_rational and gap != 0:
         raise ArithmeticError("exact decomposition failed the efficiency identity; "
                               "this is a bug")

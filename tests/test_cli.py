@@ -207,3 +207,13 @@ def test_module_entry_point(glove_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(2/3, 1/6, 1/6)"
+
+
+@pytest.mark.parametrize("player", [5, -1])
+def test_exit_code_removed_edge_player_out_of_range(glove_path, tmp_path, capsys, player):
+    # player 5 used to be ignored (exit 0), player -1 to fail on a negative shift
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"removed_edges": [{"base": "[]", "player": player}]}))
+    assert main(["decompose", "--game", glove_path, "--constraints", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: removed_edges[0]: player {player} outside [0, 3)" in err

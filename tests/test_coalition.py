@@ -117,3 +117,12 @@ def test_joined_members_matches_members():
         got = co.joined_members(range(1 << n), names)
         assert got == [",".join(names[p] for p in co.members(S)) for S in range(1 << n)]
     assert co.joined_members([0b101, 0], ["a", "b", "c"]) == ["a,c", ""]
+
+
+def test_members_rejects_negative_coalitions():
+    # a negative bitset has infinitely many set bits; members used to loop forever
+    for S in (-1, -6):
+        with pytest.raises(ValueError, match="negative"):
+            co.members(S)
+        with pytest.raises(ValueError):
+            co.coalition_key(S)

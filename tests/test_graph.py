@@ -291,7 +291,7 @@ def test_degree_product_arrays_match_mapping(n):
     deg = g.degrees
     mapping = {e: Fraction(int(deg[g.edge_src_pos[k]]) * int(deg[g.edge_dst_pos[k]]))
                for k, e in enumerate(g.edges())}
-    from_map = gr.GameGraph(n, g.vertices, g.edge_base, g.edge_player,
+    from_map = gr.GameGraph(n, g.vertex_mask, g.edge_mask,
                             gr.EdgeWeighting.explicit(mapping))
     h = gr.degree_product_weighting(g)
     assert h.weighting == from_map.weighting
@@ -354,3 +354,52 @@ def test_weight_spec_rejects_malformed_entries(base, player, message):
     spec = {"kind": "explicit", "entries": [{"base": base, "player": player, "w": "2"}]}
     with pytest.raises(SpecFileError, match=message):
         gr.weighting_from_spec(spec, 3)
+
+
+def test_negative_and_off_cube_coalitions_raise_domain_errors():
+    g = gr.full_hypercube(3)
+    for S in (-1, -2, 8):
+        with pytest.raises(DomainError):
+            g.degree(S)
+        with pytest.raises(DomainError):
+            gr.restrict(g, [S])
+
+
+@pytest.mark.parametrize("edge", [gr.Edge(-1, 0), gr.Edge(0, -1), gr.Edge(0, 3),
+                                  gr.Edge(8, 0), gr.Edge(bits(0), 0)])
+def test_restrict_rejects_edges_outside_the_cube(edge):
+    with pytest.raises(DomainError):
+        gr.restrict(gr.full_hypercube(3), [], [edge])
+
+
+@pytest.mark.parametrize("player", [-1, 3, 5])
+def test_constraints_spec_rejects_out_of_range_edge_players(player):
+    spec = {"removed_edges": [{"base": "[]", "player": 0}, {"base": "[]", "player": player}]}
+    with pytest.raises(SpecFileError, match=rf"^removed_edges\[1\]: player {player} outside"):
+        gr.constraints_from_spec(spec, 3)
+
+
+def test_masks_are_the_graph():
+    g = gr.restrict(gr.full_hypercube(3), [bits(1)], [gr.Edge(bits(0), 2)])
+    assert g.vertex_mask.tolist() == [S != bits(1) for S in range(8)]
+    present = {(e.base, e.player) for e in g.edges()}
+    for i in range(3):
+        for slot in range(4):
+            S = (slot >> i) << (i + 1) | slot & ((1 << i) - 1)  # bit i put back, as 0
+            assert g.edge_mask[i, slot] == ((S, i) in present)
+    assert g.num_edges == len(present) == 12 - 3 - 1
+    with pytest.raises(ValueError):
+        gr.GameGraph(3, g.vertex_mask, g.edge_mask[:2], g.weighting)
+
+
+def test_float_decompose_builds_no_edge_arrays():
+    from hodgeshapley import game as gm, solve as sv
+
+    n = 6
+    g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
+    v = gm.Game(n, gm.FLOAT, [0.0] + [float(S % 7) for S in range(1, 1 << n)])
+    dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
+    assert dec.efficiency_gap < 1e-9
+    assert "_edges" not in g.__dict__
+    assert g.edge_base.tolist() == sorted(g.edge_base.tolist())  # built on first use
+    assert "_edges" in g.__dict__

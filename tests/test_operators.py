@@ -348,3 +348,18 @@ def test_rational_operators_are_fraction_arrays_equal_to_list_formulas():
         for S, x in zip(g.vertices.tolist(), uv):
             padded[S] = x
         assert v.values == tuple(padded)
+
+
+def test_vertex_value_at_rejects_coalitions_off_the_graph():
+    from hodgeshapley.errors import DomainError
+
+    v = gm.make_glove_game()
+    u = ops.vertex_function_from_game(gr.full_hypercube(v.n), v)
+    assert u.value_at((1 << v.n) - 1) == 1
+    # -1 used to wrap around to the grand coalition's value
+    for S in (-1, 1 << v.n):
+        with pytest.raises(DomainError):
+            u.value_at(S)
+    holdout = ops.vertex_function_from_game(gr.restrict(gr.full_hypercube(v.n), [bits(1)]), v)
+    with pytest.raises(DomainError, match=r"coalition \[1\] is not a feasible vertex"):
+        holdout.value_at(bits(1))

@@ -717,3 +717,25 @@ def test_exact_capacity_error_before_right_hand_sides(monkeypatch):
         sv.decompose(g, v)
     with pytest.raises(CapacityError, match="8190 unknowns"):
         sv.solve_component(g, v, 3)
+
+
+def test_cg_refuses_past_physical_memory_at_entry(monkeypatch):
+    n = 6
+    g = gr.full_hypercube(n)
+    v = gm.Game(n, gm.FLOAT, [0.0] + [float(S % 5) for S in range(1, 1 << n)])
+    cfg = sv.SolverConfig(backend=sv.CG_FLOAT)
+    assert sv._physical_memory() > 0
+    # a decompose needs about 8 * 2**n * (5n + n/2) bytes (16.9 KiB here), one
+    # player's component 8 * 2**n * (5 + n/2) bytes (4.1 KiB)
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 8 << 10)
+    built = []
+    monkeypatch.setattr(sv, "_rhs", lambda *args: built.append(args))
+    with pytest.raises(CapacityError, match=r"float solve of 6 players at n = 6 needs about "
+                                            r"0\.0 GiB, more than this machine's 0\.0 GiB"):
+        sv.decompose(g, v, cfg)
+    assert not built  # refused before any buffer
+    monkeypatch.undo()
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 8 << 10)
+    sv.solve_component(g, v, 0, cfg)
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 0)  # unknown: no check
+    assert sv.decompose(g, v, cfg).efficiency_gap < 1e-9
