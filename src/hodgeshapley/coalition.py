@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 from .errors import CapacityError, SpecFileError
 
 # Hard cap on the player count, for bitsets and edge keys.  It promises no
-# solve: float CG needs about 5.5 * n * 2**n * 8 bytes (0.9 GB at n = 20,
-# 17.7 GB at n = 24) and refuses at entry past physical memory; exact
-# solves stop at 4096 unknowns, or n = 16 on the spectral route.
+# solve: float CG needs about (5.5 n + 4) * 2**n * 8 bytes (0.96 GB at
+# n = 20, 18.3 GB at n = 24) and refuses at entry past physical memory;
+# exact solves stop at 4096 unknowns, or n = 16 on the spectral route.
 PLAYER_CAP = 24
 
 Coalition = int
@@ -106,6 +106,15 @@ def parse_coalition(text: str, n: int | None = None) -> Coalition:
 def coalition_key(S: Coalition) -> str:
     """Canonical serialized form: sorted 0-indexed member list, no spaces."""
     return "[" + ",".join(str(p) for p in members(S)) + "]"
+
+
+def coalition_keys(n: int) -> list[str]:
+    """``coalition_key(S)`` for every S in ``range(2**n)``, built by doubling."""
+    check_player_count(n)
+    keys = ["[]"]
+    for b in range(n):
+        keys += [(k[:-1] + "," if S else "[") + f"{b}]" for S, k in enumerate(keys)]
+    return keys
 
 
 def joined_members(coalitions: Iterable[Coalition], names: Sequence[str]) -> list[str]:

@@ -219,12 +219,24 @@ def game_from_spec(spec: Mapping) -> Game:
         raise SpecFileError("'values' must map coalition literals to values", location="values")
     zero = Fraction(0) if mode == RATIONAL else 0.0
     vals = [zero] * (1 << n)
+    # canonical keys resolve through one table when the listing is dense
+    # enough to pay for it; other spellings go through the parser
+    canonical = {}
+    if 4 * len(table) >= 1 << n:
+        canonical = dict(zip(co.coalition_keys(n), range(1 << n)))
+    listed = {}  # coalition -> the key that listed it
     for key, literal in table.items():
+        S = canonical.get(key)
         try:
-            S = co.parse_coalition(key, n)
+            if S is None:
+                S = co.parse_coalition(key, n)
             x = parse_scalar(literal, mode)
         except ValueError as exc:
             raise SpecFileError(str(exc), location=f"values.{key}") from None
+        if S in listed:
+            raise SpecFileError(f"coalition {co.coalition_key(S)} is listed twice, as "
+                                f"{listed[S]!r} and {key!r}", location=f"values.{key}")
+        listed[S] = key
         if S == 0 and x != 0:
             raise SpecFileError("the empty coalition may only be listed with value 0",
                                 location=f"values.{key}")

@@ -381,22 +381,42 @@ def _endpoint_sums(table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spread(reached: np.ndarray, edge_mask: np.ndarray, down: bool) -> np.ndarray:
-    """reached, grown in place along the edges until nothing changes.
+def _formed(n: int, edge_mask: np.ndarray) -> np.ndarray:
+    """The coalitions formed from {} one player at a time along the edges.
 
-    Each sweep passes over the players once; an edge carries reach upward
-    (base to base|{i}), and downward as well when down is true.
+    Each sweep passes over the players once and carries reach upward
+    (base to base|{i}); at most n + 1 sweeps run.
     """
+    formed = np.zeros(1 << n, dtype=bool)
+    formed[0] = True
     while True:
-        before = int(np.count_nonzero(reached))
+        before = int(np.count_nonzero(formed))
         for i, present in enumerate(edge_mask):
-            r = reached.reshape(-1, 2, 1 << i)
-            present = present.reshape(-1, 1 << i)
-            r[:, 1] |= r[:, 0] & present
-            if down:
-                r[:, 0] |= r[:, 1] & present
-        if np.count_nonzero(reached) == before:
-            return reached
+            r = formed.reshape(-1, 2, 1 << i)
+            r[:, 1] |= r[:, 0] & present.reshape(-1, 1 << i)
+        if np.count_nonzero(formed) == before:
+            return formed
+
+
+def _reached(n: int, edge_mask: np.ndarray) -> np.ndarray:
+    """The coalitions connected to {} along the edges: a breadth-first search,
+    whose cost does not grow with the length of the paths it follows."""
+    present = edge_mask.tolist()
+    reached = [False] * (1 << n)
+    reached[0] = True
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for S in frontier:
+            for i in range(n):
+                T = S ^ (1 << i)
+                base = min(S, T)
+                slot = ((base >> (i + 1)) << i) | (base & ((1 << i) - 1))
+                if not reached[T] and present[i][slot]:
+                    reached[T] = True
+                    nxt.append(T)
+        frontier = nxt
+    return np.array(reached)
 
 
 def _validate(n: int, vertex_mask: np.ndarray, edge_mask: np.ndarray) -> None:
@@ -411,10 +431,10 @@ def _validate(n: int, vertex_mask: np.ndarray, edge_mask: np.ndarray) -> None:
         raise InfeasibilityError("the empty coalition must be feasible", coalition=0)
     if not vertex_mask[full]:
         raise InfeasibilityError("the grand coalition must be feasible", coalition=full)
-    formed = _spread(np.arange(1 << n) == 0, edge_mask, down=False)
+    formed = _formed(n, edge_mask)
     if np.array_equal(formed, vertex_mask):
         return
-    reached = _spread(formed.copy(), edge_mask, down=True)
+    reached = _reached(n, edge_mask)
     if not np.array_equal(reached, vertex_mask):
         S = int(np.argmax(vertex_mask & ~reached))
         raise InfeasibilityError(

@@ -33,13 +33,21 @@ weighted degree (Jacobi), which is a scalar on a full cube with a
 constant weight.  Each column keeps its own step sizes, has its residual
 deflated to mean zero over the feasible coalitions every step (the
 constant nullspace), stops when its unpreconditioned relative residual
-meets the tolerance, and is shifted to ``v_i({}) = 0`` afterwards.  It
-reads the graph through its vertex mask and ``player_weights`` only, so
-it derives no per-edge array, and it refuses with ``CapacityError`` at
-entry when its buffers, about ``5.5 * n * 2**n * 8`` bytes for a full
-decompose, would exceed physical memory.  Every route needs numpy
-alone.  All routes land on the same answer, which is unique up to
-constants on a connected graph.
+meets the tolerance, and is shifted to ``v_i({}) = 0`` afterwards.  On a
+full cube whose weight depends only on |S| (constant, by cardinality,
+size plus one), ``L_w`` is applied as sub-cube matrix products instead
+of n half-view passes: with a level scaling b of the coalitions,
+``L_w = diag(deg) - c_0 diag(b) A diag(b)``, and the unweighted
+adjacency A is a Kronecker sum over the players, so each block of up to
+five players is one matmul with that block's cube adjacency on a strided
+view, in chunks of bounded size.  Other graphs, the right-hand sides and
+the exact engines keep the half-view passes.  The solve reads the graph
+through its vertex mask and ``player_weights`` only, so it derives no
+per-edge array, and it refuses with ``CapacityError`` at entry when its
+buffers, about ``(5.5 n + 4) * 2**n * 8`` bytes for a full decompose,
+would exceed physical memory.  Every route needs numpy alone.  All
+routes land on the same answer, which is unique up to constants on a
+connected graph.
 """
 
 from __future__ import annotations
@@ -290,6 +298,96 @@ def _laplacian_float(w: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.
         _add_player_laplacian(w[i], i, x, out, scratch)
 
 
+# Players per block of the sub-cube apply.  A block of s players is one
+# matmul with a 2**s x 2**s matrix that has s nonzeros a row: wider blocks
+# do more redundant flops, narrower ones more passes over the vector.
+_BLOCK_PLAYERS = 5
+# Floats per matmul chunk: the apply's two temporaries stay at 512 KiB each
+# for any n and for up to 2,048 columns.
+_CHUNK = 1 << 16
+# Range of the level scaling b: b * x then stays far from overflow and from
+# subnormals; a weighting past it runs the per-player kernel.
+_LEVEL_RANGE = 2.0 ** 256
+
+
+def _chunk_floats(rows: int, k: int) -> int:
+    """Size of each temporary of the sub-cube apply on (rows, k) arrays: at
+    least one row of the widest block, at most the whole array."""
+    return min(rows * k, max(_CHUNK, (1 << _BLOCK_PLAYERS) * k))
+
+
+def _chunks(shape: tuple[int, int, int, int]) -> list[tuple[slice, slice]]:
+    """Index pairs for the first and third axes of a view of this shape that
+    cut it into pieces of at most ``max(_CHUNK, m * k)`` floats: whole slabs
+    of the first axis, or slices of the third when one slab is too big."""
+    h, m, l, k = shape
+    if l * m * k <= _CHUNK:
+        step = _CHUNK // (l * m * k)
+        return [(slice(i, i + step), slice(None)) for i in range(0, h, step)]
+    step = max(1, _CHUNK // (m * k))
+    return [(slice(i, i + 1), slice(j, j + step)) for i in range(h) for j in range(0, l, step)]
+
+
+def _cube_adjacency(s: int) -> np.ndarray:
+    """Adjacency matrix of the s-player cube, coalitions as row and column indices."""
+    t = np.arange(1 << s)
+    A = np.zeros((1 << s, 1 << s))
+    A[t[:, None], t[:, None] ^ (1 << np.arange(s))] = 1.0
+    return A
+
+
+def _subcube_laplacian(g: GameGraph, k: int):
+    """``apply(x, out)``, out = L_w x for C-contiguous (2**n, k) arrays, as
+    sub-cube matmuls; None when the level scaling leaves its range.
+
+    g is a full cube whose weight ``w(S, S|{i}) = c_{|S|}`` depends only
+    on |S|.  With levels ``b_0 = 1`` and ``c_0 * b_l * b_{l+1} = c_l``,
+    ``L_w = diag(deg) - c_0 diag(b) A diag(b)``, where A is the unweighted
+    adjacency and ``deg(S) = |S| c_{|S|-1} + (n - |S|) c_{|S|}``; b is 1
+    on a constant weight.  A is a Kronecker sum over the players, so over
+    a block of s players starting at bit a it acts on the view
+    ``x.reshape(2**(n-a-s), 2**s, 2**a, k)`` as one matmul with the
+    s-cube's adjacency, taken in chunks of at most ``_CHUNK`` floats.
+    """
+    n = g.n
+    c = [float(x) for x in g.weighting.by_size(n)]
+    level = [1.0]
+    for cl in c:
+        level.append(cl / (c[0] * level[-1]))
+    level = np.array(level)
+    if not np.all((1 / _LEVEL_RANGE < level) & (level < _LEVEL_RANGE)):
+        return None
+    size = np.arange(n + 1)
+    deg = size * np.array([0.0] + c) + (n - size) * np.array(c + [0.0])
+    at = _popcounts(n)
+    b, diag = level[at][:, None], (deg / level)[at][:, None]
+    scaled = bool(np.any(level != 1.0))
+    count = -(-n // _BLOCK_PLAYERS)  # blocks of near-equal width
+    bounds = [n * j // count for j in range(count + 1)]
+    blocks = [(a, -c[0] * _cube_adjacency(e - a)) for a, e in zip(bounds, bounds[1:])]
+    prod, scaled_x = (np.empty(_chunk_floats(1 << n, k)) for _ in range(2))
+
+    def apply(x: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(x, diag, out=out)
+        for a, M in blocks:
+            m = M.shape[0]
+            shape = (x.shape[0] // (m << a), m, 1 << a, k)
+            xv, ov, bv = x.reshape(shape), out.reshape(shape), b.reshape(shape[:3] + (1,))
+            for hs, ls in _chunks(shape):
+                src = xv[hs, :, ls]
+                if scaled:
+                    src = np.multiply(src, bv[hs, :, ls],
+                                      out=scaled_x[:src.size].reshape(src.shape))
+                flat = (src.shape[0], m, src.shape[2] * k)
+                t = np.matmul(M, src.reshape(flat), out=prod[:src.size].reshape(flat))
+                o = ov[hs, :, ls]
+                np.add(o, t.reshape(src.shape), out=o)
+        if scaled:
+            out *= b
+
+    return apply
+
+
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
@@ -305,10 +403,14 @@ def _physical_memory() -> int:
 def _check_cg_memory(g: GameGraph, k: int) -> None:
     """CapacityError when k CG columns would not fit in physical memory."""
     # per column four buffers of 2**n floats, half a scratch and the component
-    # game's copy, plus the (n, 2**(n-1)) weight table: a float decompose of
-    # full cubes peaked 5.2 * n * 2**n * 8 bytes over the game at n = 16..20
-    # (833 MiB at n = 20); the estimate allows 5.5
-    need = (8 << g.n) * (5 * k + g.n / 2)
+    # game's copy; the (n, 2**(n-1)) weight table; four vectors (the degrees,
+    # their inverses and the sub-cube apply's two level vectors) and that
+    # apply's two chunks.  Float decomposes of full cubes peaked 5.2-5.4
+    # (constant weight, n = 16..20; 835 MiB at n = 20) and 5.4-5.5 (size plus
+    # one, n = 16 and 18) * n * 2**n * 8 bytes over the game; the estimate is
+    # 5.5 * n + 4 of those units plus the chunks.
+    rows = 1 << g.n
+    need = 8 * (rows * (5 * k + g.n / 2 + 4) + 2 * _chunk_floats(rows, k))
     have = _physical_memory()
     if have and need > have:
         raise CapacityError(
@@ -333,6 +435,9 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     deg = _endpoint_sums(w)[:, None]
     # the Jacobi preconditioner 1 / diag(L_w), 0 on rows without edges
     dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    cube_apply = None
+    if g.is_full_cube and g.weighting.permutation_invariant:
+        cube_apply = _subcube_laplacian(g, k)
 
     def deflate(x):
         x -= x.sum(axis=0) / m
@@ -351,6 +456,8 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     slot = list(range(k))  # buffer column -> index into players; active ones first
 
     def swap(j, t):
+        if j == t:
+            return
         for buf in (X, R, P):
             buf[:, [j, t]] = buf[:, [t, j]]
         for arr in (rz, b_norm):
@@ -366,7 +473,11 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
         if not active:
             break
         x, r, p, ap = X[:, :active], R[:, :active], P[:, :active], AP[:, :active]
-        _laplacian_float(w, p, ap, scratch)
+        if cube_apply is None:
+            _laplacian_float(w, p, ap, scratch)
+        else:
+            # on every column: p is not contiguous once a column has stopped
+            cube_apply(P, AP)
         alpha = rz[:active] / _column_dots(p, ap)
         half = scratch[:, :active]
         for rows in (slice(0, n_rows // 2), slice(n_rows // 2, n_rows)):

@@ -92,6 +92,11 @@ def test_members_round_trip():
         assert co.from_members(co.members(S)) == S
 
 
+def test_coalition_keys_match_coalition_key():
+    for n in range(0, 8):
+        assert co.coalition_keys(n) == [co.coalition_key(S) for S in range(1 << n)]
+
+
 def test_parse_and_key():
     assert co.parse_coalition("[0,2]") == 0b101
     assert co.parse_coalition("[]") == 0

@@ -159,6 +159,32 @@ def test_game_spec_errors():
         gm.game_from_spec({"players": ["a"], "mode": "decimal"})
 
 
+@pytest.mark.parametrize("dense", [False, True])  # keys parsed one by one, or via the table
+def test_game_spec_rejects_a_coalition_listed_twice(dense):
+    n = 4
+    values = {co.coalition_key(S): "1" for S in range(1, 1 << n)} if dense else {"[0,1]": "1"}
+    values["[1,0]"] = "2"
+    with pytest.raises(SpecFileError) as err:
+        gm.game_from_spec({"players": [str(p) for p in range(n)], "values": values})
+    assert err.value.location == "values.[1,0]"
+    assert "[0,1] is listed twice, as '[0,1]' and '[1,0]'" in str(err.value)
+
+
+def test_game_spec_canonical_and_other_spellings_agree():
+    n = 4
+    rng = random.Random(3)
+    canonical = {co.coalition_key(S): str(rng.randint(-9, 9)) for S in range(1, 1 << n)}
+    spaced = {f"[ {', '.join(map(str, reversed(co.members(S))))} ]": canonical[co.coalition_key(S)]
+              for S in range(1, 1 << n)}
+    players = [str(p) for p in range(n)]
+    a = gm.game_from_spec({"players": players, "values": canonical})
+    b = gm.game_from_spec({"players": players, "values": spaced})
+    assert a.values == b.values
+    with pytest.raises(SpecFileError) as err:
+        gm.game_from_spec({"players": players, "values": {**canonical, "[0,7]": "1"}})
+    assert err.value.location == "values.[0,7]"
+
+
 def test_load_game(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(gm.game_to_spec(gm.make_glove_game())))

@@ -177,6 +177,41 @@ def test_restrict_error_precedence(n, removed_vertices, removed_edges, message, 
     assert err.value.coalition == coalition
 
 
+def _gray_code_path_edges(n):
+    """The cube edges (base, player) of the reflected Gray-code Hamiltonian path."""
+    code = [i ^ (i >> 1) for i in range(1 << n)]
+    return {(min(a, b), (a ^ b).bit_length() - 1) for a, b in zip(code, code[1:])}
+
+
+def _all_edges_but(n, kept):
+    return [gr.Edge(b, p) for b in range(1 << n) for p in range(n)
+            if not b >> p & 1 and (b, p) not in kept]
+
+
+def test_restrict_rejects_gray_code_path():
+    # connected through all 2**n coalitions, but the path steps down from
+    # [0,1] to [1] at its third edge
+    n = 8
+    with pytest.raises(InfeasibilityError) as err:
+        gr.restrict(gr.full_hypercube(n), [], _all_edges_but(n, _gray_code_path_edges(n)))
+    assert str(err.value) == "coalition [1] cannot be formed starting from the empty coalition"
+    assert err.value.coalition == bits(1)
+
+
+def test_restrict_names_a_cut_gray_code_path_disconnected():
+    # the path without its middle edge: its second half is unreachable
+    n = 8
+    code = [i ^ (i >> 1) for i in range(1 << n)]
+    a, b = code[(1 << n - 1) - 1], code[1 << n - 1]
+    kept = _gray_code_path_edges(n) - {(min(a, b), (a ^ b).bit_length() - 1)}
+    with pytest.raises(InfeasibilityError) as err:
+        gr.restrict(gr.full_hypercube(n), [], _all_edges_but(n, kept))
+    S = min(code[1 << n - 1:])
+    assert str(err.value) == (f"graph is disconnected: {co.coalition_key(S)} cannot be "
+                              f"reached from the empty coalition")
+    assert err.value.coalition == S
+
+
 def _formable_reference(n, vertices, edges):
     """Coalitions reachable from {} by adding one player at a time (a plain loop)."""
     present = set(edges)

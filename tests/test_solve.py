@@ -599,6 +599,106 @@ def test_float_solve_component_matches_decompose():
 
 
 # ---------------------------------------------------------------------------
+# the sub-cube Laplacian of float CG (full cube, permutation-invariant weights)
+# ---------------------------------------------------------------------------
+
+def _permutation_invariant_weightings(n):
+    # alternating 10**3 and 10**-3 drives the level scaling to 10**(3n)
+    wide = [Fraction(10) ** (3 * (-1) ** s) for s in range(n)]
+    return {"constant": gr.EdgeWeighting.constant(Fraction(3, 2)),
+            "size-plus-one": gr.EdgeWeighting.size_plus_one(n),
+            "wide": gr.EdgeWeighting.by_cardinality(wide)}
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("weighting", ["constant", "size-plus-one", "wide"])
+def test_subcube_laplacian_matches_per_player_kernel(n, weighting):
+    g = gr.full_hypercube(n, _permutation_invariant_weightings(n)[weighting])
+    rng = np.random.default_rng([n, len(weighting)])
+    for k in (1, n):
+        x = rng.standard_normal((1 << n, k))
+        ref = np.empty_like(x)
+        sv._laplacian_float(g.player_weights, x, ref, np.empty((x.shape[0] // 2, k)))
+        out = np.full_like(x, np.nan)
+        sv._subcube_laplacian(g, k)(x, out)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_subcube_laplacian_chunks_every_block(monkeypatch):
+    # chunks smaller than one slab of the top block split its third axis
+    n, k = 9, 3
+    monkeypatch.setattr(sv, "_CHUNK", 1 << 7)
+    g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
+    x = np.random.default_rng(5).standard_normal((1 << n, k))
+    ref = np.empty_like(x)
+    sv._laplacian_float(g.player_weights, x, ref, np.empty((x.shape[0] // 2, k)))
+    out = np.empty_like(x)
+    sv._subcube_laplacian(g, k)(x, out)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_subcube_laplacian_refuses_levels_out_of_range():
+    n = 6
+    table = [Fraction(10) ** (80 * (-1) ** s) for s in range(n)]
+    g = gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality(table))
+    assert sv._subcube_laplacian(g, 1) is None
+    assert sv._subcube_laplacian(gr.full_hypercube(n), 1) is not None
+
+
+def _raise(*args):
+    raise AssertionError("the per-player Laplacian ran")
+
+
+def test_cg_routes_permutation_invariant_cubes_to_subcube_apply(monkeypatch):
+    n = 5
+    vals = np.random.default_rng(39).standard_normal(1 << n)
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    cfg = sv.SolverConfig(backend=sv.CG_FLOAT)
+    monkeypatch.setattr(sv, "_laplacian_float", _raise)
+    for weighting in _permutation_invariant_weightings(n).values():
+        sv.decompose(gr.full_hypercube(n, weighting), v, cfg)
+    for g in (gr.restrict(gr.full_hypercube(n), [bits(0, 1)]),
+              _restricted_explicit_graph(n, 40)):
+        with pytest.raises(AssertionError, match="per-player"):
+            sv.decompose(g, v, cfg)
+
+
+@pytest.mark.parametrize("weighting", ["size-plus-one", "by-cardinality"])
+def test_float_matches_exact_on_weighted_cubes(weighting):
+    # the wide table's float error reaches 1e-7 at this tolerance, before and
+    # after the sub-cube apply; this table spans a factor of 28
+    table = [2, Fraction(1, 3), 5, Fraction(1, 2), 3, 1, Fraction(1, 4), 7]
+    rng = random.Random(41)
+    for n in (3, 6, 8):
+        g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n) if weighting == "size-plus-one"
+                              else gr.EdgeWeighting.by_cardinality(table[:n]))
+        v = gm.game_from_values(n, random_dyadic_values(rng, n))
+        exact = sv.decompose(g, v)
+        cg = sv.decompose(g, v.as_float(), sv.SolverConfig(backend=sv.CG_FLOAT))
+        for a, b in zip(exact.components, cg.components):
+            ref = np.array([float(x) for x in a.values])
+            assert np.max(np.abs(np.asarray(b.values) - ref)) <= 1e-8
+
+
+def test_float_matches_exact_off_the_subcube_path():
+    rng = random.Random(42)
+    n = 6
+    entries = {e: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+               for e in gr.full_hypercube(n).edges() if rng.random() < 0.5}
+    explicit = gr.full_hypercube(n, gr.EdgeWeighting.explicit(entries))
+    restricted = gr.restrict(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)),
+                             [bits(0, 1), bits(2, 3, 4)])
+    for g in (explicit, restricted):
+        v = gm.game_from_values(n, random_dyadic_values(rng, n))
+        exact = sv.decompose(g, v)
+        cg = sv.decompose(g, v.as_float(), sv.SolverConfig(backend=sv.CG_FLOAT))
+        for a, b in zip(exact.components, cg.components):
+            ref = np.array([float(x) for x in a.values])
+            assert np.max(np.abs(np.asarray(b.values) - ref)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
 # the exact spectral engine (full cube, constant weights)
 # ---------------------------------------------------------------------------
 
@@ -725,8 +825,9 @@ def test_cg_refuses_past_physical_memory_at_entry(monkeypatch):
     v = gm.Game(n, gm.FLOAT, [0.0] + [float(S % 5) for S in range(1, 1 << n)])
     cfg = sv.SolverConfig(backend=sv.CG_FLOAT)
     assert sv._physical_memory() > 0
-    # a decompose needs about 8 * 2**n * (5n + n/2) bytes (16.9 KiB here), one
-    # player's component 8 * 2**n * (5 + n/2) bytes (4.1 KiB)
+    # a decompose needs about 8 * 2**n * (5n + n/2 + 4) bytes plus two chunks of
+    # 8 * 2**n * n (24.5 KiB here), one player's component 8 * 2**n * (5 + n/2 + 4)
+    # bytes plus two of 8 * 2**n (7.0 KiB)
     monkeypatch.setattr(sv, "_physical_memory", lambda: 8 << 10)
     built = []
     monkeypatch.setattr(sv, "_rhs", lambda *args: built.append(args))
