@@ -25,7 +25,8 @@ from . import closed_form as cf
 from . import coalition as co
 from .errors import CapacityError, ConfigError, ConvergenceError, DomainError, \
     InfeasibilityError, SpecFileError
-from .game import FLOAT, RATIONAL, Game, format_scalar, load_game, read_spec_file
+from .game import FLOAT, RATIONAL, Game, format_scalar, load_game, parse_scalar, \
+    read_spec_file
 from .graph import EdgeWeighting, degree_product_weighting, full_hypercube, \
     load_constraints, restrict, weighting_from_spec
 from .reference_tables import ALL_REFERENCES
@@ -53,20 +54,20 @@ class RunSpec:
 
 
 def _build_weighting(tag: str, n: int) -> EdgeWeighting | None:
-    """Weighting from a CLI tag: constant[:c], size-plus-one, degree-product,
-    or file:PATH."""
+    """Weighting from a CLI tag: constant, constant:<c>, size-plus-one,
+    degree-product, or file:PATH."""
     if tag is None:
         return None
     if tag == "degree-product":
         return None  # applied to the restricted graph afterwards
-    if tag.startswith("constant"):
-        _, _, value = tag.partition(":")
-        return EdgeWeighting.constant(Fraction(value) if value else 1)
+    name, _, value = tag.partition(":")
+    if tag == "constant" or (name == "constant" and value):
+        return EdgeWeighting.constant(parse_scalar(value, RATIONAL) if value else 1)
     if tag == "size-plus-one":
         return EdgeWeighting.size_plus_one(n)
     if tag.startswith("file:"):
         return weighting_from_spec(read_spec_file(tag[len("file:"):]), n)
-    raise SpecFileError(f"unknown weighting {tag!r}; expected constant[:c], "
+    raise SpecFileError(f"unknown weighting {tag!r}; expected constant, constant:<c>, "
                         "size-plus-one, degree-product, or file:PATH")
 
 
@@ -252,7 +253,8 @@ def _make_parser() -> argparse.ArgumentParser:
             p.add_argument("--constraints", metavar="PATH",
                            help="constraint spec JSON file (removed coalitions/edges)")
             p.add_argument("--weights", metavar="SPEC",
-                           help="constant[:c] | size-plus-one | degree-product | file:PATH")
+                           help="constant | constant:<c> | size-plus-one | degree-product "
+                                "| file:PATH")
         p.add_argument("--backend", choices=sorted(_BACKEND_FLAGS), default="dense-rational")
         p.add_argument("--tol", type=float, default=1e-12,
                        help="CG relative residual tolerance")

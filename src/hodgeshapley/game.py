@@ -32,7 +32,10 @@ INESSENTIAL_RTOL = 1e-9
 
 
 def parse_scalar(value, mode: str):
-    """Parse a scalar literal: 'p/q' or integer string (rational), number (float)."""
+    """Parse a scalar literal: 'p/q' or integer string (rational), finite number
+    (float).  Booleans are not numbers here."""
+    if isinstance(value, bool):
+        raise SpecFileError(f"boolean {value!r} where a number is expected")
     if mode == RATIONAL:
         if isinstance(value, float):
             raise SpecFileError(f"float literal {value!r} in a rational-mode game")
@@ -41,15 +44,13 @@ def parse_scalar(value, mode: str):
         except (ValueError, ZeroDivisionError, TypeError):
             raise SpecFileError(f"bad rational literal {value!r}") from None
     if mode == FLOAT:
-        if isinstance(value, str):
-            try:
-                return float(Fraction(value))
-            except (ValueError, ZeroDivisionError):
-                raise SpecFileError(f"bad numeric literal {value!r}") from None
         try:
-            return float(value)
-        except (TypeError, ValueError):
+            x = float(Fraction(value)) if isinstance(value, str) else float(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise SpecFileError(f"bad numeric literal {value!r}") from None
+        if not math.isfinite(x):
+            raise SpecFileError(f"numeric literal {value!r} is not a finite float64")
+        return x
     raise SpecFileError(f"unknown scalar mode {mode!r}")
 
 

@@ -30,24 +30,27 @@ raises ``CapacityError`` before any right-hand side is built.
 Float mode has one engine, ``cg_float``: conjugate gradient on all
 columns at once in preallocated buffers, preconditioned by the inverse
 weighted degree (Jacobi), which is a scalar on a full cube with a
-constant weight.  Each column keeps its own step sizes, has its residual
-deflated to mean zero over the feasible coalitions every step (the
-constant nullspace), stops when its unpreconditioned relative residual
-meets the tolerance, and is shifted to ``v_i({}) = 0`` afterwards.  On a
-full cube whose weight depends only on |S| (constant, by cardinality,
-size plus one), ``L_w`` is applied as sub-cube matrix products instead
-of n half-view passes: with a level scaling b of the coalitions,
-``L_w = diag(deg) - c_0 diag(b) A diag(b)``, and the unweighted
-adjacency A is a Kronecker sum over the players, so each block of up to
-five players is one matmul with that block's cube adjacency on a strided
-view, in chunks of bounded size.  Other graphs, the right-hand sides and
-the exact engines keep the half-view passes.  The solve reads the graph
-through its vertex mask and ``player_weights`` only, so it derives no
-per-edge array, and it refuses with ``CapacityError`` at entry when its
-buffers, about ``(5.5 n + 4) * 2**n * 8`` bytes for a full decompose,
-would exceed physical memory.  Every route needs numpy alone.  All
-routes land on the same answer, which is unique up to constants on a
-connected graph.
+constant weight.  Each column is first scaled by the power of two that
+brings its largest entry into [0.5, 1); that is exact, so a game of any
+magnitude float64 holds solves to the same bits, scaled.  Each column
+keeps its own step sizes, has its residual deflated to mean zero over
+the feasible coalitions every step (the constant nullspace), and stops
+when its unpreconditioned relative residual meets the tolerance; a
+stopped column keeps its place with zero step sizes.  The result is
+scaled back and shifted to ``v_i({}) = 0``.  On a full cube whose weight
+depends only on |S| (constant, by cardinality, size plus one), ``L_w``
+is applied as sub-cube matrix products instead of n half-view passes:
+with a level scaling b of the coalitions, ``L_w = diag(deg) - c_0
+diag(b) A diag(b)``, and the unweighted adjacency A is a Kronecker sum
+over the players, so each block of up to five players is one matmul with
+that block's cube adjacency on a strided view, in chunks of bounded
+size.  Other graphs, the right-hand sides and the exact engines keep the
+half-view passes.  The solve reads the graph through its vertex mask and
+``player_weights`` only, so it derives no per-edge array, and it refuses
+with ``CapacityError`` at entry when its buffers, about ``(5.5 n + 4) *
+2**n * 8`` bytes for a full decompose, would exceed physical memory.
+Every route needs numpy alone.  All routes land on the same answer,
+which is unique up to constants on a connected graph.
 """
 
 from __future__ import annotations
@@ -423,10 +426,12 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
 
     Column j solves for player ``players[j]`` with the scalar recurrence
     of one-right-hand-side CG, preconditioned by the inverse weighted
-    degree (Jacobi).  A column stops when its unpreconditioned relative
-    residual meets tol; it then moves behind the active ones and is not
-    touched again.  Returns (X, iterations, residuals), with columns and
-    lists in the order of ``players``.
+    degree (Jacobi), and keeps its place throughout.  Each column is scaled
+    by a power of two (exactly) so that its largest entry lies in [0.5, 1),
+    and its dot products neither overflow nor underflow.  A column stops
+    when its unpreconditioned relative residual meets tol; its step sizes
+    are zero from then on, so its x and r stay as they are.  Returns (X,
+    iterations, residuals), in the order of ``players``.
     """
     n_rows, k = R.shape
     w = g.player_weights
@@ -435,85 +440,64 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     deg = _endpoint_sums(w)[:, None]
     # the Jacobi preconditioner 1 / diag(L_w), 0 on rows without edges
     dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    cube_apply = None
+    scratch = np.empty((n_rows // 2, k))
+    apply = None
     if g.is_full_cube and g.weighting.permutation_invariant:
-        cube_apply = _subcube_laplacian(g, k)
+        apply = _subcube_laplacian(g, k)
+    if apply is None:
+        def apply(x, out):
+            _laplacian_float(w, x, out, scratch)
 
     def deflate(x):
         x -= x.sum(axis=0) / m
         x[infeasible] = 0.0
 
+    _, scale = np.frexp(np.abs(R).max(axis=0))
+    np.ldexp(R, -scale, out=R)
     deflate(R)
     X = np.zeros_like(R)
     P = R * dinv
     AP = np.empty_like(R)  # holds L_w p, then the preconditioned residual z
-    scratch = np.empty((n_rows // 2, k))
     rz = _column_dots(R, P)
     b_norm = np.sqrt(_column_dots(R, R))
-    iterations = [0] * k
-    residuals = [0.0] * k
-    history = [[] for _ in range(k)]
-    slot = list(range(k))  # buffer column -> index into players; active ones first
-
-    def swap(j, t):
-        if j == t:
-            return
-        for buf in (X, R, P):
-            buf[:, [j, t]] = buf[:, [t, j]]
-        for arr in (rz, b_norm):
-            arr[[j, t]] = arr[[t, j]]
-        slot[j], slot[t] = slot[t], slot[j]
-
-    active = k
-    for j in reversed(range(k)):
-        if b_norm[j] == 0.0:
-            active -= 1
-            swap(j, active)
+    running = b_norm > 0
+    iterations = np.zeros(k, dtype=int)
+    residuals = np.zeros(k)
+    history = []  # the relative residual of every column, per iteration
     for it in range(1, max_iters + 1):
-        if not active:
+        if not running.any():
             break
-        x, r, p, ap = X[:, :active], R[:, :active], P[:, :active], AP[:, :active]
-        if cube_apply is None:
-            _laplacian_float(w, p, ap, scratch)
-        else:
-            # on every column: p is not contiguous once a column has stopped
-            cube_apply(P, AP)
-        alpha = rz[:active] / _column_dots(p, ap)
-        half = scratch[:, :active]
+        apply(P, AP)
+        alpha = np.divide(rz, _column_dots(P, AP), out=np.zeros(k), where=running)
         for rows in (slice(0, n_rows // 2), slice(n_rows // 2, n_rows)):
-            np.multiply(p[rows], alpha, out=half)
-            x[rows] += half
-        ap *= alpha
-        r -= ap
+            np.multiply(P[rows], alpha, out=scratch)
+            X[rows] += scratch
+        AP *= alpha
+        R -= AP
         # L_w p is orthogonal to constants up to round-off, which deflation
         # removes; x may carry a constant, which the normalization removes
-        deflate(r)
-        rel = np.sqrt(_column_dots(r, r)) / b_norm[:active]
-        for j in range(active):
-            history[slot[j]].append(float(rel[j]))
-        np.multiply(r, dinv, out=ap)
-        rz_new = _column_dots(r, ap)
-        p *= rz_new / rz[:active]
-        p += ap
-        rz[:active] = rz_new
-        for j in reversed(range(active)):
-            if rel[j] <= tol:
-                iterations[slot[j]] = it
-                residuals[slot[j]] = float(rel[j])
-                active -= 1
-                swap(j, active)
-    if active:
-        c = min(slot[:active])
+        deflate(R)
+        rel = np.divide(np.sqrt(_column_dots(R, R)), b_norm, out=np.zeros(k), where=running)
+        history.append(rel)
+        np.multiply(R, dinv, out=AP)
+        rz_new = _column_dots(R, AP)
+        P *= np.divide(rz_new, rz, out=np.zeros(k), where=running)
+        P += AP
+        rz = rz_new
+        done = running & (rel <= tol)
+        iterations[done] = it
+        residuals[done] = rel[done]
+        running &= ~done
+    if running.any():
+        c = np.flatnonzero(running)[0]
         raise ConvergenceError(
             f"CG for player {players[c]} did not reach tolerance {tol} in {max_iters} "
-            f"iterations (relative residual {history[c][-1]:.3e})",
-            residual_history=history[c])
-    for j in range(k):  # columns back in the order of players
-        while slot[j] != j:
-            swap(j, slot[j])
+            f"iterations (relative residual {history[-1][c]:.3e})",
+            residual_history=[float(h[c]) for h in history])
     X -= X[0].copy()  # normalize v_i({}) = 0
     X[infeasible] = 0.0
-    return X, iterations, residuals
+    np.ldexp(X, scale, out=X)
+    return X, iterations.tolist(), residuals.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,26 @@ def test_exit_code_invalid_values(tmp_path, capsys, game, constraints, weights):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, literal", [
+    ("rational", "true"), ("float", "false"), ("float", "NaN"), ("float", "-Infinity"),
+    ("float", "1e400"), ("float", "1" + "0" * 400),
+], ids=["rational-true", "float-false", "nan", "infinity", "overflowing-float",
+        "overflowing-integer"])
+def test_game_value_must_be_a_finite_number(tmp_path, capsys, mode, literal):
+    path = tmp_path / "game.json"
+    path.write_text('{"players": ["a"], "mode": "%s", "values": {"[0]": %s}}' % (mode, literal))
+    assert main(["decompose", "--game", str(path)]) == 2
+    assert "error: values.[0]: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tag", ["constantfoo", "constant-size", "constant:", "constant:x"])
+def test_weights_tag_constant_exactly(glove_path, capsys, tag):
+    argv = ["shapley", "--game", glove_path, "--method", "hodge", "--weights"]
+    assert main(argv + [tag]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(argv + ["constant"]) == 0
+
+
 def test_exit_code_infeasible(glove_path, tmp_path, capsys):
     cpath = tmp_path / "c.json"
     cpath.write_text(json.dumps({"removed_coalitions": ["[0]", "[1]", "[2]"]}))

@@ -391,6 +391,16 @@ def test_weight_spec_rejects_malformed_entries(base, player, message):
         gr.weighting_from_spec(spec, 3)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "constant", "value": True},
+    {"kind": "by_cardinality", "values": ["1", False, "2"]},
+    {"kind": "explicit", "entries": [{"base": "[]", "player": 0, "w": True}]},
+], ids=["constant", "by-cardinality", "explicit"])
+def test_weight_spec_rejects_booleans(spec):
+    with pytest.raises(SpecFileError, match="boolean"):
+        gr.weighting_from_spec(spec, 3)
+
+
 def test_negative_and_off_cube_coalitions_raise_domain_errors():
     g = gr.full_hypercube(3)
     for S in (-1, -2, 8):

@@ -598,6 +598,25 @@ def test_float_solve_component_matches_decompose():
             assert np.allclose(one.values, dec.components[i].values, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("shift", [600, -600])
+def test_cg_components_scale_exactly_with_the_game(shift):
+    # r.r of a game times 2**600 overflows float64, and of a game times
+    # 2**-600 underflows to 0; the solve scales each column by a power of
+    # two first, so the scaled game's components are the scaled components
+    n = 5
+    vals = np.random.default_rng(41).standard_normal(1 << n)
+    vals[0] = 0.0
+    cfg = sv.SolverConfig(backend=sv.CG_FLOAT)
+    for g in (gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)),
+              _restricted_explicit_graph(n, 42)):
+        base = sv.decompose(g, gm.game_from_values(n, vals, gm.FLOAT), cfg)
+        scaled = sv.decompose(g, gm.game_from_values(n, np.ldexp(vals, shift), gm.FLOAT), cfg)
+        for a, b in zip(base.components, scaled.components):
+            assert np.array_equal(np.ldexp(a.values, shift), b.values)
+        assert scaled.diagnostics == base.diagnostics
+        assert scaled.efficiency_gap == np.ldexp(base.efficiency_gap, shift)
+
+
 # ---------------------------------------------------------------------------
 # the sub-cube Laplacian of float CG (full cube, permutation-invariant weights)
 # ---------------------------------------------------------------------------
