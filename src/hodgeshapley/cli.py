@@ -4,6 +4,8 @@ Subcommands: ``decompose`` (component-game table), ``shapley``
 (allocation by a chosen method), ``compare`` (allocation rules side by
 side), ``verify`` (invariant checks on the given input), ``fixtures``
 (replay the built-in benchmark decompositions and diff every value).
+Each subcommand takes only the flags it reads: ``fixtures`` takes none,
+and ``verify`` prints PASS/FAIL lines, so it has no ``--format``.
 
 Exit codes: 0 success; 1 failed invariant in verify/fixtures; 2 spec
 parse error; 3 infeasible/disconnected graph; 4 solver non-convergence,
@@ -14,43 +16,22 @@ All diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import closed_form as cf
 from . import coalition as co
-from .errors import CapacityError, ConfigError, ConvergenceError, DomainError, \
-    InfeasibilityError, SpecFileError
-from .game import FLOAT, RATIONAL, Game, format_scalar, load_game, parse_scalar, \
-    read_spec_file
+from .errors import ConvergenceError, InfeasibilityError, SpecFileError
+from .game import FLOAT, RATIONAL, Game, load_game, parse_scalar, read_spec_file
 from .graph import EdgeWeighting, degree_product_weighting, full_hypercube, \
     load_constraints, restrict, weighting_from_spec
 from .reference_tables import ALL_REFERENCES
-from .report import compare_allocations, render_table
+from .report import compare_allocations, render_allocation, render_table
 from .solve import CG_FLOAT, DENSE_RATIONAL, SolverConfig, decompose, residual_orthogonality
 
 _BACKEND_FLAGS = {"dense-rational": DENSE_RATIONAL, "cg": CG_FLOAT}
 _METHODS = ("direct", "permutation", "hodge", "precedence")
-
-
-@dataclass
-class RunSpec:
-    """A fully parsed command invocation; files are loaded before any
-    computation starts."""
-
-    command: str
-    game_path: str | None = None
-    constraints_path: str | None = None
-    weights: str | None = None
-    backend: str = DENSE_RATIONAL
-    cg_tolerance: float = 1e-12
-    cg_max_iters: int | None = None
-    output_format: str = "text"
-    method: str = "hodge"
 
 
 def _build_weighting(tag: str, n: int) -> EdgeWeighting | None:
@@ -71,106 +52,86 @@ def _build_weighting(tag: str, n: int) -> EdgeWeighting | None:
                         "size-plus-one, degree-product, or file:PATH")
 
 
-def _load_inputs(spec: RunSpec):
+def _load_inputs(args: argparse.Namespace):
     """Load and validate every referenced file, then build the graph."""
-    if spec.game_path is None:
-        raise SpecFileError("a game file is required for this command")
-    v = load_game(spec.game_path)
+    v = load_game(args.game)
     removed_vertices, removed_edges, file_weighting = [], [], None
-    if spec.constraints_path is not None:
-        removed_vertices, removed_edges, file_weighting = \
-            load_constraints(spec.constraints_path, v.n)
-    weighting = _build_weighting(spec.weights, v.n)
-    if weighting is None and spec.weights != "degree-product":
+    if args.constraints is not None:
+        removed_vertices, removed_edges, file_weighting = load_constraints(args.constraints, v.n)
+    weighting = _build_weighting(args.weights, v.n)
+    if weighting is None and args.weights != "degree-product":
         weighting = file_weighting
     g = full_hypercube(v.n, weighting)
     if removed_vertices or removed_edges:
         g = restrict(g, removed_vertices, removed_edges)
-    if spec.weights == "degree-product":
+    if args.weights == "degree-product":
         g = degree_product_weighting(g)
     return g, v
 
 
-def _coerce_mode(v: Game, backend: str) -> Game:
-    """Match the game's scalar mode to the backend, noting promotions."""
+def _solver_inputs(args: argparse.Namespace, v: Game) -> tuple[Game, SolverConfig]:
+    """The game in the backend's scalar mode, noting a conversion, and the
+    solver configuration."""
+    backend = _BACKEND_FLAGS[args.backend]
     if backend == DENSE_RATIONAL and v.mode != RATIONAL:
         print("note: promoting float game to exact rationals for dense-rational",
               file=sys.stderr)
-        return v.as_rational()
-    if backend == CG_FLOAT and v.mode != FLOAT:
+        v = v.as_rational()
+    elif backend == CG_FLOAT and v.mode != FLOAT:
         print(f"note: converting rational game to floats for {backend}", file=sys.stderr)
-        return v.as_float()
-    return v
-
-
-def _solver_config(spec: RunSpec) -> SolverConfig:
-    return SolverConfig(backend=spec.backend, cg_tolerance=spec.cg_tolerance,
-                        cg_max_iters=spec.cg_max_iters)
-
-
-def _format_allocation(values, fmt: str) -> str:
-    if fmt == "json":
-        payload = [format_scalar(x) if isinstance(x, Fraction) else float(x)
-                   for x in values]
-        return json.dumps({"allocation": payload}) + "\n"
-    if fmt == "csv":
-        lines = ["player,value"]
-        lines += [f"{i + 1},{format_scalar(x)}" for i, x in enumerate(values)]
-        return "\n".join(lines) + "\n"
-    return "(" + ", ".join(format_scalar(x) for x in values) + ")\n"
+        v = v.as_float()
+    return v, SolverConfig(backend=backend, cg_tolerance=args.tol, cg_max_iters=args.max_iters)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_decompose(spec: RunSpec) -> int:
-    g, v = _load_inputs(spec)
-    v = _coerce_mode(v, spec.backend)
-    dec = decompose(g, v, _solver_config(spec))
-    sys.stdout.write(render_table(dec, v, spec.output_format))
+def _cmd_decompose(args: argparse.Namespace) -> int:
+    g, v = _load_inputs(args)
+    v, cfg = _solver_inputs(args, v)
+    sys.stdout.write(render_table(decompose(g, v, cfg), v, args.format))
     return 0
 
 
-def _cmd_shapley(spec: RunSpec) -> int:
-    g, v = _load_inputs(spec)
-    if spec.method == "direct":
+def _cmd_shapley(args: argparse.Namespace) -> int:
+    g, v = _load_inputs(args)
+    if args.method in ("direct", "permutation") and not (
+            g.is_full_cube and g.weighting.permutation_invariant):
+        raise SpecFileError(f"--method {args.method} gives the classical Shapley value, "
+                            "which holds only on the full cube with symmetric weights; "
+                            "use --method hodge or --method precedence")
+    if args.method == "direct":
         values = cf.shapley_values(v)
-    elif spec.method == "permutation":
+    elif args.method == "permutation":
         values = tuple(cf.shapley_permutation_oracle(v, i) for i in range(v.n))
-    elif spec.method == "precedence":
+    elif args.method == "precedence":
         values = tuple(cf.precedence_shapley_oracle(g, v, i) for i in range(v.n))
-    elif spec.method == "hodge":
-        v = _coerce_mode(v, spec.backend)
-        values = decompose(g, v, _solver_config(spec)).allocation()
     else:
-        raise SpecFileError(f"unknown method {spec.method!r}")
-    sys.stdout.write(_format_allocation(values, spec.output_format))
+        v, cfg = _solver_inputs(args, v)
+        values = decompose(g, v, cfg).allocation()
+    sys.stdout.write(render_allocation(values, args.format))
     return 0
 
 
-def _cmd_compare(spec: RunSpec) -> int:
-    g, v = _load_inputs(spec)
-    v = _coerce_mode(v, spec.backend)
-    sys.stdout.write(compare_allocations(g, v, _solver_config(spec), spec.output_format))
+def _cmd_compare(args: argparse.Namespace) -> int:
+    g, v = _load_inputs(args)
+    v, cfg = _solver_inputs(args, v)
+    sys.stdout.write(compare_allocations(g, v, cfg, args.format))
     return 0
 
 
-def _cmd_verify(spec: RunSpec) -> int:
-    g, v = _load_inputs(spec)
-    v = _coerce_mode(v, spec.backend)
-    cfg = _solver_config(spec)
+def _cmd_verify(args: argparse.Namespace) -> int:
+    g, v = _load_inputs(args)
+    v, cfg = _solver_inputs(args, v)
     dec = decompose(g, v, cfg)
-    exact = v.is_rational
-    tol = 0 if exact else 1e-8 * max(1.0, float(np.max(np.abs(np.asarray(v.values)))))
-    checks = []
-
-    gap = dec.efficiency_gap
-    checks.append(("efficiency: components sum to the game", gap <= tol))
-    residuals = residual_orthogonality(g, v, dec)
-    checks.append(("orthogonality: d*(d v_i - d_i v) = 0 for every player",
-                   max(residuals) <= tol))
-    if g.is_full_cube and g.weighting.permutation_invariant and exact:
+    # relative to the game's largest value, so a small game is checked as
+    # closely as a large one; exactly 0 for the zero game
+    tol = 0 if v.is_rational else 1e-8 * float(np.max(np.abs(v.values)))
+    checks = [("efficiency: components sum to the game", dec.efficiency_gap <= tol),
+              ("orthogonality: d*(d v_i - d_i v) = 0 for every player",
+               max(residual_orthogonality(g, v, dec)) <= tol)]
+    if g.is_full_cube and g.weighting.permutation_invariant and v.is_rational:
         direct = cf.shapley_values(v)
         checks.append(("allocation matches the classical formula",
                        tuple(dec.allocation()) == tuple(direct)))
@@ -178,15 +139,12 @@ def _cmd_verify(spec: RunSpec) -> int:
             perm = tuple(cf.shapley_permutation_oracle(v, i) for i in range(v.n))
             checks.append(("classical formula matches the permutation average",
                            perm == tuple(direct)))
-
-    failed = 0
     for label, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
-        failed += 0 if ok else 1
-    return 1 if failed else 0
+    return 0 if all(ok for _, ok in checks) else 1
 
 
-def _cmd_fixtures(spec: RunSpec) -> int:
+def _cmd_fixtures(args: argparse.Namespace) -> int:
     mismatches = 0
     tables_ok = 0
     for ref in ALL_REFERENCES:
@@ -217,28 +175,6 @@ def _cmd_fixtures(spec: RunSpec) -> int:
     return 0 if mismatches == 0 and tables_ok == len(ALL_REFERENCES) else 1
 
 
-_COMMANDS = {"decompose": _cmd_decompose, "shapley": _cmd_shapley,
-             "compare": _cmd_compare, "verify": _cmd_verify, "fixtures": _cmd_fixtures}
-
-
-def run(spec: RunSpec) -> int:
-    """Execute a parsed invocation, mapping errors to exit codes."""
-    try:
-        return _COMMANDS[spec.command](spec)
-    except (SpecFileError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (CapacityError, ConfigError, DomainError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hodgeshapley",
@@ -246,49 +182,48 @@ def _make_parser() -> argparse.ArgumentParser:
                     "on the coalition hypercube.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_game=True):
-        if needs_game:
-            p.add_argument("--game", required=True, metavar="PATH",
-                           help="game spec JSON file")
-            p.add_argument("--constraints", metavar="PATH",
-                           help="constraint spec JSON file (removed coalitions/edges)")
-            p.add_argument("--weights", metavar="SPEC",
-                           help="constant | constant:<c> | size-plus-one | degree-product "
-                                "| file:PATH")
+    def command(name, run, help, formats=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--game", required=True, metavar="PATH", help="game spec JSON file")
+        p.add_argument("--constraints", metavar="PATH",
+                       help="constraint spec JSON file (removed coalitions/edges)")
+        p.add_argument("--weights", metavar="SPEC",
+                       help="constant | constant:<c> | size-plus-one | degree-product "
+                            "| file:PATH")
         p.add_argument("--backend", choices=sorted(_BACKEND_FLAGS), default="dense-rational")
         p.add_argument("--tol", type=float, default=1e-12,
                        help="CG relative residual tolerance")
         p.add_argument("--max-iters", type=int, default=None, help="CG iteration cap")
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        return p
 
-    add_common(sub.add_parser("decompose", help="print the component-game table"))
-    shapley = sub.add_parser("shapley", help="print an allocation vector")
-    add_common(shapley)
-    shapley.add_argument("--method", choices=_METHODS, default="direct")
-    add_common(sub.add_parser("compare", help="compare allocation rules side by side"))
-    add_common(sub.add_parser("verify", help="check decomposition invariants"))
-    add_common(sub.add_parser("fixtures", help="replay built-in benchmark tables"),
-               needs_game=False)
+    command("decompose", _cmd_decompose, "print the component-game table")
+    command("shapley", _cmd_shapley, "print an allocation vector").add_argument(
+        "--method", choices=_METHODS, default="direct")
+    command("compare", _cmd_compare, "compare allocation rules side by side")
+    command("verify", _cmd_verify, "check decomposition invariants", formats=False)
+    sub.add_parser("fixtures", help="replay built-in benchmark tables").set_defaults(
+        run=_cmd_fixtures)
     return parser
-
-
-def spec_from_args(args: argparse.Namespace) -> RunSpec:
-    return RunSpec(
-        command=args.command,
-        game_path=getattr(args, "game", None),
-        constraints_path=getattr(args, "constraints", None),
-        weights=getattr(args, "weights", None),
-        backend=_BACKEND_FLAGS[args.backend],
-        cg_tolerance=args.tol,
-        cg_max_iters=args.max_iters,
-        output_format=args.format,
-        method=getattr(args, "method", "hodge"),
-    )
 
 
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
-    code = run(spec_from_args(args))
+    # an infeasible graph and a float efficiency miss are ValueErrors too,
+    # so their clauses come first
+    try:
+        code = args.run(args)
+    except InfeasibilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 3
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 4
+    except (ValueError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
     if argv is None:
         sys.exit(code)
     return code

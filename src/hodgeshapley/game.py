@@ -26,8 +26,10 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 # Float-mode inessential classification: |v(S) - sum v({i})| within
-# 1e-9 * max(1, ||v||_inf).  Looser than solver tolerances on purpose, so
-# the classification is stable under solver round-off.
+# 1e-9 * ||v||_inf, relative to the game's own scale so that a game of
+# small values is classified as closely as one of large values, and exact
+# for the zero game.  Looser than solver tolerances on purpose, so the
+# classification is stable under solver round-off.
 INESSENTIAL_RTOL = 1e-9
 
 
@@ -165,8 +167,7 @@ def is_inessential(v: Game) -> bool:
     if v.is_rational:
         return all(v.value(S) == sum((singles[i] for i in co.members(S)), Fraction(0))
                    for S in co.enumerate_coalitions(v.n))
-    scale = max(1.0, float(np.max(np.abs(v.values)))) if v.n else 1.0
-    tol = INESSENTIAL_RTOL * scale
+    tol = INESSENTIAL_RTOL * float(np.max(np.abs(v.values)))
     return all(abs(v.value(S) - math.fsum(singles[i] for i in co.members(S))) <= tol
                for S in co.enumerate_coalitions(v.n))
 

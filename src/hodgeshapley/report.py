@@ -61,8 +61,9 @@ def build_table(d: Decomposition, v: Game) -> DecompositionTable:
     order = g.vertices[np.lexsort((g.vertices, _popcounts(g.n)[g.vertices]))]
     dtype = object if v.is_rational else np.float64
     columns = np.array([np.asarray(x.values, dtype=dtype)[order] for x in (v, *d.components)])
-    # exact in rational mode, relative to the game's largest value in float mode
-    tol = 0 if v.is_rational else 1e-6 * max(1.0, float(np.max(np.abs(v.values))))
+    # exact in rational mode, relative to the game's largest value in float
+    # mode (so 0 for the zero game)
+    tol = 0 if v.is_rational else 1e-6 * float(np.max(np.abs(v.values)))
     gaps = np.abs(columns[1:].sum(axis=0) - columns[0])
     bad = np.flatnonzero(gaps > tol)
     if len(bad):
@@ -184,8 +185,21 @@ def parse_rendered_json(text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# side-by-side allocation comparison
+# allocation vectors and side-by-side comparison
 # ---------------------------------------------------------------------------
+
+def render_allocation(values, format: str = "text") -> str:
+    """Serialize an allocation vector as text, CSV, or JSON."""
+    if format == "json":
+        payload = [format_scalar(x) if isinstance(x, Fraction) else float(x) for x in values]
+        return json.dumps({"allocation": payload}) + "\n"
+    if format == "csv":
+        return _csv_table(["player", "value"],
+                          ([str(i + 1), format_scalar(x)] for i, x in enumerate(values)))
+    if format == "text":
+        return "(" + ", ".join(format_scalar(x) for x in values) + ")\n"
+    raise ValueError(f"unknown format {format!r}; expected one of {_FORMATS}")
+
 
 def compare_allocations(g: GameGraph, v: Game, cfg: SolverConfig | None = None,
                         format: str = "text") -> str:

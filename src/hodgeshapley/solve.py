@@ -517,10 +517,12 @@ def _check_modes(g: GameGraph, v: Game, cfg: SolverConfig) -> None:
 def _verify_mean_zero(g: GameGraph, B: np.ndarray) -> None:
     # L_{w_i} v lies in the range of d*, hence is orthogonal to constants:
     # exactly for fractions, to round-off for floats.  One column per
-    # player; infeasible rows are 0 and add nothing.
+    # player; infeasible rows are 0 and add nothing.  The float tolerance
+    # is relative to each column's largest entry, so it is 0 for a zero
+    # column and scales down with a small one.
     tol = 0
     if B.dtype != object:
-        tol = 1e-8 * np.maximum(1.0, np.max(np.abs(B), axis=0)) * g.num_vertices
+        tol = 1e-8 * np.max(np.abs(B), axis=0) * g.num_vertices
     if np.any(np.abs(B.sum(axis=0)) > tol):
         raise ArithmeticError("right-hand side is not mean-zero; this is a bug")
 

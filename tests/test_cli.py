@@ -1,11 +1,15 @@
+import argparse
 import json
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from hodgeshapley import cli
 from hodgeshapley import game as gm
+from hodgeshapley import solve as sv
 from hodgeshapley.cli import main
 
 
@@ -237,3 +241,77 @@ def test_exit_code_removed_edge_player_out_of_range(glove_path, tmp_path, capsys
     assert main(["decompose", "--game", glove_path, "--constraints", str(cpath)]) == 2
     err = capsys.readouterr().err
     assert f"error: removed_edges[0]: player {player} outside [0, 3)" in err
+
+
+@pytest.mark.parametrize("method", ["direct", "permutation"])
+def test_shapley_classical_methods_refuse_other_graphs(glove_path, holdout_path, tmp_path,
+                                                        capsys, method):
+    # the classical formula ignores constraints and weights, so a restricted
+    # or asymmetrically weighted graph is refused rather than answered wrongly
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps(
+        {"kind": "explicit", "entries": [{"base": "[]", "player": 0, "w": "1/2"}]}))
+    argv = ["shapley", "--game", glove_path, "--method", method]
+    for extra in (["--constraints", holdout_path], ["--weights", f"file:{wpath}"]):
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "use --method hodge or --method precedence" in captured.err
+    assert main(argv + ["--weights", "size-plus-one"]) == 0
+    assert capsys.readouterr().out.strip() == "(2/3, 1/6, 1/6)"
+
+
+def test_verify_tolerance_scales_with_the_game(tmp_path, capsys, monkeypatch):
+    # zero components miss a 1e-12-scale game by its whole value; an
+    # absolute floor of 1 in the tolerance would pass them
+    tiny = gm.game_from_values(3, 1e-12 * gm.make_glove_game().as_float().values, gm.FLOAT)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(gm.game_to_spec(tiny)))
+
+    def zero_decompose(g, v, cfg=None):
+        zero = gm.Game(g.n, v.mode, np.zeros(1 << g.n))
+        return sv.Decomposition(g, v, (zero,) * g.n, (), float(np.max(np.abs(v.values))))
+
+    monkeypatch.setattr(cli, "decompose", zero_decompose)
+    assert main(["verify", "--game", str(path), "--backend", "cg"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  efficiency" in out and "FAIL  orthogonality" in out
+
+
+_SOLVER_FLAGS = {"--game", "--constraints", "--weights", "--backend", "--tol", "--max-iters"}
+_FLAGS = {
+    "decompose": _SOLVER_FLAGS | {"--format"},
+    "shapley": _SOLVER_FLAGS | {"--format", "--method"},
+    "compare": _SOLVER_FLAGS | {"--format"},
+    "verify": _SOLVER_FLAGS,
+    "fixtures": set(),
+}
+
+
+def _subcommands() -> dict:
+    parser = cli._make_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_subcommand_set():
+    assert set(_subcommands()) == set(_FLAGS)
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_subcommand_takes_only_the_flags_it_reads(command):
+    options = {s for action in _subcommands()[command]._actions
+               for s in action.option_strings}
+    assert options - {"-h", "--help"} == _FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixtures", "--tol", "1"],
+    ["fixtures", "--backend", "cg"],
+    ["verify", "--game", "g.json", "--format", "csv"],
+], ids=["fixtures-tol", "fixtures-backend", "verify-format"])
+def test_dead_flags_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

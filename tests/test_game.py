@@ -61,6 +61,14 @@ def test_is_inessential_float_tolerance():
     assert not gm.is_inessential(gm.game_from_values(3, vals, gm.FLOAT))
 
 
+
+def test_is_inessential_tolerance_scales_with_the_game():
+    # an absolute floor of 1 would call any game of tiny values inessential
+    tiny = gm.game_from_values(3, 1e-12 * gm.make_glove_game().as_float().values, gm.FLOAT)
+    assert not gm.is_inessential(tiny)
+    assert gm.is_inessential(gm.make_inessential_game([1e-12, 2e-12, 0.0], mode=gm.FLOAT))
+    assert gm.is_inessential(gm.game_from_values(2, [0.0] * 4, gm.FLOAT))
+
 def test_pullback_identity_and_symmetry():
     v = gm.make_glove_game()
     assert gm.pullback([0, 1, 2], v).values == v.values

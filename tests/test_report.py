@@ -120,6 +120,18 @@ def test_render_reverifies_float_column_sums_per_row():
         rp.build_table(broken, v)
 
 
+
+def test_float_column_check_scales_with_the_game():
+    # zero components miss a 1e-12-scale game by its whole value
+    g = gr.full_hypercube(3)
+    v = gm.game_from_values(3, 1e-12 * gm.make_glove_game().as_float().values, gm.FLOAT)
+    dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
+    rp.build_table(dec, v)
+    zero = gm.Game(3, gm.FLOAT, np.zeros(8))
+    broken = sv.Decomposition(g, v, (zero,) * 3, dec.diagnostics, dec.efficiency_gap)
+    with pytest.raises(ValueError, match="tolerance 1e-18"):
+        rp.build_table(broken, v)
+
 def test_render_rejects_wrong_game():
     g, v, dec = glove_decomposition()
     with pytest.raises(ValueError):

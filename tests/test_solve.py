@@ -186,6 +186,16 @@ def test_equivariance_all_permutations():
                     assert dec2.components[i].value(S) == expected.value(S)
 
 
+
+def test_mean_zero_check_scales_with_the_column():
+    g = gr.full_hypercube(3)
+    tiny = 1e-12 * gm.make_glove_game().as_float().values
+    sv._verify_mean_zero(g, sv._rhs(g, tiny, range(3)))
+    sv._verify_mean_zero(g, np.zeros((8, 1)))
+    # an absolute floor of 1 would pass a constant column of tiny values
+    with pytest.raises(ArithmeticError, match="not mean-zero"):
+        sv._verify_mean_zero(g, np.full((8, 1), 1e-20))
+
 def test_residual_orthogonality_zero_rational():
     rng = random.Random(25)
     for _ in range(8):
