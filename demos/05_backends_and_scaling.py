@@ -7,13 +7,16 @@ Laplacian and scales to about a dozen players (p-adic lifting keeps it
 fast well past where naive fraction elimination bogs down).  The
 conjugate-gradient backend never forms the Laplacian: it runs all n
 players' solves at once on arrays over the 2**n coalitions, with numpy
-alone.  On a full cube whose weight depends only on coalition size it
-applies the Laplacian as one small dense matrix product per block of up
-to five players (the cube is a product of sub-cubes), and handles 2**16
-coalitions in under a second; on the unweighted cube its iteration count
-tracks the number of distinct Laplacian eigenvalues, which is just n,
-and its Jacobi preconditioner keeps badly scaled weights to a few
-hundred iterations.
+alone.  When every edge weight factors as c0 * b(S) * b(T) over its two
+ends (constant, by coalition size, size plus one, degree product) and
+the graph keeps every edge between two feasible coalitions, it applies
+the Laplacian as one small dense matrix product per block of up to five
+players (the cube is a product of sub-cubes), and handles 2**16
+coalitions in under a second; a removed edge, or explicit weights that
+do not factor, take one numpy pass per player instead.  On the
+unweighted cube its iteration count tracks the number of distinct
+Laplacian eigenvalues, which is just n, and its Jacobi preconditioner
+keeps badly scaled weights to a few hundred iterations.
 """
 
 import time

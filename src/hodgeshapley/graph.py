@@ -490,7 +490,12 @@ def restrict(g: GameGraph, removed_vertices: Iterable[co.Coalition] = (),
 
 
 def degree_product_weighting(g: GameGraph) -> GameGraph:
-    """Reweight every edge by the product of its endpoint degrees."""
+    """Reweight every edge by the product of its endpoint degrees.
+
+    On the full cube every degree is n, so the weighting is the constant n**2.
+    """
+    if g.is_full_cube:
+        return GameGraph(g.n, g.vertex_mask, g.edge_mask, EdgeWeighting.constant(g.n * g.n))
     deg = _endpoint_sums(g.edge_mask)
     products = deg[g.edge_base] * deg[g.edge_dst]
     weighting = EdgeWeighting._explicit_arrays(g.edge_base, g.edge_player, products,

@@ -37,17 +37,20 @@ keeps its own step sizes, has its residual deflated to mean zero over
 the feasible coalitions every step (the constant nullspace), and stops
 when its unpreconditioned relative residual meets the tolerance; a
 stopped column keeps its place with zero step sizes.  The result is
-scaled back and shifted to ``v_i({}) = 0``.  On a full cube whose weight
-depends only on |S| (constant, by cardinality, size plus one), ``L_w``
+scaled back and shifted to ``v_i({}) = 0``.  When the graph keeps every
+cube edge between two feasible coalitions and every weight factors as
+``w(S, S|{i}) = c_0 b(S) b(S|{i})`` (constant, by cardinality, size plus
+one, degree product, on the full cube or with coalitions removed), ``L_w``
 is applied as sub-cube matrix products instead of n half-view passes:
-with a level scaling b of the coalitions, ``L_w = diag(deg) - c_0
-diag(b) A diag(b)``, and the unweighted adjacency A is a Kronecker sum
-over the players, so each block of up to five players is one matmul with
-that block's cube adjacency on a strided view, in chunks of bounded
-size.  Other graphs, the right-hand sides and the exact engines keep the
-half-view passes.  The solve reads the graph through its vertex mask and
+``L_w x = deg * x - c_0 b * A(b * x)`` with b = 0 on infeasible
+coalitions, and the unweighted adjacency A is a Kronecker sum over the
+players, so each block of up to five players is one matmul with that
+block's cube adjacency on a strided view, in chunks of bounded size.  A
+graph with a removed edge between feasible coalitions, explicit weights
+that do not factor, the right-hand sides and the exact engines keep the
+half-view passes.  The solve reads the graph through its masks and
 ``player_weights`` only, so it derives no per-edge array, and it refuses
-with ``CapacityError`` at entry when its buffers, about ``(5.5 n + 4) *
+with ``CapacityError`` at entry when its buffers, about ``(6.5 n + 4) *
 2**n * 8`` bytes for a full decompose, would exceed physical memory.
 Every route needs numpy alone.  All routes land on the same answer,
 which is unique up to constants on a connected graph.
@@ -305,17 +308,17 @@ def _laplacian_float(w: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.
 # matmul with a 2**s x 2**s matrix that has s nonzeros a row: wider blocks
 # do more redundant flops, narrower ones more passes over the vector.
 _BLOCK_PLAYERS = 5
-# Floats per matmul chunk: the apply's two temporaries stay at 512 KiB each
+# Floats per matmul chunk: the apply's product temporary stays at 512 KiB
 # for any n and for up to 2,048 columns.
 _CHUNK = 1 << 16
-# Range of the level scaling b: b * x then stays far from overflow and from
-# subnormals; a weighting past it runs the per-player kernel.
+# Range of the coalition scaling b: b * x then stays far from overflow and
+# from subnormals; a weighting past it runs the per-player kernel.
 _LEVEL_RANGE = 2.0 ** 256
 
 
 def _chunk_floats(rows: int, k: int) -> int:
-    """Size of each temporary of the sub-cube apply on (rows, k) arrays: at
-    least one row of the widest block, at most the whole array."""
+    """Size of the product temporary of the sub-cube apply on (rows, k)
+    arrays: at least one row of the widest block, at most the whole array."""
     return min(rows * k, max(_CHUNK, (1 << _BLOCK_PLAYERS) * k))
 
 
@@ -339,48 +342,88 @@ def _cube_adjacency(s: int) -> np.ndarray:
     return A
 
 
-def _subcube_laplacian(g: GameGraph, k: int):
-    """``apply(x, out)``, out = L_w x for C-contiguous (2**n, k) arrays, as
-    sub-cube matmuls; None when the level scaling leaves its range.
+def _product_factors(g: GameGraph):
+    """``(c0, b)`` with ``w(S, S|{i}) = c0 * b(S) * b(S|{i})`` on every cube
+    edge, b a float per coalition with ``b({}) = 1`` and 0 on infeasible
+    coalitions; None when g lacks an edge between two feasible coalitions,
+    when a weight misses the product by more than a few ulp per level, or
+    when b leaves ``_LEVEL_RANGE``.
 
-    g is a full cube whose weight ``w(S, S|{i}) = c_{|S|}`` depends only
-    on |S|.  With levels ``b_0 = 1`` and ``c_0 * b_l * b_{l+1} = c_l``,
-    ``L_w = diag(deg) - c_0 diag(b) A diag(b)``, where A is the unweighted
-    adjacency and ``deg(S) = |S| c_{|S|-1} + (n - |S|) c_{|S|}``; b is 1
-    on a constant weight.  A is a Kronecker sum over the players, so over
-    a block of s players starting at bit a it acts on the view
-    ``x.reshape(2**(n-a-s), 2**s, 2**a, k)`` as one matmul with the
-    s-cube's adjacency, taken in chunks of at most ``_CHUNK`` floats.
+    c0 is the weight of the first edge out of {}; every other feasible
+    coalition takes b from one feasible in-edge, level by level, which the
+    graph's formability guarantees.  Read from ``player_weights`` alone.
     """
-    n = g.n
-    c = [float(x) for x in g.weighting.by_size(n)]
-    level = [1.0]
-    for cl in c:
-        level.append(cl / (c[0] * level[-1]))
-    level = np.array(level)
-    if not np.all((1 / _LEVEL_RANGE < level) & (level < _LEVEL_RANGE)):
+    n, w, feasible = g.n, g.player_weights, g.vertex_mask
+    via = np.full(1 << n, -1)  # the joining player of each coalition's chosen in-edge
+    up = np.zeros(1 << n)      # that edge's weight
+    for i in reversed(range(n)):
+        ends = feasible.reshape(-1, 2, 1 << i)
+        present = g.edge_mask[i].reshape(-1, 1 << i)
+        if not np.array_equal(present, ends[:, 0] & ends[:, 1]):
+            return None
+        np.copyto(via.reshape(-1, 2, 1 << i)[:, 1], i, where=present)
+        np.copyto(up.reshape(-1, 2, 1 << i)[:, 1], w[i].reshape(-1, 1 << i), where=present)
+    if np.any(via[1:][feasible[1:]] < 0):
         return None
-    size = np.arange(n + 1)
-    deg = size * np.array([0.0] + c) + (n - size) * np.array(c + [0.0])
-    at = _popcounts(n)
-    b, diag = level[at][:, None], (deg / level)[at][:, None]
-    scaled = bool(np.any(level != 1.0))
+    c0 = float(w[np.argmax(g.edge_mask[:, 0]), 0])
+    b = np.zeros(1 << n)
+    b[0] = 1.0
+    sizes = _popcounts(n)
+    tol = 4 * (n + 1) * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        for level in range(1, n + 1):
+            T = np.flatnonzero((sizes == level) & feasible)
+            b[T] = up[T] / (c0 * b[T ^ (1 << via[T])])
+        for i in range(n):
+            h = b.reshape(-1, 2, 1 << i)
+            w_i = w[i].reshape(-1, 1 << i)
+            if not np.all(np.abs(c0 * h[:, 0] * h[:, 1] - w_i) <= tol * w_i):
+                return None
+        if not np.all((1 / _LEVEL_RANGE < b[feasible]) & (b[feasible] < _LEVEL_RANGE)):
+            return None
+    return c0, b
+
+
+def _subcube_laplacian(g: GameGraph, k: int, deg: np.ndarray | None = None):
+    """``apply(x, out)``, out = L_w x for C-contiguous (2**n, k) arrays, as
+    sub-cube matmuls; None unless ``_product_factors`` factors g's weights.
+
+    With ``w(S, S|{i}) = c0 b(S) b(S|{i})`` on exactly the edges between
+    feasible coalitions, ``L_w = diag(deg) - c0 diag(b) A diag(b)``, where
+    A is the unweighted cube adjacency and b is 0 on infeasible coalitions;
+    deg is ``_endpoint_sums(g.player_weights)`` as a column.  A is a
+    Kronecker sum over the players, so over a block of s players starting
+    at bit a it acts on the view ``x.reshape(2**(n-a-s), 2**s, 2**a, k)``
+    as one matmul with the s-cube's adjacency, taken in chunks of at most
+    ``_CHUNK`` floats.  Unless b is 1 everywhere, ``b * x`` is written once
+    per apply into a buffer of x's shape.
+    """
+    factors = _product_factors(g)
+    if factors is None:
+        return None
+    c0, b = factors
+    n = g.n
+    if deg is None:
+        deg = _endpoint_sums(g.player_weights)[:, None]
+    b = b[:, None]
+    diag = np.divide(deg, b, out=np.zeros_like(deg), where=b > 0)
+    scaled = bool(np.any(b != 1.0))
     count = -(-n // _BLOCK_PLAYERS)  # blocks of near-equal width
     bounds = [n * j // count for j in range(count + 1)]
-    blocks = [(a, -c[0] * _cube_adjacency(e - a)) for a, e in zip(bounds, bounds[1:])]
-    prod, scaled_x = (np.empty(_chunk_floats(1 << n, k)) for _ in range(2))
+    blocks = [(a, -c0 * _cube_adjacency(e - a)) for a, e in zip(bounds, bounds[1:])]
+    prod = np.empty(_chunk_floats(1 << n, k))
+    bx = np.empty((1 << n, k)) if scaled else None
 
     def apply(x: np.ndarray, out: np.ndarray) -> None:
+        # out = b * (deg / b * x - c0 A(b * x)) on feasible rows, 0 elsewhere
         np.multiply(x, diag, out=out)
+        y = np.multiply(x, b, out=bx) if scaled else x
         for a, M in blocks:
             m = M.shape[0]
             shape = (x.shape[0] // (m << a), m, 1 << a, k)
-            xv, ov, bv = x.reshape(shape), out.reshape(shape), b.reshape(shape[:3] + (1,))
+            yv, ov = y.reshape(shape), out.reshape(shape)
             for hs, ls in _chunks(shape):
-                src = xv[hs, :, ls]
-                if scaled:
-                    src = np.multiply(src, bv[hs, :, ls],
-                                      out=scaled_x[:src.size].reshape(src.shape))
+                src = yv[hs, :, ls]
                 flat = (src.shape[0], m, src.shape[2] * k)
                 t = np.matmul(M, src.reshape(flat), out=prod[:src.size].reshape(flat))
                 o = ov[hs, :, ls]
@@ -405,15 +448,16 @@ def _physical_memory() -> int:
 
 def _check_cg_memory(g: GameGraph, k: int) -> None:
     """CapacityError when k CG columns would not fit in physical memory."""
-    # per column four buffers of 2**n floats, half a scratch and the component
-    # game's copy; the (n, 2**(n-1)) weight table; four vectors (the degrees,
-    # their inverses and the sub-cube apply's two level vectors) and that
-    # apply's two chunks.  Float decomposes of full cubes peaked 5.2-5.4
-    # (constant weight, n = 16..20; 835 MiB at n = 20) and 5.4-5.5 (size plus
-    # one, n = 16 and 18) * n * 2**n * 8 bytes over the game; the estimate is
-    # 5.5 * n + 4 of those units plus the chunks.
+    # per column four buffers of 2**n floats, half a scratch, the component
+    # game's copy and the sub-cube apply's scaled input; the (n, 2**(n-1))
+    # weight table; four vectors (the degrees, their inverses and the apply's
+    # b and diagonal) and the apply's product chunk.  Float decomposes at
+    # n = 16 peaked 5.5 (size plus one on the full cube, 2.0 s) and 6.1
+    # (degree product with 8 coalitions removed, 1.8 s) * n * 2**n * 8 bytes
+    # over the game, 44 and 49 MiB, one BLAS thread; the estimate is
+    # 6.5 * n + 4 of those units plus the chunk.
     rows = 1 << g.n
-    need = 8 * (rows * (5 * k + g.n / 2 + 4) + 2 * _chunk_floats(rows, k))
+    need = 8 * (rows * (6 * k + g.n / 2 + 4) + _chunk_floats(rows, k))
     have = _physical_memory()
     if have and need > have:
         raise CapacityError(
@@ -441,9 +485,7 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     # the Jacobi preconditioner 1 / diag(L_w), 0 on rows without edges
     dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     scratch = np.empty((n_rows // 2, k))
-    apply = None
-    if g.is_full_cube and g.weighting.permutation_invariant:
-        apply = _subcube_laplacian(g, k)
+    apply = _subcube_laplacian(g, k, deg)
     if apply is None:
         def apply(x, out):
             _laplacian_float(w, x, out, scratch)

@@ -261,6 +261,22 @@ def test_shapley_classical_methods_refuse_other_graphs(glove_path, holdout_path,
     assert capsys.readouterr().out.strip() == "(2/3, 1/6, 1/6)"
 
 
+@pytest.mark.parametrize("method", ["direct", "permutation"])
+def test_shapley_classical_methods_on_degree_product_full_cube(glove_path, capsys, method):
+    # every degree of the full cube is n, so degree-product weights are constant
+    assert main(["shapley", "--game", glove_path, "--weights", "degree-product",
+                 "--method", method]) == 0
+    assert capsys.readouterr().out.strip() == "(2/3, 1/6, 1/6)"
+
+
+def test_verify_degree_product_full_cube_runs_classical_checks(glove_path, capsys):
+    assert main(["verify", "--game", glove_path, "--weights", "degree-product"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS  allocation matches the classical formula" in out
+    assert "PASS  classical formula matches the permutation average" in out
+    assert "FAIL" not in out
+
+
 def test_verify_tolerance_scales_with_the_game(tmp_path, capsys, monkeypatch):
     # zero components miss a 1e-12-scale game by its whole value; an
     # absolute floor of 1 in the tolerance would pass them

@@ -15,7 +15,8 @@ from hodgeshapley import graph as gr
 from hodgeshapley import operators as ops
 from hodgeshapley import solve as sv
 from hodgeshapley import _exact
-from hodgeshapley.errors import CapacityError, ConfigError, ConvergenceError
+from hodgeshapley.errors import CapacityError, ConfigError, ConvergenceError, \
+    InfeasibilityError
 from oracles import dense_laplacian, lstsq_component, modular_inverse, \
     random_rational_values, random_dyadic_values
 from test_operators import random_graph
@@ -628,7 +629,8 @@ def test_cg_components_scale_exactly_with_the_game(shift):
 
 
 # ---------------------------------------------------------------------------
-# the sub-cube Laplacian of float CG (full cube, permutation-invariant weights)
+# the sub-cube Laplacian of float CG (weights c0 * b(S) * b(T) on the edges
+# between feasible coalitions)
 # ---------------------------------------------------------------------------
 
 def _permutation_invariant_weightings(n):
@@ -639,10 +641,40 @@ def _permutation_invariant_weightings(n):
             "wide": gr.EdgeWeighting.by_cardinality(wide)}
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-@pytest.mark.parametrize("weighting", ["constant", "size-plus-one", "wide"])
-def test_subcube_laplacian_matches_per_player_kernel(n, weighting):
-    g = gr.full_hypercube(n, _permutation_invariant_weightings(n)[weighting])
+def _vertex_restricted(g, seed):
+    """g with up to n // 2 coalitions removed, each kept out only while
+    every other coalition stays formable; no edge is removed on its own."""
+    rng = random.Random(seed)
+    removed = []
+    for _ in range(50):
+        S = rng.randrange(1, (1 << g.n) - 1)
+        if len(removed) < g.n // 2 and S not in removed:
+            try:
+                gr.restrict(g, removed + [S])
+            except InfeasibilityError:
+                continue
+            removed.append(S)
+    return gr.restrict(g, removed)
+
+
+def _product_graph(n, weighting, seed):
+    """A vertex-restricted cube whose weights factor as c0 * b(S) * b(T)."""
+    if weighting == "degree-product":
+        return gr.degree_product_weighting(_vertex_restricted(gr.full_hypercube(n), seed))
+    return _vertex_restricted(
+        gr.full_hypercube(n, _permutation_invariant_weightings(n)[weighting]), seed)
+
+
+@pytest.mark.parametrize("weighting, n", [
+    *((w, n) for w in ("constant", "size-plus-one", "wide") for n in range(1, 13)),
+    *((f"restricted-{w}", n) for w in ("constant", "size-plus-one", "wide", "degree-product")
+      for n in range(2, 11))])
+def test_subcube_laplacian_matches_per_player_kernel(weighting, n):
+    if weighting.startswith("restricted-"):
+        g = _product_graph(n, weighting[len("restricted-"):], n)
+        assert not g.vertex_mask.all()
+    else:
+        g = gr.full_hypercube(n, _permutation_invariant_weightings(n)[weighting])
     rng = np.random.default_rng([n, len(weighting)])
     for k in (1, n):
         x = rng.standard_normal((1 << n, k))
@@ -674,11 +706,29 @@ def test_subcube_laplacian_refuses_levels_out_of_range():
     assert sv._subcube_laplacian(gr.full_hypercube(n), 1) is not None
 
 
+def test_product_factors_refuse_graphs_that_do_not_factor():
+    n = 6
+    g = _product_graph(n, "degree-product", 7)
+    assert sv._product_factors(g) is not None
+    # a removed edge between two feasible coalitions
+    edge = gr.Edge(bits(1), 2)
+    assert g.contains_vertex(bits(1)) and g.contains_vertex(bits(1, 2))
+    for h in (gr.restrict(gr.full_hypercube(n), [], [edge]), gr.restrict(g, [], [edge]),
+              _restricted_explicit_graph(n, 43)):
+        assert sv._product_factors(h) is None
+        assert sv._subcube_laplacian(h, 1) is None
+    # one degree-product weight off by a relative 1e-9
+    entries = dict(zip(g.edges(), g.weight_fractions))
+    entries[edge] *= 1 + Fraction(1, 10 ** 9)
+    off = gr.GameGraph(n, g.vertex_mask, g.edge_mask, gr.EdgeWeighting.explicit(entries))
+    assert sv._product_factors(off) is None
+
+
 def _raise(*args):
     raise AssertionError("the per-player Laplacian ran")
 
 
-def test_cg_routes_permutation_invariant_cubes_to_subcube_apply(monkeypatch):
+def test_cg_routes_product_weightings_to_subcube_apply(monkeypatch):
     n = 5
     vals = np.random.default_rng(39).standard_normal(1 << n)
     vals[0] = 0.0
@@ -687,10 +737,27 @@ def test_cg_routes_permutation_invariant_cubes_to_subcube_apply(monkeypatch):
     monkeypatch.setattr(sv, "_laplacian_float", _raise)
     for weighting in _permutation_invariant_weightings(n).values():
         sv.decompose(gr.full_hypercube(n, weighting), v, cfg)
-    for g in (gr.restrict(gr.full_hypercube(n), [bits(0, 1)]),
-              _restricted_explicit_graph(n, 40)):
-        with pytest.raises(AssertionError, match="per-player"):
-            sv.decompose(g, v, cfg)
+    sv.decompose(gr.restrict(gr.full_hypercube(n), [bits(0, 1)]), v, cfg)
+    sv.decompose(_product_graph(n, "degree-product", 39), v, cfg)
+    with pytest.raises(AssertionError, match="per-player"):
+        sv.decompose(_restricted_explicit_graph(n, 40), v, cfg)
+
+
+def test_cg_restricted_degree_product_matches_exact(monkeypatch):
+    rng = random.Random(44)
+    n = 7
+    g = _product_graph(n, "degree-product", 44)
+    v_rat = gm.game_from_values(n, random_dyadic_values(rng, n))
+    exact = sv.decompose(g, v_rat)
+    monkeypatch.setattr(sv, "_laplacian_float", _raise)
+    cg = sv.decompose(g, v_rat.as_float(), sv.SolverConfig(backend=sv.CG_FLOAT))
+    feasible = g.vertices
+    for a, b in zip(exact.components, cg.components):
+        ref = np.array([float(x) for x in a.values])
+        got = np.asarray(b.values)
+        assert np.max(np.abs(got - ref)[feasible]) <= 1e-9 * np.max(np.abs(ref))
+        assert not np.any(got[~g.vertex_mask])
+    assert cg.efficiency_gap < 1e-9
 
 
 @pytest.mark.parametrize("weighting", ["size-plus-one", "by-cardinality"])
