@@ -27,33 +27,41 @@ each solve then lifts p-adic digits only until a reconstructed candidate
 passes the exact check, up to 4096 unknowns; past that limit the solve
 raises ``CapacityError`` before any right-hand side is built.
 
-Float mode has one engine, ``cg_float``: conjugate gradient on all
-columns at once in preallocated buffers, preconditioned by the inverse
-weighted degree (Jacobi), which is a scalar on a full cube with a
-constant weight.  Each column is first scaled by the power of two that
-brings its largest entry into [0.5, 1); that is exact, so a game of any
-magnitude float64 holds solves to the same bits, scaled.  Each column
-keeps its own step sizes, has its residual deflated to mean zero over
-the feasible coalitions every step (the constant nullspace), and stops
-when its unpreconditioned relative residual meets the tolerance; a
-stopped column keeps its place with zero step sizes.  The result is
-scaled back and shifted to ``v_i({}) = 0``.  When the graph keeps every
-cube edge between two feasible coalitions and every weight factors as
-``w(S, S|{i}) = c_0 b(S) b(S|{i})`` (constant, by cardinality, size plus
-one, degree product, on the full cube or with coalitions removed), ``L_w``
-is applied as sub-cube matrix products instead of n half-view passes:
-``L_w x = deg * x - c_0 b * A(b * x)`` with b = 0 on infeasible
-coalitions, and the unweighted adjacency A is a Kronecker sum over the
-players, so each block of up to five players is one matmul with that
-block's cube adjacency on a strided view, in chunks of bounded size.  A
-graph with a removed edge between feasible coalitions, explicit weights
-that do not factor, the right-hand sides and the exact engines keep the
-half-view passes.  The solve reads the graph through its masks and
-``player_weights`` only, so it derives no per-edge array, and it refuses
-with ``CapacityError`` at entry when its buffers, about ``(6.5 n + 4) *
-2**n * 8`` bytes for a full decompose, would exceed physical memory.
-Every route needs numpy alone.  All routes land on the same answer,
-which is unique up to constants on a connected graph.
+Float mode has one engine, ``cg_float``: preconditioned conjugate gradient
+on all columns at once in preallocated buffers.  Each column is first
+scaled by the power of two that brings its largest entry into [0.5, 1);
+that is exact, so a game of any magnitude float64 holds solves to the same
+bits, scaled.  Each column keeps its own step sizes, has its residual
+deflated to mean zero over the feasible coalitions every step (the
+constant nullspace), and stops when its unpreconditioned relative residual
+meets the tolerance; a stopped column keeps its place with zero step
+sizes.  The result is scaled back and shifted to ``v_i({}) = 0``.  The
+preconditioner is read off the weights.  When they span at most three
+decades (max / min <= 1e3 over the edges), it is the Walsh one, ``z = s *
+L_1^+ (s * r)`` with ``s = sqrt(n / deg)`` and L_1 the unweighted cube
+Laplacian: two in-place Walsh transforms around a division by 2|T|.  On a
+full cube with a constant weight that is ``L_w^+`` itself, so every player
+converges in one iteration; size plus one and restricted degree products
+take under ten, random explicit weights about twenty.  Wider weights
+(explicit tables spanning decades) keep the inverse weighted degree
+(Jacobi).  When the graph keeps every cube edge between two feasible
+coalitions and every weight factors as ``w(S, S|{i}) = c_0 b(S) b(S|{i})``
+(constant, by cardinality, size plus one, degree product, on the full cube
+or with coalitions removed), ``L_w`` is applied as sub-cube matrix
+products instead of n half-view passes: ``L_w x = deg * x - c_0 b * A(b *
+x)`` with b = 0 on infeasible coalitions, and the unweighted adjacency A
+is a Kronecker sum over the players, so each block of up to five players
+is one matmul with that block's cube adjacency on a strided view, in
+chunks of bounded size.  The Walsh transform is the Kronecker product of
+the blocks' Hadamard matrices and runs through the same chunked products
+and chunk buffer.  A graph with a removed edge between feasible
+coalitions, explicit weights that do not factor, the right-hand sides and
+the exact engines keep the half-view passes.  The solve reads the graph
+through its masks and ``player_weights`` only, so it derives no per-edge
+array, and it refuses with ``CapacityError`` at entry when its buffers,
+about ``(6.5 n + 5) * 2**n * 8`` bytes for a full decompose, would exceed
+physical memory.  Every route needs numpy alone.  All routes land on the
+same answer, which is unique up to constants on a connected graph.
 """
 
 from __future__ import annotations
@@ -79,6 +87,9 @@ _BACKENDS = (DENSE_RATIONAL, CG_FLOAT)
 # The engine that rational mode runs on full cubes with constant weights;
 # it shows up in PlayerSolveStats.backend and is not a configurable backend.
 SPECTRAL = "spectral"
+# The preconditioners of cg_float, in PlayerSolveStats.preconditioner.
+WALSH = "walsh"
+JACOBI = "jacobi"
 
 # Largest player count of the spectral engine: a full decompose at n = 16
 # takes about 6 s and 225 MB peak RSS on a 2-vCPU box, and both grow
@@ -91,9 +102,11 @@ class SolverConfig:
     """Backend choice (``dense_rational`` for rational-mode games,
     ``cg_float`` for float-mode ones) plus iterative-solver knobs.
 
-    ``cg_max_iters`` defaults to ``10 * 2**n`` at solve time; the
-    unweighted cube Laplacian has condition number n on the mean-zero
-    subspace, so CG actually converges in a few dozen iterations.
+    ``cg_max_iters`` defaults to ``10 * 2**n`` at solve time.  CG
+    actually takes one iteration on a full cube with a constant weight,
+    under ten on size-plus-one and degree-product weights and about twenty
+    on random weights within three decades (Walsh preconditioner), and
+    tens to hundreds with Jacobi on weights that span more.
     """
 
     backend: str = DENSE_RATIONAL
@@ -114,10 +127,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PlayerSolveStats:
+    """One player's solve: the engine, its CG iterations and relative
+    residual (0 for the exact engines), and the CG preconditioner, "walsh"
+    or "jacobi" ("" for the exact engines)."""
+
     player: int
     backend: str
     iterations: int
     residual: float
+    preconditioner: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,12 +352,50 @@ def _chunks(shape: tuple[int, int, int, int]) -> list[tuple[slice, slice]]:
     return [(slice(i, i + 1), slice(j, j + step)) for i in range(h) for j in range(0, l, step)]
 
 
+def _player_blocks(n: int) -> list[tuple[int, int]]:
+    """(first player, width) of the near-equal blocks of at most
+    ``_BLOCK_PLAYERS`` players that the sub-cube products act on."""
+    count = -(-n // _BLOCK_PLAYERS)
+    bounds = [n * j // count for j in range(count + 1)]
+    return [(a, e - a) for a, e in zip(bounds, bounds[1:])]
+
+
 def _cube_adjacency(s: int) -> np.ndarray:
     """Adjacency matrix of the s-player cube, coalitions as row and column indices."""
     t = np.arange(1 << s)
     A = np.zeros((1 << s, 1 << s))
     A[t[:, None], t[:, None] ^ (1 << np.arange(s))] = 1.0
     return A
+
+
+def _hadamard(s: int) -> np.ndarray:
+    """Walsh-Hadamard matrix of the s-player cube: entry (S, T) is (-1)**|S & T|."""
+    t = np.arange(1 << s)
+    return 1.0 - 2.0 * (_popcounts(s)[t[:, None] & t] & 1)
+
+
+def _block_product(M: np.ndarray, a: int, x: np.ndarray, out: np.ndarray, prod: np.ndarray,
+                   add: bool) -> None:
+    """out += M x (add) or out = M x, where M acts on the players a, a+1, ...
+    of C-contiguous (2**n, k) arrays; out may be x when not adding.
+
+    Over the view ``x.reshape(2**n / (m * 2**a), m, 2**a, k)``, m = len(M),
+    this is one matmul per chunk of ``_chunks``, through prod (at least
+    ``_chunk_floats`` floats).  A chunk reads only its own rows, so the
+    product may overwrite them.
+    """
+    m, k = M.shape[0], x.shape[1]
+    shape = (x.shape[0] // (m << a), m, 1 << a, k)
+    xv, ov = x.reshape(shape), out.reshape(shape)
+    for hs, ls in _chunks(shape):
+        src = xv[hs, :, ls]
+        flat = (src.shape[0], m, src.shape[2] * k)
+        t = np.matmul(M, src.reshape(flat), out=prod[:src.size].reshape(flat)).reshape(src.shape)
+        o = ov[hs, :, ls]
+        if add:
+            np.add(o, t, out=o)
+        else:
+            o[...] = t
 
 
 def _product_factors(g: GameGraph):
@@ -384,7 +440,8 @@ def _product_factors(g: GameGraph):
     return c0, b
 
 
-def _subcube_laplacian(g: GameGraph, k: int, deg: np.ndarray | None = None):
+def _subcube_laplacian(g: GameGraph, k: int, deg: np.ndarray | None = None,
+                       prod: np.ndarray | None = None):
     """``apply(x, out)``, out = L_w x for C-contiguous (2**n, k) arrays, as
     sub-cube matmuls; None unless ``_product_factors`` factors g's weights.
 
@@ -394,9 +451,10 @@ def _subcube_laplacian(g: GameGraph, k: int, deg: np.ndarray | None = None):
     deg is ``_endpoint_sums(g.player_weights)`` as a column.  A is a
     Kronecker sum over the players, so over a block of s players starting
     at bit a it acts on the view ``x.reshape(2**(n-a-s), 2**s, 2**a, k)``
-    as one matmul with the s-cube's adjacency, taken in chunks of at most
-    ``_CHUNK`` floats.  Unless b is 1 everywhere, ``b * x`` is written once
-    per apply into a buffer of x's shape.
+    as one matmul with the s-cube's adjacency (``_block_product``), through
+    the product chunk prod, which is allocated here when not given.  Unless
+    b is 1 everywhere, ``b * x`` is written once per apply into a buffer of
+    x's shape.
     """
     factors = _product_factors(g)
     if factors is None:
@@ -408,10 +466,9 @@ def _subcube_laplacian(g: GameGraph, k: int, deg: np.ndarray | None = None):
     b = b[:, None]
     diag = np.divide(deg, b, out=np.zeros_like(deg), where=b > 0)
     scaled = bool(np.any(b != 1.0))
-    count = -(-n // _BLOCK_PLAYERS)  # blocks of near-equal width
-    bounds = [n * j // count for j in range(count + 1)]
-    blocks = [(a, -c0 * _cube_adjacency(e - a)) for a, e in zip(bounds, bounds[1:])]
-    prod = np.empty(_chunk_floats(1 << n, k))
+    blocks = [(a, -c0 * _cube_adjacency(s)) for a, s in _player_blocks(n)]
+    if prod is None:
+        prod = np.empty(_chunk_floats(1 << n, k))
     bx = np.empty((1 << n, k)) if scaled else None
 
     def apply(x: np.ndarray, out: np.ndarray) -> None:
@@ -419,19 +476,67 @@ def _subcube_laplacian(g: GameGraph, k: int, deg: np.ndarray | None = None):
         np.multiply(x, diag, out=out)
         y = np.multiply(x, b, out=bx) if scaled else x
         for a, M in blocks:
-            m = M.shape[0]
-            shape = (x.shape[0] // (m << a), m, 1 << a, k)
-            yv, ov = y.reshape(shape), out.reshape(shape)
-            for hs, ls in _chunks(shape):
-                src = yv[hs, :, ls]
-                flat = (src.shape[0], m, src.shape[2] * k)
-                t = np.matmul(M, src.reshape(flat), out=prod[:src.size].reshape(flat))
-                o = ov[hs, :, ls]
-                np.add(o, t.reshape(src.shape), out=o)
+            _block_product(M, a, y, out, prod, add=True)
         if scaled:
             out *= b
 
     return apply
+
+
+def _blocked_walsh(x: np.ndarray, blocks: list[tuple[int, np.ndarray]], prod: np.ndarray) -> None:
+    """``_walsh_hadamard`` of x in place, one chunked product per
+    (first player, ``_hadamard`` matrix) block; the transform is their
+    Kronecker product."""
+    for a, H in blocks:
+        _block_product(H, a, x, x, prod, add=False)
+
+
+# Widest spread max / min of a graph's edge weights that takes the Walsh
+# preconditioner; wider weights take Jacobi.  In float decomposes at
+# n = 10..14 (2 vCPUs, one BLAS thread), Walsh took 0.3-0.9 times Jacobi's
+# time at the same efficiency gap on random explicit weights within 10**3,
+# constant, size-plus-one, binomial and polynomial size tables and degree
+# products, with up to half of the coalitions removed; on explicit 10**k
+# weights past k in [-1, 1] and on 10**s size tables it took 1.0-2.0 times,
+# and on 10**s a 40-500 times larger gap.  The cut still costs 1.1-2.3
+# times on size tables alternating a and 1/a, a >= 3, and on 2**s at
+# n <= 12, which take Walsh, and 1.4-1.6 times on binomial size tables
+# from n = 14 (spread 1716), which take Jacobi.
+_WALSH_MAX_SPREAD = 1e3
+
+
+def _walsh_fits(g: GameGraph) -> bool:
+    """Whether g's edge weights span at most ``_WALSH_MAX_SPREAD``."""
+    w, present = g.player_weights, g.edge_mask
+    return bool(np.max(w, where=present, initial=0.0)
+                <= _WALSH_MAX_SPREAD * np.min(w, where=present, initial=np.inf))
+
+
+def _walsh_preconditioner(n: int, deg: np.ndarray, prod: np.ndarray):
+    """``precondition(r, z)``: z = s * L_1^+ (s * r) with ``s = sqrt(n / deg)``
+    (0 on rows without edges), for C-contiguous (2**n, k) arrays.
+
+    L_1, the unweighted cube Laplacian, has eigenvalue 2|T| on the Walsh
+    character of T, so its pseudo-inverse is two Walsh transforms around a
+    division by 2|T|; T = {} takes 2 instead of 0, so that the
+    preconditioner stays definite.  On a full cube with a constant weight
+    c, ``s**2 = 1 / c`` and this is ``L_w^+``.  Each transform runs in place
+    on z (``_blocked_walsh``) through the product chunk prod.
+    """
+    s = np.sqrt(np.divide(n, deg, out=np.zeros_like(deg), where=deg > 0))
+    # the two unnormalised transforms multiply by 2**n, which this absorbs
+    eig = 2.0 * np.maximum(_popcounts(n), 1)
+    inv = np.ldexp(1.0 / eig, -n)[:, None]
+    blocks = [(a, _hadamard(w)) for a, w in _player_blocks(n)]
+
+    def precondition(r: np.ndarray, z: np.ndarray) -> None:
+        np.multiply(r, s, out=z)
+        _blocked_walsh(z, blocks, prod)
+        z *= inv
+        _blocked_walsh(z, blocks, prod)
+        z *= s
+
+    return precondition
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -450,14 +555,14 @@ def _check_cg_memory(g: GameGraph, k: int) -> None:
     """CapacityError when k CG columns would not fit in physical memory."""
     # per column four buffers of 2**n floats, half a scratch, the component
     # game's copy and the sub-cube apply's scaled input; the (n, 2**(n-1))
-    # weight table; four vectors (the degrees, their inverses and the apply's
-    # b and diagonal) and the apply's product chunk.  Float decomposes at
-    # n = 16 peaked 5.5 (size plus one on the full cube, 2.0 s) and 6.1
-    # (degree product with 8 coalitions removed, 1.8 s) * n * 2**n * 8 bytes
-    # over the game, 44 and 49 MiB, one BLAS thread; the estimate is
-    # 6.5 * n + 4 of those units plus the chunk.
+    # weight table; five vectors (the degrees, the preconditioner's one or
+    # two, and the apply's b and diagonal) and the product chunk that the
+    # apply and the Walsh transform share.  Float decomposes on the full cube
+    # at n = 16 peaked 5.1 (constant) and 6.1 (size plus one) * n * 2**n * 8
+    # bytes over the game, one BLAS thread; the estimate is 6.5 * n + 5 of
+    # those units plus the chunk.
     rows = 1 << g.n
-    need = 8 * (rows * (6 * k + g.n / 2 + 4) + _chunk_floats(rows, k))
+    need = 8 * (rows * (6 * k + g.n / 2 + 5) + _chunk_floats(rows, k))
     have = _physical_memory()
     if have and need > have:
         raise CapacityError(
@@ -469,26 +574,37 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     """Deflated CG for L_w X = R, every column at once; R is overwritten.
 
     Column j solves for player ``players[j]`` with the scalar recurrence
-    of one-right-hand-side CG, preconditioned by the inverse weighted
-    degree (Jacobi), and keeps its place throughout.  Each column is scaled
-    by a power of two (exactly) so that its largest entry lies in [0.5, 1),
-    and its dot products neither overflow nor underflow.  A column stops
-    when its unpreconditioned relative residual meets tol; its step sizes
-    are zero from then on, so its x and r stay as they are.  Returns (X,
-    iterations, residuals), in the order of ``players``.
+    of one-right-hand-side CG and keeps its place throughout.  The
+    preconditioner is ``_walsh_preconditioner`` where ``_walsh_fits``
+    accepts the weights, and the inverse weighted degree (Jacobi)
+    otherwise.  Each column is scaled by a power of two (exactly) so that
+    its largest entry lies in [0.5, 1), and its dot products neither
+    overflow nor underflow.  A column stops when its unpreconditioned
+    relative residual meets tol; its step sizes are zero from then on, so
+    its x and r stay as they are.  Returns (X, preconditioner, iterations,
+    residuals), the lists in the order of ``players``.
     """
     n_rows, k = R.shape
     w = g.player_weights
     m = g.num_vertices
     infeasible = np.flatnonzero(~g.vertex_mask)
     deg = _endpoint_sums(w)[:, None]
-    # the Jacobi preconditioner 1 / diag(L_w), 0 on rows without edges
-    dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
     scratch = np.empty((n_rows // 2, k))
-    apply = _subcube_laplacian(g, k, deg)
+    prod = np.empty(_chunk_floats(n_rows, k))
+    apply = _subcube_laplacian(g, k, deg, prod)
     if apply is None:
         def apply(x, out):
             _laplacian_float(w, x, out, scratch)
+    if _walsh_fits(g):
+        preconditioner = WALSH
+        precondition = _walsh_preconditioner(g.n, deg, prod)
+    else:
+        preconditioner = JACOBI
+        # 1 / diag(L_w), 0 on rows without edges
+        dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+
+        def precondition(r, z):
+            np.multiply(r, dinv, out=z)
 
     def deflate(x):
         x -= x.sum(axis=0) / m
@@ -498,7 +614,8 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     np.ldexp(R, -scale, out=R)
     deflate(R)
     X = np.zeros_like(R)
-    P = R * dinv
+    P = np.empty_like(R)
+    precondition(R, P)
     AP = np.empty_like(R)  # holds L_w p, then the preconditioned residual z
     rz = _column_dots(R, P)
     b_norm = np.sqrt(_column_dots(R, R))
@@ -521,15 +638,17 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
         deflate(R)
         rel = np.divide(np.sqrt(_column_dots(R, R)), b_norm, out=np.zeros(k), where=running)
         history.append(rel)
-        np.multiply(R, dinv, out=AP)
-        rz_new = _column_dots(R, AP)
-        P *= np.divide(rz_new, rz, out=np.zeros(k), where=running)
-        P += AP
-        rz = rz_new
         done = running & (rel <= tol)
         iterations[done] = it
         residuals[done] = rel[done]
         running &= ~done
+        if not running.any():
+            break  # no next direction to build
+        precondition(R, AP)
+        rz_new = _column_dots(R, AP)
+        P *= np.divide(rz_new, rz, out=np.zeros(k), where=running)
+        P += AP
+        rz = rz_new
     if running.any():
         c = np.flatnonzero(running)[0]
         raise ConvergenceError(
@@ -539,7 +658,7 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     X -= X[0].copy()  # normalize v_i({}) = 0
     X[infeasible] = 0.0
     np.ldexp(X, scale, out=X)
-    return X, iterations.tolist(), residuals.tolist()
+    return X, preconditioner, iterations.tolist(), residuals.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -576,20 +695,21 @@ def _spectral_applies(g: GameGraph) -> bool:
 def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     """Components of v for the given players, as columns on all 2**n coalitions.
 
-    Returns (X, engine, iterations, residuals), the lists in the order of
-    players.  X holds fractions in rational mode and floats in float mode;
-    infeasible rows are zero.
+    Returns (X, engine, preconditioner, iterations, residuals), the lists in
+    the order of players; the preconditioner is "" for the exact engines.
+    X holds fractions in rational mode and floats in float mode; infeasible
+    rows are zero.
     """
     k = len(players)
     if not v.is_rational:
         _check_cg_memory(g, k)
         B = _rhs(g, np.asarray(v.values, dtype=np.float64), players)
         _verify_mean_zero(g, B)
-        X, iterations, residuals = _cg_float(g, B, players, cfg.cg_tolerance,
-                                             cfg.max_iters_for(g.n))
-        return X, CG_FLOAT, iterations, residuals
+        X, preconditioner, iterations, residuals = _cg_float(
+            g, B, players, cfg.cg_tolerance, cfg.max_iters_for(g.n))
+        return X, CG_FLOAT, preconditioner, iterations, residuals
     if _spectral_applies(g):
-        return _spectral_rational(g, v, players), SPECTRAL, [0] * k, [0.0] * k
+        return _spectral_rational(g, v, players), SPECTRAL, "", [0] * k, [0.0] * k
     # the pinned solver comes first, so that a system past its capacity
     # is refused before any right-hand side is built
     solver = _rational_solver(g)
@@ -599,7 +719,7 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     for j in range(k):
         X[g.vertices[1:], j] = solver.solve(B[g.vertices[1:], j])
     # an exact solve has no residual
-    return X, DENSE_RATIONAL, [0] * k, [0.0] * k
+    return X, DENSE_RATIONAL, "", [0] * k, [0.0] * k
 
 
 def _efficiency_gap(g: GameGraph, v: Game, X: np.ndarray, engine: str):
@@ -621,7 +741,7 @@ def solve_component(g: GameGraph, v: Game, i: int, cfg: SolverConfig | None = No
     _check_modes(g, v, cfg)
     if not 0 <= i < g.n:
         raise ConfigError(f"player index {i} outside [0, {g.n})")
-    X, _, _, _ = _solve(g, v, [i], cfg)
+    X = _solve(g, v, [i], cfg)[0]
     return Game(g.n, v.mode, X[:, 0], v.names)
 
 
@@ -629,9 +749,10 @@ def decompose(g: GameGraph, v: Game, cfg: SolverConfig | None = None) -> Decompo
     """All component games of v on g, with per-player solve diagnostics."""
     cfg = cfg or SolverConfig()
     _check_modes(g, v, cfg)
-    X, engine, iterations, residuals = _solve(g, v, range(g.n), cfg)
+    X, engine, preconditioner, iterations, residuals = _solve(g, v, range(g.n), cfg)
     components = tuple(Game(g.n, v.mode, X[:, i], v.names) for i in range(g.n))
-    stats = tuple(PlayerSolveStats(i, engine, iterations[i], residuals[i]) for i in range(g.n))
+    stats = tuple(PlayerSolveStats(i, engine, iterations[i], residuals[i], preconditioner)
+                  for i in range(g.n))
     return Decomposition(g, v, components, stats, _efficiency_gap(g, v, X, engine))
 
 

@@ -191,8 +191,9 @@ def test_exit_code_infeasible(glove_path, tmp_path, capsys):
 
 
 def test_exit_code_non_convergence(glove_path, capsys):
+    # size-plus-one weights take several steps (a constant cube takes one)
     code = main(["decompose", "--game", glove_path, "--backend", "cg",
-                 "--max-iters", "1"])
+                 "--weights", "size-plus-one", "--max-iters", "1"])
     assert code == 4
     assert "error:" in capsys.readouterr().err
 

@@ -237,7 +237,8 @@ def test_backend_equivalence():
 
 
 def test_cg_iteration_count_on_cube():
-    # n distinct nonzero eigenvalues means CG converges in about n steps
+    # on a constant cube the Walsh preconditioner is L_w's pseudo-inverse,
+    # so one step solves every player; 10 * n bounds any preconditioner
     rng = np.random.default_rng(27)
     n = 8
     vals = rng.standard_normal(1 << n)
@@ -290,10 +291,11 @@ def test_least_squares_minimality():
 
 
 def test_cg_non_convergence_error():
+    # size-plus-one weights take several steps (a constant cube takes one)
     v = gm.make_glove_game().as_float()
     cfg = sv.SolverConfig(backend=sv.CG_FLOAT, cg_max_iters=1)
     with pytest.raises(ConvergenceError) as err:
-        sv.decompose(gr.full_hypercube(3), v, cfg)
+        sv.decompose(gr.full_hypercube(3, gr.EdgeWeighting.size_plus_one(3)), v, cfg)
     assert err.value.residual_history
 
 
@@ -792,6 +794,182 @@ def test_float_matches_exact_off_the_subcube_path():
         for a, b in zip(exact.components, cg.components):
             ref = np.array([float(x) for x in a.values])
             assert np.max(np.abs(np.asarray(b.values) - ref)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the Walsh preconditioner of float CG
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walsh_solves_constant_cubes_in_one_iteration(n):
+    rng = random.Random(n)
+    v = gm.game_from_values(n, random_dyadic_values(rng, n))
+    cfg = sv.SolverConfig(backend=sv.CG_FLOAT)
+    for c in (1, Fraction(3, 2), 2 ** 40):
+        g = gr.full_hypercube(n, gr.EdgeWeighting.constant(c))
+        exact = sv.decompose(g, v)
+        assert {s.backend for s in exact.diagnostics} == {sv.SPECTRAL}
+        assert {s.preconditioner for s in exact.diagnostics} == {""}
+        cg = sv.decompose(g, v.as_float(), cfg)
+        assert {s.preconditioner for s in cg.diagnostics} == {sv.WALSH}
+        for a, b, stats in zip(exact.components, cg.components, cg.diagnostics):
+            ref = np.array([float(x) for x in a.values])
+            assert stats.iterations == (1 if ref.any() else 0)
+            assert np.max(np.abs(np.asarray(b.values) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("weighting", ["size-plus-one", "by-cardinality", "restricted-constant",
+                                       "restricted-degree-product"])
+def test_walsh_matches_exact_in_few_iterations(weighting):
+    rng = random.Random(len(weighting))
+    for n in (3, 6, 8):
+        if weighting == "size-plus-one":
+            g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
+        elif weighting == "by-cardinality":
+            g = gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality(range(n, 0, -1)))
+        else:
+            g = _product_graph(n, weighting[len("restricted-"):], n)
+            assert not g.vertex_mask.all()
+        v = gm.game_from_values(n, random_dyadic_values(rng, n))
+        exact = sv.decompose(g, v)
+        assert {s.preconditioner for s in exact.diagnostics} == {""}
+        cg = sv.decompose(g, v.as_float(), sv.SolverConfig(backend=sv.CG_FLOAT))
+        assert {s.preconditioner for s in cg.diagnostics} == {sv.WALSH}
+        assert max(s.iterations for s in cg.diagnostics) <= 12
+        for a, b in zip(exact.components, cg.components):
+            ref = np.array([float(x) for x in a.values])
+            assert np.max(np.abs(np.asarray(b.values) - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 7])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_blocked_walsh_matches_walsh_hadamard(n, chunk, monkeypatch):
+    # chunks of 128 floats split the third axis of the wider blocks
+    if chunk is not None:
+        monkeypatch.setattr(sv, "_CHUNK", chunk)
+    rng = np.random.default_rng(n)
+    for k in (1, n):
+        x = rng.standard_normal((1 << n, k))
+        ref = x.copy()
+        sv._walsh_hadamard(ref)
+        prod = np.empty(sv._chunk_floats(1 << n, k))
+        sv._blocked_walsh(x, [(a, sv._hadamard(w)) for a, w in sv._player_blocks(n)], prod)
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _jacobi_cg(g, v, tol=1e-12):
+    """Components and iteration counts of every player of the float game v
+    by Jacobi-preconditioned CG, written out step for step as ``_cg_float``
+    takes it on a graph that ``_walsh_fits`` refuses."""
+    n, k = g.n, g.n
+    infeasible = np.flatnonzero(~g.vertex_mask)
+    deg = gr._endpoint_sums(g.player_weights)[:, None]
+    dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    scratch = np.empty((1 << (n - 1), k))
+    apply = sv._subcube_laplacian(g, k, deg)
+    if apply is None:
+        def apply(x, out):
+            sv._laplacian_float(g.player_weights, x, out, scratch)
+
+    def deflate(x):
+        x -= x.sum(axis=0) / g.num_vertices
+        x[infeasible] = 0.0
+
+    R = sv._rhs(g, np.asarray(v.values), range(n))
+    _, scale = np.frexp(np.abs(R).max(axis=0))
+    np.ldexp(R, -scale, out=R)
+    deflate(R)
+    X, P, AP = np.zeros_like(R), R * dinv, np.empty_like(R)
+    rz, b_norm = sv._column_dots(R, P), np.sqrt(sv._column_dots(R, R))
+    running, iterations = b_norm > 0, np.zeros(k, dtype=int)
+    for it in range(1, (10 << n) + 1):
+        if not running.any():
+            break
+        apply(P, AP)
+        alpha = np.divide(rz, sv._column_dots(P, AP), out=np.zeros(k), where=running)
+        for rows in (slice(0, 1 << (n - 1)), slice(1 << (n - 1), 1 << n)):
+            np.multiply(P[rows], alpha, out=scratch)
+            X[rows] += scratch
+        AP *= alpha
+        R -= AP
+        deflate(R)
+        rel = np.divide(np.sqrt(sv._column_dots(R, R)), b_norm, out=np.zeros(k), where=running)
+        np.multiply(R, dinv, out=AP)
+        rz_new = sv._column_dots(R, AP)
+        P *= np.divide(rz_new, rz, out=np.zeros(k), where=running)
+        P += AP
+        rz = rz_new
+        done = running & (rel <= tol)
+        iterations[done] = it
+        running &= ~done
+    X -= X[0].copy()
+    X[infeasible] = 0.0
+    np.ldexp(X, scale, out=X)
+    return X, iterations.tolist()
+
+
+def test_jacobi_keeps_graphs_whose_weights_span_more_than_three_decades():
+    # the alternating 10**3 / 10**-3 table, full and restricted, the size
+    # table 10**s, explicit weights 10**k with k in [-3, 3] and a removed
+    # edge, and with k in [-6, 6]
+    rng = random.Random(46)
+    n = 6
+    cube = gr.full_hypercube(n)
+    wide = {e: Fraction(10) ** rng.randint(-3, 3) for e in cube.edges()}
+    entries = {e: Fraction(10) ** rng.randint(-6, 6) for e in cube.edges()}
+    graphs = [gr.full_hypercube(n, _permutation_invariant_weightings(n)["wide"]),
+              _product_graph(n, "wide", 46),
+              gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality(
+                  [Fraction(10) ** s for s in range(n)])),
+              gr.restrict(gr.full_hypercube(n, gr.EdgeWeighting.explicit(wide)),
+                          [bits(0, 1), bits(1, 2, 3)], [gr.Edge(bits(4), 0)]),
+              gr.full_hypercube(n, gr.EdgeWeighting.explicit(entries))]
+    vals = np.random.default_rng(46).standard_normal(1 << n)
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    for g in graphs:
+        dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
+        assert {s.preconditioner for s in dec.diagnostics} == {sv.JACOBI}
+        X, iterations = _jacobi_cg(g, v)
+        assert [s.iterations for s in dec.diagnostics] == iterations
+        assert np.array_equal(np.array([c.values for c in dec.components]).T, X)
+
+
+def test_walsh_fits_reads_the_weight_spread():
+    n = 5
+    cube = gr.full_hypercube(n)
+    edge = gr.Edge(bits(1), 2)
+    for spread, fits in ((1000, True), (1001, False)):
+        entries = {e: Fraction(1) for e in cube.edges()}
+        entries[edge] = Fraction(spread)
+        g = gr.full_hypercube(n, gr.EdgeWeighting.explicit(entries))
+        assert sv._walsh_fits(g) is fits
+        # a removed edge no longer counts
+        assert sv._walsh_fits(gr.restrict(g, [], [edge]))
+    for g, fits in ((cube, True),
+                    (gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)), True),
+                    (_product_graph(n, "degree-product", 47), True),
+                    (gr.restrict(cube, [], [gr.Edge(bits(1), 2)]), True),
+                    (_restricted_explicit_graph(n, 47), True),
+                    (gr.full_hypercube(n, _permutation_invariant_weightings(n)["wide"]), False),
+                    (_product_graph(n, "wide", 47), False)):
+        assert sv._walsh_fits(g) is fits
+
+
+def test_walsh_beats_jacobi_on_random_explicit_weights():
+    # weights p / q with p in 1..9, q in 1..4 and a removed edge; Jacobi
+    # takes 37 iterations here
+    rng = random.Random(48)
+    n = 6
+    g = _restricted_explicit_graph(n, 48)
+    v = gm.game_from_values(n, random_dyadic_values(rng, n))
+    exact = sv.decompose(g, v)
+    cg = sv.decompose(g, v.as_float(), sv.SolverConfig(backend=sv.CG_FLOAT))
+    assert {s.preconditioner for s in cg.diagnostics} == {sv.WALSH}
+    assert max(s.iterations for s in cg.diagnostics) < min(_jacobi_cg(g, v.as_float())[1])
+    for a, b in zip(exact.components, cg.components):
+        ref = np.array([float(x) for x in a.values])
+        assert np.max(np.abs(np.asarray(b.values) - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------
