@@ -3,8 +3,9 @@
 ``DixonSolver`` takes a nonsingular integer matrix (the caller scales the
 weights by their common denominator, which keeps the Laplacian symmetric
 and leaves the solution unchanged).  It computes one modular matrix
-inverse and then, per right-hand side, lifts a p-adic digit expansion of
-the solution and recovers exact fractions by rational reconstruction.
+inverse and then, per block of right-hand sides, lifts a p-adic digit
+expansion of the whole solution block at once and recovers it by rational
+reconstruction as Python ints over one common denominator.
 
 The inverse is Gauss-Jordan on ``[A | I]`` mod p, blocked in panels of
 ``_PANEL`` pivot columns.  Within a panel the row-by-row steps touch only
@@ -15,25 +16,25 @@ That product runs in float64 BLAS with V split into 13-bit halves: each
 half's entries stay below ``2**13`` and M's below ``p < 2**25.1``, so a
 sum of ``_PANEL = 32`` products stays below ``2**43.1``, far inside the
 53-bit mantissa, and is exact.  Each lifting step's product of the
-inverse with a residual mod p splits the residual the same way; its sums
-of ``m <= 2**12`` products stay below ``2**50.1``.
+inverse with the residual block mod p splits the residuals the same way;
+its sums of ``m <= 2**12`` products stay below ``2**50.1``.
 
-Lifting stops as early as the answer allows: the digits accumulate as
-``acc += x * p**k``, and at ``k = 2, 4, 8, ...`` the solver reconstructs
-a candidate and returns the first one that passes ``_check``.  The
-Hadamard bound on ``det A`` fixes the digit count at which a candidate is
-guaranteed; past it the count doubles a few more times as a last resort.
-The residual update ``A @ x`` runs over A's nonzeros in int64 when that
-is exact and on Python ints otherwise, so entries of any size are
-accepted.  ``_check`` verifies every returned solution against the exact
-integer matrix; it is the only correctness guarantee, so neither an
-early candidate nor a digit-count bound can give a silently wrong answer.
+Lifting stops as early as the whole block allows: the digits accumulate
+as ``acc += x * p**k``, and at ``k = 2, 4, 8, ...`` the solver
+reconstructs a candidate over a running common denominator and returns
+the first one that passes ``_check``.  The Hadamard bound on ``det A``
+fixes the digit count at which a candidate is guaranteed; past it the
+count doubles a few more times as a last resort.  The residual update ``A
+@ x`` runs over A's nonzeros in int64 when that is exact and on Python
+ints otherwise, so entries of any size are accepted.  ``_check`` verifies
+every returned block, ``A X = den B``, against the exact integer matrix;
+it is the only correctness guarantee, so neither an early candidate nor a
+digit-count bound can give a silently wrong answer.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -144,9 +145,9 @@ class DixonSolver:
         sq = np.add.reduceat(self._entries * self._entries, self._starts)
         self._log2_det = sum(0.5 * int(x).bit_length() for x in sq)
 
-    def _product(self, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """A @ x over A's nonzeros, in the dtype of data."""
-        return np.add.reduceat(data * x.astype(data.dtype)[self._cols], self._starts)
+    def _product(self, data: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """A @ X over A's nonzeros, in the dtype of data."""
+        return np.add.reduceat(data[:, None] * X.astype(data.dtype)[self._cols], self._starts)
 
     def _matvec_mod(self, r_mod: np.ndarray) -> np.ndarray:
         """C @ r mod p on r's 13-bit halves: each float64 sum of m <= 2**12
@@ -161,9 +162,11 @@ class DixonSolver:
         log2_needed = 2 * self._log2_det + max(1, max_b).bit_length() + self._m.bit_length() + 30
         return int(log2_needed / np.log2(self.p)) + 2
 
-    def solve(self, b: list[int]) -> list[Fraction]:
-        b = np.array(b, dtype=object)
-        max_b = max(map(abs, b), default=1)
+    def solve(self, B: np.ndarray) -> tuple[np.ndarray, int]:
+        """``(X, den)`` with ``A X = den * B`` exactly: B and X are (m, k)
+        arrays of ints, X of Python ints, over one common denominator."""
+        B = np.asarray(B, dtype=object)
+        max_b = max(map(abs, B.flat), default=1)
         # try powers of two below the guaranteed count, then that count,
         # then double it as a last resort
         guaranteed = self._guaranteed_digits(max_b)
@@ -172,8 +175,8 @@ class DixonSolver:
         p = self.p
         # with A x exact in int64 (|A x| < 2**62) and |r| < 2**62, r - A x
         # fits int64 and dividing by p brings it back below 2**62
-        r = b.astype(np.int64) if self._data.dtype == np.int64 and max_b < 1 << 62 else b
-        acc = np.zeros(self._m, dtype=object)
+        r = B.astype(np.int64) if self._data.dtype == np.int64 and max_b < 1 << 62 else B
+        acc = np.zeros(B.shape, dtype=object)
         pk = 1
         for k in range(1, max(tries) + 1):
             x = self._matvec_mod((r % p).astype(np.float64))
@@ -182,37 +185,36 @@ class DixonSolver:
             r = (r - self._product(self._data, x)) // p
             if k in tries:
                 sol = _reconstruct(acc, pk)
-                if sol is not None and self._check(sol, b):
+                if sol is not None and self._check(*sol, B):
                     return sol
         raise ArithmeticError("p-adic lifting failed to produce a verified solution")
 
-    def _check(self, x: list[Fraction], b: np.ndarray) -> bool:
-        """A x == b exactly, checked as A (den x) == den b in Python ints."""
-        den = lcm(*(f.denominator for f in x))
-        x_int = np.array([f.numerator * (den // f.denominator) for f in x], dtype=object)
-        return bool(np.all(self._product(self._entries, x_int) == den * b))
+    def _check(self, X: np.ndarray, den: int, B: np.ndarray) -> bool:
+        """A X == den B exactly, in Python ints."""
+        return bool(np.all(self._product(self._entries, X) == den * B))
 
 
-def _reconstruct(acc: np.ndarray, M: int) -> list[Fraction] | None:
-    """Fractions congruent to acc mod M, each within the balanced bound; None if none."""
+def _reconstruct(acc: np.ndarray, M: int) -> tuple[np.ndarray, int] | None:
+    """``(X, den)`` with ``X / den`` congruent to acc mod M entry by entry,
+    each entry within the balanced bound; None if there is none."""
     bound = isqrt(M // 2)
-    sol = []
+    found = []  # (numerator, denominator) per entry, in acc's flat order
     den = 1
-    for a in acc:
+    for a in acc.flat:
         # try the running common denominator first, else reconstruct
         y = a * den % M
         if y > M - bound:
             y -= M
         if abs(y) <= bound:
-            sol.append(Fraction(y, den))
+            found.append((y, den))
             continue
         nd = _rational_reconstruct(a, M, bound)
         if nd is None:
             return None
-        num, d = nd
-        den = den * d // gcd(den, d)
-        sol.append(Fraction(num, d))
-    return sol
+        found.append(nd)
+        den = den * nd[1] // gcd(den, nd[1])
+    X = np.array([y * (den // d) for y, d in found], dtype=object).reshape(acc.shape)
+    return X, den
 
 
 def _rational_reconstruct(x: int, M: int, bound: int):

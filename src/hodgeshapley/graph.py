@@ -13,6 +13,7 @@ empty coalition by adding one player at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -301,22 +302,27 @@ class GameGraph:
         return table
 
     @cached_property
-    def weight_ratios(self) -> tuple[np.ndarray, np.ndarray]:
-        """Numerator and denominator of each edge's weight in lowest terms.
-
-        Both are int64 when every value fits and object arrays otherwise.
-        """
-        w, at = self.weighting, (self.edge_player, self.edge_slot)
+    def integer_weights(self) -> tuple[np.ndarray, int]:
+        """``(W, D_w)``: each edge's weight times ``D_w``, the lcm of the feasible
+        edges' weight denominators, as Python ints in the layout of
+        ``edge_mask``; absent edges hold 0."""
+        w, present = self.weighting, self.edge_mask
         sizes = w.by_size(self.n)
-        nums = self._slot_table(*_int_arrays([x.numerator for x in sizes], w.numerators))
-        dens = self._slot_table(*_int_arrays([x.denominator for x in sizes], w.denominators))
-        return _int_arrays(nums[at], dens[at])
+        nums = self._slot_table(np.array([x.numerator for x in sizes], dtype=object),
+                                w.numerators)[present]
+        dens = self._slot_table(np.array([x.denominator for x in sizes], dtype=object),
+                                w.denominators)[present]
+        scale = math.lcm(*set(dens.tolist()))
+        table = np.zeros(present.shape, dtype=object)
+        table[present] = nums * (scale // dens)
+        return table, scale
 
     @cached_property
     def weight_fractions(self) -> tuple[Fraction, ...]:
         """Exact weight per feasible edge; built only where rational mode asks for it."""
-        nums, dens = self.weight_ratios
-        return tuple(map(Fraction, nums.tolist(), dens.tolist()))
+        table, scale = self.integer_weights
+        at = (self.edge_player, self.edge_slot)
+        return tuple(Fraction(x, scale) for x in table[at].tolist())
 
     @cached_property
     def weight_floats(self) -> np.ndarray:
@@ -338,13 +344,6 @@ class GameGraph:
         floats[~exact] = [x / y for x, y in zip(nums[~exact].tolist(), dens[~exact].tolist())]
         table = self._slot_table(np.array([float(x) for x in w.by_size(self.n)]), floats)
         table[~self.edge_mask] = 0.0
-        return table
-
-    @cached_property
-    def player_weight_fractions(self) -> np.ndarray:
-        """Exact twin of ``player_weights``: an object array of fractions."""
-        table = np.full(self.edge_mask.shape, Fraction(0), dtype=object)
-        table[self.edge_player, self.edge_slot] = np.asarray(self.weight_fractions, dtype=object)
         return table
 
     @cached_property

@@ -3,29 +3,32 @@
 Each component game solves the singular system ``L_w v_i = L_{w_i} v``
 normalized by ``v_i({}) = 0``.  Only the scalar field differs between the
 modes, so one code path serves both: vectors live on all ``2**n``
-coalitions, one column per player, as ``object`` arrays of fractions in
+coalitions, one column per player, as ``object`` arrays of Python ints in
 rational mode and ``float64`` arrays in float mode; infeasible coalitions
 of a restricted graph are rows that stay exactly 0.  Player i's edges
 pair the two halves of the strided view ``x.reshape(2**(n-1-i), 2, 2**i,
 k)``, so ``L_{w_i}`` is a difference of half-views scaled by row i of
-``GameGraph.player_weights`` (or its exact twin
-``player_weight_fractions``), and ``L_w`` is the sum of the n of them.
-The right-hand sides of all players come from one such sweep.
+``GameGraph.player_weights`` (or of its integer twin
+``integer_weights``), and ``L_w`` is the sum of the n of them.  The
+right-hand sides of all players come from one such sweep.
 
-Rational mode has two engines.  On the full cube with a constant weight
-c the Walsh transform diagonalises both operators: ``L_w`` has
-eigenvalue ``2c|T|`` and ``L_{w_i}`` has ``2c[i in T]`` on the character
-of T, so ``v_i^(T) = [i in T] v^(T) / |T|``.  The spectral engine does
-this in integers (v scaled by its denominator lcm, the quotient by
-``lcm(1..n)``), inverse-transforms every player's column in one sweep,
-verifies ``L_w X = L_{w_i} v`` column by column in integers, and only
-then builds fractions; it takes ``n <= 16``.  Every other graph scales
-its weights by their common denominator and inverts the integer pinned
-Laplacian (empty coalition's row and column deleted) mod p once per
-graph, by panel-blocked Gauss-Jordan with float64 BLAS panel updates;
-each solve then lifts p-adic digits only until a reconstructed candidate
-passes the exact check, up to 4096 unknowns; past that limit the solve
-raises ``CapacityError`` before any right-hand side is built.
+Rational mode computes on Python ints over one common denominator: v as
+``D v`` (D the lcm of its denominators), the weights as
+``GameGraph.integer_weights``, and each engine returns all players'
+columns over one denominator; fractions are built only for the component
+games.  On the full cube with a constant weight c the Walsh transform
+diagonalises both operators: ``L_w`` has eigenvalue ``2c|T|`` and
+``L_{w_i}`` has ``2c[i in T]`` on the character of T, so ``v_i^(T) = [i in
+T] v^(T) / |T|``.  The spectral engine does this in integers (the quotient
+by ``lcm(1..n)``), inverse-transforms every player's column in one sweep
+and verifies ``L_w X = L_{w_i} v`` column by column; it takes ``n <= 16``.
+Every other graph inverts the integer pinned Laplacian (empty coalition's
+row and column deleted) mod p once per graph, by panel-blocked
+Gauss-Jordan with float64 BLAS panel updates; a solve then lifts p-adic
+digits of all players' right-hand sides as one block until a
+reconstructed candidate passes the exact check, up to 4096 unknowns; past
+that limit it raises ``CapacityError`` before any right-hand side is
+built.  ``decompose`` checks ``sum_i v_i = v`` exactly after either engine.
 
 Float mode has one engine, ``cg_float``: preconditioned conjugate gradient
 on all columns at once in preallocated buffers.  Each column is first
@@ -100,7 +103,8 @@ _SPECTRAL_MAX_N = 16
 @dataclass(frozen=True)
 class SolverConfig:
     """Backend choice (``dense_rational`` for rational-mode games,
-    ``cg_float`` for float-mode ones) plus iterative-solver knobs.
+    ``cg_float`` for float-mode ones; None, the default, follows the
+    game's mode) plus iterative-solver knobs.
 
     ``cg_max_iters`` defaults to ``10 * 2**n`` at solve time.  CG
     actually takes one iteration on a full cube with a constant weight,
@@ -109,12 +113,12 @@ class SolverConfig:
     tens to hundreds with Jacobi on weights that span more.
     """
 
-    backend: str = DENSE_RATIONAL
+    backend: str | None = None
     cg_tolerance: float = 1e-12
     cg_max_iters: int | None = None
 
     def __post_init__(self):
-        if self.backend not in _BACKENDS:
+        if self.backend is not None and self.backend not in _BACKENDS:
             raise ConfigError(f"unknown backend {self.backend!r}; expected one of {_BACKENDS}")
         if not self.cg_tolerance > 0:
             raise ConfigError("cg_tolerance must be positive")
@@ -164,55 +168,46 @@ class Decomposition:
 # cached per-graph factorizations
 # ---------------------------------------------------------------------------
 
-_rational_solvers: "weakref.WeakKeyDictionary[GameGraph, _RationalPinnedSolver]" = \
+_rational_solvers: "weakref.WeakKeyDictionary[GameGraph, DixonSolver]" = \
     weakref.WeakKeyDictionary()
 
 
-class _RationalPinnedSolver:
-    """Exact solver for the reduced (empty-coalition-pinned) weighted Laplacian.
-
-    The weights are scaled by their common denominator ``D_w``, so the
-    pinned matrix is a symmetric integer matrix and ``L x = b`` becomes
-    ``(D_w L) x = D_w b``.
-    """
-
-    def __init__(self, g: GameGraph):
-        m = g.num_vertices - 1
-        if m > _MAX_UNKNOWNS:
-            # restricted size-plus-one cubes on a 2-vCPU box, one BLAS thread,
-            # at 509 / 1021 / 2045 / 4093 unknowns: factor 0.13 / 0.83 / 5.3 /
-            # 39 s, one solve 0.03 / 0.09 / 0.59 / 4.0 s, +11 / 39 / 157 / 637 MB
-            # RSS; so about m**3 (the factor's asymptote), m**2.7 and 38 m**2 bytes
-            growth = m / 2045
-            raise CapacityError(
-                f"exact solve of {m} unknowns exceeds the limit of {_MAX_UNKNOWNS}: "
-                f"the dense system would hold {m * m:,} entries; estimated "
-                f"{5.3 * growth ** 3:,.0f} s to factor, {0.6 * growth ** 2.7:,.0f} s per "
-                f"player's solve and {0.16 * growth ** 2:,.1f} GB")
-        nums, dens = g.weight_ratios
-        self._scale = math.lcm(*set(dens.tolist()))
-        w = [x * (self._scale // y) for x, y in zip(nums.tolist(), dens.tolist())]
-        # a diagonal entry sums at most n weights
-        w = np.array(w, dtype=np.int64 if max(w) * g.n < 1 << 62 else object)
-        s, t = g.edge_src_pos, g.edge_dst_pos
-        A = np.zeros((m + 1, m + 1), dtype=w.dtype)
-        np.add.at(A, (s, s), w)
-        np.add.at(A, (t, t), w)
-        A[s, t] = A[t, s] = -w
-        self._lift = DixonSolver(A[1:, 1:])
-
-    def solve(self, b: Sequence[Fraction]) -> list[Fraction]:
-        d = math.lcm(*(x.denominator for x in b))
-        y = self._lift.solve([x.numerator * (d // x.denominator) * self._scale for x in b])
-        return [x / d for x in y]
-
-
-def _rational_solver(g: GameGraph) -> _RationalPinnedSolver:
+def _rational_solver(g: GameGraph) -> DixonSolver:
+    """The lifting solver of g's pinned Laplacian (the empty coalition's row
+    and column deleted) with the weights ``GameGraph.integer_weights``, so
+    scaled by ``D_w`` into a symmetric integer matrix; cached per graph."""
     solver = _rational_solvers.get(g)
-    if solver is None:
-        solver = _RationalPinnedSolver(g)
-        _rational_solvers[g] = solver
+    if solver is not None:
+        return solver
+    m = g.num_vertices - 1
+    if m > _MAX_UNKNOWNS:
+        # restricted size-plus-one cubes on a 2-vCPU box, one BLAS thread,
+        # at 509 / 1021 / 2045 / 4093 unknowns: factor 0.21 / 1.0 / 7.3 /
+        # 51 s, a decompose's block lift 0.012 / 0.058 / 0.19 / 0.57 s per
+        # player, +11 / 39 / 158 / 638 MB RSS; so about m**3 (the factor's
+        # asymptote), m**2 and 38 m**2 bytes
+        growth = m / 2045
+        raise CapacityError(
+            f"exact solve of {m} unknowns exceeds the limit of {_MAX_UNKNOWNS}: "
+            f"the dense system would hold {m * m:,} entries; estimated "
+            f"{7.3 * growth ** 3:,.0f} s to factor, {0.19 * growth ** 2:,.0f} s per "
+            f"player's solve and {0.16 * growth ** 2:,.1f} GB")
+    w = g.integer_weights[0][g.edge_player, g.edge_slot]
+    if max(w) * g.n < 1 << 62:  # a diagonal entry sums at most n weights
+        w = w.astype(np.int64)
+    s, t = g.edge_src_pos, g.edge_dst_pos
+    A = np.zeros((m + 1, m + 1), dtype=w.dtype)
+    np.add.at(A, (s, s), w)
+    np.add.at(A, (t, t), w)
+    A[s, t] = A[t, s] = -w
+    solver = _rational_solvers[g] = DixonSolver(A[1:, 1:])
     return solver
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """``(D * values, D)``: Python ints over D, the lcm of the denominators."""
+    D = math.lcm(*(x.denominator for x in values))
+    return np.array([x.numerator * (D // x.denominator) for x in values], dtype=object), D
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +249,14 @@ def _walsh_hadamard(x: np.ndarray) -> None:
         h[:, 0] = s
 
 
-def _spectral_rational(g: GameGraph, v: Game, players: Sequence[int]) -> np.ndarray:
+def _spectral_rational(g: GameGraph, v: Game, players: Sequence[int]) -> tuple[np.ndarray, int]:
     """Exact components of v for the given players on a full cube with
-    constant weights, as fraction columns on all 2**n coalitions.
+    constant weights, as ``(X, den)``: columns of Python ints on all 2**n
+    coalitions, the components being X / den.
 
     In integers: X = 2**n * lcm(1..n) * D * (component), D the lcm of v's
     denominators.  X is checked against ``L X = 2**n * lcm(1..n) * L_i (D v)``
-    with unit weights (the constant weight cancels) before any fraction is
-    built.
+    with unit weights (the constant weight cancels) before it is returned.
     """
     n = g.n
     if n > _SPECTRAL_MAX_N:
@@ -271,9 +266,8 @@ def _spectral_rational(g: GameGraph, v: Game, players: Sequence[int]) -> np.ndar
             f"exact spectral solve at n = {n} exceeds the limit n <= {_SPECTRAL_MAX_N}: "
             f"estimated {6 * growth * n / _SPECTRAL_MAX_N:,.0f} s and {225 * growth:,.0f} MB")
     rows, k = 1 << n, len(players)
-    D = math.lcm(*(x.denominator for x in v.values))
-    v_int = np.empty((rows, 1), dtype=object)
-    v_int[:, 0] = [x.numerator * (D // x.denominator) for x in v.values]
+    values, D = _over_common_denominator(v.values)
+    v_int = values.reshape(-1, 1)
     ell = math.lcm(*range(1, n + 1))
     q = v_int.copy()
     _walsh_hadamard(q)
@@ -295,21 +289,19 @@ def _spectral_rational(g: GameGraph, v: Game, players: Sequence[int]) -> np.ndar
         _add_player_laplacian(None, i, v_int, rhs, scratch)
         if not np.array_equal(lhs[:, col:col + 1], rhs):
             raise ArithmeticError("spectral solve failed its exact verification; this is a bug")
-    del lhs, scratch
-    denom = D * ell << n
-    return np.frompyfunc(lambda y: Fraction(y, denom), 1, 1)(X)
+    return X, D * ell << n
 
 
 def _rhs(g: GameGraph, values: np.ndarray, players: Sequence[int]) -> np.ndarray:
     """Right-hand sides L_{w_i} v on all 2**n coalitions, one column per player.
 
-    The output has the dtype of values: object for fractions, weighted by
-    ``GameGraph.player_weight_fractions``, or float64, weighted by
-    ``player_weights``.
+    The output has the dtype of values: object for Python ints, weighted by
+    ``GameGraph.integer_weights`` (so scaled by its ``D_w``), or float64,
+    weighted by ``player_weights``.
     """
     out = np.zeros((values.shape[0], len(players)), dtype=values.dtype)
     scratch = np.empty((values.shape[0] // 2, 1), dtype=values.dtype)
-    w = g.player_weight_fractions if values.dtype == object else g.player_weights
+    w = g.integer_weights[0] if values.dtype == object else g.player_weights
     for col, i in enumerate(players):
         _add_player_laplacian(w[i], i, values.reshape(-1, 1), out[:, col:col + 1], scratch)
     return out
@@ -677,7 +669,7 @@ def _check_modes(g: GameGraph, v: Game, cfg: SolverConfig) -> None:
 
 def _verify_mean_zero(g: GameGraph, B: np.ndarray) -> None:
     # L_{w_i} v lies in the range of d*, hence is orthogonal to constants:
-    # exactly for fractions, to round-off for floats.  One column per
+    # exactly for ints, to round-off for floats.  One column per
     # player; infeasible rows are 0 and add nothing.  The float tolerance
     # is relative to each column's largest entry, so it is 0 for a zero
     # column and scales down with a small one.
@@ -695,9 +687,10 @@ def _spectral_applies(g: GameGraph) -> bool:
 def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     """Components of v for the given players, as columns on all 2**n coalitions.
 
-    Returns (X, engine, preconditioner, iterations, residuals), the lists in
-    the order of players; the preconditioner is "" for the exact engines.
-    X holds fractions in rational mode and floats in float mode; infeasible
+    Returns (X, den, engine, preconditioner, iterations, residuals), the
+    lists in the order of players; the preconditioner is "" for the exact
+    engines.  The components are X / den: Python ints over one common
+    denominator in rational mode, floats over 1 in float mode; infeasible
     rows are zero.
     """
     k = len(players)
@@ -707,32 +700,39 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
         _verify_mean_zero(g, B)
         X, preconditioner, iterations, residuals = _cg_float(
             g, B, players, cfg.cg_tolerance, cfg.max_iters_for(g.n))
-        return X, CG_FLOAT, preconditioner, iterations, residuals
+        return X, 1, CG_FLOAT, preconditioner, iterations, residuals
     if _spectral_applies(g):
-        return _spectral_rational(g, v, players), SPECTRAL, "", [0] * k, [0.0] * k
+        return (*_spectral_rational(g, v, players), SPECTRAL, "", [0] * k, [0.0] * k)
     # the pinned solver comes first, so that a system past its capacity
     # is refused before any right-hand side is built
     solver = _rational_solver(g)
-    B = _rhs(g, np.asarray(v.values, dtype=object), players)
+    values, D = _over_common_denominator(v.values)
+    B = _rhs(g, values, players)  # D * D_w * L_{w_i} v
     _verify_mean_zero(g, B)
-    X = np.full(B.shape, Fraction(0), dtype=object)
-    for j in range(k):
-        X[g.vertices[1:], j] = solver.solve(B[g.vertices[1:], j])
+    X = np.zeros(B.shape, dtype=object)
+    X[g.vertices[1:]], den = solver.solve(B[g.vertices[1:]])
     # an exact solve has no residual
-    return X, DENSE_RATIONAL, "", [0] * k, [0.0] * k
+    return X, den * D, DENSE_RATIONAL, "", [0] * k, [0.0] * k
 
 
-def _efficiency_gap(g: GameGraph, v: Game, X: np.ndarray, engine: str):
-    """Largest miss of the component sum against v over feasible coalitions."""
-    if engine == SPECTRAL:
-        # the exact verification of every column implies the identity
-        return Fraction(0)
-    miss = X.sum(axis=1) - np.asarray(v.values, dtype=X.dtype)
-    gap = ops._scalar(np.abs(miss[g.vertex_mask]).max())
-    if v.is_rational and gap != 0:
-        raise ArithmeticError("exact decomposition failed the efficiency identity; "
-                              "this is a bug")
-    return gap
+def _efficiency_gap(g: GameGraph, v: Game, X: np.ndarray, den):
+    """Largest miss of the component sum ``X.sum(axis=1) / den`` against v
+    over feasible coalitions; in rational mode an exact check in ints."""
+    total = X.sum(axis=1)
+    if not v.is_rational:
+        return ops._scalar(np.abs(total - v.values)[g.vertex_mask].max())
+    for S in g.vertices.tolist():
+        if total[S] * v.values[S].denominator != den * v.values[S].numerator:
+            raise ArithmeticError("exact decomposition failed the efficiency identity; "
+                                  "this is a bug")
+    return Fraction(0)
+
+
+def _component(v: Game, x: np.ndarray, den) -> Game:
+    """The component game x / den; rational mode builds its fractions here."""
+    if v.is_rational:
+        x = [Fraction(y, den) for y in x.tolist()]
+    return Game(v.n, v.mode, x, v.names)
 
 
 def solve_component(g: GameGraph, v: Game, i: int, cfg: SolverConfig | None = None) -> Game:
@@ -741,30 +741,25 @@ def solve_component(g: GameGraph, v: Game, i: int, cfg: SolverConfig | None = No
     _check_modes(g, v, cfg)
     if not 0 <= i < g.n:
         raise ConfigError(f"player index {i} outside [0, {g.n})")
-    X = _solve(g, v, [i], cfg)[0]
-    return Game(g.n, v.mode, X[:, 0], v.names)
+    X, den = _solve(g, v, [i], cfg)[:2]
+    return _component(v, X[:, 0], den)
 
 
 def decompose(g: GameGraph, v: Game, cfg: SolverConfig | None = None) -> Decomposition:
     """All component games of v on g, with per-player solve diagnostics."""
     cfg = cfg or SolverConfig()
     _check_modes(g, v, cfg)
-    X, engine, preconditioner, iterations, residuals = _solve(g, v, range(g.n), cfg)
-    components = tuple(Game(g.n, v.mode, X[:, i], v.names) for i in range(g.n))
+    X, den, engine, preconditioner, iterations, residuals = _solve(g, v, range(g.n), cfg)
+    gap = _efficiency_gap(g, v, X, den)
+    components = tuple(_component(v, X[:, i], den) for i in range(g.n))
     stats = tuple(PlayerSolveStats(i, engine, iterations[i], residuals[i], preconditioner)
                   for i in range(g.n))
-    return Decomposition(g, v, components, stats, _efficiency_gap(g, v, X, engine))
+    return Decomposition(g, v, components, stats, gap)
 
 
 def residual_orthogonality(g: GameGraph, v: Game, dec: Decomposition) -> list:
     """Max-norm of d*_w (d v_i - d_i v) per player; zero certifies the split."""
-    u = ops.vertex_function_from_game(g, v)
-    out = []
-    for i, comp in enumerate(dec.components):
-        ui = ops.vertex_function_from_game(g, comp)
-        r = ops.edge_difference(ops.d(ui), ops.d_i(i, u))
-        out.append(ops.d_star(r).norm_inf())
-    return out
+    return [ops.d_star(edge_residual(g, v, dec, i)).norm_inf() for i in range(len(dec.components))]
 
 
 def edge_residual(g: GameGraph, v: Game, dec: Decomposition, i: int) -> ops.EdgeFunction:
@@ -777,6 +772,7 @@ def edge_residual(g: GameGraph, v: Game, dec: Decomposition, i: int) -> ops.Edge
 def solve_poisson_rational(g: GameGraph, rhs: Sequence[Fraction]) -> list[Fraction]:
     """Exact solve of L_w u = rhs with u({}) = 0; rhs indexed like graph.vertices."""
     solver = _rational_solver(g)
-    b = np.asarray(rhs, dtype=object)
+    b, d = _over_common_denominator(rhs)
     _verify_mean_zero(g, b.reshape(-1, 1))
-    return [Fraction(0)] + solver.solve(b[1:])
+    X, den = solver.solve(b[1:, None] * g.integer_weights[1])  # D_w * d * rhs
+    return [Fraction(0)] + [Fraction(x, den * d) for x in X[:, 0].tolist()]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -280,6 +281,32 @@ def test_player_weights_layout():
             low = e.base & ((1 << e.player) - 1)
             expected[e.player, (e.base >> (e.player + 1)) << e.player | low] = float(w)
         assert np.array_equal(g.player_weights, expected)
+
+
+def test_integer_weights_are_python_ints_over_one_denominator():
+    n = 6
+    edges = list(gr.full_hypercube(n).edges())
+    rng = random.Random(72)
+    weightings = (
+        gr.EdgeWeighting.constant(Fraction(5, 2)),
+        gr.EdgeWeighting.size_plus_one(n),
+        gr.EdgeWeighting.explicit({e: Fraction(rng.randint(1, 12), 4) for e in edges}),
+        # scaled by D_w = 10**15 these reach 10**30, past int64
+        gr.EdgeWeighting.explicit({e: Fraction(10) ** (15 if (e.base + e.player) % 2 else -15)
+                                   for e in edges}),
+    )
+    for w in weightings:
+        full = gr.full_hypercube(n, w)
+        for g in (full, gr.restrict(full, [bits(1, 4)])):
+            table, scale = g.integer_weights
+            assert table.shape == g.edge_mask.shape and type(scale) is int
+            # an np.int64 would wrap silently inside object arithmetic
+            assert all(type(x) is int for x in table.flat)
+            assert all(x == 0 for x in table[~g.edge_mask])
+            exact = [g.weighting.weight(e) for e in g.edges()]
+            on_edges = [Fraction(x, scale) for x in table[g.edge_player, g.edge_slot]]
+            assert on_edges == exact == list(g.weight_fractions)
+            assert scale == math.lcm(*(f.denominator for f in exact))
 
 
 def test_degree_product_weighting_unchanged():

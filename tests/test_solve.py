@@ -299,6 +299,22 @@ def test_cg_non_convergence_error():
     assert err.value.residual_history
 
 
+def test_default_config_follows_the_game_mode():
+    g = gr.full_hypercube(3)
+    v = gm.make_glove_game()
+    assert sv.SolverConfig().backend is None
+    exact = sv.decompose(g, v)
+    assert [s.backend for s in exact.diagnostics] == [sv.SPECTRAL] * 3
+    dec = sv.decompose(g, v.as_float())
+    assert [s.backend for s in dec.diagnostics] == [sv.CG_FLOAT] * 3
+    assert dec.efficiency_gap < 1e-12
+    for c, e in zip(dec.components, exact.components):
+        assert c.mode == gm.FLOAT
+        assert np.allclose(c.values, [float(x) for x in e.values], rtol=0, atol=1e-12)
+    comp = sv.solve_component(g, v.as_float(), 0)
+    assert comp.mode == gm.FLOAT and abs(comp.grand_value() - 2 / 3) < 1e-12
+
+
 def test_config_errors():
     g = gr.full_hypercube(2)
     v = gm.make_pure_bargaining_game(2, 1)
@@ -370,7 +386,7 @@ def test_oversized_weights_lift_on_python_ints():
     assert dec.efficiency_gap == 0 and isinstance(dec.efficiency_gap, Fraction)
     assert all(r == 0 for r in sv.residual_orthogonality(g, v, dec))
     _assert_solves_oracle_system(g, v, dec)
-    assert sv._rational_solver(g)._lift._data.dtype == object
+    assert sv._rational_solver(g)._data.dtype == object
 
 
 _P = _exact._PRIMES[0]
@@ -471,16 +487,16 @@ def test_lifting_stops_before_the_hadamard_count(monkeypatch):
         matvecs.append(1)
         return matvec(self, r)
 
-    def counted_solve(self, b):
+    def counted_solve(self, B):
         before = len(matvecs)
-        x = solve(self, b)
-        lifts.append((len(matvecs) - before, self._guaranteed_digits(max(map(abs, b)))))
-        return x
+        sol = solve(self, B)
+        lifts.append((len(matvecs) - before, self._guaranteed_digits(max(map(abs, B.flat)))))
+        return sol
 
     monkeypatch.setattr(_exact.DixonSolver, "_matvec_mod", counted_matvec)
     monkeypatch.setattr(_exact.DixonSolver, "solve", counted_solve)
     dec = sv.decompose(g, v)
-    assert len(lifts) == n
+    assert len(lifts) == 1  # every player's column in one block
     assert all(0 < digits < guaranteed for digits, guaranteed in lifts), lifts
     assert dec.efficiency_gap == 0
     _assert_solves_oracle_system(g, v, dec)
@@ -492,13 +508,27 @@ def test_lifting_rejects_early_candidates_on_a_200_digit_rhs():
     solver = _exact.DixonSolver(np.array(A, dtype=np.int64))
     rng = random.Random(58)
     x_true = [10 ** 200 + 7] + [rng.randint(-9, 9) for _ in range(len(A) - 1)]
-    b = [sum(a * y for a, y in zip(row, x_true)) for row in A]
-    assert max(len(str(abs(y))) for y in b) >= 200
-    verdicts = []
-    check = solver._check
-    solver._check = lambda x, rhs: verdicts.append(check(x, rhs)) or verdicts[-1]
-    assert solver.solve(b) == x_true
-    assert verdicts[-1] and False in verdicts, verdicts
+    # a second column with a single-digit answer, lifted in the same block
+    x_small = [rng.randint(-9, 9) for _ in range(len(A))]
+    B = np.array([[sum(a * y for a, y in zip(row, x)) for x in (x_true, x_small)] for row in A],
+                 dtype=object)
+    assert max(len(str(abs(y))) for y in B[:, 0]) >= 200
+    verdicts, steps = [], []
+    check, matvec = solver._check, solver._matvec_mod
+    solver._check = lambda X, den, rhs: verdicts.append((X.shape, check(X, den, rhs))) \
+        or verdicts[-1][1]
+    solver._matvec_mod = lambda r: steps.append(r.shape) or matvec(r)
+    X, den = solver.solve(B)
+    # the accepted candidate holds both columns over the one denominator den
+    assert verdicts[-1] == ((len(A), 2), True) and (X.shape, False) in verdicts, verdicts
+    assert X[:, 0].tolist() == [den * y for y in x_true]
+    assert X[:, 1].tolist() == [den * y for y in x_small]
+    # the digits are lifted once for both: as many steps as the long column
+    # alone takes, each carrying the two columns
+    alone = []
+    solver._matvec_mod = lambda r: alone.append(r.shape) or matvec(r)
+    solver.solve(B[:, :1])
+    assert steps == [(len(A), 2)] * len(alone)
 
 
 _SOLVES_WITHOUT_SCIPY = """
@@ -1040,6 +1070,27 @@ def test_spectral_verification_catches_corrupted_transform(monkeypatch):
         sv.decompose(gr.full_hypercube(4), v)
     with pytest.raises(ArithmeticError, match="verification"):
         sv.solve_component(gr.full_hypercube(4), v, 2)
+
+
+def test_exact_efficiency_check_catches_a_wrong_component(monkeypatch):
+    # one unit off in the last player's grand-coalition numerator, after
+    # each engine's own verification: the integer efficiency check catches it
+    spectral, lift = sv._spectral_rational, _exact.DixonSolver.solve
+
+    def off_by_one(solve):
+        def wrong(*args):
+            X, den = solve(*args)
+            X[-1, -1] += 1
+            return X, den
+        return wrong
+
+    monkeypatch.setattr(sv, "_spectral_rational", off_by_one(spectral))
+    monkeypatch.setattr(_exact.DixonSolver, "solve", off_by_one(lift))
+    v = rational_game(random.Random(45), 4)
+    g = gr.full_hypercube(4, gr.EdgeWeighting.size_plus_one(4))
+    for graph in (gr.full_hypercube(4), g):
+        with pytest.raises(ArithmeticError, match="efficiency identity"):
+            sv.decompose(graph, v)
 
 
 def test_spectral_capacity_error_before_any_work(monkeypatch):
