@@ -193,7 +193,7 @@ def _make_parser() -> argparse.ArgumentParser:
                             "| file:PATH")
         p.add_argument("--backend", choices=sorted(_BACKEND_FLAGS), default="dense-rational")
         p.add_argument("--tol", type=float, default=1e-12,
-                       help="CG relative residual tolerance")
+                       help="relative residual tolerance of float solves")
         p.add_argument("--max-iters", type=int, default=None, help="CG iteration cap")
         if formats:
             p.add_argument("--format", choices=("text", "csv", "json"), default="text")

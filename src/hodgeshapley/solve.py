@@ -16,55 +16,57 @@ Rational mode computes on Python ints over one common denominator: v as
 ``D v`` (D the lcm of its denominators), the weights as
 ``GameGraph.integer_weights``, and each engine returns all players'
 columns over one denominator; fractions are built only for the component
-games.  On the full cube with a constant weight c the Walsh transform
-diagonalises both operators: ``L_w`` has eigenvalue ``2c|T|`` and
-``L_{w_i}`` has ``2c[i in T]`` on the character of T, so ``v_i^(T) = [i in
-T] v^(T) / |T|``.  The spectral engine does this in integers (the quotient
-by ``lcm(1..n)``), inverse-transforms every player's column in one sweep
-and verifies ``L_w X = L_{w_i} v`` column by column; it takes ``n <= 16``.
-Every other graph inverts the integer pinned Laplacian (empty coalition's
-row and column deleted) mod p once per graph, by panel-blocked
-Gauss-Jordan with float64 BLAS panel updates; a solve then lifts p-adic
-digits of all players' right-hand sides as one block until a
-reconstructed candidate passes the exact check, up to 4096 unknowns; past
-that limit it raises ``CapacityError`` before any right-hand side is
-built.  ``decompose`` checks ``sum_i v_i = v`` exactly after either engine.
+games.  On the full cube with a constant weight c both modes run the
+spectral engine: the Walsh transform diagonalises both operators (``L_w``
+has eigenvalue ``2c|T|`` and ``L_{w_i}`` ``2c[i in T]`` on the character
+of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.  It transforms v once,
+inverse-transforms every player's column in one sweep and checks ``L_1 X
+= L_{1,i} v`` at unit weights column by column: exactly in rational mode
+(in integers, the quotient by ``lcm(1..n)``; ``n <= 16``), and to
+``cg_tolerance`` in relative residual in float mode.  Every other graph in
+rational mode inverts the integer pinned Laplacian (empty coalition's row
+and column deleted) mod p once per graph, by panel-blocked Gauss-Jordan
+with float64 BLAS panel updates; a solve then lifts p-adic digits of all
+players' right-hand sides as one block until a reconstructed candidate
+passes the exact check, up to 4096 unknowns; past that limit it raises
+``CapacityError`` before any right-hand side is built.  ``decompose``
+checks ``sum_i v_i = v`` exactly after either engine.
 
-Float mode has one engine, ``cg_float``: preconditioned conjugate gradient
-on all columns at once in preallocated buffers.  Each column is first
-scaled by the power of two that brings its largest entry into [0.5, 1);
-that is exact, so a game of any magnitude float64 holds solves to the same
-bits, scaled.  Each column keeps its own step sizes, has its residual
-deflated to mean zero over the feasible coalitions every step (the
-constant nullspace), and stops when its unpreconditioned relative residual
-meets the tolerance; a stopped column keeps its place with zero step
-sizes.  The result is scaled back and shifted to ``v_i({}) = 0``.  The
-preconditioner is read off the weights.  When they span at most three
-decades (max / min <= 1e3 over the edges), it is the Walsh one, ``z = s *
-L_1^+ (s * r)`` with ``s = sqrt(n / deg)`` and L_1 the unweighted cube
-Laplacian: two in-place Walsh transforms around a division by 2|T|.  On a
-full cube with a constant weight that is ``L_w^+`` itself, so every player
-converges in one iteration; size plus one and restricted degree products
-take under ten, random explicit weights about twenty.  Wider weights
-(explicit tables spanning decades) keep the inverse weighted degree
-(Jacobi).  When the graph keeps every cube edge between two feasible
-coalitions and every weight factors as ``w(S, S|{i}) = c_0 b(S) b(S|{i})``
-(constant, by cardinality, size plus one, degree product, on the full cube
-or with coalitions removed), ``L_w`` is applied as sub-cube matrix
-products instead of n half-view passes: ``L_w x = deg * x - c_0 b * A(b *
-x)`` with b = 0 on infeasible coalitions, and the unweighted adjacency A
-is a Kronecker sum over the players, so each block of up to five players
-is one matmul with that block's cube adjacency on a strided view, in
-chunks of bounded size.  The Walsh transform is the Kronecker product of
-the blocks' Hadamard matrices and runs through the same chunked products
-and chunk buffer.  A graph with a removed edge between feasible
-coalitions, explicit weights that do not factor, the right-hand sides and
-the exact engines keep the half-view passes.  The solve reads the graph
-through its masks and ``player_weights`` only, so it derives no per-edge
-array, and it refuses with ``CapacityError`` at entry when its buffers,
-about ``(6.5 n + 5) * 2**n * 8`` bytes for a full decompose, would exceed
-physical memory.  Every route needs numpy alone.  All routes land on the
-same answer, which is unique up to constants on a connected graph.
+Every other graph in float mode runs ``cg_float``: preconditioned
+conjugate gradient on all columns at once in preallocated buffers.  Each
+column is first scaled by the power of two that brings its largest entry
+into [0.5, 1); that is exact, so a game of any magnitude float64 holds
+solves to the same bits, scaled.  Each column keeps its own step sizes,
+has its residual deflated to mean zero over the feasible coalitions every
+step (the constant nullspace), and stops when its unpreconditioned
+relative residual meets the tolerance; a stopped column keeps its place
+with zero step sizes.  The result is scaled back and shifted to ``v_i({})
+= 0``.  The preconditioner is read off the weights.  When they span at
+most three decades (max / min <= 1e3 over the edges), it is the Walsh one,
+``z = s * L_1^+ (s * r)`` with ``s = sqrt(n / deg)`` and L_1 the
+unweighted cube Laplacian: two in-place Walsh transforms around a division
+by 2|T|.  Size plus one and restricted degree products take under ten
+iterations, random explicit weights about twenty.  Wider weights (explicit
+tables spanning decades) keep the inverse weighted degree (Jacobi).  When
+the graph keeps every cube edge between two feasible coalitions and every
+weight factors as ``w(S, S|{i}) = c_0 b(S) b(S|{i})`` (constant, by
+cardinality, size plus one, degree product, on the full cube or with
+coalitions removed), ``L_w`` is applied as sub-cube matrix products
+instead of n half-view passes: ``L_w x = deg * x - c_0 b * A(b * x)`` with
+b = 0 on infeasible coalitions, and the unweighted adjacency A is a
+Kronecker sum over the players, so each block of up to five players is one
+matmul with that block's cube adjacency on a strided view, in chunks of
+bounded size.  The Walsh transform is the Kronecker product of the blocks'
+Hadamard matrices and runs through the same chunked products and chunk
+buffer.  A graph with a removed edge between feasible coalitions, explicit
+weights that do not factor, the right-hand sides and the exact engines
+keep the half-view passes.  The solve reads the graph through its masks
+and ``player_weights`` only, so it derives no per-edge array, and it
+refuses with ``CapacityError`` at entry when its buffers, about ``(6.5 n +
+5) * 2**n * 8`` bytes for a full decompose (``(2 n + 6) * 2**n * 8`` on
+the spectral route), would exceed physical memory.
+Every route needs numpy alone.  All routes land on the same answer, which
+is unique up to constants on a connected graph.
 """
 
 from __future__ import annotations
@@ -87,16 +89,16 @@ from .graph import CONSTANT, GameGraph, _endpoint_sums, _popcounts
 DENSE_RATIONAL = "dense_rational"
 CG_FLOAT = "cg_float"
 _BACKENDS = (DENSE_RATIONAL, CG_FLOAT)
-# The engine that rational mode runs on full cubes with constant weights;
-# it shows up in PlayerSolveStats.backend and is not a configurable backend.
+# The engine that both modes run on full cubes with constant weights; it
+# shows up in PlayerSolveStats.backend and is not a configurable backend.
 SPECTRAL = "spectral"
 # The preconditioners of cg_float, in PlayerSolveStats.preconditioner.
 WALSH = "walsh"
 JACOBI = "jacobi"
 
-# Largest player count of the spectral engine: a full decompose at n = 16
-# takes about 6 s and 225 MB peak RSS on a 2-vCPU box, and both grow
-# faster than 2**n.
+# Largest player count of the spectral engine in rational mode, set by the
+# cost of exact arithmetic: a full decompose at n = 16 takes about 6 s and
+# 225 MB peak RSS on a 2-vCPU box, and both grow faster than 2**n.
 _SPECTRAL_MAX_N = 16
 
 
@@ -104,13 +106,15 @@ _SPECTRAL_MAX_N = 16
 class SolverConfig:
     """Backend choice (``dense_rational`` for rational-mode games,
     ``cg_float`` for float-mode ones; None, the default, follows the
-    game's mode) plus iterative-solver knobs.
+    game's mode; either runs the spectral engine on a constant full cube)
+    plus iterative-solver knobs.
 
-    ``cg_max_iters`` defaults to ``10 * 2**n`` at solve time.  CG
-    actually takes one iteration on a full cube with a constant weight,
-    under ten on size-plus-one and degree-product weights and about twenty
-    on random weights within three decades (Walsh preconditioner), and
-    tens to hundreds with Jacobi on weights that span more.
+    ``cg_tolerance`` bounds every float column's relative residual, in CG
+    and in the spectral engine's check.  ``cg_max_iters`` defaults to ``10
+    * 2**n`` at solve time; CG takes under ten iterations on size-plus-one
+    and degree-product weights, about twenty on random weights within three
+    decades (Walsh preconditioner), and tens to hundreds with Jacobi on
+    weights that span more.
     """
 
     backend: str | None = None
@@ -131,9 +135,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class PlayerSolveStats:
-    """One player's solve: the engine, its CG iterations and relative
-    residual (0 for the exact engines), and the CG preconditioner, "walsh"
-    or "jacobi" ("" for the exact engines)."""
+    """One player's solve: the engine; its CG iterations (0 outside CG);
+    its relative residual, which is ``|r| / |b|`` where CG stops, ``|L_{1,i}
+    v - L_1 x| / |L_{1,i} v|`` at unit weights in the float spectral
+    engine, and 0 in rational mode; and the CG preconditioner, "walsh" or
+    "jacobi" ("" outside CG)."""
 
     player: int
     backend: str
@@ -249,47 +255,81 @@ def _walsh_hadamard(x: np.ndarray) -> None:
         h[:, 0] = s
 
 
-def _spectral_rational(g: GameGraph, v: Game, players: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Exact components of v for the given players on a full cube with
-    constant weights, as ``(X, den)``: columns of Python ints on all 2**n
-    coalitions, the components being X / den.
+def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
+    """Components of v for the given players on a full cube with constant
+    weights, as ``(X, den, residuals)``: the components are X / den, and
+    residuals the float check's relative residuals (0 in ints).
 
-    In integers: X = 2**n * lcm(1..n) * D * (component), D the lcm of v's
-    denominators.  X is checked against ``L X = 2**n * lcm(1..n) * L_i (D v)``
-    with unit weights (the constant weight cancels) before it is returned.
+    The forward transform is the butterfly on one column, so a null
+    player's column is exactly 0.  In ints X = 2**n * lcm(1..n) * D * (the
+    component), D the lcm of v's denominators.  Floats scale v by a power
+    of two first, as ``_cg_float`` does; a float check past
+    ``cfg.cg_tolerance`` raises ConvergenceError, an exact one is a bug.
     """
-    n = g.n
-    if n > _SPECTRAL_MAX_N:
-        # memory grows like n * 2**n, time like n**2 * 2**n (the verification)
-        growth = n / _SPECTRAL_MAX_N * 2.0 ** (n - _SPECTRAL_MAX_N)
-        raise CapacityError(
-            f"exact spectral solve at n = {n} exceeds the limit n <= {_SPECTRAL_MAX_N}: "
-            f"estimated {6 * growth * n / _SPECTRAL_MAX_N:,.0f} s and {225 * growth:,.0f} MB")
-    rows, k = 1 << n, len(players)
-    values, D = _over_common_denominator(v.values)
-    v_int = values.reshape(-1, 1)
-    ell = math.lcm(*range(1, n + 1))
-    q = v_int.copy()
+    n, k, rows = g.n, len(players), 1 << g.n
+    exact = v.is_rational
+    if exact:
+        if n > _SPECTRAL_MAX_N:
+            # memory grows like n * 2**n, time like n**2 * 2**n (the verification)
+            growth = n / _SPECTRAL_MAX_N * 2.0 ** (n - _SPECTRAL_MAX_N)
+            raise CapacityError(
+                f"exact spectral solve at n = {n} exceeds the limit n <= {_SPECTRAL_MAX_N}: "
+                f"estimated {6 * growth * n / _SPECTRAL_MAX_N:,.0f} s and {225 * growth:,.0f} MB")
+        values, D = _over_common_denominator(v.values)
+        ell = math.lcm(*range(1, n + 1))
+        gain = np.array([ell // s for s in _popcounts(n)[1:].tolist()], dtype=object)
+        f, den = ell << n, D * ell << n
+    else:
+        # X and the check's L_1 X per column: decomposes at n = 12..16 peaked
+        # at 2.0 k + 5.6 vectors of 2**n floats and the chunk (tracemalloc)
+        _check_float_memory(g, k, 2 * k + 6)
+        values = np.asarray(v.values, dtype=np.float64)
+        _, scale = np.frexp(np.max(np.abs(values)))
+        values = np.ldexp(values, -scale)
+        gain = np.ldexp(1.0 / _popcounts(n)[1:], -n)  # the transforms multiply by 2**n
+        f, den = 1, 1
+    q = values.reshape(-1, 1).copy()
     _walsh_hadamard(q)
-    q[1:, 0] *= np.array([ell // s for s in _popcounts(n)[1:].tolist()], dtype=object)
-    X = np.zeros((rows, k), dtype=object)
+    q[1:, 0] *= gain
+    X = np.zeros((rows, k), dtype=q.dtype)
     for col, i in enumerate(players):
         shape = (rows >> (i + 1), 2, 1 << i)
         X.reshape(shape + (k,))[:, 1, :, col] = q.reshape(shape)[:, 1]
-    _walsh_hadamard(X)
-    X -= X[0].copy()  # normalize v_i({}) = 0
-
-    scratch = np.empty((rows // 2, k), dtype=object)
-    lhs = np.zeros((rows, k), dtype=object)
-    for j in range(n):
-        _add_player_laplacian(None, j, X, lhs, scratch)
-    v_int *= ell << n
+    scratch = np.empty((rows // 2, k if exact else 1), dtype=X.dtype)
+    if exact:
+        _walsh_hadamard(X)
+        miss = np.zeros_like(X)  # L_1 X - L_{1,i} (f v), column by column
+        for j in range(n):
+            _add_player_laplacian(None, j, X, miss, scratch)
+    else:
+        prod = np.empty(_chunk_floats(rows, k))
+        _blocked_walsh(X, [(a, _hadamard(s)) for a, s in _player_blocks(n)], prod)
+        miss = np.multiply(X, float(n))
+        for a, s in _player_blocks(n):
+            _block_product(-_cube_adjacency(s), a, X, miss, prod, add=True)
+    X -= X[0].copy()  # normalize v_i({}) = 0; L_1 maps constants to 0
+    target = values.reshape(-1, 1) * f
+    rhs = np.empty_like(target)  # L_{1,i} (f v)
+    norms = np.zeros(k)
     for col, i in enumerate(players):
-        rhs = np.zeros((rows, 1), dtype=object)
-        _add_player_laplacian(None, i, v_int, rhs, scratch)
-        if not np.array_equal(lhs[:, col:col + 1], rhs):
+        rhs.fill(0)
+        _add_player_laplacian(None, i, target, rhs, scratch)
+        miss[:, col] -= rhs[:, 0]
+        if not exact:
+            norms[col] = np.sqrt(_column_dots(rhs, rhs)[0])
+    if exact:
+        if miss.any():
             raise ArithmeticError("spectral solve failed its exact verification; this is a bug")
-    return X, D * ell << n
+        return X, den, [0.0] * k
+    gap = np.sqrt(_column_dots(miss, miss))
+    residuals = np.divide(gap, norms, out=np.where(gap > 0, np.inf, 0.0), where=norms > 0)
+    c = np.argmin(residuals <= cfg.cg_tolerance)  # the first miss, if any
+    if not residuals[c] <= cfg.cg_tolerance:
+        raise ConvergenceError(
+            f"spectral solve for player {players[c]} missed tolerance {cfg.cg_tolerance} "
+            f"(relative residual {residuals[c]:.3e})", residual_history=[float(residuals[c])])
+    np.ldexp(X, scale, out=X)
+    return X, den, residuals.tolist()
 
 
 def _rhs(g: GameGraph, values: np.ndarray, players: Sequence[int]) -> np.ndarray:
@@ -543,18 +583,11 @@ def _physical_memory() -> int:
         return 0
 
 
-def _check_cg_memory(g: GameGraph, k: int) -> None:
-    """CapacityError when k CG columns would not fit in physical memory."""
-    # per column four buffers of 2**n floats, half a scratch, the component
-    # game's copy and the sub-cube apply's scaled input; the (n, 2**(n-1))
-    # weight table; five vectors (the degrees, the preconditioner's one or
-    # two, and the apply's b and diagonal) and the product chunk that the
-    # apply and the Walsh transform share.  Float decomposes on the full cube
-    # at n = 16 peaked 5.1 (constant) and 6.1 (size plus one) * n * 2**n * 8
-    # bytes over the game, one BLAS thread; the estimate is 6.5 * n + 5 of
-    # those units plus the chunk.
+def _check_float_memory(g: GameGraph, k: int, vectors: float) -> None:
+    """CapacityError when this many vectors of 2**n floats and the product
+    chunk of k columns would not fit in physical memory."""
     rows = 1 << g.n
-    need = 8 * (rows * (6 * k + g.n / 2 + 5) + _chunk_floats(rows, k))
+    need = 8 * (rows * vectors + _chunk_floats(rows, k))
     have = _physical_memory()
     if have and need > have:
         raise CapacityError(
@@ -562,7 +595,8 @@ def _check_cg_memory(g: GameGraph, k: int) -> None:
             f"more than this machine's {have / 2 ** 30:,.1f} GiB of physical memory")
 
 
-def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, max_iters: int):
+def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[int], tol: float,
+              max_iters: int):
     """Deflated CG for L_w X = R, every column at once; R is overwritten.
 
     Column j solves for player ``players[j]`` with the scalar recurrence
@@ -570,11 +604,11 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
     preconditioner is ``_walsh_preconditioner`` where ``_walsh_fits``
     accepts the weights, and the inverse weighted degree (Jacobi)
     otherwise.  Each column is scaled by a power of two (exactly) so that
-    its largest entry lies in [0.5, 1), and its dot products neither
-    overflow nor underflow.  A column stops when its unpreconditioned
-    relative residual meets tol; its step sizes are zero from then on, so
-    its x and r stay as they are.  Returns (X, preconditioner, iterations,
-    residuals), the lists in the order of ``players``.
+    its largest magnitude, ``peak``, lies in [0.5, 1), and its dot products
+    neither overflow nor underflow.  A column stops when its
+    unpreconditioned relative residual meets tol; its step sizes are zero
+    from then on, so its x and r stay as they are.  Returns (X,
+    preconditioner, iterations, residuals), the lists in ``players`` order.
     """
     n_rows, k = R.shape
     w = g.player_weights
@@ -602,7 +636,7 @@ def _cg_float(g: GameGraph, R: np.ndarray, players: Sequence[int], tol: float, m
         x -= x.sum(axis=0) / m
         x[infeasible] = 0.0
 
-    _, scale = np.frexp(np.abs(R).max(axis=0))
+    _, scale = np.frexp(peak)
     np.ldexp(R, -scale, out=R)
     deflate(R)
     X = np.zeros_like(R)
@@ -667,15 +701,15 @@ def _check_modes(g: GameGraph, v: Game, cfg: SolverConfig) -> None:
         raise ConfigError("cg_float backend needs a float-mode game (use Game.as_float())")
 
 
-def _verify_mean_zero(g: GameGraph, B: np.ndarray) -> None:
+def _verify_mean_zero(g: GameGraph, B: np.ndarray, peak: np.ndarray | None = None) -> None:
     # L_{w_i} v lies in the range of d*, hence is orthogonal to constants:
     # exactly for ints, to round-off for floats.  One column per
     # player; infeasible rows are 0 and add nothing.  The float tolerance
-    # is relative to each column's largest entry, so it is 0 for a zero
-    # column and scales down with a small one.
+    # is relative to each column's largest entry (peak, found here unless
+    # given), so it is 0 for a zero column and scales down with a small one.
     tol = 0
     if B.dtype != object:
-        tol = 1e-8 * np.max(np.abs(B), axis=0) * g.num_vertices
+        tol = 1e-8 * (np.max(np.abs(B), axis=0) if peak is None else peak) * g.num_vertices
     if np.any(np.abs(B.sum(axis=0)) > tol):
         raise ArithmeticError("right-hand side is not mean-zero; this is a bug")
 
@@ -694,15 +728,20 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     rows are zero.
     """
     k = len(players)
-    if not v.is_rational:
-        _check_cg_memory(g, k)
-        B = _rhs(g, np.asarray(v.values, dtype=np.float64), players)
-        _verify_mean_zero(g, B)
-        X, preconditioner, iterations, residuals = _cg_float(
-            g, B, players, cfg.cg_tolerance, cfg.max_iters_for(g.n))
-        return X, 1, CG_FLOAT, preconditioner, iterations, residuals
     if _spectral_applies(g):
-        return (*_spectral_rational(g, v, players), SPECTRAL, "", [0] * k, [0.0] * k)
+        X, den, residuals = _spectral(g, v, players, cfg)
+        return X, den, SPECTRAL, "", [0] * k, residuals
+    if not v.is_rational:
+        # per column four CG buffers, half a scratch, the component's copy and
+        # the apply's b * x, plus the weight table and five vectors: full-cube
+        # decomposes at n = 16 peaked at 5.1-6.1 * n * 2**n * 8 bytes over v
+        _check_float_memory(g, k, 6 * k + g.n / 2 + 5)
+        B = _rhs(g, np.asarray(v.values, dtype=np.float64), players)
+        peak = np.abs(B).max(axis=0)
+        _verify_mean_zero(g, B, peak)
+        X, preconditioner, iterations, residuals = _cg_float(
+            g, B, peak, players, cfg.cg_tolerance, cfg.max_iters_for(g.n))
+        return X, 1, CG_FLOAT, preconditioner, iterations, residuals
     # the pinned solver comes first, so that a system past its capacity
     # is refused before any right-hand side is built
     solver = _rational_solver(g)

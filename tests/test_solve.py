@@ -236,6 +236,16 @@ def test_backend_equivalence():
             assert np.allclose(np.asarray(cg.components[i].values), ref, atol=1e-8)
 
 
+def _cg_float(g, v, players=None):
+    """``_cg_float`` on the right-hand sides of v's players (all by default),
+    with the default tolerance and iteration cap."""
+    players = range(g.n) if players is None else players
+    B = sv._rhs(g, np.asarray(v.values), players)
+    cfg = sv.SolverConfig()
+    return sv._cg_float(g, B, np.abs(B).max(axis=0), players, cfg.cg_tolerance,
+                        cfg.max_iters_for(g.n))
+
+
 def test_cg_iteration_count_on_cube():
     # on a constant cube the Walsh preconditioner is L_w's pseudo-inverse,
     # so one step solves every player; 10 * n bounds any preconditioner
@@ -244,9 +254,13 @@ def test_cg_iteration_count_on_cube():
     vals = rng.standard_normal(1 << n)
     vals[0] = 0.0
     v = gm.game_from_values(n, vals, gm.FLOAT)
-    dec = sv.decompose(gr.full_hypercube(n), v, sv.SolverConfig(backend=sv.CG_FLOAT))
-    assert max(s.iterations for s in dec.diagnostics) <= 10 * n
-    assert all(s.backend == sv.CG_FLOAT for s in dec.diagnostics)
+    # decompose takes the spectral engine on this cube, so CG runs directly
+    g = gr.full_hypercube(n)
+    X, _, iterations, _ = _cg_float(g, v)
+    assert max(iterations) <= 10 * n
+    dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
+    assert all(s.backend == sv.SPECTRAL for s in dec.diagnostics)
+    assert np.allclose(X.T, [c.values for c in dec.components], rtol=0, atol=1e-12)
 
 
 def test_cg_jacobi_preconditioner_on_badly_scaled_weights():
@@ -306,7 +320,7 @@ def test_default_config_follows_the_game_mode():
     exact = sv.decompose(g, v)
     assert [s.backend for s in exact.diagnostics] == [sv.SPECTRAL] * 3
     dec = sv.decompose(g, v.as_float())
-    assert [s.backend for s in dec.diagnostics] == [sv.CG_FLOAT] * 3
+    assert [s.backend for s in dec.diagnostics] == [sv.SPECTRAL] * 3
     assert dec.efficiency_gap < 1e-12
     for c, e in zip(dec.components, exact.components):
         assert c.mode == gm.FLOAT
@@ -834,18 +848,17 @@ def test_float_matches_exact_off_the_subcube_path():
 def test_walsh_solves_constant_cubes_in_one_iteration(n):
     rng = random.Random(n)
     v = gm.game_from_values(n, random_dyadic_values(rng, n))
-    cfg = sv.SolverConfig(backend=sv.CG_FLOAT)
     for c in (1, Fraction(3, 2), 2 ** 40):
         g = gr.full_hypercube(n, gr.EdgeWeighting.constant(c))
         exact = sv.decompose(g, v)
         assert {s.backend for s in exact.diagnostics} == {sv.SPECTRAL}
         assert {s.preconditioner for s in exact.diagnostics} == {""}
-        cg = sv.decompose(g, v.as_float(), cfg)
-        assert {s.preconditioner for s in cg.diagnostics} == {sv.WALSH}
-        for a, b, stats in zip(exact.components, cg.components, cg.diagnostics):
+        X, preconditioner, iterations, _ = _cg_float(g, v.as_float())
+        assert preconditioner == sv.WALSH
+        for a, b, its in zip(exact.components, X.T, iterations):
             ref = np.array([float(x) for x in a.values])
-            assert stats.iterations == (1 if ref.any() else 0)
-            assert np.max(np.abs(np.asarray(b.values) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert its == (1 if ref.any() else 0)
+            assert np.max(np.abs(b - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("weighting", ["size-plus-one", "by-cardinality", "restricted-constant",
@@ -1075,16 +1088,16 @@ def test_spectral_verification_catches_corrupted_transform(monkeypatch):
 def test_exact_efficiency_check_catches_a_wrong_component(monkeypatch):
     # one unit off in the last player's grand-coalition numerator, after
     # each engine's own verification: the integer efficiency check catches it
-    spectral, lift = sv._spectral_rational, _exact.DixonSolver.solve
+    spectral, lift = sv._spectral, _exact.DixonSolver.solve
 
     def off_by_one(solve):
         def wrong(*args):
-            X, den = solve(*args)
+            X, *rest = solve(*args)
             X[-1, -1] += 1
-            return X, den
+            return (X, *rest)
         return wrong
 
-    monkeypatch.setattr(sv, "_spectral_rational", off_by_one(spectral))
+    monkeypatch.setattr(sv, "_spectral", off_by_one(spectral))
     monkeypatch.setattr(_exact.DixonSolver, "solve", off_by_one(lift))
     v = rational_game(random.Random(45), 4)
     g = gr.full_hypercube(4, gr.EdgeWeighting.size_plus_one(4))
@@ -1105,6 +1118,117 @@ def test_spectral_capacity_error_before_any_work(monkeypatch):
         sv.decompose(gr.full_hypercube(n), v)
     with pytest.raises(CapacityError):
         sv.solve_component(gr.full_hypercube(n), v, 0)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_float_spectral_matches_cg_and_the_exact_engine(n):
+    rng = random.Random(100 + n)
+    v = gm.game_from_values(n, random_dyadic_values(rng, n))
+    # the components do not depend on the constant
+    exact = [np.array([float(x) for x in c.values])
+             for c in sv.decompose(gr.full_hypercube(n), v).components]
+    for c in (1, Fraction(3, 2), 2 ** 40):
+        g = gr.full_hypercube(n, gr.EdgeWeighting.constant(c))
+        dec = sv.decompose(g, v.as_float())
+        assert all(s == sv.PlayerSolveStats(i, sv.SPECTRAL, 0, s.residual, "")
+                   for i, s in enumerate(dec.diagnostics))
+        assert all(0 <= s.residual <= 1e-14 for s in dec.diagnostics)
+        assert dec.efficiency_gap <= 1e-13 * max(map(abs, v.values))
+        X = _cg_float(g, v.as_float())[0]
+        for i, (ref, comp) in enumerate(zip(exact, dec.components)):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(comp.values - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(comp.values - X[:, i])) <= 1e-13 * scale
+
+
+def test_float_spectral_null_players_get_exact_zeros():
+    n = 7
+    base = np.random.default_rng(46).standard_normal(1 << n)
+    null = (1 << 1) | (1 << 4)
+    v = gm.game_from_values(n, [base[S & ~null] - base[0] for S in range(1 << n)], gm.FLOAT)
+    g = gr.full_hypercube(n)
+    dec = sv.decompose(g, v)
+    assert dec.diagnostics[1].backend == sv.SPECTRAL
+    for i in (1, 4):
+        assert not np.any(dec.components[i].values)
+        assert not np.any(sv.solve_component(g, v, i).values)
+        assert dec.diagnostics[i].residual == 0.0
+    assert np.any(dec.components[0].values)
+
+
+@pytest.mark.parametrize("shift", [600, -600])
+def test_float_spectral_components_scale_exactly_with_the_game(shift):
+    n = 9
+    vals = np.random.default_rng(47).standard_normal(1 << n)
+    vals[0] = 0.0
+    g = gr.full_hypercube(n, gr.EdgeWeighting.constant(3))
+    base = sv.decompose(g, gm.game_from_values(n, vals, gm.FLOAT))
+    scaled = sv.decompose(g, gm.game_from_values(n, np.ldexp(vals, shift), gm.FLOAT))
+    assert base.diagnostics[0].backend == sv.SPECTRAL
+    for a, b in zip(base.components, scaled.components):
+        assert np.array_equal(np.ldexp(a.values, shift), b.values)
+    assert scaled.diagnostics == base.diagnostics
+    assert scaled.efficiency_gap == np.ldexp(base.efficiency_gap, shift)
+
+
+def test_float_spectral_check_catches_a_corrupted_transform(monkeypatch):
+    n = 5
+    vals = np.random.default_rng(48).standard_normal(1 << n)
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    g = gr.full_hypercube(n)
+    with pytest.raises(ConvergenceError, match=r"player 0 .* tolerance 1e-20") as err:
+        sv.decompose(g, v, sv.SolverConfig(cg_tolerance=1e-20))
+    assert len(err.value.residual_history) == 1  # no iteration to repeat
+    original = sv._blocked_walsh
+
+    def corrupted(x, *args):
+        original(x, *args)
+        x[-1, -1] += 1
+
+    monkeypatch.setattr(sv, "_blocked_walsh", corrupted)
+    with pytest.raises(ConvergenceError, match=f"spectral solve for player {n - 1} "):
+        sv.decompose(g, v)
+    with pytest.raises(ConvergenceError, match="spectral solve for player 2 "):
+        sv.solve_component(g, v, 2)
+
+
+def test_float_spectral_refuses_past_physical_memory_before_any_transform(monkeypatch):
+    # at n = 10 a decompose needs about 8 * 2**10 * (2n + 6) bytes plus a
+    # chunk of 8 * 2**10 * n (0.28 MiB) on the spectral route, and about
+    # 8 * 2**10 * (6.5n + 5) bytes plus the chunk (0.62 MiB) in CG
+    n = 10
+    vals = np.random.default_rng(49).standard_normal(1 << n)
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 400_000)
+    assert sv.decompose(gr.full_hypercube(n), v).diagnostics[0].backend == sv.SPECTRAL
+    with pytest.raises(CapacityError, match="float solve of 10 players at n = 10"):
+        sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)), v)
+
+    def never(*args):
+        raise AssertionError("transform ran past the cap")
+
+    monkeypatch.setattr(sv, "_walsh_hadamard", never)
+    monkeypatch.setattr(sv, "_blocked_walsh", never)
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 200_000)
+    with pytest.raises(CapacityError, match="float solve of 10 players at n = 10"):
+        sv.decompose(gr.full_hypercube(n), v)
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 50_000)  # one player needs 72 KiB
+    with pytest.raises(CapacityError, match="float solve of 1 players at n = 10"):
+        sv.solve_component(gr.full_hypercube(n), v, 0)
+
+
+def test_float_routing():
+    n = 6
+    v = gm.game_from_values(n, random_dyadic_values(random.Random(50), n)).as_float()
+    g = gr.full_hypercube(n)
+    assert sv.decompose(g, v).diagnostics[0].backend == sv.SPECTRAL
+    for other in (gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)),
+                  gr.restrict(g, [bits(1, 2)]), _restricted_explicit_graph(n, 51)):
+        dec = sv.decompose(other, v)
+        assert {s.backend for s in dec.diagnostics} == {sv.CG_FLOAT}
+        assert sv.decompose(other, v.as_rational()).diagnostics[0].backend == sv.DENSE_RATIONAL
 
 
 def test_exact_capacity_error_before_dense_assembly(monkeypatch):
