@@ -236,13 +236,12 @@ def test_backend_equivalence():
             assert np.allclose(np.asarray(cg.components[i].values), ref, atol=1e-8)
 
 
-def _cg_float(g, v, players=None):
-    """``_cg_float`` on the right-hand sides of v's players (all by default),
-    with the default tolerance and iteration cap."""
-    players = range(g.n) if players is None else players
-    B = sv._rhs(g, np.asarray(v.values), players)
+def _cg_float(g, v):
+    """``_cg_float`` for every player of the float game v, with the default
+    tolerance and iteration cap."""
+    B = sv._rhs(g, np.asarray(v.values), range(g.n))
     cfg = sv.SolverConfig()
-    return sv._cg_float(g, B, np.abs(B).max(axis=0), players, cfg.cg_tolerance,
+    return sv._cg_float(g, B, np.abs(B).max(axis=0), range(g.n), cfg.cg_tolerance,
                         cfg.max_iters_for(g.n))
 
 
