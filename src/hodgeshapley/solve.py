@@ -19,11 +19,14 @@ columns over one denominator; fractions are built only for the component
 games.  On the full cube with a constant weight c both modes run the
 spectral engine: the Walsh transform diagonalises both operators (``L_w``
 has eigenvalue ``2c|T|`` and ``L_{w_i}`` ``2c[i in T]`` on the character
-of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.  It transforms v once,
-inverse-transforms every player's column in one sweep and checks ``L_1 X
-= L_{1,i} v`` at unit weights column by column: exactly in rational mode
-(in integers, the quotient by ``lcm(1..n)``; ``n <= 16``), and to
-``cg_tolerance`` in relative residual in float mode.  Every other graph in
+of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.  Rational mode transforms
+v once, scatters into the players' columns (in integers, the quotient by
+``lcm(1..n)``; ``n <= 16``) and transforms them back; float mode applies
+``L_1^+``, two transforms around a division by 2|T|, to each player's own
+``L_{1,i} v``, so that a player with small marginals keeps its own
+precision.  Both check ``L_1 X = L_{1,i} v`` at unit weights column by
+column: exactly in rational mode, and to ``cg_tolerance`` in relative
+residual in float mode.  Every other graph in
 rational mode inverts the integer pinned Laplacian (empty coalition's row
 and column deleted) mod p once per graph, by panel-blocked Gauss-Jordan
 with float64 BLAS panel updates; a solve then lifts p-adic digits of all
@@ -260,15 +263,13 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     weights, as ``(X, den, residuals)``: the components are X / den, and
     residuals the float check's relative residuals (0 in ints).
 
-    The forward transform is the butterfly on one column, so a null
-    player's column is exactly 0.  In ints X = 2**n * lcm(1..n) * D * (the
-    component), D the lcm of v's denominators.  Floats scale v by a power
-    of two first, as ``_cg_float`` does; a float check past
-    ``cfg.cg_tolerance`` raises ConvergenceError, an exact one is a bug.
+    In ints X = 2**n * lcm(1..n) * D * (the component), D the lcm of v's
+    denominators, and a failed check is a bug.  Floats scale v by a power
+    of two first, as ``_cg_float`` does, so a null player's column is
+    exactly 0; a check past ``cfg.cg_tolerance`` raises ConvergenceError.
     """
     n, k, rows = g.n, len(players), 1 << g.n
-    exact = v.is_rational
-    if exact:
+    if v.is_rational:
         if n > _SPECTRAL_MAX_N:
             # memory grows like n * 2**n, time like n**2 * 2**n (the verification)
             growth = n / _SPECTRAL_MAX_N * 2.0 ** (n - _SPECTRAL_MAX_N)
@@ -277,51 +278,45 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
                 f"estimated {6 * growth * n / _SPECTRAL_MAX_N:,.0f} s and {225 * growth:,.0f} MB")
         values, D = _over_common_denominator(v.values)
         ell = math.lcm(*range(1, n + 1))
-        gain = np.array([ell // s for s in _popcounts(n)[1:].tolist()], dtype=object)
-        f, den = ell << n, D * ell << n
-    else:
-        # X and the check's L_1 X per column: decomposes at n = 12..16 peaked
-        # at 2.0 k + 5.6 vectors of 2**n floats and the chunk (tracemalloc)
-        _check_float_memory(g, k, 2 * k + 6)
-        values = np.asarray(v.values, dtype=np.float64)
-        _, scale = np.frexp(np.max(np.abs(values)))
-        values = np.ldexp(values, -scale)
-        gain = np.ldexp(1.0 / _popcounts(n)[1:], -n)  # the transforms multiply by 2**n
-        f, den = 1, 1
-    q = values.reshape(-1, 1).copy()
-    _walsh_hadamard(q)
-    q[1:, 0] *= gain
-    X = np.zeros((rows, k), dtype=q.dtype)
-    for col, i in enumerate(players):
-        shape = (rows >> (i + 1), 2, 1 << i)
-        X.reshape(shape + (k,))[:, 1, :, col] = q.reshape(shape)[:, 1]
-    scratch = np.empty((rows // 2, k if exact else 1), dtype=X.dtype)
-    if exact:
+        q = values.reshape(-1, 1).copy()
+        _walsh_hadamard(q)
+        q[1:, 0] *= np.array([ell // s for s in _popcounts(n)[1:].tolist()], dtype=object)
+        X = np.zeros((rows, k), dtype=object)
+        for col, i in enumerate(players):
+            shape = (rows >> (i + 1), 2, 1 << i)
+            X.reshape(shape + (k,))[:, 1, :, col] = q.reshape(shape)[:, 1]
         _walsh_hadamard(X)
-        miss = np.zeros_like(X)  # L_1 X - L_{1,i} (f v), column by column
+        miss = np.zeros_like(X)  # L_1 X - L_{1,i} (2**n * ell * D v), column by column
+        scratch = np.empty((rows // 2, k), dtype=object)
         for j in range(n):
             _add_player_laplacian(None, j, X, miss, scratch)
-    else:
-        prod = np.empty(_chunk_floats(rows, k))
-        _blocked_walsh(X, [(a, _hadamard(s)) for a, s in _player_blocks(n)], prod)
-        miss = np.multiply(X, float(n))
-        for a, s in _player_blocks(n):
-            _block_product(-_cube_adjacency(s), a, X, miss, prod, add=True)
-    X -= X[0].copy()  # normalize v_i({}) = 0; L_1 maps constants to 0
-    target = values.reshape(-1, 1) * f
-    rhs = np.empty_like(target)  # L_{1,i} (f v)
-    norms = np.zeros(k)
-    for col, i in enumerate(players):
-        rhs.fill(0)
-        _add_player_laplacian(None, i, target, rhs, scratch)
-        miss[:, col] -= rhs[:, 0]
-        if not exact:
-            norms[col] = np.sqrt(_column_dots(rhs, rhs)[0])
-    if exact:
+        _add_rhs(None, values.reshape(-1, 1) * -(ell << n), players, miss)
         if miss.any():
             raise ArithmeticError("spectral solve failed its exact verification; this is a bug")
-        return X, den, [0.0] * k
-    gap = np.sqrt(_column_dots(miss, miss))
+        X -= X[0].copy()  # normalize v_i({}) = 0
+        return X, D * ell << n, [0.0] * k
+    # X and the right-hand sides: decomposes and single components at
+    # n = 12..16 peaked at 2 k + 2.0..3.4 vectors of 2**n floats and the
+    # chunk (tracemalloc)
+    _check_float_memory(g, k, 2 * k + 6)
+    values = np.asarray(v.values, dtype=np.float64)
+    _, scale = np.frexp(np.max(np.abs(values)))
+    R = np.zeros((rows, k))
+    _add_rhs(None, np.ldexp(values, -scale).reshape(-1, 1), players, R)
+    norms = np.sqrt(_column_dots(R, R))
+    prod = np.empty(_chunk_floats(rows, k))
+    blocks = [(a, _hadamard(s)) for a, s in _player_blocks(n)]
+    X = R.copy()
+    _blocked_walsh(X, blocks, prod)
+    # L_1 has eigenvalue 2|T|, and the two transforms multiply by 2**n
+    X *= np.ldexp(1.0 / (2 * np.maximum(_popcounts(n), 1)), -n)[:, None]
+    X[0] = 0.0  # the constants, which L_1 maps to 0
+    _blocked_walsh(X, blocks, prod)
+    np.negative(R, out=R)  # becomes L_1 X - L_{1,i} v, a sum of sub-cube Laplacians
+    for a, s in _player_blocks(n):
+        _block_product(s * np.eye(1 << s) - _cube_adjacency(s), a, X, R, prod, add=True)
+    X -= X[0].copy()  # normalize v_i({}) = 0
+    gap = np.sqrt(_column_dots(R, R))
     residuals = np.divide(gap, norms, out=np.where(gap > 0, np.inf, 0.0), where=norms > 0)
     c = np.argmin(residuals <= cfg.cg_tolerance)  # the first miss, if any
     if not residuals[c] <= cfg.cg_tolerance:
@@ -329,7 +324,15 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
             f"spectral solve for player {players[c]} missed tolerance {cfg.cg_tolerance} "
             f"(relative residual {residuals[c]:.3e})", residual_history=[float(residuals[c])])
     np.ldexp(X, scale, out=X)
-    return X, den, residuals.tolist()
+    return X, 1, residuals.tolist()
+
+
+def _add_rhs(w: np.ndarray | None, x: np.ndarray, players: Sequence[int], out: np.ndarray) -> None:
+    """out[:, col] += L_{w_i} x for player i = players[col], x one column;
+    w is a per-player weight table or None for unit weights."""
+    scratch = np.empty((x.shape[0] // 2, 1), dtype=x.dtype)
+    for col, i in enumerate(players):
+        _add_player_laplacian(None if w is None else w[i], i, x, out[:, col:col + 1], scratch)
 
 
 def _rhs(g: GameGraph, values: np.ndarray, players: Sequence[int]) -> np.ndarray:
@@ -340,10 +343,8 @@ def _rhs(g: GameGraph, values: np.ndarray, players: Sequence[int]) -> np.ndarray
     weighted by ``player_weights``.
     """
     out = np.zeros((values.shape[0], len(players)), dtype=values.dtype)
-    scratch = np.empty((values.shape[0] // 2, 1), dtype=values.dtype)
     w = g.integer_weights[0] if values.dtype == object else g.player_weights
-    for col, i in enumerate(players):
-        _add_player_laplacian(w[i], i, values.reshape(-1, 1), out[:, col:col + 1], scratch)
+    _add_rhs(w, values.reshape(-1, 1), players, out)
     return out
 
 
@@ -701,17 +702,17 @@ def _check_modes(g: GameGraph, v: Game, cfg: SolverConfig) -> None:
         raise ConfigError("cg_float backend needs a float-mode game (use Game.as_float())")
 
 
-def _verify_mean_zero(g: GameGraph, B: np.ndarray, peak: np.ndarray | None = None) -> None:
+def _verify_mean_zero(g: GameGraph, B: np.ndarray):
     # L_{w_i} v lies in the range of d*, hence is orthogonal to constants:
     # exactly for ints, to round-off for floats.  One column per
     # player; infeasible rows are 0 and add nothing.  The float tolerance
-    # is relative to each column's largest entry (peak, found here unless
-    # given), so it is 0 for a zero column and scales down with a small one.
-    tol = 0
-    if B.dtype != object:
-        tol = 1e-8 * (np.max(np.abs(B), axis=0) if peak is None else peak) * g.num_vertices
-    if np.any(np.abs(B.sum(axis=0)) > tol):
+    # is relative to each column's largest entry, so it is 0 for a zero
+    # column and scales down with a small one; those peaks are returned
+    # (0 for ints), for ``_cg_float`` to scale by.
+    peak = 0 if B.dtype == object else np.max(np.abs(B), axis=0)
+    if np.any(np.abs(B.sum(axis=0)) > 1e-8 * peak * g.num_vertices):
         raise ArithmeticError("right-hand side is not mean-zero; this is a bug")
+    return peak
 
 
 def _spectral_applies(g: GameGraph) -> bool:
@@ -737,8 +738,7 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
         # decomposes at n = 16 peaked at 5.1-6.1 * n * 2**n * 8 bytes over v
         _check_float_memory(g, k, 6 * k + g.n / 2 + 5)
         B = _rhs(g, np.asarray(v.values, dtype=np.float64), players)
-        peak = np.abs(B).max(axis=0)
-        _verify_mean_zero(g, B, peak)
+        peak = _verify_mean_zero(g, B)
         X, preconditioner, iterations, residuals = _cg_float(
             g, B, peak, players, cfg.cg_tolerance, cfg.max_iters_for(g.n))
         return X, 1, CG_FLOAT, preconditioner, iterations, residuals

@@ -1155,6 +1155,25 @@ def test_float_spectral_null_players_get_exact_zeros():
     assert np.any(dec.components[0].values)
 
 
+def test_float_spectral_keeps_a_small_player_accurate_to_its_own_scale():
+    # the last player's marginals are about 1e-6 of the game's scale; a
+    # transform of the whole game would leave its component accurate to
+    # the game's scale only, about 1e-10 of its own
+    n = 10
+    rng = np.random.default_rng(52)
+    base, small = rng.standard_normal(1 << n), np.ldexp(rng.standard_normal(1 << n), -20)
+    last = 1 << (n - 1)
+    vals = np.array([base[S & ~last] + small[S] for S in range(1 << n)])
+    v = gm.game_from_values(n, vals - vals[0], gm.FLOAT)
+    g = gr.full_hypercube(n, gr.EdgeWeighting.constant(3))
+    exact = np.array([float(x) for x in sv.solve_component(g, v.as_rational(), n - 1).values])
+    dec = sv.decompose(g, v)
+    assert dec.diagnostics[-1].backend == sv.SPECTRAL
+    assert dec.diagnostics[-1].residual <= 1e-14
+    for comp in (dec.components[-1].values, sv.solve_component(g, v, n - 1).values):
+        assert np.max(np.abs(comp - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize("shift", [600, -600])
 def test_float_spectral_components_scale_exactly_with_the_game(shift):
     n = 9
