@@ -27,8 +27,8 @@ from .solve import (CG_FLOAT, DENSE_RATIONAL, Decomposition, PlayerSolveStats,
                     solve_component)
 from .closed_form import (GreensKernel, component_explicit, greens_kernel,
                           feasible_permutations, precedence_shapley_oracle,
-                          pure_bargaining_component, shapley_direct,
-                          shapley_permutation_oracle, shapley_values,
+                          precedence_shapley_values, pure_bargaining_component,
+                          shapley_direct, shapley_permutation_oracle, shapley_values,
                           verify_shapley_coefficient)
 from .report import DecompositionTable, build_table, compare_allocations, \
     parse_rendered_json, render_table

@@ -225,8 +225,7 @@ def _rational_reconstruct(x: int, M: int, bound: int):
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if s1 == 0:
-        return None
+    # s1 is never 0: |s1| grows from 1, as every quotient q is at least 1
     n, d = (r1, s1) if s1 > 0 else (-r1, -s1)
     if d > bound or gcd(n if n >= 0 else -n, d) != 1:
         return None

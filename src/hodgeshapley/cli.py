@@ -103,10 +103,9 @@ def _cmd_shapley(args: argparse.Namespace) -> int:
                             "use --method hodge or --method precedence")
     if args.method == "direct":
         values = cf.shapley_values(v)
-    elif args.method == "permutation":
-        values = tuple(cf.shapley_permutation_oracle(v, i) for i in range(v.n))
-    elif args.method == "precedence":
-        values = tuple(cf.precedence_shapley_oracle(g, v, i) for i in range(v.n))
+    elif args.method in ("permutation", "precedence"):
+        # on the full cube, which permutation requires, every order is feasible
+        values = cf.precedence_shapley_values(g, v)
     else:
         v, cfg = _solver_inputs(args, v)
         values = decompose(g, v, cfg).allocation()
@@ -136,7 +135,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         checks.append(("allocation matches the classical formula",
                        tuple(dec.allocation()) == tuple(direct)))
         if v.n <= 7:
-            perm = tuple(cf.shapley_permutation_oracle(v, i) for i in range(v.n))
+            perm = cf.precedence_shapley_values(g, v)
             checks.append(("classical formula matches the permutation average",
                            perm == tuple(direct)))
     for label, ok in checks:

@@ -3,8 +3,9 @@
 These routes never touch the linear solver (except where a Laplacian
 solve is the very thing being exercised), which makes them independent
 oracles: the classical marginal-contribution formula, the brute-force
-average over permutations, its restricted-graph variant that averages
-over feasible permutations only, the discrete Green's function of the
+average over permutations and its restricted-graph variant that averages
+over feasible permutations only (one walk over the orders serves both,
+every player at once), the discrete Green's function of the
 hypercube Laplacian, and the explicit binomial-sum expression for the
 component games on the full unweighted cube.
 
@@ -18,39 +19,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate
 from math import comb, factorial
+from typing import Iterator
+
+import numpy as np
 
 from . import coalition as co
 from . import operators as ops
 from .errors import CapacityError, DomainError, InfeasibilityError
 from .game import RATIONAL, Game, game_from_values
 from .graph import CONSTANT, GameGraph, full_hypercube
-from .solve import solve_poisson_rational
+from .solve import _over_common_denominator, solve_poisson_rational
 
 _PERMUTATION_CAP = 10  # factorial enumeration guard
 
 
 @lru_cache(maxsize=None)
-def _binomial_tails(n: int) -> tuple:
-    """tails[k] = C(n,k+1) + ... + C(n,n) for k = 0..n."""
-    tails = [0] * (n + 1)
-    acc = 0
-    for k in range(n, 0, -1):
-        acc += comb(n, k)
-        tails[k - 1] = acc
-    return tuple(tails)
+def _binomial_prefixes(n: int) -> tuple:
+    """prefixes[j] = C(n,0) + ... + C(n,j) for j = 0..n."""
+    return tuple(accumulate(comb(n, j) for j in range(n + 1)))
 
 
 @lru_cache(maxsize=None)
-def _binomial_prefixes(n: int) -> tuple:
-    """prefixes[j] = C(n,0) + ... + C(n,j) for j = 0..n."""
-    out = []
-    acc = 0
-    for j in range(n + 1):
-        acc += comb(n, j)
-        out.append(acc)
-    return tuple(out)
+def _binomial_tails(n: int) -> tuple:
+    """tails[k] = C(n,k+1) + ... + C(n,n) for k = 0..n."""
+    return tuple((1 << n) - p for p in _binomial_prefixes(n))
 
 
 @lru_cache(maxsize=8)
@@ -83,62 +77,74 @@ def shapley_values(v: Game) -> tuple:
     return tuple(shapley_direct(v, i) for i in range(v.n))
 
 
-def shapley_permutation_oracle(v: Game, i: int) -> Fraction | float:
-    """Average marginal contribution of i over all n! joining orders."""
-    n = v.n
+def _check_enumerable(n: int) -> None:
     if n > _PERMUTATION_CAP:
         raise CapacityError(f"permutation enumeration capped at n <= {_PERMUTATION_CAP}")
-    if not 0 <= i < n:
-        raise DomainError(f"player index {i} outside [0, {n})")
-    bit = 1 << i
-    total = Fraction(0) if v.is_rational else 0.0
-    for order in permutations(range(n)):
-        S = 0
-        for j in order:
-            if j == i:
-                total += v.values[S | bit] - v.values[S]
-                break
-            S |= 1 << j
-    return total / factorial(n)
+
+
+def _feasible_orders(g: GameGraph) -> Iterator[tuple[int, ...]]:
+    """g's feasible joining orders, lazily and in lexicographic order: depth
+    first from {} along the edges (S, S|{j}) of ``g.edge_mask``, j ascending."""
+    n = g.n
+    _check_enumerable(n)
+    up = np.zeros((1 << n, n), dtype=bool)  # [S, j]: the edge (S, S|{j})
+    for j in range(n):
+        up.reshape(-1, 2, 1 << j, n)[:, 0, :, j] = g.edge_mask[j].reshape(-1, 1 << j)
+    joiners = [np.flatnonzero(row).tolist() for row in up]
+
+    def extend(order, S):
+        if len(order) == n:
+            yield order
+        for j in joiners[S]:
+            yield from extend(order + (j,), S | 1 << j)
+
+    return extend((), 0)
 
 
 def feasible_permutations(g: GameGraph) -> list[tuple[int, ...]]:
-    """Joining orders whose every prefix is a feasible vertex reached by a
-    feasible edge."""
-    if g.n > _PERMUTATION_CAP:
-        raise CapacityError(f"permutation enumeration capped at n <= {_PERMUTATION_CAP}")
-    out = []
-    for order in permutations(range(g.n)):
+    """The joining orders of g whose every step is a feasible edge, listed."""
+    return list(_feasible_orders(g))
+
+
+def precedence_shapley_values(g: GameGraph, v: Game) -> tuple:
+    """Average marginal contribution of every player over the feasible
+    joining orders of g, in one walk over the orders.  Rational games are
+    summed in ints over the lcm of their denominators."""
+    if v.n != g.n:
+        raise DomainError("game and graph have different player counts")
+    orders = _feasible_orders(g)  # refuses past the cap before any other work
+    values, den = _over_common_denominator(v.values) if v.is_rational else (v.values, None)
+    values = values.tolist()
+    totals = [0] * g.n
+    count = 0
+    for order in orders:
         S = 0
         for j in order:
-            if g.edge_index.get((S, j)) is None:
-                break
-            S |= 1 << j
-        else:
-            out.append(order)
-    return out
+            T = S | 1 << j
+            totals[j] += values[T] - values[S]
+            S = T
+        count += 1
+    if not count:
+        raise InfeasibilityError("no feasible permutation path from the empty coalition "
+                                 "to the grand coalition")
+    if den is None:
+        return tuple(t / count for t in totals)
+    return tuple(Fraction(t, den * count) for t in totals)
 
 
 def precedence_shapley_oracle(g: GameGraph, v: Game, i: int) -> Fraction | float:
     """Average marginal contribution of i over the feasible joining orders of g."""
-    if v.n != g.n:
-        raise DomainError("game and graph have different player counts")
     if not 0 <= i < g.n:
         raise DomainError(f"player index {i} outside [0, {g.n})")
-    orders = feasible_permutations(g)
-    if not orders:
-        raise InfeasibilityError("no feasible permutation path from the empty coalition "
-                                 "to the grand coalition")
-    bit = 1 << i
-    total = Fraction(0) if v.is_rational else 0.0
-    for order in orders:
-        S = 0
-        for j in order:
-            if j == i:
-                total += v.values[S | bit] - v.values[S]
-                break
-            S |= 1 << j
-    return total / len(orders)
+    return precedence_shapley_values(g, v)[i]
+
+
+def shapley_permutation_oracle(v: Game, i: int) -> Fraction | float:
+    """Average marginal contribution of i over all n! joining orders."""
+    _check_enumerable(v.n)
+    if not 0 <= i < v.n:
+        raise DomainError(f"player index {i} outside [0, {v.n})")
+    return precedence_shapley_values(_unweighted_cube(v.n), v)[i]
 
 
 # ---------------------------------------------------------------------------

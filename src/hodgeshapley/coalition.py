@@ -108,15 +108,6 @@ def coalition_key(S: Coalition) -> str:
     return "[" + ",".join(str(p) for p in members(S)) + "]"
 
 
-def coalition_keys(n: int) -> list[str]:
-    """``coalition_key(S)`` for every S in ``range(2**n)``, built by doubling."""
-    check_player_count(n)
-    keys = ["[]"]
-    for b in range(n):
-        keys += [(k[:-1] + "," if S else "[") + f"{b}]" for S, k in enumerate(keys)]
-    return keys
-
-
 def joined_members(coalitions: Iterable[Coalition], names: Sequence[str]) -> list[str]:
     """``",".join(names[p] for p in members(S))`` for each coalition S.
 

@@ -225,7 +225,8 @@ def game_from_spec(spec: Mapping) -> Game:
     # enough to pay for it; other spellings go through the parser
     canonical = {}
     if 4 * len(table) >= 1 << n:
-        canonical = dict(zip(co.coalition_keys(n), range(1 << n)))
+        keys = co.joined_members(range(1 << n), [str(p) for p in range(n)])
+        canonical = {f"[{key}]": S for S, key in enumerate(keys)}
     listed = {}  # coalition -> the key that listed it
     for key, literal in table.items():
         S = canonical.get(key)

@@ -208,14 +208,10 @@ def compare_allocations(g: GameGraph, v: Game, cfg: SolverConfig | None = None,
     (restricted graph), with absolute differences."""
     dec = decompose(g, v, cfg)
     hodge = dec.allocation()
-    columns = {"component": hodge}
     if g.is_full_cube:
-        columns["classical"] = cf.shapley_values(v)
+        other_name, other = "classical", cf.shapley_values(v)
     else:
-        columns["precedence"] = tuple(cf.precedence_shapley_oracle(g, v, i)
-                                      for i in range(g.n))
-    other_name = "classical" if g.is_full_cube else "precedence"
-    other = columns[other_name]
+        other_name, other = "precedence", cf.precedence_shapley_values(g, v)
     diffs = [abs(h - o) for h, o in zip(hodge, other)]
 
     if format == "json":

@@ -16,23 +16,24 @@ Rational mode computes on Python ints over one common denominator: v as
 ``D v`` (D the lcm of its denominators), the weights as
 ``GameGraph.integer_weights``, and each engine returns all players'
 columns over one denominator; fractions are built only for the component
-games.  On the full cube with a constant weight c both modes run the
-spectral engine: the Walsh transform diagonalises both operators (``L_w``
-has eigenvalue ``2c|T|`` and ``L_{w_i}`` ``2c[i in T]`` on the character
-of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.  Rational mode transforms
-v once, scatters into the players' columns (in integers, the quotient by
-``lcm(1..n)``; ``n <= 16``) and transforms them back; float mode applies
-``L_1^+``, two transforms around a division by 2|T|, to each player's own
-``L_{1,i} v``, so that a player with small marginals keeps its own
-precision.  Both check ``L_1 X = L_{1,i} v`` at unit weights column by
-column: exactly in rational mode, and to ``cg_tolerance`` in relative
-residual in float mode.  Every other graph in
-rational mode inverts the integer pinned Laplacian (empty coalition's row
-and column deleted) mod p once per graph, by panel-blocked Gauss-Jordan
-with float64 BLAS panel updates; a solve then lifts p-adic digits of all
-players' right-hand sides as one block until a reconstructed candidate
-passes the exact check, up to 4096 unknowns; past that limit it raises
-``CapacityError`` before any right-hand side is built.  ``decompose``
+games.  On the full cube with one weight c on every edge, in any
+weighting kind, both modes run the spectral engine: the Walsh transform
+diagonalises both operators (``L_w`` has eigenvalue ``2c|T|`` and
+``L_{w_i}`` ``2c[i in T]`` on the character of T), so ``v_i^(T) = [i in
+T] v^(T) / |T|``.  Rational mode transforms v once, scatters into the
+players' columns (in integers, the quotient by ``lcm(1..n)``; ``n <=
+16``) and transforms them back; float mode applies ``L_1^+``, two
+transforms around a division by 2|T|, to each player's own ``L_{1,i}
+v``, so that a player with small marginals keeps its own precision.
+Both check ``L_1 X = L_{1,i} v`` at unit weights column by column:
+exactly in rational mode, and to ``cg_tolerance`` in relative residual
+in float mode.  Every other graph in rational mode inverts the integer
+pinned Laplacian (empty coalition's row and column deleted) mod p once
+per graph, by panel-blocked Gauss-Jordan with float64 BLAS panel
+updates; a solve then lifts p-adic digits of all players' right-hand
+sides as one block until a reconstructed candidate passes the exact
+check, up to 4096 unknowns; past that limit it raises ``CapacityError``
+before any right-hand side is built.  ``decompose``
 checks ``sum_i v_i = v`` exactly after either engine.
 
 Every other graph in float mode runs ``cg_float``: preconditioned
@@ -87,7 +88,7 @@ from . import operators as ops
 from ._exact import _MAX_UNKNOWNS, DixonSolver
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .game import FLOAT, RATIONAL, Game
-from .graph import CONSTANT, GameGraph, _endpoint_sums, _popcounts
+from .graph import GameGraph, _endpoint_sums, _popcounts
 
 DENSE_RATIONAL = "dense_rational"
 CG_FLOAT = "cg_float"
@@ -159,7 +160,7 @@ class Decomposition:
     its values are meaningful on feasible coalitions only (infeasible
     entries are zero padding).  The components sum back to the original
     game on feasible coalitions: exactly in rational mode, within
-    ``efficiency_gap`` (checked against solver tolerance) in float mode.
+    ``efficiency_gap`` in float mode (reported; ``render_table`` checks it).
     """
 
     graph: GameGraph
@@ -360,7 +361,10 @@ def _laplacian_float(w: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.
 # do more redundant flops, narrower ones more passes over the vector.
 _BLOCK_PLAYERS = 5
 # Floats per matmul chunk: the apply's product temporary stays at 512 KiB
-# for any n and for up to 2,048 columns.
+# for any n and for up to 2,048 columns.  Chunks also run faster: with
+# the chunking removed, float-cube's largest case took 0.033-0.036 s
+# against 0.029 s and its wall time rose about 5 % (three pairs of 12 s
+# bench/run.py runs, 2 vCPUs).
 _CHUNK = 1 << 16
 # Range of the coalition scaling b: b * x then stays far from overflow and
 # from subnormals; a weighting past it runs the per-player kernel.
@@ -716,7 +720,10 @@ def _verify_mean_zero(g: GameGraph, B: np.ndarray):
 
 
 def _spectral_applies(g: GameGraph) -> bool:
-    return g.is_full_cube and g.weighting.kind == CONSTANT
+    """Whether g is a full cube whose edges all weigh the same, in any
+    weighting kind; the engine solves at unit weight."""
+    w = g.weighting
+    return g.is_full_cube and len(w.bases) == 0 and len(set(w.by_size(g.n))) == 1
 
 
 def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):

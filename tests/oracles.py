@@ -56,6 +56,35 @@ def brute_shapley(values, n, i):
     return total / factorial(n)
 
 
+def feasible_orders(n, edges):
+    """Joining orders of the n players, in lexicographic order, whose every
+    step (S, j) is one of the (base, player) pairs in edges."""
+    out = []
+    for order in permutations(range(n)):
+        S = 0
+        for j in order:
+            if (S, j) not in edges:
+                break
+            S |= 1 << j
+        else:
+            out.append(order)
+    return out
+
+
+def order_average(values, orders, i):
+    """Player i's marginal contribution averaged over the orders, summed in
+    their order from a zero of the values' own type."""
+    total = values[0] * 0
+    for order in orders:
+        S = 0
+        for j in order:
+            if j == i:
+                total += values[S | (1 << i)] - values[S]
+                break
+            S |= 1 << j
+    return total / len(orders)
+
+
 def dense_laplacian(n, feasible, edges, weights):
     """Explicit weighted Laplacian matrix (degree-minus-adjacency form)."""
     feasible = sorted(feasible)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 import subprocess
@@ -93,6 +94,14 @@ def test_shapley_json_format(glove_path, capsys):
     assert doc["allocation"] == ["2/3", "1/6", "1/6"]
 
 
+def test_shapley_csv_format(glove_path, holdout_path, capsys):
+    assert main(["shapley", "--game", glove_path, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "player,value\n1,2/3\n2,1/6\n3,1/6\n"
+    assert main(["shapley", "--game", glove_path, "--constraints", holdout_path,
+                 "--method", "precedence", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "player,value\n1,1/2\n2,1/4\n3,1/4\n"
+
+
 def test_compare_command(glove_path, holdout_path, capsys):
     assert main(["compare", "--game", glove_path, "--constraints", holdout_path]) == 0
     out = capsys.readouterr().out
@@ -113,6 +122,21 @@ def test_verify_float_backend(glove_path, capsys):
 def test_fixtures_command(capsys):
     assert main(["fixtures"]) == 0
     assert "6/6 tables reproduced" in capsys.readouterr().out
+
+
+def test_fixtures_reports_mismatches(monkeypatch, capsys):
+    # one wrong cell in the first table fails it, and its float replay too
+    ref, *others = cli.ALL_REFERENCES
+    *rows, (members, grand) = ref.rows
+    wrong = dataclasses.replace(ref, rows=(*rows, (members, (grand[0], grand[1] + 1, *grand[2:]))))
+    monkeypatch.setattr(cli, "ALL_REFERENCES", [wrong, *others])
+    assert main(["fixtures"]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"{len(others)}/{len(others) + 1} tables reproduced\n"
+    assert err.splitlines() == [
+        f"MISMATCH {ref.key} at [0,1,2]: expected {tuple(map(str, wrong.rows[-1][1]))}, "
+        f"got {tuple(map(str, grand))}",
+        f"MISMATCH {ref.key} under {sv.CG_FLOAT}"]
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

@@ -11,7 +11,8 @@ from hodgeshapley import game as gm
 from hodgeshapley import graph as gr
 from hodgeshapley import solve as sv
 from hodgeshapley.errors import CapacityError, DomainError
-from oracles import brute_shapley, dense_laplacian, random_rational_values
+from oracles import brute_shapley, dense_laplacian, feasible_orders, order_average, \
+    random_rational_values
 
 
 def bits(*players):
@@ -92,6 +93,60 @@ def test_precedence_differs_from_components_on_restricted_graph():
     prec = tuple(cf.precedence_shapley_oracle(g, gm.make_glove_game(), i)
                  for i in range(3))
     assert prec != dec.allocation()
+
+
+def test_component_explicit_on_a_float_game():
+    # promoted exactly, solved in rationals, rounded back once
+    rng = random.Random(45)
+    v = rational_game(rng, 4)
+    for i in range(4):
+        got = cf.component_explicit(v.as_float(), i, gr.full_hypercube(4))
+        assert got.mode == gm.FLOAT
+        assert got.values.tolist() == [float(x) for x in
+                                       cf.component_explicit(v.as_float().as_rational(), i).values]
+
+
+def test_order_walk_matches_per_player_enumeration():
+    # each float player's marginals are summed in the order of the orders,
+    # so every value is bit for bit that of a walk for the player alone
+    for n in range(1, 8):
+        rng = random.Random(44 + n)
+        cube = gr.full_hypercube(n)
+        graphs = [cube, gr.restrict(cube, [bits(1), bits(0, 2)][:n - 1])]
+        if n >= 2:
+            graphs.append(gr.restrict(cube, [], [gr.Edge(bits(0), 1)]))
+        rational = rational_game(rng, n)
+        floating = gm.game_from_values(n, [0.0] + [rng.uniform(-9, 9) for _ in range(1, 1 << n)],
+                                       gm.FLOAT)
+        for g in graphs:
+            orders = feasible_orders(n, set(g.edges()))
+            assert cf.feasible_permutations(g) == orders
+            for v in (rational, floating):
+                values = cf.precedence_shapley_values(g, v)
+                assert values == tuple(order_average(v.values, orders, i) for i in range(n))
+                # each oracle reads one player off the same walk
+                i = rng.randrange(n)
+                assert cf.precedence_shapley_oracle(g, v, i) == values[i]
+                if g is cube:
+                    assert cf.shapley_permutation_oracle(v, i) == values[i]
+
+
+def test_order_walk_refuses_past_the_cap_before_any_work(monkeypatch):
+    g = gr.full_hypercube(11)
+    v = gm.game_from_values(11, [0] * (1 << 11))
+    monkeypatch.setattr(cf, "_over_common_denominator", None)  # not reached
+    with pytest.raises(CapacityError, match="n <= 10"):
+        cf.precedence_shapley_values(g, v)
+    with pytest.raises(CapacityError, match="n <= 10"):
+        cf.feasible_permutations(g)
+
+
+def test_binomial_tables():
+    for n in range(25):
+        assert cf._binomial_prefixes(n) == tuple(sum(comb(n, j) for j in range(k + 1))
+                                                 for k in range(n + 1))
+        assert cf._binomial_tails(n) == tuple(sum(comb(n, j) for j in range(k + 1, n + 1))
+                                              for k in range(n + 1))
 
 
 def test_greens_kernel_inverts_laplacian():

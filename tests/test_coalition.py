@@ -92,9 +92,11 @@ def test_members_round_trip():
         assert co.from_members(co.members(S)) == S
 
 
-def test_coalition_keys_match_coalition_key():
+def test_joined_members_spell_the_canonical_keys():
+    # game_from_spec resolves canonical keys through this table
     for n in range(0, 8):
-        assert co.coalition_keys(n) == [co.coalition_key(S) for S in range(1 << n)]
+        keys = co.joined_members(range(1 << n), [str(p) for p in range(n)])
+        assert [f"[{k}]" for k in keys] == [co.coalition_key(S) for S in range(1 << n)]
 
 
 def test_parse_and_key():

@@ -108,6 +108,14 @@ def test_linear_combine():
     assert five.value(bits(0, 1)) == 5
 
 
+def test_linear_combine_float():
+    v = gm.make_glove_game().as_float()
+    w = gm.make_pure_bargaining_game(3, 1).as_float()
+    mix = gm.linear_combine(2, v, -0.5, w)
+    assert mix.mode == gm.FLOAT
+    assert np.array_equal(mix.values, 2 * v.values - 0.5 * w.values)
+
+
 def test_linear_combine_mode_mismatch():
     v = gm.make_glove_game()
     with pytest.raises(TypeError):

@@ -374,6 +374,20 @@ def _assert_solves_oracle_system(g, v, dec):
         assert _dense_apply(L, x) == _dense_apply(L_i, vals)
 
 
+def test_rational_reconstruct_matches_brute_force():
+    # every residue mod 101 either has one fraction n/d in lowest terms
+    # with |n|, d <= 7 and n = x*d mod 101, or reconstructs to None
+    M, bound = 101, 7
+    outcomes = set()
+    for x in range(M):
+        fits = [(a, d) for d in range(1, bound + 1) for a in range(-bound, bound + 1)
+                if math.gcd(a, d) == 1 and (a - x * d) % M == 0]
+        got = _exact._rational_reconstruct(x, M, bound)
+        assert got == (fits[0] if fits else None), x
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 def test_lifting_matches_oracle_system():
     rng = random.Random(30)
     n = 5
@@ -1019,13 +1033,15 @@ def test_walsh_beats_jacobi_on_random_explicit_weights():
 # ---------------------------------------------------------------------------
 
 def test_spectral_bit_exact_against_factored_path():
-    # explicit({}, c) is the same Laplacian under a kind that factors
+    # an explicit weighting that lists one edge at c is the same Laplacian,
+    # but a listed edge keeps it off the spectral route
     rng = random.Random(40)
     for n in range(1, 9):
         for c in (1, Fraction(5, 2)):
             v = rational_game(rng, n)
             spectral = sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.constant(c)), v)
-            factored = sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.explicit({}, c)), v)
+            listed = gr.EdgeWeighting.explicit({gr.Edge(0, 0): c}, c)
+            factored = sv.decompose(gr.full_hypercube(n, listed), v)
             assert [s.backend for s in spectral.diagnostics] == [sv.SPECTRAL] * n
             assert [s.backend for s in factored.diagnostics] == [sv.DENSE_RATIONAL] * n
             for a, b in zip(spectral.components, factored.components):
@@ -1055,6 +1071,28 @@ def test_spectral_routing():
     assert sv.decompose(weighted, v).diagnostics[0].backend == sv.DENSE_RATIONAL
     with pytest.raises(ConfigError):
         sv.SolverConfig(backend=sv.SPECTRAL)
+
+
+def test_constant_valued_weightings_take_the_spectral_engine():
+    # an even cardinality table and explicit weights that list no edge
+    # weigh every edge alike; at n = 13 the factored path would refuse
+    # its 8,191 unknowns
+    rng = random.Random(49)
+    n = 13
+    v = rational_game(rng, n)
+    constant = sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.constant(2)), v)
+    table = sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality([2] * n)), v)
+    assert {s.backend for s in table.diagnostics} == {sv.SPECTRAL}
+    assert [c.values for c in table.components] == [c.values for c in constant.components]
+    n = 6
+    v = rational_game(rng, n).as_float()
+    ref = sv.decompose(gr.full_hypercube(n), v)
+    for w in (gr.EdgeWeighting.by_cardinality([Fraction(7, 3)] * n),
+              gr.EdgeWeighting.explicit({}, default=5)):
+        dec = sv.decompose(gr.full_hypercube(n, w), v)
+        assert dec.diagnostics == ref.diagnostics
+        for a, b in zip(dec.components, ref.components):
+            assert np.array_equal(a.values, b.values)
 
 
 def test_spectral_null_players_get_exact_zeros():
@@ -1307,3 +1345,100 @@ def test_cg_refuses_past_physical_memory_at_entry(monkeypatch):
     sv.solve_component(g, v, 0, cfg)
     monkeypatch.setattr(sv, "_physical_memory", lambda: 0)  # unknown: no check
     assert sv.decompose(g, v, cfg).efficiency_gap < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# route matrix: one graph per solve route, each checked the same way
+# ---------------------------------------------------------------------------
+
+def _route_graphs():
+    """Per case: the graph; the float route, as (engine, preconditioner,
+    whether the per-player Laplacian runs); the most CG iterations a player
+    took; a bound on the float components' miss of the exact ones and on
+    the float efficiency gap; and a bound on the float orthogonality
+    residual.  Bounds are relative to the game's largest value, and each is
+    a round number 3 to 15 times (for the orthogonality residual 40 to 300
+    times) what these inputs gave when it was set, with one BLAS thread or
+    two: misses of about 1e-16 on the spectral route, 1e-13 on Walsh, and
+    4e-12 and 1e-11 on the two Jacobi cases, whose weights span six and
+    eight decades."""
+    rng = random.Random(50)
+
+    def explicit(n, weight):
+        return gr.EdgeWeighting.explicit({e: weight() for e in gr.full_hypercube(n).edges()})
+
+    wide = [Fraction(10) ** (3 * (-1) ** s) for s in range(6)]
+    # precedence 0 < 1 and 2 < 3: no coalition holds 1 without 0, or 3 without 2
+    unordered = [S for S in range(1 << 6)
+                 if S & bits(1) and not S & bits(0) or S & bits(3) and not S & bits(2)]
+    cut = [gr.Edge(bits(0), 1)]
+    return {
+        "constant": (gr.full_hypercube(5, gr.EdgeWeighting.constant(Fraction(3, 2))),
+                     (sv.SPECTRAL, "", False), 0, 1e-15, 1e-13),
+        "size-plus-one": (gr.full_hypercube(6, gr.EdgeWeighting.size_plus_one(6)),
+                          (sv.CG_FLOAT, sv.WALSH, False), 9, 1e-12, 1e-9),
+        "degree-product": (gr.degree_product_weighting(
+            gr.restrict(gr.full_hypercube(7), [bits(1), bits(0, 2), bits(3, 4, 5)])),
+            (sv.CG_FLOAT, sv.WALSH, False), 9, 1e-12, 1e-9),
+        "down-set": (gr.restrict(gr.full_hypercube(6, gr.EdgeWeighting.size_plus_one(6)),
+                                 unordered),
+                     (sv.CG_FLOAT, sv.WALSH, False), 13, 1e-12, 1e-10),
+        "explicit-1e3": (gr.restrict(gr.full_hypercube(
+            6, explicit(6, lambda: Fraction(rng.randint(1, 1000)))), [], cut),
+            (sv.CG_FLOAT, sv.WALSH, True), 20, 1e-12, 1e-7),
+        "wide": (gr.full_hypercube(6, gr.EdgeWeighting.by_cardinality(wide)),
+                 (sv.CG_FLOAT, sv.JACOBI, False), 19, 1e-10, 1e-10),
+        "explicit-1e4": (gr.restrict(gr.full_hypercube(
+            5, explicit(5, lambda: Fraction(10) ** rng.randint(-4, 4))), [], cut),
+            (sv.CG_FLOAT, sv.JACOBI, True), 32, 1e-10, 1e-6),
+    }
+
+
+def test_route_matrix(monkeypatch):
+    # every solve route on one graph each: efficiency, a null player,
+    # orthogonality, float against exact, and the route itself, with CG
+    # iterations at most a quarter above those seen (a broken
+    # preconditioner still converges, only slower)
+    laplacian, calls = sv._laplacian_float, []
+
+    def counted(*args):
+        calls.append(args)
+        laplacian(*args)
+
+    monkeypatch.setattr(sv, "_laplacian_float", counted)
+
+    def solve(g, v):
+        calls.clear()
+        dec = sv.decompose(g, v)
+        (engine, preconditioner), = {(s.backend, s.preconditioner) for s in dec.diagnostics}
+        return dec, (v.mode, engine, preconditioner, bool(calls))
+
+    routes = set()
+    for name, (g, float_route, iterations, bound, orth_bound) in _route_graphs().items():
+        n = g.n
+        values = random_dyadic_values(random.Random(n), n)
+        v = gm.game_from_values(n, [values[S & ~(1 << (n - 1))] for S in range(1 << n)])
+        scale = float(max(abs(x) for x in v.values))
+        exact, route = solve(g, v)
+        engine = sv.SPECTRAL if name == "constant" else sv.DENSE_RATIONAL
+        assert route == (gm.RATIONAL, engine, "", False), name
+        routes.add(route)
+        assert exact.efficiency_gap == 0
+        assert max(sv.residual_orthogonality(g, v, exact)) == 0
+        assert not any(exact.components[-1].values), name  # the null last player
+        fl, route = solve(g, v.as_float())
+        assert route == (gm.FLOAT, *float_route), name
+        routes.add(route)
+        assert max(s.iterations for s in fl.diagnostics) <= iterations * 5 // 4, name
+        assert fl.efficiency_gap <= bound * scale, name
+        assert max(sv.residual_orthogonality(g, fl.source, fl)) <= orth_bound * scale, name
+        assert not np.any(fl.components[-1].values), name
+        miss = max(np.max(np.abs(np.asarray(a.values) - [float(x) for x in b.values]))
+                   for a, b in zip(fl.components, exact.components))
+        assert miss <= bound * scale, name
+    assert routes == {(gm.RATIONAL, sv.SPECTRAL, "", False), (gm.FLOAT, sv.SPECTRAL, "", False),
+                      (gm.RATIONAL, sv.DENSE_RATIONAL, "", False),
+                      (gm.FLOAT, sv.CG_FLOAT, sv.WALSH, False),
+                      (gm.FLOAT, sv.CG_FLOAT, sv.WALSH, True),
+                      (gm.FLOAT, sv.CG_FLOAT, sv.JACOBI, False),
+                      (gm.FLOAT, sv.CG_FLOAT, sv.JACOBI, True)}
