@@ -5,10 +5,13 @@ binomial-sum expression through the discrete Green's function of the
 cube Laplacian; pure bargaining games have an even simpler closed form.
 Both must agree with the Laplacian solve to the last bit, as must the
 classical coefficient formula and the brute-force permutation average.
+The joining coefficients themselves are the grand values of unit games'
+components, which the exact spectral engine gives up to 16 players.
 """
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from hodgeshapley import (component_explicit, decompose, full_hypercube,
                           game_from_values, greens_kernel, make_glove_game,
@@ -32,9 +35,15 @@ print("all components agree exactly")
 
 print()
 print("=== the joining coefficients, recovered from single-edge sources ===")
+# player i's component of the unit game on one coalition S|{i}: its d_i is
+# the unit source on the edge (S, S|{i}), and its grand value s!(n-1-s)!/n!
 for size in range(4):
     u_N = verify_shapley_coefficient(4, size, 0)
     print(f"coalition size {size}: u(N) = {u_N}")
+for size in (0, 8, 15):  # the exact spectral engine reaches n = 16
+    u_N = verify_shapley_coefficient(16, size, 0)
+    assert u_N == Fraction(factorial(size) * factorial(15 - size), factorial(16))
+    print(f"n = 16, coalition size {size}: u(N) = {u_N}")
 
 print()
 print("=== permutation average vs. coefficient formula, glove game ===")

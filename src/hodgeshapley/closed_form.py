@@ -1,13 +1,14 @@
 """Closed-form and combinatorial references for the decomposition.
 
-These routes never touch the linear solver (except where a Laplacian
-solve is the very thing being exercised), which makes them independent
-oracles: the classical marginal-contribution formula, the brute-force
-average over permutations and its restricted-graph variant that averages
-over feasible permutations only (one walk over the orders serves both,
-every player at once), the discrete Green's function of the
-hypercube Laplacian, and the explicit binomial-sum expression for the
-component games on the full unweighted cube.
+These routes never touch the linear solver (but for
+``verify_shapley_coefficient``, which reads the joining coefficient off
+a unit game's component), which makes them independent oracles: the
+classical marginal-contribution formula, the brute-force average over
+permutations and its restricted-graph variant that averages over
+feasible permutations only (one walk over the orders serves both, every
+player at once), the discrete Green's function of the hypercube
+Laplacian, and the explicit binomial-sum expression for the component
+games on the full unweighted cube.
 
 All binomial-sum formulas are evaluated in exact rational arithmetic
 even for float-mode games (inputs are promoted); the coefficients
@@ -26,11 +27,10 @@ from typing import Iterator
 import numpy as np
 
 from . import coalition as co
-from . import operators as ops
 from .errors import CapacityError, DomainError, InfeasibilityError
-from .game import RATIONAL, Game, game_from_values
-from .graph import CONSTANT, GameGraph, full_hypercube
-from .solve import _over_common_denominator, solve_poisson_rational
+from .game import RATIONAL, Game, game_from_map, game_from_values
+from .graph import GameGraph, _edge_table, full_hypercube
+from .solve import _over_common_denominator, _spectral_applies, solve_component
 
 _PERMUTATION_CAP = 10  # factorial enumeration guard
 
@@ -45,11 +45,6 @@ def _binomial_prefixes(n: int) -> tuple:
 def _binomial_tails(n: int) -> tuple:
     """tails[k] = C(n,k+1) + ... + C(n,n) for k = 0..n."""
     return tuple((1 << n) - p for p in _binomial_prefixes(n))
-
-
-@lru_cache(maxsize=8)
-def _unweighted_cube(n: int) -> GameGraph:
-    return full_hypercube(n)
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +82,7 @@ def _feasible_orders(g: GameGraph) -> Iterator[tuple[int, ...]]:
     first from {} along the edges (S, S|{j}) of ``g.edge_mask``, j ascending."""
     n = g.n
     _check_enumerable(n)
-    up = np.zeros((1 << n, n), dtype=bool)  # [S, j]: the edge (S, S|{j})
-    for j in range(n):
-        up.reshape(-1, 2, 1 << j, n)[:, 0, :, j] = g.edge_mask[j].reshape(-1, 1 << j)
-    joiners = [np.flatnonzero(row).tolist() for row in up]
+    joiners = [np.flatnonzero(row).tolist() for row in _edge_table(n, g.edge_mask)]
 
     def extend(order, S):
         if len(order) == n:
@@ -144,7 +136,7 @@ def shapley_permutation_oracle(v: Game, i: int) -> Fraction | float:
     _check_enumerable(v.n)
     if not 0 <= i < v.n:
         raise DomainError(f"player index {i} outside [0, {v.n})")
-    return precedence_shapley_values(_unweighted_cube(v.n), v)[i]
+    return precedence_shapley_values(full_hypercube(v.n), v)[i]
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +197,12 @@ def kernel_difference(n: int, k: int) -> Fraction:
 def component_explicit(v: Game, i: int, graph: GameGraph | None = None) -> Game:
     """Player i's component game via the binomial-sum formula.
 
-    Valid on the full unweighted hypercube only; pass the graph to have
-    that checked.  Works in exact rational arithmetic; a float-mode input
-    is promoted exactly and the result converted back.
+    Valid on a full cube whose edges all weigh the same; pass the graph
+    to have that checked.  Works in exact rational arithmetic; a
+    float-mode input is promoted exactly and the result converted back.
     """
     if graph is not None:
-        if not graph.is_full_cube or graph.weighting.kind != CONSTANT:
+        if not _spectral_applies(graph):
             raise DomainError("the explicit component formula applies to the full "
                               "hypercube with constant weights only")
         if graph.n != v.n:
@@ -220,9 +212,7 @@ def component_explicit(v: Game, i: int, graph: GameGraph | None = None) -> Game:
         raise DomainError(f"player index {i} outside [0, {n})")
     vals = v.values if v.is_rational else [Fraction(float(x)) for x in v.values]
     bit = 1 << i
-    tails = _binomial_tails(n)
-    ratio = [Fraction(tails[k], comb(n - 1, k)) for k in range(n)]
-    scale = Fraction(1, n * (1 << n))
+    coeff = [-kernel_difference(n, k) for k in range(n)]
     free = [S for S in co.enumerate_coalitions(n) if not S & bit]
     marginal = {T: vals[T | bit] - vals[T] for T in free}
     upper = {}
@@ -231,8 +221,8 @@ def component_explicit(v: Game, i: int, graph: GameGraph | None = None) -> Game:
         for T in free:
             m = marginal[T]
             if m:
-                acc += ratio[co.distance(S, T)] * m
-        upper[S] = scale * acc
+                acc += coeff[co.distance(S, T)] * m
+        upper[S] = acc
     shift = upper[0]  # -u_i({}) since u_i({}) = -u_i({i})
     out = [Fraction(0)] * (1 << n)
     for S in free:
@@ -265,26 +255,17 @@ def pure_bargaining_component(n: int, total, i: int, S: co.Coalition):
 
 
 def verify_shapley_coefficient(n: int, s: int, i: int) -> Fraction:
-    """Grand-coalition value of the Hodge solution for a single-edge indicator.
+    """u(N) for player i's component u of the unit game on S|{i}, |S| = s.
 
-    Places a unit edge function on one edge whose base has cardinality s,
-    projects it through the Laplacian route (solve L u = d* chi with
-    u({}) = 0), and returns u(N).  The contract is the classical joining
-    coefficient s! (n-1-s)! / n!, independent of which edge is chosen.
+    ``d_i`` of that game is the unit edge function chi on (S, S|{i}), so u
+    solves ``L u = d* chi`` with ``u({}) = 0`` on the full unweighted cube.
+    The contract is the joining coefficient s! (n-1-s)! / n!, whichever
+    edge is chosen; the exact spectral engine solves it up to n = 16.
     """
     if not 0 <= s <= n - 1:
         raise DomainError(f"cardinality {s} outside [0, {n - 1}]")
     if not 0 <= i < n:
         raise DomainError(f"player index {i} outside [0, {n})")
-    g = _unweighted_cube(n)
-    base = co.from_members([j for j in range(n) if j != i][:s], n)
-    return _indicator_grand_value(g, base, i)
-
-
-def _indicator_grand_value(g: GameGraph, base: co.Coalition, i: int) -> Fraction:
-    edge_idx = g.edge_index[(base, i)]
-    chi = [Fraction(0)] * g.num_edges
-    chi[edge_idx] = Fraction(1)
-    y = ops.d_star(ops.EdgeFunction(g, RATIONAL, chi))
-    u = solve_poisson_rational(g, y.values)
-    return u[-1]  # vertices ascend, so the grand coalition sits last
+    joined = co.from_members([j for j in range(n) if j != i][:s] + [i], n)
+    unit = game_from_map(n, {joined: Fraction(1)})
+    return solve_component(full_hypercube(n), unit, i).grand_value()

@@ -13,9 +13,9 @@ from typing import Iterable, Sequence
 from .errors import CapacityError, SpecFileError
 
 # Hard cap on the player count, for bitsets and edge keys.  It promises no
-# solve: float CG needs about (5.5 n + 4) * 2**n * 8 bytes (0.96 GB at
-# n = 20, 18.3 GB at n = 24) and refuses at entry past physical memory;
-# exact solves stop at 4096 unknowns, or n = 16 on the spectral route.
+# solve: float CG estimates (6.5 n + 5) * 2**n * 8 bytes (1.13 GB at n = 20,
+# 21.6 GB at n = 24), the spectral route (2 n + 6) * 2**n * 8; both refuse at
+# entry past physical memory.  Exact solves stop at 4096 unknowns (spectral: n = 16).
 PLAYER_CAP = 24
 
 Coalition = int

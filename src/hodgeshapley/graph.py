@@ -244,11 +244,7 @@ class GameGraph:
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Base and player of every feasible edge, ascending in (base, player)."""
-        n = self.n
-        present = np.zeros((1 << n, n), dtype=bool)  # [S, i]: the edge (S, S|{i})
-        for i in range(n):
-            present.reshape(-1, 2, 1 << i, n)[:, 0, :, i] = self.edge_mask[i].reshape(-1, 1 << i)
-        return np.nonzero(present)
+        return np.nonzero(_edge_table(self.n, self.edge_mask))
 
     @property
     def edge_base(self) -> np.ndarray:
@@ -361,6 +357,15 @@ def _popcounts(n: int) -> np.ndarray:
     for b in range(n):
         out[1 << b:2 << b] = out[:1 << b] + 1
     return out
+
+
+def _edge_table(n: int, edge_mask: np.ndarray) -> np.ndarray:
+    """``edge_mask`` as a (2**n, n) bool table whose entry [S, i] marks the
+    edge (S, S|{i}); its nonzeros run in ascending (base, player) order."""
+    table = np.zeros((1 << n, n), dtype=bool)
+    for i in range(n):
+        table.reshape(-1, 2, 1 << i, n)[:, 0, :, i] = edge_mask[i].reshape(-1, 1 << i)
+    return table
 
 
 def _squeeze_bit(base: np.ndarray, player: np.ndarray) -> np.ndarray:

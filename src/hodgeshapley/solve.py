@@ -22,9 +22,10 @@ diagonalises both operators (``L_w`` has eigenvalue ``2c|T|`` and
 ``L_{w_i}`` ``2c[i in T]`` on the character of T), so ``v_i^(T) = [i in
 T] v^(T) / |T|``.  Rational mode transforms v once, scatters into the
 players' columns (in integers, the quotient by ``lcm(1..n)``; ``n <=
-16``) and transforms them back; float mode applies ``L_1^+``, two
-transforms around a division by 2|T|, to each player's own ``L_{1,i}
-v``, so that a player with small marginals keeps its own precision.
+16``) and transforms them back; float mode applies ``L_1^+``, which is
+cg_float's Walsh preconditioner at unit degree (two transforms around a
+division by 2|T|), to each player's own ``L_{1,i} v``, so that a player
+with small marginals keeps its own precision.
 Both check ``L_1 X = L_{1,i} v`` at unit weights column by column:
 exactly in rational mode, and to ``cg_tolerance`` in relative residual
 in float mode.  Every other graph in rational mode inverts the integer
@@ -306,13 +307,10 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     _add_rhs(None, np.ldexp(values, -scale).reshape(-1, 1), players, R)
     norms = np.sqrt(_column_dots(R, R))
     prod = np.empty(_chunk_floats(rows, k))
-    blocks = [(a, _hadamard(s)) for a, s in _player_blocks(n)]
-    X = R.copy()
-    _blocked_walsh(X, blocks, prod)
-    # L_1 has eigenvalue 2|T|, and the two transforms multiply by 2**n
-    X *= np.ldexp(1.0 / (2 * np.maximum(_popcounts(n), 1)), -n)[:, None]
-    X[0] = 0.0  # the constants, which L_1 maps to 0
-    _blocked_walsh(X, blocks, prod)
+    # L_1^+ (s = 1); its T = {} term is a round-off constant, normalized away
+    precondition = _walsh_preconditioner(n, np.full((rows, 1), float(n)), prod)
+    X = np.empty_like(R)
+    precondition(R, X)
     np.negative(R, out=R)  # becomes L_1 X - L_{1,i} v, a sum of sub-cube Laplacians
     for a, s in _player_blocks(n):
         _block_product(s * np.eye(1 << s) - _cube_adjacency(s), a, X, R, prod, add=True)
@@ -557,13 +555,13 @@ def _walsh_preconditioner(n: int, deg: np.ndarray, prod: np.ndarray):
     character of T, so its pseudo-inverse is two Walsh transforms around a
     division by 2|T|; T = {} takes 2 instead of 0, so that the
     preconditioner stays definite.  On a full cube with a constant weight
-    c, ``s**2 = 1 / c`` and this is ``L_w^+``.  Each transform runs in place
-    on z (``_blocked_walsh``) through the product chunk prod.
+    c, ``s**2 = 1 / c`` and this is ``L_w^+`` (``L_1^+`` at ``deg = n``, as
+    the float spectral engine calls it).  Each transform runs in place on z
+    through the product chunk prod.
     """
     s = np.sqrt(np.divide(n, deg, out=np.zeros_like(deg), where=deg > 0))
-    # the two unnormalised transforms multiply by 2**n, which this absorbs
-    eig = 2.0 * np.maximum(_popcounts(n), 1)
-    inv = np.ldexp(1.0 / eig, -n)[:, None]
+    # 1 / (2 max(|T|, 1)), times 2**-n for the two unnormalised transforms
+    inv = (np.ldexp(1.0, -n - 1) / np.maximum(_popcounts(n), 1))[:, None]
     blocks = [(a, _hadamard(w)) for a, w in _player_blocks(n)]
 
     def precondition(r: np.ndarray, z: np.ndarray) -> None:
@@ -814,11 +812,3 @@ def edge_residual(g: GameGraph, v: Game, dec: Decomposition, i: int) -> ops.Edge
     ui = ops.vertex_function_from_game(g, dec.components[i])
     return ops.edge_difference(ops.d(ui), ops.d_i(i, u))
 
-
-def solve_poisson_rational(g: GameGraph, rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Exact solve of L_w u = rhs with u({}) = 0; rhs indexed like graph.vertices."""
-    solver = _rational_solver(g)
-    b, d = _over_common_denominator(rhs)
-    _verify_mean_zero(g, b.reshape(-1, 1))
-    X, den = solver.solve(b[1:, None] * g.integer_weights[1])  # D_w * d * rhs
-    return [Fraction(0)] + [Fraction(x, den * d) for x in X[:, 0].tolist()]

@@ -246,6 +246,15 @@ def test_component_explicit_domain_guard():
         cf.component_explicit(v, 0, graph=restricted)
     ok = gr.full_hypercube(3)
     assert cf.component_explicit(v, 0, graph=ok).grand_value() == Fraction(2, 3)
+    # any weighting that gives every edge the same value is the constant cube
+    for w in (gr.EdgeWeighting.by_cardinality([1, 1, 1]), gr.EdgeWeighting.explicit({}, 1)):
+        g = gr.full_hypercube(3, w)
+        for i in range(3):
+            assert cf.component_explicit(v, i, graph=g).values == \
+                sv.solve_component(g, v, i).values
+    with pytest.raises(DomainError):
+        cf.component_explicit(v, 0, graph=gr.full_hypercube(3, gr.EdgeWeighting.by_cardinality(
+            [1, 1, 2])))
 
 
 def test_pure_bargaining_component_values():
@@ -271,6 +280,38 @@ def test_shapley_coefficient_route():
         for s in range(n):
             expected = Fraction(factorial(s) * factorial(n - 1 - s), factorial(n))
             assert cf.verify_shapley_coefficient(n, s, 0) == expected
+
+
+def test_shapley_coefficient_past_the_lifting_cap():
+    # the unit game's component solves on the spectral engine, which reaches
+    # n = 16; the lifting stops at 4096 unknowns, and n = 13 has 8191
+    for n, s, i in ((13, 0, 0), (13, 6, 12), (13, 12, 5), (16, 8, 3), (16, 15, 15)):
+        expected = Fraction(factorial(s) * factorial(n - 1 - s), factorial(n))
+        assert cf.verify_shapley_coefficient(n, s, i) == expected
+
+
+def test_unit_game_component_solves_the_single_edge_system():
+    # player i's component u of the unit game on T = S|{i} solves L u = d* chi,
+    # chi the unit edge function on (S, T), with u({}) = 0; d* chi is
+    # w(S, T) (e_T - e_S) for the Laplacian L = D - A
+    for n in range(2, 6):
+        for g in (gr.full_hypercube(n), gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)),
+                  gr.restrict(gr.full_hypercube(n), [bits(1), bits(0, 2)][:n - 1])):
+            edges = list(g.edges())
+            weights = dict(zip(edges, g.weight_fractions))
+            feasible, L = dense_laplacian(n, g.vertices.tolist(), edges, g.weight_fractions)
+            L = [[(k, a) for k, a in enumerate(row) if a] for row in L]
+            for T in feasible[1:]:
+                dec = sv.decompose(g, gm.game_from_map(n, {T: Fraction(1)}))
+                for i in co.members(T):
+                    S = T & ~(1 << i)
+                    if (S, i) not in weights:
+                        continue
+                    u = [dec.components[i].value(V) for V in feasible]
+                    w = weights[(S, i)]
+                    assert u[0] == 0
+                    assert [sum(a * u[k] for k, a in row) for row in L] == \
+                        [w * (V == T) - w * (V == S) for V in feasible]
 
 
 def test_shapley_coefficient_independent_of_edge():

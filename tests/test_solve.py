@@ -1297,15 +1297,16 @@ def test_exact_capacity_error_before_dense_assembly(monkeypatch):
     with pytest.raises(CapacityError, match="67,092,481"):
         sv.decompose(g, v)
     with pytest.raises(CapacityError):
-        sv.solve_poisson_rational(g, [Fraction(0)] * g.num_vertices)
+        sv.solve_component(g, v, 0)
 
 
 def test_exact_capacity_error_states_cost():
     n = 13
     g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
+    v = gm.game_from_values(n, [0] * (1 << n))
     with pytest.raises(CapacityError, match=r"8191 unknowns .* estimated [\d,]+ s to factor, "
                                             r"[\d,]+ s per player's solve and [\d.]+ GB"):
-        sv.solve_poisson_rational(g, [Fraction(0)] * g.num_vertices)
+        sv.decompose(g, v)
 
 
 def test_exact_capacity_error_before_right_hand_sides(monkeypatch):
@@ -1396,7 +1397,8 @@ def _route_graphs():
 
 def test_route_matrix(monkeypatch):
     # every solve route on one graph each: efficiency, a null player,
-    # orthogonality, float against exact, and the route itself, with CG
+    # orthogonality, linearity in rational mode, power-of-two scaling in
+    # float mode, float against exact, and the route itself, with CG
     # iterations at most a quarter above those seen (a broken
     # preconditioner still converges, only slower)
     laplacian, calls = sv._laplacian_float, []
@@ -1426,9 +1428,21 @@ def test_route_matrix(monkeypatch):
         assert exact.efficiency_gap == 0
         assert max(sv.residual_orthogonality(g, v, exact)) == 0
         assert not any(exact.components[-1].values), name  # the null last player
+        w = gm.game_from_values(n, random_dyadic_values(random.Random(-n), n))
+        a, b = Fraction(-3, 7), Fraction(5, 2)
+        mixed, route = solve(g, gm.linear_combine(a, v, b, w))
+        assert route == (gm.RATIONAL, engine, "", False), name
+        for x, y, z in zip(exact.components, sv.decompose(g, w).components, mixed.components):
+            assert [a * p + b * q for p, q in zip(x.values, y.values)] == list(z.values), name
         fl, route = solve(g, v.as_float())
         assert route == (gm.FLOAT, *float_route), name
         routes.add(route)
+        for shift in (300, -300):  # powers of two scale every float step exactly
+            scaled = sv.decompose(g, gm.game_from_values(n, np.ldexp(fl.source.values, shift),
+                                                         gm.FLOAT))
+            assert scaled.diagnostics == fl.diagnostics, name
+            for x, y in zip(fl.components, scaled.components):
+                assert np.array_equal(np.ldexp(x.values, shift), y.values), name
         assert max(s.iterations for s in fl.diagnostics) <= iterations * 5 // 4, name
         assert fl.efficiency_gap <= bound * scale, name
         assert max(sv.residual_orthogonality(g, fl.source, fl)) <= orth_bound * scale, name
