@@ -4,12 +4,13 @@ The exact backend reproduces reference fractions bit-for-bit.  On the
 full cube with constant weights both backends take every component from
 Walsh-Hadamard transforms (the spectral engine): in integers up to 16
 players in rational mode, in float64 as far as memory goes in float mode.
-Elsewhere the exact backend factors the Laplacian and scales to about a
-dozen players (p-adic lifting keeps it fast well past where naive
-fraction elimination bogs down), and the conjugate-gradient backend never
-forms the Laplacian: it runs all n
-players' solves at once on arrays over the 2**n coalitions, with numpy
-alone.  When every edge weight factors as c0 * b(S) * b(T) over its two
+Elsewhere the exact backend inverts the Laplacian once in float64 and
+lifts exact digits of every player's solution from that inverse, which
+scales to about a dozen players (4,093 unknowns: 5 s to invert, 0.3 s
+per player); where float64 resolves too little of a step it lifts p-adic
+digits instead.  The conjugate-gradient backend never forms the
+Laplacian: it runs all n players' solves at once on arrays over the 2**n
+coalitions, with numpy alone.  When every edge weight factors as c0 * b(S) * b(T) over its two
 ends (constant, by coalition size, size plus one, degree product) and
 the graph keeps every edge between two feasible coalitions, it applies
 the Laplacian as one small dense matrix product per block of up to five

@@ -30,7 +30,7 @@ from . import coalition as co
 from .errors import CapacityError, DomainError, InfeasibilityError
 from .game import RATIONAL, Game, game_from_map, game_from_values
 from .graph import GameGraph, _edge_table, full_hypercube
-from .solve import _over_common_denominator, _spectral_applies, solve_component
+from .solve import SolverConfig, _over_common_denominator, _solve, _spectral_applies
 
 _PERMUTATION_CAP = 10  # factorial enumeration guard
 
@@ -268,4 +268,6 @@ def verify_shapley_coefficient(n: int, s: int, i: int) -> Fraction:
         raise DomainError(f"player index {i} outside [0, {n})")
     joined = co.from_members([j for j in range(n) if j != i][:s] + [i], n)
     unit = game_from_map(n, {joined: Fraction(1)})
-    return solve_component(full_hypercube(n), unit, i).grand_value()
+    # u(N) alone, off the solve's integer column; no component game is built
+    X, den = _solve(full_hypercube(n), unit, [i], SolverConfig())[:2]
+    return Fraction(X[-1, 0], den)

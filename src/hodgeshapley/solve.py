@@ -29,12 +29,15 @@ with small marginals keeps its own precision.
 Both check ``L_1 X = L_{1,i} v`` at unit weights column by column:
 exactly in rational mode, and to ``cg_tolerance`` in relative residual
 in float mode.  Every other graph in rational mode inverts the integer
-pinned Laplacian (empty coalition's row and column deleted) mod p once
-per graph, by panel-blocked Gauss-Jordan with float64 BLAS panel
-updates; a solve then lifts p-adic digits of all players' right-hand
-sides as one block until a reconstructed candidate passes the exact
-check, up to 4096 unknowns; past that limit it raises ``CapacityError``
-before any right-hand side is built.  ``decompose``
+pinned Laplacian (empty coalition's row and column deleted) in float64
+once per graph (LAPACK); a solve then lifts dyadic digits of all players'
+right-hand sides as one block, each step one product with that inverse
+and an exact integer residual update, until a reconstructed candidate
+passes the exact check (``_exact``).  Where float64 resolves too few bits
+of a step (weights about 10**16 apart on neighbouring edges), the solver
+inverts the matrix mod p once instead and lifts p-adic digits.  Both
+run up to 4096 unknowns; past that limit the solve raises
+``CapacityError`` before any right-hand side is built.  ``decompose``
 checks ``sum_i v_i = v`` exactly after either engine.
 
 Every other graph in float mode runs ``cg_float``: preconditioned
@@ -193,16 +196,16 @@ def _rational_solver(g: GameGraph) -> DixonSolver:
     m = g.num_vertices - 1
     if m > _MAX_UNKNOWNS:
         # restricted size-plus-one cubes on a 2-vCPU box, one BLAS thread,
-        # at 509 / 1021 / 2045 / 4093 unknowns: factor 0.21 / 1.0 / 7.3 /
-        # 51 s, a decompose's block lift 0.012 / 0.058 / 0.19 / 0.57 s per
-        # player, +11 / 39 / 158 / 638 MB RSS; so about m**3 (the factor's
-        # asymptote), m**2 and 38 m**2 bytes
-        growth = m / 2045
+        # at 509 / 1021 / 2045 / 4093 unknowns: float inverse 0.047 / 0.18 /
+        # 0.94 / 5.0 s, a decompose 0.011 / 0.026 / 0.090 / 0.32 s per
+        # player, +15 / 44 / 168 / 655 MiB RSS; so about m**3 (the
+        # inverse's asymptote), m**2 and 40 m**2 bytes
+        growth = m / 4093
         raise CapacityError(
             f"exact solve of {m} unknowns exceeds the limit of {_MAX_UNKNOWNS}: "
             f"the dense system would hold {m * m:,} entries; estimated "
-            f"{7.3 * growth ** 3:,.0f} s to factor, {0.19 * growth ** 2:,.0f} s per "
-            f"player's solve and {0.16 * growth ** 2:,.1f} GB")
+            f"{5.0 * growth ** 3:,.0f} s to factor, {0.32 * growth ** 2:,.0f} s per "
+            f"player's solve and {0.64 * growth ** 2:,.1f} GB")
     w = g.integer_weights[0][g.edge_player, g.edge_slot]
     if max(w) * g.n < 1 << 62:  # a diagonal entry sums at most n weights
         w = w.astype(np.int64)
@@ -307,10 +310,9 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     _add_rhs(None, np.ldexp(values, -scale).reshape(-1, 1), players, R)
     norms = np.sqrt(_column_dots(R, R))
     prod = np.empty(_chunk_floats(rows, k))
-    # L_1^+ (s = 1); its T = {} term is a round-off constant, normalized away
-    precondition = _walsh_preconditioner(n, np.full((rows, 1), float(n)), prod)
+    # L_1^+; its T = {} term is a round-off constant, normalized away
     X = np.empty_like(R)
-    precondition(R, X)
+    _unit_pseudo_inverse(n, prod)(R, X)
     np.negative(R, out=R)  # becomes L_1 X - L_{1,i} v, a sum of sub-cube Laplacians
     for a, s in _player_blocks(n):
         _block_product(s * np.eye(1 << s) - _cube_adjacency(s), a, X, R, prod, add=True)
@@ -547,28 +549,43 @@ def _walsh_fits(g: GameGraph) -> bool:
                 <= _WALSH_MAX_SPREAD * np.min(w, where=present, initial=np.inf))
 
 
+def _unit_pseudo_inverse(n: int, prod: np.ndarray):
+    """``apply(r, z)``: z = L_1^+ r for C-contiguous (2**n, k) arrays, where
+    L_1 is the unweighted cube Laplacian; z may be r.
+
+    L_1 has eigenvalue 2|T| on the Walsh character of T, so its
+    pseudo-inverse is two Walsh transforms around a division by 2|T|; T = {}
+    takes 2 instead of 0, which keeps it definite.  The first transform
+    block reads r and writes z; every later product runs in place on z,
+    through the product chunk prod.
+    """
+    # 1 / (2 max(|T|, 1)), times 2**-n for the two unnormalised transforms
+    inv = (np.ldexp(1.0, -n - 1) / np.maximum(_popcounts(n), 1))[:, None]
+    blocks = [(a, _hadamard(w)) for a, w in _player_blocks(n)]
+    (a0, H0), rest = blocks[0], blocks[1:]
+
+    def apply(r: np.ndarray, z: np.ndarray) -> None:
+        _block_product(H0, a0, r, z, prod, add=False)
+        _blocked_walsh(z, rest, prod)
+        z *= inv
+        _blocked_walsh(z, blocks, prod)
+
+    return apply
+
+
 def _walsh_preconditioner(n: int, deg: np.ndarray, prod: np.ndarray):
     """``precondition(r, z)``: z = s * L_1^+ (s * r) with ``s = sqrt(n / deg)``
     (0 on rows without edges), for C-contiguous (2**n, k) arrays.
 
-    L_1, the unweighted cube Laplacian, has eigenvalue 2|T| on the Walsh
-    character of T, so its pseudo-inverse is two Walsh transforms around a
-    division by 2|T|; T = {} takes 2 instead of 0, so that the
-    preconditioner stays definite.  On a full cube with a constant weight
-    c, ``s**2 = 1 / c`` and this is ``L_w^+`` (``L_1^+`` at ``deg = n``, as
-    the float spectral engine calls it).  Each transform runs in place on z
-    through the product chunk prod.
+    L_1^+ is ``_unit_pseudo_inverse``.  On a full cube with a constant weight
+    c, ``s**2 = 1 / c`` and this is ``L_w^+``.
     """
     s = np.sqrt(np.divide(n, deg, out=np.zeros_like(deg), where=deg > 0))
-    # 1 / (2 max(|T|, 1)), times 2**-n for the two unnormalised transforms
-    inv = (np.ldexp(1.0, -n - 1) / np.maximum(_popcounts(n), 1))[:, None]
-    blocks = [(a, _hadamard(w)) for a, w in _player_blocks(n)]
+    pseudo_inverse = _unit_pseudo_inverse(n, prod)
 
     def precondition(r: np.ndarray, z: np.ndarray) -> None:
         np.multiply(r, s, out=z)
-        _blocked_walsh(z, blocks, prod)
-        z *= inv
-        _blocked_walsh(z, blocks, prod)
+        pseudo_inverse(z, z)
         z *= s
 
     return precondition
@@ -802,8 +819,33 @@ def decompose(g: GameGraph, v: Game, cfg: SolverConfig | None = None) -> Decompo
 
 
 def residual_orthogonality(g: GameGraph, v: Game, dec: Decomposition) -> list:
-    """Max-norm of d*_w (d v_i - d_i v) per player; zero certifies the split."""
-    return [ops.d_star(edge_residual(g, v, dec, i)).norm_inf() for i in range(len(dec.components))]
+    """Max-norm of d*_w (d v_i - d_i v) per player over the feasible
+    coalitions; zero certifies the split.
+
+    That vertex function is ``L_w v_i - L_{w_i} v``, so one sweep of
+    half-view passes on the slot layout gives every player's at once:
+    exactly in rational mode, on ints over one common denominator.
+    """
+    k = len(dec.components)
+    if v.is_rational:
+        values, D = _over_common_denominator(v.values)
+        X, den = _over_common_denominator([x for c in dec.components for x in c.values])
+        X = X.reshape(k, -1).T.copy()
+        W, D_w = g.integer_weights
+    else:
+        values, D = np.asarray(v.values, dtype=np.float64), 1
+        X, den = np.column_stack([c.values for c in dec.components]), 1
+        W, D_w = g.player_weights, 1
+    # D den D_w (L_w X_i / den - L_{w_i} v / D), column by column
+    out = np.zeros_like(X)
+    scratch = np.empty((X.shape[0] // 2, k), dtype=X.dtype)
+    for j in range(g.n):
+        _add_player_laplacian(W[j], j, X, out, scratch)
+    if D != 1:
+        out *= D
+    _add_rhs(W, values.reshape(-1, 1) * -den, range(k), out)
+    peaks = np.abs(out[g.vertex_mask]).max(axis=0).tolist()
+    return [Fraction(x, D * den * D_w) for x in peaks] if v.is_rational else peaks
 
 
 def edge_residual(g: GameGraph, v: Game, dec: Decomposition, i: int) -> ops.EdgeFunction:

@@ -15,6 +15,7 @@ from hodgeshapley import graph as gr
 from hodgeshapley import operators as ops
 from hodgeshapley import solve as sv
 from hodgeshapley import _exact
+from hodgeshapley.reference_tables import ALL_REFERENCES
 from hodgeshapley.errors import CapacityError, ConfigError, ConvergenceError, \
     InfeasibilityError
 from oracles import dense_laplacian, lstsq_component, modular_inverse, \
@@ -399,9 +400,16 @@ def test_lifting_matches_oracle_system():
         _assert_solves_oracle_system(graph, v, dec)
 
 
-def test_oversized_weights_lift_on_python_ints():
+def test_oversized_weights_lift_on_python_ints(monkeypatch):
     # scaled by their common denominator the weights reach 10**30, past
-    # int64, so the lifting's residual update runs on Python ints
+    # int64, so the lifting's residual update runs on Python ints; the
+    # matrix's condition number, 9.6e16, leaves a float step no bits, so
+    # the solver gives the float route up after one step and lifts p-adic
+    # digits
+    steps = []
+    step = _exact.DixonSolver._float_step
+    monkeypatch.setattr(_exact.DixonSolver, "_float_step",
+                        lambda self, rf: steps.append(rf.shape) or step(self, rf))
     n = 6
     g0 = gr.full_hypercube(n)
     entries = {e: Fraction(10) ** (15 if (e.base + e.player) % 2 else -15)
@@ -413,7 +421,9 @@ def test_oversized_weights_lift_on_python_ints():
     assert dec.efficiency_gap == 0 and isinstance(dec.efficiency_gap, Fraction)
     assert all(r == 0 for r in sv.residual_orthogonality(g, v, dec))
     _assert_solves_oracle_system(g, v, dec)
-    assert sv._rational_solver(g)._data.dtype == object
+    solver = sv._rational_solver(g)
+    assert solver._data.dtype == object
+    assert solver.p is not None and len(steps) == 1
 
 
 _P = _exact._PRIMES[0]
@@ -506,40 +516,52 @@ def test_lifting_stops_before_the_hadamard_count(monkeypatch):
     n = 8
     g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
     v = rational_game(random.Random(57), n)
-    matvecs = []
+    shifts = []
     lifts = []
-    matvec, solve = _exact.DixonSolver._matvec_mod, _exact.DixonSolver.solve
+    step, solve = _exact.DixonSolver._float_step, _exact.DixonSolver.solve
 
-    def counted_matvec(self, r):
-        matvecs.append(1)
-        return matvec(self, r)
+    def counted_step(self, rf):
+        y, s = step(self, rf)
+        shifts.append(s)
+        return y, s
 
     def counted_solve(self, B):
-        before = len(matvecs)
+        before = len(shifts)
         sol = solve(self, B)
-        lifts.append((len(matvecs) - before, self._guaranteed_digits(max(map(abs, B.flat)))))
+        lifted = sum(max(s, 0) for s in shifts[before:])  # bits of the answer
+        lifts.append((len(shifts) - before, lifted,
+                      self._guaranteed_bits(max(map(abs, B.flat)))))
         return sol
 
-    monkeypatch.setattr(_exact.DixonSolver, "_matvec_mod", counted_matvec)
+    monkeypatch.setattr(_exact.DixonSolver, "_float_step", counted_step)
     monkeypatch.setattr(_exact.DixonSolver, "solve", counted_solve)
     dec = sv.decompose(g, v)
     assert len(lifts) == 1  # every player's column in one block
-    assert all(0 < digits < guaranteed for digits, guaranteed in lifts), lifts
+    assert all(0 < steps and 0 < bits < guaranteed for steps, bits, guaranteed in lifts), lifts
+    assert sv._rational_solver(g).p is None  # no p-adic digit was lifted
     assert dec.efficiency_gap == 0
     _assert_solves_oracle_system(g, v, dec)
 
 
-def test_lifting_rejects_early_candidates_on_a_200_digit_rhs():
-    n = 8
-    A = _pinned_integer_laplacian(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)))
-    solver = _exact.DixonSolver(np.array(A, dtype=np.int64))
-    rng = random.Random(58)
+def _long_and_short_rhs(A, seed):
+    """Right-hand sides whose answers are a 200-digit column and a
+    single-digit one."""
+    rng = random.Random(seed)
     x_true = [10 ** 200 + 7] + [rng.randint(-9, 9) for _ in range(len(A) - 1)]
-    # a second column with a single-digit answer, lifted in the same block
     x_small = [rng.randint(-9, 9) for _ in range(len(A))]
     B = np.array([[sum(a * y for a, y in zip(row, x)) for x in (x_true, x_small)] for row in A],
                  dtype=object)
     assert max(len(str(abs(y))) for y in B[:, 0]) >= 200
+    return B, x_true, x_small
+
+
+def test_lifting_rejects_early_candidates_on_a_200_digit_rhs():
+    # the p-adic route, forced on a system the float route solves
+    n = 8
+    A = _pinned_integer_laplacian(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)))
+    solver = _exact.DixonSolver(np.array(A, dtype=np.int64))
+    solver._factor_mod_p()
+    B, x_true, x_small = _long_and_short_rhs(A, 58)
     verdicts, steps = [], []
     check, matvec = solver._check, solver._matvec_mod
     solver._check = lambda X, den, rhs: verdicts.append((X.shape, check(X, den, rhs))) \
@@ -556,6 +578,140 @@ def test_lifting_rejects_early_candidates_on_a_200_digit_rhs():
     solver._matvec_mod = lambda r: alone.append(r.shape) or matvec(r)
     solver.solve(B[:, :1])
     assert steps == [(len(A), 2)] * len(alone)
+
+
+def test_float_lifting_takes_a_200_digit_rhs_top_bits_first():
+    n = 8
+    A = _pinned_integer_laplacian(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)))
+    solver = _exact.DixonSolver(np.array(A, dtype=np.int64))
+    B, x_true, x_small = _long_and_short_rhs(A, 58)
+    step = solver._float_step
+
+    def counted(steps):
+        def counted_step(rf):
+            y, s = step(rf)
+            steps.append((rf.shape, s))
+            return y, s
+        return counted_step
+
+    both, alone = [], []
+    solver._float_step = counted(both)
+    X, den = solver.solve(B)
+    assert X[:, 0].tolist() == [den * y for y in x_true]
+    assert X[:, 1].tolist() == [den * y for y in x_small]
+    assert solver.p is None
+    # a step's digits hold 50 bits, so the 665-bit column comes in from its
+    # top bits down (negative shifts) over many steps, and the short column
+    # rides along in every one of them
+    solver._float_step = counted(alone)
+    solver.solve(B[:, :1])
+    assert sum(s < 0 for _, s in alone) > 10
+    assert [shape for shape, _ in both] == [(len(A), 2)] * len(alone)
+
+
+def _lifting_graphs(n):
+    """Full and restricted cubes with constant 5/2, size-plus-one and
+    explicit k/4 weights."""
+    rng = random.Random(n)
+    weightings = [gr.EdgeWeighting.constant(Fraction(5, 2)), gr.EdgeWeighting.size_plus_one(n),
+                  gr.EdgeWeighting.explicit({e: Fraction(rng.randint(1, 8), 4)
+                                             for e in gr.full_hypercube(n).edges()
+                                             if rng.random() < 0.3})]
+    removed = [bits(1, 2)] if n >= 4 else []
+    for w in weightings:
+        g = gr.full_hypercube(n, w)
+        yield g
+        yield gr.restrict(g, removed, [gr.Edge(bits(0), 1)])
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_float_lifting_matches_the_p_adic_route(monkeypatch, n):
+    # the same pinned systems on both routes, the p-adic one forced by a
+    # floor no float step meets: equal fractions entry by entry
+    for g in _lifting_graphs(n):
+        v = rational_game(random.Random(n), n)
+        values, _ = sv._over_common_denominator(v.values)
+        B = sv._rhs(g, values, range(n))[g.vertices[1:]]
+        float_solver = sv._rational_solver(g)
+        X, den = float_solver.solve(B)
+        assert float_solver.p is None
+        with monkeypatch.context() as patch:
+            patch.setattr(_exact, "_MIN_GAIN_BITS", 1 << 20)
+            p_adic = _exact.DixonSolver(float_solver._dense())
+            Y, den_p = p_adic.solve(B)
+        assert p_adic.p is not None
+        assert [Fraction(x, den) for x in X.flat] == [Fraction(y, den_p) for y in Y.flat]
+
+
+def test_suite_graphs_never_take_the_p_adic_route(monkeypatch):
+    # the benchmark's exact graph kinds at n = 5..8 and the glove fixtures
+    def never(*args):
+        raise AssertionError("the mod-p inverse ran")
+
+    monkeypatch.setattr(_exact, "_modular_inverse_matrix", never)
+    rng = random.Random(59)
+    for n in range(5, 9):
+        w = gr.EdgeWeighting
+        explicit = w.explicit({e: Fraction(rng.randint(1, 8), 4)
+                               for e in gr.full_hypercube(n).edges() if rng.random() < 0.3})
+        removed = [bits(0, 1), bits(2, 3, 4), bits(1, 2, 3, n - 1)]
+        for g in (gr.full_hypercube(n, w.size_plus_one(n)), gr.full_hypercube(n, explicit),
+                  gr.restrict(gr.full_hypercube(n, w.size_plus_one(n)), removed)):
+            v = rational_game(rng, n)
+            dec = sv.decompose(g, v)
+            assert dec.diagnostics[0].backend == sv.DENSE_RATIONAL
+            assert dec.efficiency_gap == 0
+    for ref in ALL_REFERENCES:
+        dec = sv.decompose(ref.graph(), ref.game())
+        for S, row in ref.expected().items():
+            assert [c.value(S) for c in dec.components] == list(row[1:]), (ref.key, S)
+
+
+def test_float_range_overflow_takes_the_p_adic_route():
+    # an entry past float64's range: no float inverse, p-adic from the start
+    A = np.array([[10 ** 400, -1], [-1, 2]], dtype=object)
+    solver = _exact.DixonSolver(A)
+    assert solver.p is not None
+    B = np.array([[1], [3]], dtype=object)
+    X, den = solver.solve(B)
+    assert (A.dot(X) == den * B).all()
+
+
+def test_convergent_matches_brute_force():
+    # with 2 err bound**2 < 2**E at most one fraction of denominator at most
+    # bound lies within err / 2**E of a / 2**E; _convergent finds it or
+    # says there is none
+    E = 9
+    M = 1 << E
+    for err in (0, 1, 3):
+        bound = math.isqrt((M - 1) // (2 * err)) if err else 6
+        outcomes = set()
+        for a in range(-M, 2 * M, 7):
+            fits = [(p, q) for q in range(1, bound + 1) for p in range(-3 * q, 3 * q + 1)
+                    if math.gcd(p, q) == 1 and abs(a * q - p * M) <= q * err]
+            got = _exact._convergent(a, E, err, bound)
+            assert got == (fits[0] if fits else None), (a, err)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+
+def test_digits_sum_exactly():
+    # digits at shifts that cross limb boundaries, with signs and negative
+    # positions (digits above the binary point), read back over 2**E
+    rng = random.Random(60)
+    shape = (7, 3)
+    for trial in range(20):
+        digits = _exact._Digits(shape)
+        total = [0] * 21
+        E = 0
+        for _ in range(rng.randint(1, 12)):
+            p = E + rng.randint(-40, 50)
+            y = np.array([rng.randint(-2 ** 50, 2 ** 50) for _ in range(21)]).reshape(shape)
+            digits.add(y, p)
+            E = max(E, p)
+            total = [t + int(x) * Fraction(2) ** -p for t, x in zip(total, y.flat)]
+        assert digits.value(E).flatten().tolist() == [t * 2 ** E for t in total]
+        assert digits.value(E, slice(2)).tolist() == digits.value(E)[:2].tolist()
 
 
 _SOLVES_WITHOUT_SCIPY = """
