@@ -9,8 +9,9 @@ lifts exact digits of every player's solution from that inverse, which
 scales to about a dozen players (4,093 unknowns: 5 s to invert, 0.3 s
 per player); where float64 resolves too little of a step it lifts p-adic
 digits instead.  The conjugate-gradient backend never forms the
-Laplacian: it runs all n players' solves at once on arrays over the 2**n
-coalitions, with numpy alone.  When every edge weight factors as c0 * b(S) * b(T) over its two
+Laplacian: it runs all n players' solves at once, each player one
+contiguous row of an (n, 2**n) array over the coalitions, with numpy
+alone.  When every edge weight factors as c0 * b(S) * b(T) over its two
 ends (constant, by coalition size, size plus one, degree product) and
 the graph keeps every edge between two feasible coalitions, it applies
 the Laplacian as one small dense matrix product per block of up to five

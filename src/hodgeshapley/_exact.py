@@ -67,7 +67,8 @@ _PANEL = 32  # pivot columns per panel of the blocked inverse
 _CHUNK = 256  # columns per chunk of a panel's update
 # The p-adic step's float64 product is exact only up to m = 2**12, and the
 # dense m x m arrays set memory: a decompose at 4093 unknowns peaked at
-# +655 MiB, about 40 m**2 bytes, while the float inverse was computed.
+# +530 MiB, about 33 m**2 bytes, while the float inverse was computed (the
+# float matrix, LAPACK's working copy and right-hand side, the output).
 _MAX_UNKNOWNS = 1 << 12
 _LAST_RESORT_DOUBLINGS = 5
 # Bits of a float step's digits y; float64 resolves about 44 to 48 of them
@@ -148,18 +149,25 @@ class DixonSolver:
     """Exact rational solves of an integer system: dyadic lifting on a
     float64 inverse, or p-adic lifting where float64 falls short.
 
-    A is a dense square array of int64 or of Python ints (object dtype).
+    A is a dense square array of int64 or of Python ints (object dtype), or
+    is given by ``nonzeros=(m, rows, cols, entries)``, its m x m shape and
+    its nonzeros with rows in ascending order; the float64 inverse is then
+    built without a dense integer copy of A.
     """
 
-    def __init__(self, A: np.ndarray):
-        m = A.shape[0]
+    def __init__(self, A: np.ndarray | None = None, *, nonzeros: tuple | None = None):
+        if nonzeros is None:
+            rows, cols = np.nonzero(A)
+            m, entries = A.shape[0], A[rows, cols]
+        else:
+            m, rows, cols, entries = nonzeros
         if m > _MAX_UNKNOWNS:
             raise ValueError(f"system too large for the lifting solver ({m} unknowns)")
         self._m = m
         # A's nonzeros row by row; a nonsingular matrix has no empty row
-        self._rows, self._cols = np.nonzero(A)
+        self._rows, self._cols = rows, cols
         self._starts = np.searchsorted(self._rows, np.arange(m))
-        self._entries = A[self._rows, self._cols].astype(object)
+        self._entries = entries.astype(object)
         # bits of |A|_inf, which bounds |A y| by |A|_inf |y|
         self._row_bits = int(max(np.add.reduceat(np.abs(self._entries), self._starts))).bit_length()
         # A @ x for a p-adic digit 0 <= x < p < 2**26 stays below 2**61 in
@@ -173,8 +181,10 @@ class DixonSolver:
         self._log2_det = sum(0.5 * int(x).bit_length() for x in sq)
         self.p = self._C = self._F = None
         try:
+            F = np.zeros((m, m))
+            F[rows, cols] = entries
             with np.errstate(all="ignore"):
-                F = np.linalg.inv(A.astype(np.float64))
+                F = np.linalg.inv(F)
         except (np.linalg.LinAlgError, OverflowError):
             F = None
         if F is not None and np.all(np.isfinite(F)):

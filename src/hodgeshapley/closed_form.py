@@ -268,6 +268,6 @@ def verify_shapley_coefficient(n: int, s: int, i: int) -> Fraction:
         raise DomainError(f"player index {i} outside [0, {n})")
     joined = co.from_members([j for j in range(n) if j != i][:s] + [i], n)
     unit = game_from_map(n, {joined: Fraction(1)})
-    # u(N) alone, off the solve's integer column; no component game is built
+    # u(N) alone, off the solve's integer row; no component game is built
     X, den = _solve(full_hypercube(n), unit, [i], SolverConfig())[:2]
-    return Fraction(X[-1, 0], den)
+    return Fraction(X[0, -1], den)

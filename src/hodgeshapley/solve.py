@@ -2,79 +2,62 @@
 
 Each component game solves the singular system ``L_w v_i = L_{w_i} v``
 normalized by ``v_i({}) = 0``.  Only the scalar field differs between the
-modes, so one code path serves both: vectors live on all ``2**n``
-coalitions, one column per player, as ``object`` arrays of Python ints in
-rational mode and ``float64`` arrays in float mode; infeasible coalitions
-of a restricted graph are rows that stay exactly 0.  Player i's edges
-pair the two halves of the strided view ``x.reshape(2**(n-1-i), 2, 2**i,
-k)``, so ``L_{w_i}`` is a difference of half-views scaled by row i of
-``GameGraph.player_weights`` (or of its integer twin
-``integer_weights``), and ``L_w`` is the sum of the n of them.  The
-right-hand sides of all players come from one such sweep.
+modes, so one code path serves both.  Every engine keeps the k players it
+solves for in one player-major ``(k, 2**n)`` C-contiguous array, row j
+holding player ``players[j]`` over all coalitions: ``object`` arrays of
+Python ints in rational mode, ``float64`` in float mode, and exactly 0 on
+the infeasible coalitions of a restricted graph.  A per-player scalar
+(step size, power-of-two scale, dot product, deflation sum) broadcasts as
+a ``(k, 1)`` column, and sums over coalitions run along the contiguous
+axis.  Player i's edges pair the two halves of ``x.reshape(k,
+2**(n-1-i), 2, 2**i)``, so ``L_{w_i}`` is a difference of half-views
+scaled by row i of ``GameGraph.player_weights`` (or of its integer twin
+``integer_weights``), and ``L_w`` is the sum of the n of them.
 
-Rational mode computes on Python ints over one common denominator: v as
-``D v`` (D the lcm of its denominators), the weights as
-``GameGraph.integer_weights``, and each engine returns all players'
-columns over one denominator; fractions are built only for the component
-games.  On the full cube with one weight c on every edge, in any
-weighting kind, both modes run the spectral engine: the Walsh transform
-diagonalises both operators (``L_w`` has eigenvalue ``2c|T|`` and
-``L_{w_i}`` ``2c[i in T]`` on the character of T), so ``v_i^(T) = [i in
-T] v^(T) / |T|``.  Rational mode transforms v once, scatters into the
-players' columns (in integers, the quotient by ``lcm(1..n)``; ``n <=
-16``) and transforms them back; float mode applies ``L_1^+``, which is
-cg_float's Walsh preconditioner at unit degree (two transforms around a
-division by 2|T|), to each player's own ``L_{1,i} v``, so that a player
-with small marginals keeps its own precision.
-Both check ``L_1 X = L_{1,i} v`` at unit weights column by column:
-exactly in rational mode, and to ``cg_tolerance`` in relative residual
-in float mode.  Every other graph in rational mode inverts the integer
-pinned Laplacian (empty coalition's row and column deleted) in float64
-once per graph (LAPACK); a solve then lifts dyadic digits of all players'
-right-hand sides as one block, each step one product with that inverse
-and an exact integer residual update, until a reconstructed candidate
-passes the exact check (``_exact``).  Where float64 resolves too few bits
-of a step (weights about 10**16 apart on neighbouring edges), the solver
-inverts the matrix mod p once instead and lifts p-adic digits.  Both
-run up to 4096 unknowns; past that limit the solve raises
-``CapacityError`` before any right-hand side is built.  ``decompose``
-checks ``sum_i v_i = v`` exactly after either engine.
+Rational mode computes on Python ints over one common denominator (v as
+``D v``, the weights as ``integer_weights``); fractions are built only for
+the component games.  On the full cube with one weight c on every edge,
+both modes run the spectral engine: the Walsh transform diagonalises both
+operators (``L_w`` has eigenvalue ``2c|T|`` and ``L_{w_i}`` ``2c[i in
+T]`` on the character of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.
+Rational mode transforms v once, scatters into the players' rows (in
+integers, over ``lcm(1..n)``; ``n <= 16``) and transforms back; float mode
+applies ``L_1^+`` to each player's own ``L_{1,i} v``, so that a player
+with small marginals keeps its own precision.  Both check ``L_1 X =
+L_{1,i} v`` row by row: exactly, or to ``cg_tolerance`` in relative
+residual.  Every other graph in rational mode lifts exact digits from a
+float64 inverse of the integer pinned Laplacian (``_exact``; the matrix is
+built from the edge arrays, once per graph, up to 4096 unknowns, and
+``CapacityError`` comes before any right-hand side past that).
+``decompose`` checks ``sum_i v_i = v`` exactly after either engine.
 
 Every other graph in float mode runs ``cg_float``: preconditioned
-conjugate gradient on all columns at once in preallocated buffers.  Each
-column is first scaled by the power of two that brings its largest entry
-into [0.5, 1); that is exact, so a game of any magnitude float64 holds
-solves to the same bits, scaled.  Each column keeps its own step sizes,
-has its residual deflated to mean zero over the feasible coalitions every
-step (the constant nullspace), and stops when its unpreconditioned
-relative residual meets the tolerance; a stopped column keeps its place
-with zero step sizes.  The result is scaled back and shifted to ``v_i({})
-= 0``.  The preconditioner is read off the weights.  When they span at
-most three decades (max / min <= 1e3 over the edges), it is the Walsh one,
-``z = s * L_1^+ (s * r)`` with ``s = sqrt(n / deg)`` and L_1 the
-unweighted cube Laplacian: two in-place Walsh transforms around a division
-by 2|T|.  Size plus one and restricted degree products take under ten
-iterations, random explicit weights about twenty.  Wider weights (explicit
-tables spanning decades) keep the inverse weighted degree (Jacobi).  When
-the graph keeps every cube edge between two feasible coalitions and every
-weight factors as ``w(S, S|{i}) = c_0 b(S) b(S|{i})`` (constant, by
-cardinality, size plus one, degree product, on the full cube or with
-coalitions removed), ``L_w`` is applied as sub-cube matrix products
-instead of n half-view passes: ``L_w x = deg * x - c_0 b * A(b * x)`` with
-b = 0 on infeasible coalitions, and the unweighted adjacency A is a
-Kronecker sum over the players, so each block of up to five players is one
-matmul with that block's cube adjacency on a strided view, in chunks of
-bounded size.  The Walsh transform is the Kronecker product of the blocks'
-Hadamard matrices and runs through the same chunked products and chunk
-buffer.  A graph with a removed edge between feasible coalitions, explicit
-weights that do not factor, the right-hand sides and the exact engines
-keep the half-view passes.  The solve reads the graph through its masks
-and ``player_weights`` only, so it derives no per-edge array, and it
-refuses with ``CapacityError`` at entry when its buffers, about ``(6.5 n +
-5) * 2**n * 8`` bytes for a full decompose (``(2 n + 6) * 2**n * 8`` on
-the spectral route), would exceed physical memory.
-Every route needs numpy alone.  All routes land on the same answer, which
-is unique up to constants on a connected graph.
+conjugate gradient on all rows at once in preallocated buffers.  Each row
+is scaled by the power of two that brings its largest entry into [0.5, 1)
+(exact, so any game float64 holds solves to the same bits, scaled), keeps
+its own step sizes, is deflated to mean zero over the feasible coalitions
+every step, and stops when its unpreconditioned relative residual meets
+the tolerance, keeping its place with zero step sizes.  Weights within
+three decades take the Walsh preconditioner ``z = s * L_1^+ (s * r)``,
+``s = sqrt(n / deg)``: under ten iterations on size plus one and
+restricted degree products, about twenty on random explicit weights;
+wider weights take Jacobi.  When the graph keeps every cube edge between
+two feasible coalitions and every weight factors as ``w(S, S|{i}) = c_0
+b(S) b(S|{i})`` (constant, by cardinality, size plus one, degree product,
+on the full cube or with coalitions removed), ``L_w x = deg * x - c_0 b *
+A(b * x)`` with b = 0 on infeasible coalitions, and the cube adjacency A
+is a Kronecker sum over the players: a block of up to five players
+a..a+s-1 is one matmul over ``x.reshape(-1, 2**s, 2**a)`` (a single GEMM
+``x.reshape(-1, 2**s) @ M.T`` for a = 0), in chunks of at most 512 KiB.
+The Walsh transform is the Kronecker product of the blocks' Hadamard
+matrices through the same products.  The factors b and the
+preconditioner are read off the weights once per graph.  Other graphs,
+the right-hand sides and the exact engines keep the half-view passes.
+The solve refuses with ``CapacityError`` at entry when its buffers, about
+``(6.5 n + 5) * 2**n * 8`` bytes for a full decompose (``(2 n + 6) * 2**n
+* 8`` on the spectral route), would exceed physical memory.  Every route
+needs numpy alone, and all land on the same answer, unique up to
+constants on a connected graph.
 """
 
 from __future__ import annotations
@@ -195,26 +178,28 @@ def _rational_solver(g: GameGraph) -> DixonSolver:
         return solver
     m = g.num_vertices - 1
     if m > _MAX_UNKNOWNS:
-        # restricted size-plus-one cubes on a 2-vCPU box, one BLAS thread,
-        # at 509 / 1021 / 2045 / 4093 unknowns: float inverse 0.047 / 0.18 /
-        # 0.94 / 5.0 s, a decompose 0.011 / 0.026 / 0.090 / 0.32 s per
-        # player, +15 / 44 / 168 / 655 MiB RSS; so about m**3 (the
-        # inverse's asymptote), m**2 and 40 m**2 bytes
+        # restricted size-plus-one cubes, 2 vCPUs, one BLAS thread, at 509 /
+        # 1021 / 2045 / 4093 unknowns: inverse 0.047 / 0.18 / 0.94 / 5.0 s, a
+        # decompose 0.011 / 0.026 / 0.090 / 0.32 s per player, +137 / 530 MiB
+        # peak RSS at the last two: about m**3, m**2 and 33 m**2 bytes
         growth = m / 4093
         raise CapacityError(
             f"exact solve of {m} unknowns exceeds the limit of {_MAX_UNKNOWNS}: "
             f"the dense system would hold {m * m:,} entries; estimated "
             f"{5.0 * growth ** 3:,.0f} s to factor, {0.32 * growth ** 2:,.0f} s per "
-            f"player's solve and {0.64 * growth ** 2:,.1f} GB")
+            f"player's solve and {0.56 * growth ** 2:,.1f} GB")
     w = g.integer_weights[0][g.edge_player, g.edge_slot]
     if max(w) * g.n < 1 << 62:  # a diagonal entry sums at most n weights
         w = w.astype(np.int64)
     s, t = g.edge_src_pos, g.edge_dst_pos
-    A = np.zeros((m + 1, m + 1), dtype=w.dtype)
-    np.add.at(A, (s, s), w)
-    np.add.at(A, (t, t), w)
-    A[s, t] = A[t, s] = -w
-    solver = _rational_solvers[g] = DixonSolver(A[1:, 1:])
+    deg = np.zeros(m + 1, dtype=w.dtype)
+    np.add.at(deg, np.concatenate([s, t]), np.concatenate([w, w]))
+    # the nonzeros without {}'s row and column (position 0, only ever a source)
+    s, t, off = s[s > 0] - 1, t[s > 0] - 1, -w[s > 0]
+    rows, cols = np.concatenate([s, t, np.arange(m)]), np.concatenate([t, s, np.arange(m)])
+    order = np.lexsort((cols, rows))
+    entries = np.concatenate([off, off, deg[1:]])[order]
+    solver = _rational_solvers[g] = DixonSolver(nonzeros=(m, rows[order], cols[order], entries))
     return solver
 
 
@@ -230,37 +215,38 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[np.ndarray, in
 
 def _add_player_laplacian(w_i: np.ndarray | None, i: int, x: np.ndarray, out: np.ndarray,
                           scratch: np.ndarray) -> None:
-    """out += L_{w_i} x column by column; the rows of x and out are the 2**n coalitions.
+    """out += L_{w_i} x row by row; x and out are (k, 2**n), one row per player.
 
-    Player i's edges join the two halves of ``x.reshape(2**(n-1-i), 2,
-    2**i, k)``, and ``w_i`` (``GameGraph.player_weights[i]``) lines up with
-    either half; ``w_i = None`` means unit weights.  scratch has half of
-    x's rows, at least k columns and x's dtype.
+    Player i's edges join the two halves of ``x.reshape(k, 2**(n-1-i), 2,
+    2**i)``, and ``w_i`` (``GameGraph.player_weights[i]``) lines up with
+    either half; ``w_i = None`` means unit weights.  scratch has at least k
+    rows of half of x's columns, in x's dtype.
     """
-    shape = (x.shape[0] >> (i + 1), 2, 1 << i, x.shape[1])
+    k = x.shape[0]
+    shape = (k, x.shape[1] >> (i + 1), 2, 1 << i)
     x, out = x.reshape(shape), out.reshape(shape)
-    d = scratch[:, :shape[3]].reshape(shape[0], shape[2], shape[3])
-    np.subtract(x[:, 1], x[:, 0], out=d)
+    d = scratch[:k].reshape(k, shape[1], shape[3])
+    np.subtract(x[:, :, 1], x[:, :, 0], out=d)
     if w_i is not None:
-        d *= w_i.reshape(shape[0], shape[2], 1)
-    out[:, 1] += d
-    out[:, 0] -= d
+        d *= w_i.reshape(shape[1], shape[3])
+    out[:, :, 1] += d
+    out[:, :, 0] -= d
 
 
 def _walsh_hadamard(x: np.ndarray) -> None:
-    """Unnormalised Walsh-Hadamard transform of every column of x, in place.
+    """Unnormalised Walsh-Hadamard transform of every row of x, in place.
 
     Axis i maps the half-views ``(a, b)`` of ``_add_player_laplacian`` to
     ``(a + b, a - b)``; applied twice, the transform multiplies by 2**n.
     """
-    rows, k = x.shape
-    scratch = np.empty((rows // 2, k), dtype=x.dtype)
-    for i in range(rows.bit_length() - 1):
-        h = x.reshape(rows >> (i + 1), 2, 1 << i, k)
-        s = scratch.reshape(rows >> (i + 1), 1 << i, k)
-        np.add(h[:, 0], h[:, 1], out=s)
-        np.subtract(h[:, 0], h[:, 1], out=h[:, 1])
-        h[:, 0] = s
+    k, cols = x.shape
+    scratch = np.empty((k, cols // 2), dtype=x.dtype)
+    for i in range(cols.bit_length() - 1):
+        h = x.reshape(k, cols >> (i + 1), 2, 1 << i)
+        s = scratch.reshape(k, cols >> (i + 1), 1 << i)
+        np.add(h[:, :, 0], h[:, :, 1], out=s)
+        np.subtract(h[:, :, 0], h[:, :, 1], out=h[:, :, 1])
+        h[:, :, 0] = s
 
 
 def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
@@ -283,22 +269,22 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
                 f"estimated {6 * growth * n / _SPECTRAL_MAX_N:,.0f} s and {225 * growth:,.0f} MB")
         values, D = _over_common_denominator(v.values)
         ell = math.lcm(*range(1, n + 1))
-        q = values.reshape(-1, 1).copy()
+        q = values.reshape(1, -1).copy()
         _walsh_hadamard(q)
-        q[1:, 0] *= np.array([ell // s for s in _popcounts(n)[1:].tolist()], dtype=object)
-        X = np.zeros((rows, k), dtype=object)
-        for col, i in enumerate(players):
+        q[0, 1:] *= np.array([ell // s for s in _popcounts(n)[1:].tolist()], dtype=object)
+        X = np.zeros((k, rows), dtype=object)
+        for x, i in zip(X, players):
             shape = (rows >> (i + 1), 2, 1 << i)
-            X.reshape(shape + (k,))[:, 1, :, col] = q.reshape(shape)[:, 1]
+            x.reshape(shape)[:, 1] = q.reshape(shape)[:, 1]
         _walsh_hadamard(X)
-        miss = np.zeros_like(X)  # L_1 X - L_{1,i} (2**n * ell * D v), column by column
-        scratch = np.empty((rows // 2, k), dtype=object)
+        miss = np.zeros_like(X)  # L_1 X - L_{1,i} (2**n * ell * D v), row by row
+        scratch = np.empty((k, rows // 2), dtype=object)
         for j in range(n):
             _add_player_laplacian(None, j, X, miss, scratch)
-        _add_rhs(None, values.reshape(-1, 1) * -(ell << n), players, miss)
+        _add_rhs(None, values * -(ell << n), players, miss)
         if miss.any():
             raise ArithmeticError("spectral solve failed its exact verification; this is a bug")
-        X -= X[0].copy()  # normalize v_i({}) = 0
+        X -= X[:, :1].copy()  # normalize v_i({}) = 0
         return X, D * ell << n, [0.0] * k
     # X and the right-hand sides: decomposes and single components at
     # n = 12..16 peaked at 2 k + 2.0..3.4 vectors of 2**n floats and the
@@ -306,9 +292,9 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     _check_float_memory(g, k, 2 * k + 6)
     values = np.asarray(v.values, dtype=np.float64)
     _, scale = np.frexp(np.max(np.abs(values)))
-    R = np.zeros((rows, k))
-    _add_rhs(None, np.ldexp(values, -scale).reshape(-1, 1), players, R)
-    norms = np.sqrt(_column_dots(R, R))
+    R = np.zeros((k, rows))
+    _add_rhs(None, np.ldexp(values, -scale), players, R)
+    norms = np.sqrt(_row_dots(R, R))
     prod = np.empty(_chunk_floats(rows, k))
     # L_1^+; its T = {} term is a round-off constant, normalized away
     X = np.empty_like(R)
@@ -316,8 +302,8 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     np.negative(R, out=R)  # becomes L_1 X - L_{1,i} v, a sum of sub-cube Laplacians
     for a, s in _player_blocks(n):
         _block_product(s * np.eye(1 << s) - _cube_adjacency(s), a, X, R, prod, add=True)
-    X -= X[0].copy()  # normalize v_i({}) = 0
-    gap = np.sqrt(_column_dots(R, R))
+    X -= X[:, :1].copy()  # normalize v_i({}) = 0
+    gap = np.sqrt(_row_dots(R, R))
     residuals = np.divide(gap, norms, out=np.where(gap > 0, np.inf, 0.0), where=norms > 0)
     c = np.argmin(residuals <= cfg.cg_tolerance)  # the first miss, if any
     if not residuals[c] <= cfg.cg_tolerance:
@@ -329,28 +315,29 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
 
 
 def _add_rhs(w: np.ndarray | None, x: np.ndarray, players: Sequence[int], out: np.ndarray) -> None:
-    """out[:, col] += L_{w_i} x for player i = players[col], x one column;
-    w is a per-player weight table or None for unit weights."""
-    scratch = np.empty((x.shape[0] // 2, 1), dtype=x.dtype)
-    for col, i in enumerate(players):
-        _add_player_laplacian(None if w is None else w[i], i, x, out[:, col:col + 1], scratch)
+    """out[j] += L_{w_i} x for player i = players[j], x one vector over the
+    coalitions; w is a per-player weight table or None for unit weights."""
+    x = x.reshape(1, -1)
+    scratch = np.empty((1, x.shape[1] // 2), dtype=x.dtype)
+    for j, i in enumerate(players):
+        _add_player_laplacian(None if w is None else w[i], i, x, out[j:j + 1], scratch)
 
 
 def _rhs(g: GameGraph, values: np.ndarray, players: Sequence[int]) -> np.ndarray:
-    """Right-hand sides L_{w_i} v on all 2**n coalitions, one column per player.
+    """Right-hand sides L_{w_i} v on all 2**n coalitions, one row per player.
 
     The output has the dtype of values: object for Python ints, weighted by
     ``GameGraph.integer_weights`` (so scaled by its ``D_w``), or float64,
     weighted by ``player_weights``.
     """
-    out = np.zeros((values.shape[0], len(players)), dtype=values.dtype)
+    out = np.zeros((len(players), values.shape[0]), dtype=values.dtype)
     w = g.integer_weights[0] if values.dtype == object else g.player_weights
-    _add_rhs(w, values.reshape(-1, 1), players, out)
+    _add_rhs(w, values, players, out)
     return out
 
 
 def _laplacian_float(w: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out = L_w x column by column."""
+    """out = L_w x row by row."""
     out.fill(0.0)
     for i in range(w.shape[0]):
         _add_player_laplacian(w[i], i, x, out, scratch)
@@ -361,9 +348,9 @@ def _laplacian_float(w: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.
 # do more redundant flops, narrower ones more passes over the vector.
 _BLOCK_PLAYERS = 5
 # Floats per matmul chunk: the apply's product temporary stays at 512 KiB
-# for any n and for up to 2,048 columns.  Chunks also run faster: with
-# the chunking removed, float-cube's largest case took 0.033-0.036 s
-# against 0.029 s and its wall time rose about 5 % (three pairs of 12 s
+# for any n and any number of players.  Chunks also run faster: with the
+# chunking removed, float-cube's largest case took 0.033-0.036 s against
+# 0.029 s and its wall time rose about 5 % (three pairs of 12 s
 # bench/run.py runs, 2 vCPUs).
 _CHUNK = 1 << 16
 # Range of the coalition scaling b: b * x then stays far from overflow and
@@ -371,21 +358,21 @@ _CHUNK = 1 << 16
 _LEVEL_RANGE = 2.0 ** 256
 
 
-def _chunk_floats(rows: int, k: int) -> int:
-    """Size of the product temporary of the sub-cube apply on (rows, k)
-    arrays: at least one row of the widest block, at most the whole array."""
-    return min(rows * k, max(_CHUNK, (1 << _BLOCK_PLAYERS) * k))
+def _chunk_floats(cols: int, k: int) -> int:
+    """Size of the product temporary of the sub-cube apply on (k, cols)
+    arrays: at least one column of the widest block, at most the whole array."""
+    return min(cols * k, max(_CHUNK, 1 << _BLOCK_PLAYERS))
 
 
-def _chunks(shape: tuple[int, int, int, int]) -> list[tuple[slice, slice]]:
+def _chunks(shape: tuple[int, int, int]) -> list[tuple[slice, slice]]:
     """Index pairs for the first and third axes of a view of this shape that
-    cut it into pieces of at most ``max(_CHUNK, m * k)`` floats: whole slabs
-    of the first axis, or slices of the third when one slab is too big."""
-    h, m, l, k = shape
-    if l * m * k <= _CHUNK:
-        step = _CHUNK // (l * m * k)
+    cut it into pieces of at most ``max(_CHUNK, m)`` floats: whole slabs of
+    the first axis, or slices of the third when one slab is too big."""
+    h, m, l = shape
+    if m * l <= _CHUNK:
+        step = _CHUNK // (m * l)
         return [(slice(i, i + step), slice(None)) for i in range(0, h, step)]
-    step = max(1, _CHUNK // (m * k))
+    step = max(1, _CHUNK // m)
     return [(slice(i, i + 1), slice(j, j + step)) for i in range(h) for j in range(0, l, step)]
 
 
@@ -414,20 +401,25 @@ def _hadamard(s: int) -> np.ndarray:
 def _block_product(M: np.ndarray, a: int, x: np.ndarray, out: np.ndarray, prod: np.ndarray,
                    add: bool) -> None:
     """out += M x (add) or out = M x, where M acts on the players a, a+1, ...
-    of C-contiguous (2**n, k) arrays; out may be x when not adding.
+    of every row of C-contiguous (k, 2**n) arrays; out may be x when not
+    adding.
 
-    Over the view ``x.reshape(2**n / (m * 2**a), m, 2**a, k)``, m = len(M),
-    this is one matmul per chunk of ``_chunks``, through prod (at least
-    ``_chunk_floats`` floats).  A chunk reads only its own rows, so the
-    product may overwrite them.
+    Over the view ``x.reshape(-1, m, 2**a)``, m = len(M), this is one
+    matmul per chunk of ``_chunks``, through prod (at least
+    ``_chunk_floats`` floats); for a = 0 each chunk is a single GEMM
+    ``x.reshape(-1, m) @ M.T``.  A chunk reads only its own entries, so
+    the product may overwrite them.
     """
-    m, k = M.shape[0], x.shape[1]
-    shape = (x.shape[0] // (m << a), m, 1 << a, k)
+    m = M.shape[0]
+    shape = (x.size // (m << a), m, 1 << a)
     xv, ov = x.reshape(shape), out.reshape(shape)
     for hs, ls in _chunks(shape):
         src = xv[hs, :, ls]
-        flat = (src.shape[0], m, src.shape[2] * k)
-        t = np.matmul(M, src.reshape(flat), out=prod[:src.size].reshape(flat)).reshape(src.shape)
+        t = prod[:src.size].reshape(src.shape)
+        if a:
+            np.matmul(M, src, out=t)
+        else:
+            np.matmul(src[:, :, 0], M.T, out=t[:, :, 0])
         o = ov[hs, :, ls]
         if add:
             np.add(o, t, out=o)
@@ -477,36 +469,46 @@ def _product_factors(g: GameGraph):
     return c0, b
 
 
-def _subcube_laplacian(g: GameGraph, k: int, deg: np.ndarray | None = None,
-                       prod: np.ndarray | None = None):
-    """``apply(x, out)``, out = L_w x for C-contiguous (2**n, k) arrays, as
+_float_plans: "weakref.WeakKeyDictionary[GameGraph, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _float_plan(g: GameGraph) -> tuple:
+    """``(_product_factors(g), _walsh_fits(g), deg)``, deg the weighted
+    degree of every coalition, cached per graph: a decompose and a verify
+    on one graph, or ``solve_component`` over every player, read the
+    weights once."""
+    plan = _float_plans.get(g)
+    if plan is None:
+        plan = _float_plans[g] = (_product_factors(g), _walsh_fits(g),
+                                  _endpoint_sums(g.player_weights))
+    return plan
+
+
+def _subcube_laplacian(g: GameGraph, k: int, prod: np.ndarray | None = None):
+    """``apply(x, out)``, out = L_w x for C-contiguous (k, 2**n) arrays, as
     sub-cube matmuls; None unless ``_product_factors`` factors g's weights.
 
     With ``w(S, S|{i}) = c0 b(S) b(S|{i})`` on exactly the edges between
     feasible coalitions, ``L_w = diag(deg) - c0 diag(b) A diag(b)``, where
-    A is the unweighted cube adjacency and b is 0 on infeasible coalitions;
-    deg is ``_endpoint_sums(g.player_weights)`` as a column.  A is a
-    Kronecker sum over the players, so over a block of s players starting
-    at bit a it acts on the view ``x.reshape(2**(n-a-s), 2**s, 2**a, k)``
-    as one matmul with the s-cube's adjacency (``_block_product``), through
+    A is the unweighted cube adjacency and b is 0 on infeasible coalitions.
+    A is a Kronecker sum over the players, so over a block of s players
+    starting at bit a it acts on the view ``x.reshape(-1, 2**s, 2**a)`` as
+    one matmul with the s-cube's adjacency (``_block_product``), through
     the product chunk prod, which is allocated here when not given.  Unless
     b is 1 everywhere, ``b * x`` is written once per apply into a buffer of
     x's shape.
     """
-    factors = _product_factors(g)
+    factors, _, deg = _float_plan(g)
     if factors is None:
         return None
     c0, b = factors
     n = g.n
-    if deg is None:
-        deg = _endpoint_sums(g.player_weights)[:, None]
-    b = b[:, None]
     diag = np.divide(deg, b, out=np.zeros_like(deg), where=b > 0)
     scaled = bool(np.any(b != 1.0))
     blocks = [(a, -c0 * _cube_adjacency(s)) for a, s in _player_blocks(n)]
     if prod is None:
         prod = np.empty(_chunk_floats(1 << n, k))
-    bx = np.empty((1 << n, k)) if scaled else None
+    bx = np.empty((k, 1 << n)) if scaled else None
 
     def apply(x: np.ndarray, out: np.ndarray) -> None:
         # out = b * (deg / b * x - c0 A(b * x)) on feasible rows, 0 elsewhere
@@ -550,7 +552,7 @@ def _walsh_fits(g: GameGraph) -> bool:
 
 
 def _unit_pseudo_inverse(n: int, prod: np.ndarray):
-    """``apply(r, z)``: z = L_1^+ r for C-contiguous (2**n, k) arrays, where
+    """``apply(r, z)``: z = L_1^+ r for C-contiguous (k, 2**n) arrays, where
     L_1 is the unweighted cube Laplacian; z may be r.
 
     L_1 has eigenvalue 2|T| on the Walsh character of T, so its
@@ -560,7 +562,7 @@ def _unit_pseudo_inverse(n: int, prod: np.ndarray):
     through the product chunk prod.
     """
     # 1 / (2 max(|T|, 1)), times 2**-n for the two unnormalised transforms
-    inv = (np.ldexp(1.0, -n - 1) / np.maximum(_popcounts(n), 1))[:, None]
+    inv = np.ldexp(1.0, -n - 1) / np.maximum(_popcounts(n), 1)
     blocks = [(a, _hadamard(w)) for a, w in _player_blocks(n)]
     (a0, H0), rest = blocks[0], blocks[1:]
 
@@ -575,7 +577,7 @@ def _unit_pseudo_inverse(n: int, prod: np.ndarray):
 
 def _walsh_preconditioner(n: int, deg: np.ndarray, prod: np.ndarray):
     """``precondition(r, z)``: z = s * L_1^+ (s * r) with ``s = sqrt(n / deg)``
-    (0 on rows without edges), for C-contiguous (2**n, k) arrays.
+    (0 on coalitions without edges), for C-contiguous (k, 2**n) arrays.
 
     L_1^+ is ``_unit_pseudo_inverse``.  On a full cube with a constant weight
     c, ``s**2 = 1 / c`` and this is ``L_w^+``.
@@ -591,8 +593,8 @@ def _walsh_preconditioner(n: int, deg: np.ndarray, prod: np.ndarray):
     return precondition
 
 
-def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", a, b)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
 
 
 def _physical_memory() -> int:
@@ -617,72 +619,72 @@ def _check_float_memory(g: GameGraph, k: int, vectors: float) -> None:
 
 def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[int], tol: float,
               max_iters: int):
-    """Deflated CG for L_w X = R, every column at once; R is overwritten.
+    """Deflated CG for L_w X = R, every row at once; R is overwritten.
 
-    Column j solves for player ``players[j]`` with the scalar recurrence
-    of one-right-hand-side CG and keeps its place throughout.  The
+    Row j solves for player ``players[j]`` with the scalar recurrence of
+    one-right-hand-side CG and keeps its place throughout.  The
     preconditioner is ``_walsh_preconditioner`` where ``_walsh_fits``
     accepts the weights, and the inverse weighted degree (Jacobi)
-    otherwise.  Each column is scaled by a power of two (exactly) so that
-    its largest magnitude, ``peak``, lies in [0.5, 1), and its dot products
-    neither overflow nor underflow.  A column stops when its
-    unpreconditioned relative residual meets tol; its step sizes are zero
-    from then on, so its x and r stay as they are.  Returns (X,
-    preconditioner, iterations, residuals), the lists in ``players`` order.
+    otherwise.  Each row is scaled by a power of two (exactly) so that its
+    largest magnitude, ``peak``, lies in [0.5, 1), and its dot products
+    neither overflow nor underflow.  A row stops when its unpreconditioned
+    relative residual meets tol; its step sizes are zero from then on, so
+    its x and r stay as they are.  Returns (X, preconditioner, iterations,
+    residuals), the lists in ``players`` order.
     """
-    n_rows, k = R.shape
+    k, cols = R.shape
     w = g.player_weights
     m = g.num_vertices
     infeasible = np.flatnonzero(~g.vertex_mask)
-    deg = _endpoint_sums(w)[:, None]
-    scratch = np.empty((n_rows // 2, k))
-    prod = np.empty(_chunk_floats(n_rows, k))
-    apply = _subcube_laplacian(g, k, deg, prod)
+    _, walsh, deg = _float_plan(g)
+    scratch = np.empty((k, cols // 2))
+    prod = np.empty(_chunk_floats(cols, k))
+    apply = _subcube_laplacian(g, k, prod)
     if apply is None:
         def apply(x, out):
             _laplacian_float(w, x, out, scratch)
-    if _walsh_fits(g):
+    if walsh:
         preconditioner = WALSH
         precondition = _walsh_preconditioner(g.n, deg, prod)
     else:
         preconditioner = JACOBI
-        # 1 / diag(L_w), 0 on rows without edges
+        # 1 / diag(L_w), 0 on coalitions without edges
         dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
 
         def precondition(r, z):
             np.multiply(r, dinv, out=z)
 
     def deflate(x):
-        x -= x.sum(axis=0) / m
-        x[infeasible] = 0.0
+        x -= x.sum(axis=1, keepdims=True) / m
+        x[:, infeasible] = 0.0
 
-    _, scale = np.frexp(peak)
+    _, scale = np.frexp(peak[:, None])
     np.ldexp(R, -scale, out=R)
     deflate(R)
     X = np.zeros_like(R)
     P = np.empty_like(R)
     precondition(R, P)
     AP = np.empty_like(R)  # holds L_w p, then the preconditioned residual z
-    rz = _column_dots(R, P)
-    b_norm = np.sqrt(_column_dots(R, R))
+    rz = _row_dots(R, P)
+    b_norm = np.sqrt(_row_dots(R, R))
     running = b_norm > 0
     iterations = np.zeros(k, dtype=int)
     residuals = np.zeros(k)
-    history = []  # the relative residual of every column, per iteration
+    history = []  # the relative residual of every row, per iteration
     for it in range(1, max_iters + 1):
         if not running.any():
             break
         apply(P, AP)
-        alpha = np.divide(rz, _column_dots(P, AP), out=np.zeros(k), where=running)
-        for rows in (slice(0, n_rows // 2), slice(n_rows // 2, n_rows)):
-            np.multiply(P[rows], alpha, out=scratch)
-            X[rows] += scratch
+        alpha = np.divide(rz, _row_dots(P, AP), out=np.zeros(k), where=running)[:, None]
+        for half in (slice(0, cols // 2), slice(cols // 2, cols)):
+            np.multiply(P[:, half], alpha, out=scratch)
+            X[:, half] += scratch
         AP *= alpha
         R -= AP
         # L_w p is orthogonal to constants up to round-off, which deflation
         # removes; x may carry a constant, which the normalization removes
         deflate(R)
-        rel = np.divide(np.sqrt(_column_dots(R, R)), b_norm, out=np.zeros(k), where=running)
+        rel = np.divide(np.sqrt(_row_dots(R, R)), b_norm, out=np.zeros(k), where=running)
         history.append(rel)
         done = running & (rel <= tol)
         iterations[done] = it
@@ -691,8 +693,8 @@ def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[i
         if not running.any():
             break  # no next direction to build
         precondition(R, AP)
-        rz_new = _column_dots(R, AP)
-        P *= np.divide(rz_new, rz, out=np.zeros(k), where=running)
+        rz_new = _row_dots(R, AP)
+        P *= np.divide(rz_new, rz, out=np.zeros(k), where=running)[:, None]
         P += AP
         rz = rz_new
     if running.any():
@@ -701,8 +703,8 @@ def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[i
             f"CG for player {players[c]} did not reach tolerance {tol} in {max_iters} "
             f"iterations (relative residual {history[-1][c]:.3e})",
             residual_history=[float(h[c]) for h in history])
-    X -= X[0].copy()  # normalize v_i({}) = 0
-    X[infeasible] = 0.0
+    X -= X[:, :1].copy()  # normalize v_i({}) = 0
+    X[:, infeasible] = 0.0
     np.ldexp(X, scale, out=X)
     return X, preconditioner, iterations.tolist(), residuals.tolist()
 
@@ -723,13 +725,13 @@ def _check_modes(g: GameGraph, v: Game, cfg: SolverConfig) -> None:
 
 def _verify_mean_zero(g: GameGraph, B: np.ndarray):
     # L_{w_i} v lies in the range of d*, hence is orthogonal to constants:
-    # exactly for ints, to round-off for floats.  One column per
-    # player; infeasible rows are 0 and add nothing.  The float tolerance
-    # is relative to each column's largest entry, so it is 0 for a zero
-    # column and scales down with a small one; those peaks are returned
-    # (0 for ints), for ``_cg_float`` to scale by.
-    peak = 0 if B.dtype == object else np.max(np.abs(B), axis=0)
-    if np.any(np.abs(B.sum(axis=0)) > 1e-8 * peak * g.num_vertices):
+    # exactly for ints, to round-off for floats.  One row per player;
+    # infeasible coalitions are 0 and add nothing.  The float tolerance is
+    # relative to each row's largest entry, so it is 0 for a zero row and
+    # scales down with a small one; those peaks are returned (0 for
+    # ints), for ``_cg_float`` to scale by.
+    peak = 0 if B.dtype == object else np.max(np.abs(B), axis=1)
+    if np.any(np.abs(B.sum(axis=1)) > 1e-8 * peak * g.num_vertices):
         raise ArithmeticError("right-hand side is not mean-zero; this is a bug")
     return peak
 
@@ -742,20 +744,20 @@ def _spectral_applies(g: GameGraph) -> bool:
 
 
 def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
-    """Components of v for the given players, as columns on all 2**n coalitions.
+    """Components of v for the given players, as rows on all 2**n coalitions.
 
     Returns (X, den, engine, preconditioner, iterations, residuals), the
     lists in the order of players; the preconditioner is "" for the exact
     engines.  The components are X / den: Python ints over one common
     denominator in rational mode, floats over 1 in float mode; infeasible
-    rows are zero.
+    coalitions are zero.
     """
     k = len(players)
     if _spectral_applies(g):
         X, den, residuals = _spectral(g, v, players, cfg)
         return X, den, SPECTRAL, "", [0] * k, residuals
     if not v.is_rational:
-        # per column four CG buffers, half a scratch, the component's copy and
+        # per player four CG buffers, half a scratch, the component's copy and
         # the apply's b * x, plus the weight table and five vectors: full-cube
         # decomposes at n = 16 peaked at 5.1-6.1 * n * 2**n * 8 bytes over v
         _check_float_memory(g, k, 6 * k + g.n / 2 + 5)
@@ -771,15 +773,17 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     B = _rhs(g, values, players)  # D * D_w * L_{w_i} v
     _verify_mean_zero(g, B)
     X = np.zeros(B.shape, dtype=object)
-    X[g.vertices[1:]], den = solver.solve(B[g.vertices[1:]])
+    pinned = g.vertices[1:]
+    Y, den = solver.solve(B[:, pinned].T)  # the solver takes (unknowns, players)
+    X[:, pinned] = Y.T
     # an exact solve has no residual
     return X, den * D, DENSE_RATIONAL, "", [0] * k, [0.0] * k
 
 
 def _efficiency_gap(g: GameGraph, v: Game, X: np.ndarray, den):
-    """Largest miss of the component sum ``X.sum(axis=1) / den`` against v
+    """Largest miss of the component sum ``X.sum(axis=0) / den`` against v
     over feasible coalitions; in rational mode an exact check in ints."""
-    total = X.sum(axis=1)
+    total = X.sum(axis=0)
     if not v.is_rational:
         return ops._scalar(np.abs(total - v.values)[g.vertex_mask].max())
     for S in g.vertices.tolist():
@@ -803,7 +807,7 @@ def solve_component(g: GameGraph, v: Game, i: int, cfg: SolverConfig | None = No
     if not 0 <= i < g.n:
         raise ConfigError(f"player index {i} outside [0, {g.n})")
     X, den = _solve(g, v, [i], cfg)[:2]
-    return _component(v, X[:, 0], den)
+    return _component(v, X[0], den)
 
 
 def decompose(g: GameGraph, v: Game, cfg: SolverConfig | None = None) -> Decomposition:
@@ -812,7 +816,7 @@ def decompose(g: GameGraph, v: Game, cfg: SolverConfig | None = None) -> Decompo
     _check_modes(g, v, cfg)
     X, den, engine, preconditioner, iterations, residuals = _solve(g, v, range(g.n), cfg)
     gap = _efficiency_gap(g, v, X, den)
-    components = tuple(_component(v, X[:, i], den) for i in range(g.n))
+    components = tuple(_component(v, x, den) for x in X)
     stats = tuple(PlayerSolveStats(i, engine, iterations[i], residuals[i], preconditioner)
                   for i in range(g.n))
     return Decomposition(g, v, components, stats, gap)
@@ -823,28 +827,35 @@ def residual_orthogonality(g: GameGraph, v: Game, dec: Decomposition) -> list:
     coalitions; zero certifies the split.
 
     That vertex function is ``L_w v_i - L_{w_i} v``, so one sweep of
-    half-view passes on the slot layout gives every player's at once:
-    exactly in rational mode, on ints over one common denominator.
+    half-view passes gives every player's at once: exactly in rational
+    mode, on ints over one common denominator.  Float mode applies ``L_w``
+    as the sub-cube products of ``_subcube_laplacian`` where the weights
+    factor.
     """
     k = len(dec.components)
+    apply = None
     if v.is_rational:
         values, D = _over_common_denominator(v.values)
         X, den = _over_common_denominator([x for c in dec.components for x in c.values])
-        X = X.reshape(k, -1).T.copy()
+        X = X.reshape(k, -1)
         W, D_w = g.integer_weights
     else:
         values, D = np.asarray(v.values, dtype=np.float64), 1
-        X, den = np.column_stack([c.values for c in dec.components]), 1
+        X, den = np.array([c.values for c in dec.components], dtype=np.float64), 1
         W, D_w = g.player_weights, 1
-    # D den D_w (L_w X_i / den - L_{w_i} v / D), column by column
+        apply = _subcube_laplacian(g, k)
+    # D den D_w (L_w X_i / den - L_{w_i} v / D), row by row
     out = np.zeros_like(X)
-    scratch = np.empty((X.shape[0] // 2, k), dtype=X.dtype)
-    for j in range(g.n):
-        _add_player_laplacian(W[j], j, X, out, scratch)
+    if apply is not None:
+        apply(X, out)
+    else:
+        scratch = np.empty((k, X.shape[1] // 2), dtype=X.dtype)
+        for j in range(g.n):
+            _add_player_laplacian(W[j], j, X, out, scratch)
     if D != 1:
         out *= D
-    _add_rhs(W, values.reshape(-1, 1) * -den, range(k), out)
-    peaks = np.abs(out[g.vertex_mask]).max(axis=0).tolist()
+    _add_rhs(W, values * -den, range(k), out)
+    peaks = np.abs(out[:, g.vertex_mask]).max(axis=1).tolist()
     return [Fraction(x, D * den * D_w) for x in peaks] if v.is_rational else peaks
 
 
