@@ -6,7 +6,8 @@ cube Laplacian; pure bargaining games have an even simpler closed form.
 Both must agree with the Laplacian solve to the last bit, as must the
 classical coefficient formula and the brute-force permutation average.
 The joining coefficients themselves are the grand values of unit games'
-components, which the exact spectral engine gives up to 16 players.
+components, which the exact spectral engine lifts from float solves in a
+fraction of a second at 16 and 17 players.
 """
 
 import random
@@ -40,10 +41,11 @@ print("=== the joining coefficients, recovered from single-edge sources ===")
 for size in range(4):
     u_N = verify_shapley_coefficient(4, size, 0)
     print(f"coalition size {size}: u(N) = {u_N}")
-for size in (0, 8, 15):  # the exact spectral engine reaches n = 16
-    u_N = verify_shapley_coefficient(16, size, 0)
-    assert u_N == Fraction(factorial(size) * factorial(15 - size), factorial(16))
-    print(f"n = 16, coalition size {size}: u(N) = {u_N}")
+for n in (16, 17):  # one component each, lifted exactly from float solves
+    for size in (0, 8, n - 1):
+        u_N = verify_shapley_coefficient(n, size, 0)
+        assert u_N == Fraction(factorial(size) * factorial(n - 1 - size), factorial(n))
+        print(f"n = {n}, coalition size {size}: u(N) = {u_N}")
 
 print()
 print("=== permutation average vs. coefficient formula, glove game ===")

@@ -2,8 +2,10 @@
 
 The exact backend reproduces reference fractions bit-for-bit.  On the
 full cube with constant weights both backends take every component from
-Walsh-Hadamard transforms (the spectral engine): in integers up to 16
-players in rational mode, in float64 as far as memory goes in float mode.
+the same float64 Walsh-Hadamard transforms (the spectral engine), as far
+as memory goes: float mode stops at a residual tolerance, and rational
+mode repeats the float solve on the exact integer residual until it is
+exactly 0.
 Elsewhere the exact backend inverts the Laplacian once in float64 and
 lifts exact digits of every player's solution from that inverse, which
 scales to about a dozen players (4,093 unknowns: 5 s to invert, 0.3 s

@@ -14,8 +14,8 @@ from .errors import CapacityError, SpecFileError
 
 # Hard cap on the player count, for bitsets and edge keys.  It promises no
 # solve: float CG estimates (6.5 n + 5) * 2**n * 8 bytes (1.13 GB at n = 20,
-# 21.6 GB at n = 24), the spectral route (2 n + 6) * 2**n * 8; both refuse at
-# entry past physical memory.  Exact solves stop at 4096 unknowns (spectral: n = 16).
+# 21.6 GB at n = 24), spectral (2 n + 6) * 2**n * 8, exact spectral (170 n + 70)
+# * 2**n; all refuse at entry past physical memory.  Exact lifting: 4096 unknowns.
 PLAYER_CAP = 24
 
 Coalition = int

@@ -19,17 +19,14 @@ Rational mode computes on Python ints over one common denominator (v as
 the component games.  On the full cube with one weight c on every edge,
 both modes run the spectral engine: the Walsh transform diagonalises both
 operators (``L_w`` has eigenvalue ``2c|T|`` and ``L_{w_i}`` ``2c[i in
-T]`` on the character of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.
-Rational mode transforms v once, scatters into the players' rows (in
-integers, over ``lcm(1..n)``; ``n <= 16``) and transforms back; float mode
-applies ``L_1^+`` to each player's own ``L_{1,i} v``, so that a player
-with small marginals keeps its own precision.  Both check ``L_1 X =
-L_{1,i} v`` row by row: exactly, or to ``cg_tolerance`` in relative
-residual.  Every other graph in rational mode lifts exact digits from a
-float64 inverse of the integer pinned Laplacian (``_exact``; the matrix is
-built from the edge arrays, once per graph, up to 4096 unknowns, and
-``CapacityError`` comes before any right-hand side past that).
-``decompose`` checks ``sum_i v_i = v`` exactly after either engine.
+T]`` on the character of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.  Both
+apply ``L_1^+`` to each player's own ``L_{1,i} v`` and stop at the
+relative residual ``cg_tolerance``, or at an exact integer residual of 0
+(``_spectral_lift``).  Every other graph in rational mode lifts exact
+digits from a float64 inverse of the integer pinned Laplacian (``_exact``;
+the matrix is built from the edge arrays, once per graph, up to 4096
+unknowns, and ``CapacityError`` comes before any right-hand side past
+that).  ``decompose`` checks ``sum_i v_i = v`` exactly after either engine.
 
 Every other graph in float mode runs ``cg_float``: preconditioned
 conjugate gradient on all rows at once in preallocated buffers.  Each row
@@ -72,7 +69,7 @@ from typing import Sequence
 import numpy as np
 
 from . import operators as ops
-from ._exact import _MAX_UNKNOWNS, DixonSolver
+from ._exact import _MAX_UNKNOWNS, _MIN_GAIN_BITS, _STEP_BITS, DixonSolver
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .game import FLOAT, RATIONAL, Game
 from .graph import GameGraph, _endpoint_sums, _popcounts
@@ -86,12 +83,6 @@ SPECTRAL = "spectral"
 # The preconditioners of cg_float, in PlayerSolveStats.preconditioner.
 WALSH = "walsh"
 JACOBI = "jacobi"
-
-# Largest player count of the spectral engine in rational mode, set by the
-# cost of exact arithmetic: a full decompose at n = 16 takes about 6 s and
-# 225 MB peak RSS on a 2-vCPU box, and both grow faster than 2**n.
-_SPECTRAL_MAX_N = 16
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -233,63 +224,29 @@ def _add_player_laplacian(w_i: np.ndarray | None, i: int, x: np.ndarray, out: np
     out[:, :, 0] -= d
 
 
-def _walsh_hadamard(x: np.ndarray) -> None:
-    """Unnormalised Walsh-Hadamard transform of every row of x, in place.
-
-    Axis i maps the half-views ``(a, b)`` of ``_add_player_laplacian`` to
-    ``(a + b, a - b)``; applied twice, the transform multiplies by 2**n.
-    """
-    k, cols = x.shape
-    scratch = np.empty((k, cols // 2), dtype=x.dtype)
-    for i in range(cols.bit_length() - 1):
-        h = x.reshape(k, cols >> (i + 1), 2, 1 << i)
-        s = scratch.reshape(k, cols >> (i + 1), 1 << i)
-        np.add(h[:, :, 0], h[:, :, 1], out=s)
-        np.subtract(h[:, :, 0], h[:, :, 1], out=h[:, :, 1])
-        h[:, :, 0] = s
-
-
 def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     """Components of v for the given players on a full cube with constant
     weights, as ``(X, den, residuals)``: the components are X / den, and
     residuals the float check's relative residuals (0 in ints).
 
     In ints X = 2**n * lcm(1..n) * D * (the component), D the lcm of v's
-    denominators, and a failed check is a bug.  Floats scale v by a power
-    of two first, as ``_cg_float`` does, so a null player's column is
-    exactly 0; a check past ``cfg.cg_tolerance`` raises ConvergenceError.
+    denominators.  Floats scale v by a power of two first, as ``_cg_float``
+    does, so a null player's column is exactly 0; a check past
+    ``cfg.cg_tolerance`` raises ConvergenceError.
     """
     n, k, rows = g.n, len(players), 1 << g.n
     if v.is_rational:
-        if n > _SPECTRAL_MAX_N:
-            # memory grows like n * 2**n, time like n**2 * 2**n (the verification)
-            growth = n / _SPECTRAL_MAX_N * 2.0 ** (n - _SPECTRAL_MAX_N)
-            raise CapacityError(
-                f"exact spectral solve at n = {n} exceeds the limit n <= {_SPECTRAL_MAX_N}: "
-                f"estimated {6 * growth * n / _SPECTRAL_MAX_N:,.0f} s and {225 * growth:,.0f} MB")
+        # fractions included, decomposes at n = 14..17 took +39 / 81 / 172 / 347 MiB
+        # and 0.5 / 0.8 / 1.8 / 5 s, one component +5 / 8 / 15 / 30 MiB (2 vCPUs)
+        _check_memory(g, k, 170 * k + 70, "exact spectral solve",
+                      f" and {2e-6 * (k + 0.5) * rows:,.1f} s")
         values, D = _over_common_denominator(v.values)
-        ell = math.lcm(*range(1, n + 1))
-        q = values.reshape(1, -1).copy()
-        _walsh_hadamard(q)
-        q[0, 1:] *= np.array([ell // s for s in _popcounts(n)[1:].tolist()], dtype=object)
-        X = np.zeros((k, rows), dtype=object)
-        for x, i in zip(X, players):
-            shape = (rows >> (i + 1), 2, 1 << i)
-            x.reshape(shape)[:, 1] = q.reshape(shape)[:, 1]
-        _walsh_hadamard(X)
-        miss = np.zeros_like(X)  # L_1 X - L_{1,i} (2**n * ell * D v), row by row
-        scratch = np.empty((k, rows // 2), dtype=object)
-        for j in range(n):
-            _add_player_laplacian(None, j, X, miss, scratch)
-        _add_rhs(None, values * -(ell << n), players, miss)
-        if miss.any():
-            raise ArithmeticError("spectral solve failed its exact verification; this is a bug")
-        X -= X[:, :1].copy()  # normalize v_i({}) = 0
-        return X, D * ell << n, [0.0] * k
+        c = math.lcm(*range(1, n + 1)) << n
+        return _spectral_lift(n, values * c, players), c * D, [0.0] * k
     # X and the right-hand sides: decomposes and single components at
     # n = 12..16 peaked at 2 k + 2.0..3.4 vectors of 2**n floats and the
     # chunk (tracemalloc)
-    _check_float_memory(g, k, 2 * k + 6)
+    _check_memory(g, k, 8 * (2 * k + 6), "float solve")
     values = np.asarray(v.values, dtype=np.float64)
     _, scale = np.frexp(np.max(np.abs(values)))
     R = np.zeros((k, rows))
@@ -314,6 +271,53 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     return X, 1, residuals.tolist()
 
 
+def _max_bits(r: np.ndarray) -> int:
+    """Bits of the largest magnitude in an integer array (0 when all are 0)."""
+    return int(np.max(np.abs(r))).bit_length()
+
+
+def _spectral_lift(n: int, x: np.ndarray, players: Sequence[int]) -> np.ndarray:
+    """Python-int rows N with ``L_1 N[j] = L_{1,i} x`` (i = players[j]) and
+    ``N[j, 0] = 0``, for ints x whose pinned solutions are integral, by
+    dyadic lifting (Wan 2006) with a known denominator.  A step keeps the
+    top ``_STEP_BITS`` bits ``y = rint(2**-h L_1^+ r)`` of a float solve of
+    the exact residual r and updates ``r -= 2**h L_1 y``, ``N += 2**h y``
+    exactly, in int64 while the bits allow.  ``L_1``'s condition number is
+    n, so a step gains over 40 bits and r ends at 0, the proof; a gain under
+    ``_MIN_GAIN_BITS`` is a bug and raises."""
+    rows, k = 1 << n, len(players)
+    r = np.zeros((k, rows), dtype=np.int64 if _max_bits(x) <= 61 else object)
+    _add_rhs(None, x.astype(r.dtype), players, r)
+    pseudo_inverse = _unit_pseudo_inverse(n, np.empty(_chunk_floats(rows, k)))
+    N = np.zeros((k, rows), dtype=np.int64)
+    bound = 0  # on |N|: int64 holds N while bound < 2**62
+    Ly = np.empty((k, rows), dtype=np.int64)
+    scratch = np.empty((k, rows // 2), dtype=np.int64)
+    bits = _max_bits(r)
+    while bits:
+        t = max(0, bits - 62)
+        z = (r >> t).astype(np.float64)
+        pseudo_inverse(z, z)
+        z -= z[:, :1].copy()  # the pinned solution is integral; L_1^+ r's need not be
+        peak = np.max(np.abs(z))
+        if not peak < np.inf:
+            raise ArithmeticError("spectral float step is not finite; this is a bug")
+        h = max(0, int(np.frexp(peak)[1]) + t - _STEP_BITS)
+        y = np.rint(np.ldexp(z, t - h)).astype(np.int64)
+        _laplacian(None, y, Ly, scratch)  # |L_1 y| <= 2 n 2**_STEP_BITS: exact in int64
+        if r.dtype == np.int64 and _max_bits(Ly) + h <= 62:
+            r -= Ly << h  # both terms below 2**62
+        else:
+            r = r.astype(object) - (Ly.astype(object) << h)
+        bound += 1 << (_STEP_BITS + h)
+        N = N + (y << h if bound < 1 << 62 else y.astype(object) << h)
+        before, bits = bits, _max_bits(r)
+        if bits and before - bits < _MIN_GAIN_BITS:
+            raise ArithmeticError(f"spectral lifting step gained {before - bits} bits, "
+                                  f"fewer than {_MIN_GAIN_BITS}; this is a bug")
+    return N.astype(object)
+
+
 def _add_rhs(w: np.ndarray | None, x: np.ndarray, players: Sequence[int], out: np.ndarray) -> None:
     """out[j] += L_{w_i} x for player i = players[j], x one vector over the
     coalitions; w is a per-player weight table or None for unit weights."""
@@ -336,11 +340,11 @@ def _rhs(g: GameGraph, values: np.ndarray, players: Sequence[int]) -> np.ndarray
     return out
 
 
-def _laplacian_float(w: np.ndarray, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out = L_w x row by row."""
-    out.fill(0.0)
-    for i in range(w.shape[0]):
-        _add_player_laplacian(w[i], i, x, out, scratch)
+def _laplacian(w: np.ndarray | None, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = L_w x row by row, as ``_add_player_laplacian`` (w = None: unit weights)."""
+    out.fill(0)
+    for i in range(x.shape[1].bit_length() - 1):
+        _add_player_laplacian(None if w is None else w[i], i, x, out, scratch)
 
 
 # Players per block of the sub-cube apply.  A block of s players is one
@@ -523,9 +527,9 @@ def _subcube_laplacian(g: GameGraph, k: int, prod: np.ndarray | None = None):
 
 
 def _blocked_walsh(x: np.ndarray, blocks: list[tuple[int, np.ndarray]], prod: np.ndarray) -> None:
-    """``_walsh_hadamard`` of x in place, one chunked product per
-    (first player, ``_hadamard`` matrix) block; the transform is their
-    Kronecker product."""
+    """Unnormalised Walsh-Hadamard transform of every row of x in place: one
+    chunked product per (first player, ``_hadamard`` matrix) block, whose
+    Kronecker product it is."""
     for a, H in blocks:
         _block_product(H, a, x, x, prod, add=False)
 
@@ -605,15 +609,13 @@ def _physical_memory() -> int:
         return 0
 
 
-def _check_float_memory(g: GameGraph, k: int, vectors: float) -> None:
-    """CapacityError when this many vectors of 2**n floats and the product
-    chunk of k columns would not fit in physical memory."""
-    rows = 1 << g.n
-    need = 8 * (rows * vectors + _chunk_floats(rows, k))
-    have = _physical_memory()
+def _check_memory(g: GameGraph, k: int, per_coalition: float, what: str, cost: str = "") -> None:
+    """CapacityError when a solve for k players on g, at this many bytes per
+    coalition and the product chunk, needs more than physical memory."""
+    need, have = per_coalition * (1 << g.n) + 8 * _chunk_floats(1 << g.n, k), _physical_memory()
     if have and need > have:
         raise CapacityError(
-            f"float solve of {k} players at n = {g.n} needs about {need / 2 ** 30:,.1f} GiB, "
+            f"{what} of {k} players at n = {g.n} needs about {need / 2 ** 30:,.1f} GiB{cost}, "
             f"more than this machine's {have / 2 ** 30:,.1f} GiB of physical memory")
 
 
@@ -642,7 +644,7 @@ def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[i
     apply = _subcube_laplacian(g, k, prod)
     if apply is None:
         def apply(x, out):
-            _laplacian_float(w, x, out, scratch)
+            _laplacian(w, x, out, scratch)
     if walsh:
         preconditioner = WALSH
         precondition = _walsh_preconditioner(g.n, deg, prod)
@@ -760,7 +762,7 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
         # per player four CG buffers, half a scratch, the component's copy and
         # the apply's b * x, plus the weight table and five vectors: full-cube
         # decomposes at n = 16 peaked at 5.1-6.1 * n * 2**n * 8 bytes over v
-        _check_float_memory(g, k, 6 * k + g.n / 2 + 5)
+        _check_memory(g, k, 8 * (6 * k + g.n / 2 + 5), "float solve")
         B = _rhs(g, np.asarray(v.values, dtype=np.float64), players)
         peak = _verify_mean_zero(g, B)
         X, preconditioner, iterations, residuals = _cg_float(
@@ -849,9 +851,7 @@ def residual_orthogonality(g: GameGraph, v: Game, dec: Decomposition) -> list:
     if apply is not None:
         apply(X, out)
     else:
-        scratch = np.empty((k, X.shape[1] // 2), dtype=X.dtype)
-        for j in range(g.n):
-            _add_player_laplacian(W[j], j, X, out, scratch)
+        _laplacian(W, X, out, np.empty((k, X.shape[1] // 2), dtype=X.dtype))
     if D != 1:
         out *= D
     _add_rhs(W, values * -den, range(k), out)

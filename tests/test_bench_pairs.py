@@ -1,0 +1,69 @@
+"""tools/bench_pairs.py keeps the pairs it finished when a run fails."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture
+def bench_pairs(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    git = []
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    monkeypatch.setattr(module, "_git", lambda *args: git.append(args) or "abc1234")
+    return module, git
+
+
+def _result(wall):
+    return {"result": {"metrics": {"wall_s": {"value": wall}}, "failed": 0}}
+
+
+def test_a_failed_run_keeps_the_finished_pairs(bench_pairs, tmp_path, monkeypatch, capsys):
+    module, git = bench_pairs
+    calls = []
+
+    def run(tree, workload, seed, seconds):
+        side = "change" if tree == tmp_path else "parent"
+        calls.append((seed, side))
+        if (seed, side) == (12, "change"):
+            return {"exit_code": 3, "stderr": "Traceback ...\nIndexError: boom"}
+        return _result(0.2 if side == "parent" else 0.1)
+
+    monkeypatch.setattr(module, "_run", run)
+    status = module.main(["HEAD", "exact-suite", "--pairs", "3", "--seconds", "1",
+                          "--label", "t", "--first-seed", "11"])
+    assert status == 1
+    # pair 2 runs the change first; its failure stops the pairs
+    assert calls == [(11, "parent"), (11, "change"), (12, "change")]
+    assert [args[:2] for args in git] == [("rev-parse", "--short"), ("worktree", "add"),
+                                           ("worktree", "remove")]
+    runs = json.loads((tmp_path / "BENCH_t.json").read_text())["runs"]
+    assert [(r["seed"], r["side"]) for r in runs] == calls
+    assert runs[-1] == {"side": "change", "seed": 12, "exit_code": 3,
+                        "stderr": "Traceback ...\nIndexError: boom"}
+    out = capsys.readouterr().out
+    assert "wins 1/1" in out and "failed run: change seed 12 exit code 3" in out
+
+
+def test_a_run_without_a_result_line_is_a_failure(bench_pairs, tmp_path, monkeypatch):
+    module, _ = bench_pairs
+
+    class Proc:
+        returncode, stdout, stderr = 0, "\n", "no output"
+
+    monkeypatch.setattr(module.subprocess, "run", lambda *args, **kw: Proc)
+    assert module._run(tmp_path, "exact-suite", 1, 1.0) == {"exit_code": 0,
+                                                           "stderr": "no output"}
+    Proc.stdout = 'log line\n{"metrics": {}, "failed": 0}\n'
+    assert module._run(tmp_path, "exact-suite", 1, 1.0) == {"result": {"metrics": {},
+                                                                       "failed": 0}}
+    assert module.summarize([{"side": "parent", "seed": 1, **_result(0.2)}],
+                            {"wall_s": "lower"}) == ["failed operations: parent 0, change 0"]

@@ -283,11 +283,19 @@ def test_shapley_coefficient_route():
 
 
 def test_shapley_coefficient_past_the_lifting_cap():
-    # the unit game's component solves on the spectral engine, which reaches
-    # n = 16; the lifting stops at 4096 unknowns, and n = 13 has 8191
+    # the unit game's component solves on the spectral engine, which has no
+    # player cap; the lifting stops at 4096 unknowns, and n = 13 has 8191
     for n, s, i in ((13, 0, 0), (13, 6, 12), (13, 12, 5), (16, 8, 3), (16, 15, 15)):
         expected = Fraction(factorial(s) * factorial(n - 1 - s), factorial(n))
         assert cf.verify_shapley_coefficient(n, s, i) == expected
+
+
+def test_shapley_coefficient_at_17_players():
+    # one component at n = 17 lifts from float solves of L_1^+ in under a
+    # second; an exact engine capped at n = 16 refused it
+    for s, i in ((0, 3), (8, 16), (16, 5)):
+        expected = Fraction(factorial(s) * factorial(16 - s), factorial(17))
+        assert cf.verify_shapley_coefficient(17, s, i) == expected
 
 
 def test_unit_game_component_solves_the_single_edge_system():

@@ -916,7 +916,7 @@ def test_subcube_laplacian_matches_per_player_kernel(weighting, n):
     for k in (1, n):
         x = rng.standard_normal((k, 1 << n))
         ref = np.empty_like(x)
-        sv._laplacian_float(g.player_weights, x, ref, np.empty((k, x.shape[1] // 2)))
+        sv._laplacian(g.player_weights, x, ref, np.empty((k, x.shape[1] // 2)))
         out = np.full_like(x, np.nan)
         sv._subcube_laplacian(g, k)(x, out)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -929,7 +929,7 @@ def test_subcube_laplacian_chunks_every_block(monkeypatch):
     g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
     x = np.random.default_rng(5).standard_normal((k, 1 << n))
     ref = np.empty_like(x)
-    sv._laplacian_float(g.player_weights, x, ref, np.empty((k, x.shape[1] // 2)))
+    sv._laplacian(g.player_weights, x, ref, np.empty((k, x.shape[1] // 2)))
     out = np.empty_like(x)
     sv._subcube_laplacian(g, k)(x, out)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -1012,7 +1012,7 @@ def test_float_residual_orthogonality_takes_the_subcube_apply(monkeypatch):
         assert sorted(calls) == sorted(list(range(n)) * sweeps)
         X = np.array([c.values for c in dec.components])
         out = np.empty_like(X)
-        sv._laplacian_float(g.player_weights, X, out, np.empty((n, X.shape[1] // 2)))
+        sv._laplacian(g.player_weights, X, out, np.empty((n, X.shape[1] // 2)))
         out -= sv._rhs(g, vals, range(n))
         ref = np.abs(out[:, g.vertex_mask]).max(axis=1)
         assert np.max(np.abs(np.array(got) - ref)) <= 1e-13 * np.max(np.abs(vals))
@@ -1029,7 +1029,7 @@ def test_cg_routes_product_weightings_to_subcube_apply(monkeypatch):
     vals[0] = 0.0
     v = gm.game_from_values(n, vals, gm.FLOAT)
     cfg = sv.SolverConfig(backend=sv.CG_FLOAT)
-    monkeypatch.setattr(sv, "_laplacian_float", _raise)
+    monkeypatch.setattr(sv, "_laplacian", _raise)
     for weighting in _permutation_invariant_weightings(n).values():
         sv.decompose(gr.full_hypercube(n, weighting), v, cfg)
     sv.decompose(gr.restrict(gr.full_hypercube(n), [bits(0, 1)]), v, cfg)
@@ -1044,7 +1044,7 @@ def test_cg_restricted_degree_product_matches_exact(monkeypatch):
     g = _product_graph(n, "degree-product", 44)
     v_rat = gm.game_from_values(n, random_dyadic_values(rng, n))
     exact = sv.decompose(g, v_rat)
-    monkeypatch.setattr(sv, "_laplacian_float", _raise)
+    monkeypatch.setattr(sv, "_laplacian", _raise)
     cg = sv.decompose(g, v_rat.as_float(), sv.SolverConfig(backend=sv.CG_FLOAT))
     feasible = g.vertices
     for a, b in zip(exact.components, cg.components):
@@ -1142,8 +1142,9 @@ def test_blocked_walsh_matches_walsh_hadamard(n, chunk, monkeypatch):
     rng = np.random.default_rng(n)
     for k in (1, n):
         x = rng.standard_normal((k, 1 << n))
-        ref = x.copy()
-        sv._walsh_hadamard(ref)
+        # the dense Hadamard matrix, as the Kronecker product of two halves
+        # (128 MiB at n = 12 against 288 MiB for sv._hadamard(12) itself)
+        ref = x @ np.kron(sv._hadamard(n - n // 2), sv._hadamard(n // 2))
         prod = np.empty(sv._chunk_floats(1 << n, k))
         sv._blocked_walsh(x, [(a, sv._hadamard(w)) for a, w in sv._player_blocks(n)], prod)
         assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -1161,7 +1162,7 @@ def _jacobi_cg(g, v, tol=1e-12):
     apply = sv._subcube_laplacian(g, k)
     if apply is None:
         def apply(x, out):
-            sv._laplacian_float(g.player_weights, x, out, scratch)
+            sv._laplacian(g.player_weights, x, out, scratch)
 
     def deflate(x):
         x -= x.sum(axis=1, keepdims=True) / g.num_vertices
@@ -1343,20 +1344,108 @@ def test_spectral_null_players_get_exact_zeros():
     assert not all(x == 0 for x in dec.components[0].values)
 
 
+def _patched_float_step(monkeypatch, change):
+    """Route every spectral float step through change(z) after the true
+    ``L_1^+``; returns the list of steps taken."""
+    original, steps = sv._unit_pseudo_inverse, []
+
+    def patched(n, prod):
+        apply = original(n, prod)
+
+        def step(r, z):
+            steps.append(n)
+            apply(r, z)
+            change(z)
+        return step
+
+    monkeypatch.setattr(sv, "_unit_pseudo_inverse", patched)
+    return steps
+
+
 def test_spectral_verification_catches_corrupted_transform(monkeypatch):
-    original = sv._walsh_hadamard
-
-    def corrupted(x):
-        original(x)
-        x[-1, -1] += 1
-
-    monkeypatch.setattr(sv, "_walsh_hadamard", corrupted)
+    # a float step that solves nothing leaves the exact residual as it was,
+    # which raises on that first step instead of looping
+    steps = _patched_float_step(monkeypatch, lambda z: z.fill(0.0))
     v = rational_game(random.Random(44), 4)
-    with pytest.raises(ArithmeticError, match="verification"):
+    with pytest.raises(ArithmeticError, match="gained 0 bits.*this is a bug"):
         sv.decompose(gr.full_hypercube(4), v)
-    with pytest.raises(ArithmeticError, match="verification"):
+    assert steps == [4]
+    with pytest.raises(ArithmeticError, match="gained 0 bits"):
         sv.solve_component(gr.full_hypercube(4), v, 2)
+    assert steps == [4, 4]
 
+
+def _huge_game(rng, n):
+    """About 400-digit numerators over large composite denominators."""
+    dens = (2 ** 5 * 3 ** 3 * 7, 10 ** 30 - 1, 720720 * 11 ** 4)
+    vals = [Fraction(rng.randint(-10 ** 400, 10 ** 400), rng.choice(dens)) for _ in range(1 << n)]
+    vals[0] = Fraction(0)
+    return gm.game_from_values(n, vals)
+
+
+def test_spectral_lift_absorbs_a_noisy_float_step(monkeypatch):
+    rng, noise = np.random.default_rng(46), [1e-3]
+    steps = _patched_float_step(
+        monkeypatch, lambda z: np.multiply(z, 1 + noise[0] * rng.uniform(-1, 1, z.shape), out=z))
+    # 1e-3 relative noise stays under rint's half unit on the glove game's
+    # answer, 48 times its values, so one step is still exact
+    glove = gm.make_glove_game()
+    assert sv.decompose(gr.full_hypercube(3), glove).allocation() == \
+        (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6))
+    assert steps == [3]
+    # across many steps 1e-9 costs bits per step, not exactness; 1e-3 cuts a
+    # step's gain to about 10 bits, a stall, which raises
+    v = _huge_game(random.Random(47), 4)
+    listed = gr.EdgeWeighting.explicit({gr.Edge(0, 0): 1}, 1)
+    ref = sv.decompose(gr.full_hypercube(4, listed), v)
+    steps.clear()
+    noise[0] = 1e-9
+    dec = sv.decompose(gr.full_hypercube(4), v)
+    assert [a.values for a in dec.components] == [b.values for b in ref.components]
+    assert len(steps) > 40
+    noise[0] = 1e-3
+    with pytest.raises(ArithmeticError, match="fewer than 16; this is a bug"):
+        sv.decompose(gr.full_hypercube(4), v)
+
+
+def test_spectral_lift_on_huge_values_matches_the_lifting_route(monkeypatch):
+    # residuals far past int64 run on Python ints for many steps
+    steps = _patched_float_step(monkeypatch, lambda z: None)
+    rng = random.Random(48)
+    for n in (4, 5, 6):
+        v = _huge_game(rng, n)
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        steps.clear()
+        spectral = sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.constant(c)), v)
+        assert len(steps) > 20
+        listed = gr.EdgeWeighting.explicit({gr.Edge(0, 0): c}, c)
+        factored = sv.decompose(gr.full_hypercube(n, listed), v)
+        assert [s.backend for s in spectral.diagnostics] == [sv.SPECTRAL] * n
+        assert [s.backend for s in factored.diagnostics] == [sv.DENSE_RATIONAL] * n
+        for a, b in zip(spectral.components, factored.components):
+            assert a.values == b.values
+
+
+@pytest.mark.parametrize("top", [61, 62, 63])
+def test_spectral_lift_across_the_int64_boundary(top):
+    # right-hand sides L_{1,i} x whose largest entries sit just below and
+    # above 2**62, where the residual leaves int64 for Python ints; x is a
+    # multiple of 2**n lcm(1..n), so the pinned solution is integral
+    n = 5
+    c = math.lcm(*range(1, n + 1)) << n
+    rng = random.Random(top)
+    m = ((1 << top) - 1) // c
+    x = np.array([c * rng.randint(-m, m) for _ in range(1 << n)], dtype=object)
+    assert sv._max_bits(x) == top  # 61 keeps the right-hand sides in int64
+    players = range(n)
+    N = sv._spectral_lift(n, x, players)
+    R = np.zeros((n, 1 << n), dtype=object)
+    sv._add_rhs(None, x, players, R)
+    assert 62 <= sv._max_bits(R) <= 64
+    LN = np.zeros_like(N)
+    sv._laplacian(None, N, LN, np.empty((n, 1 << (n - 1)), dtype=object))
+    assert (LN == R).all() and not N[:, 0].any()
+    assert all(type(y) is int for y in N.flat)
 
 def test_exact_efficiency_check_catches_a_wrong_component(monkeypatch):
     # one unit off in the last player's grand-coalition numerator, after
@@ -1380,16 +1469,24 @@ def test_exact_efficiency_check_catches_a_wrong_component(monkeypatch):
 
 
 def test_spectral_capacity_error_before_any_work(monkeypatch):
-    n = sv._SPECTRAL_MAX_N + 1
-    v = gm.game_from_values(n, [0] * (1 << n))
+    # a decompose at n = 8 is estimated at (170 * 8 + 70) * 2**8 bytes and
+    # a chunk of 8 * 2**8 * 8 (0.36 MiB), one component at 248 * 2**8 (62 KiB)
+    n = 8
+    v = rational_game(random.Random(49), n)
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 400_000)
+    assert sv.decompose(gr.full_hypercube(n), v).diagnostics[0].backend == sv.SPECTRAL
 
-    def never(x):
+    def never(*args):
         raise AssertionError("transform ran past the cap")
 
-    monkeypatch.setattr(sv, "_walsh_hadamard", never)
-    with pytest.raises(CapacityError, match=r"n = 17 .* s and .* MB"):
+    monkeypatch.setattr(sv, "_unit_pseudo_inverse", never)
+    monkeypatch.setattr(sv, "_blocked_walsh", never)
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 300_000)
+    with pytest.raises(CapacityError, match=r"exact spectral solve of 8 players at n = 8 needs "
+                                            r"about 0\.0 GiB and 0\.0 s, more than"):
         sv.decompose(gr.full_hypercube(n), v)
-    with pytest.raises(CapacityError):
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 50_000)
+    with pytest.raises(CapacityError, match="exact spectral solve of 1 players at n = 8"):
         sv.solve_component(gr.full_hypercube(n), v, 0)
 
 
@@ -1459,13 +1556,13 @@ def test_float_spectral_keeps_a_small_player_accurate_to_its_own_scale(monkeypat
     last = 1 << (n - 1)
     vals = np.array([base[S & ~last] + small[S] for S in range(1 << n)])
     v = gm.game_from_values(n, vals - vals[0], gm.FLOAT)
-    laplacian, calls = sv._laplacian_float, []
+    laplacian, calls = sv._laplacian, []
 
     def counted(*args):
         calls.append(args)
         laplacian(*args)
 
-    monkeypatch.setattr(sv, "_laplacian_float", counted)
+    monkeypatch.setattr(sv, "_laplacian", counted)
     for name, (g, (engine, preconditioner, per_player), bound) in _small_player_graphs(n).items():
         exact = np.array([float(x) for x in sv.solve_component(g, v.as_rational(), n - 1).values])
         calls.clear()
@@ -1532,7 +1629,6 @@ def test_float_spectral_refuses_past_physical_memory_before_any_transform(monkey
     def never(*args):
         raise AssertionError("transform ran past the cap")
 
-    monkeypatch.setattr(sv, "_walsh_hadamard", never)
     monkeypatch.setattr(sv, "_blocked_walsh", never)
     monkeypatch.setattr(sv, "_physical_memory", lambda: 200_000)
     with pytest.raises(CapacityError, match="float solve of 10 players at n = 10"):
@@ -1668,14 +1764,16 @@ def test_route_matrix(monkeypatch):
     # orthogonality, linearity in rational mode, power-of-two scaling in
     # float mode, float against exact, and the route itself, with each
     # player's CG iterations at most those pinned (a broken preconditioner
-    # or a mixed-up row still converges, only slower)
-    laplacian, calls = sv._laplacian_float, []
+    # or a mixed-up row still converges, only slower); the per-player
+    # kernel is the weighted Laplacian, not the exact spectral lift's L_1 y
+    laplacian, calls = sv._laplacian, []
 
-    def counted(*args):
-        calls.append(args)
-        laplacian(*args)
+    def counted(w, *args):
+        if w is not None:
+            calls.append(args)
+        laplacian(w, *args)
 
-    monkeypatch.setattr(sv, "_laplacian_float", counted)
+    monkeypatch.setattr(sv, "_laplacian", counted)
 
     def solve(g, v):
         calls.clear()

@@ -8,8 +8,11 @@ REV and once on the working tree, REV first on odd pairs and second on even
 ones, each run in its own checkout (so each imports its own ``src/``).
 The runs go to ``BENCH_<L>.json`` at the repo root, and each end-to-end
 metric's medians, quartiles and the number of pairs the working tree wins
-are printed.  Nothing under ``bench/`` is edited; the worktree is removed
-when the pairs are done.
+are printed.  A run that fails (a nonzero exit, or no result line) stops
+the pairs: it is recorded with its exit code and the tail of its stderr,
+the JSON is still written, the complete pairs are summarized, and the
+exit status is 1.  Nothing under ``bench/`` is edited; the worktree is
+removed when the pairs are done.
 """
 
 from __future__ import annotations
@@ -33,14 +36,20 @@ def _git(*args: str) -> str:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One bench/run.py run in tree; its result JSON (the last line of stdout)."""
+    """One bench/run.py run in tree: ``{"result": ...}``, its result JSON
+    (the last line of stdout), or ``{"exit_code": ..., "stderr": ...}``,
+    the last lines of its stderr, when it fails or prints no result."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds)],
                           cwd=tree, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise SystemExit(f"bench/run.py failed in {tree} (seed {seed}):\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode == 0 and lines:
+        try:
+            return {"result": json.loads(lines[-1])}
+        except json.JSONDecodeError:
+            pass
+    return {"exit_code": proc.returncode, "stderr": "\n".join(proc.stderr.splitlines()[-20:])}
 
 
 def _host() -> str:
@@ -61,12 +70,15 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> list[str]:
-    """Per metric: both sides' median and quartiles, and the change's wins."""
+    """Per metric: both sides' median and quartiles over the pairs whose two
+    runs both finished, and the change's wins."""
     pairs: dict[int, dict[str, dict]] = {}
     for run in runs:
-        pairs.setdefault(run["seed"], {})[run["side"]] = run["result"]
+        if "result" in run:
+            pairs.setdefault(run["seed"], {})[run["side"]] = run["result"]
+    pairs = {seed: pair for seed, pair in pairs.items() if len(pair) == 2}
     lines = []
-    names = list(runs[0]["result"]["metrics"]) if runs else []
+    names = list(next(iter(pairs.values()))["parent"]["metrics"]) if pairs else []
     for name in names:
         sides = {side: [pairs[s][side]["metrics"][name]["value"] for s in pairs]
                  for side in ("parent", "change")}
@@ -77,13 +89,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[str]:
                      f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
                      f"change/parent {cm / pm if pm else float('nan'):.3f}  "
                      f"wins {wins}/{len(pairs)}")
-    failed = {side: sum(r["result"]["failed"] for r in runs if r["side"] == side)
+    failed = {side: sum(r["result"]["failed"] for r in runs if r["side"] == side and "result" in r)
               for side in ("parent", "change")}
     lines.append(f"failed operations: parent {failed['parent']}, change {failed['change']}")
+    for run in runs:
+        if "result" not in run:
+            lines.append(f"failed run: {run['side']} seed {run['seed']} "
+                         f"exit code {run['exit_code']}")
     return lines
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD or a commit")
     parser.add_argument("workload")
@@ -91,7 +107,7 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--label", required=True)
     parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     rev = _git("rev-parse", "--short", args.rev)
     better = {m["name"]: m["better"]
@@ -101,15 +117,17 @@ def main() -> int:
     _git("worktree", "add", "--detach", str(tree), rev)
     runs = []
     try:
-        for j in range(1, args.pairs + 1):
-            seed = args.first_seed + j - 1
-            order = ("parent", "change") if j % 2 else ("change", "parent")
-            for side in order:
-                result = _run(tree if side == "parent" else ROOT, args.workload, seed,
-                              args.seconds)
-                runs.append({"side": side, "seed": seed, "result": result})
-                wall = result["metrics"].get("wall_s", {}).get("value", float("nan"))
-                print(f"pair {j} seed {seed} {side}: wall_s {wall:.4g}", flush=True)
+        schedule = [(j, args.first_seed + j - 1, side) for j in range(1, args.pairs + 1)
+                    for side in (("parent", "change") if j % 2 else ("change", "parent"))]
+        for j, seed, side in schedule:
+            run = _run(tree if side == "parent" else ROOT, args.workload, seed, args.seconds)
+            runs.append({"side": side, "seed": seed, **run})
+            if "result" not in run:
+                print(f"pair {j} seed {seed} {side}: exit code {run['exit_code']}\n"
+                      f"{run['stderr']}", flush=True)
+                break
+            wall = run["result"]["metrics"].get("wall_s", {}).get("value", float("nan"))
+            print(f"pair {j} seed {seed} {side}: wall_s {wall:.4g}", flush=True)
     finally:
         _git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(tmp, ignore_errors=True)
@@ -130,7 +148,7 @@ def main() -> int:
     print(f"wrote {path.name}")
     for line in summarize(runs, better):
         print(line)
-    return 0
+    return 0 if all("result" in run for run in runs) else 1
 
 
 if __name__ == "__main__":
