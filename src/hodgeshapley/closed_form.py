@@ -21,16 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterator
 
 import numpy as np
 
 from . import coalition as co
 from .errors import CapacityError, DomainError, InfeasibilityError
-from .game import RATIONAL, Game, game_from_map, game_from_values
+from .game import RATIONAL, Game, game_from_values
 from .graph import GameGraph, _edge_table, full_hypercube
-from .solve import SolverConfig, _over_common_denominator, _solve, _spectral_applies
+from .solve import _check_memory, _over_common_denominator, _spectral_applies, \
+    _spectral_lift
 
 _PERMUTATION_CAP = 10  # factorial enumeration guard
 
@@ -260,14 +261,19 @@ def verify_shapley_coefficient(n: int, s: int, i: int) -> Fraction:
     ``d_i`` of that game is the unit edge function chi on (S, S|{i}), so u
     solves ``L u = d* chi`` with ``u({}) = 0`` on the full unweighted cube.
     The contract is the joining coefficient s! (n-1-s)! / n!, whichever
-    edge is chosen; the exact spectral engine takes 0.6 s at n = 20.
+    edge is chosen.  The unit game goes to the exact spectral lift as one
+    int64 vector, with no Fractions: 0.18 s and +97 MB at n = 20 (one BLAS
+    thread, 2 vCPUs).
     """
     if not 0 <= s <= n - 1:
         raise DomainError(f"cardinality {s} outside [0, {n - 1}]")
     if not 0 <= i < n:
         raise DomainError(f"player index {i} outside [0, {n})")
     joined = co.from_members([j for j in range(n) if j != i][:s] + [i], n)
-    unit = game_from_map(n, {joined: Fraction(1)})
-    # u(N) alone, off the solve's integer row; no component game is built
-    X, den = _solve(full_hypercube(n), unit, [i], SolverConfig())[:2]
-    return Fraction(X[0, -1], den)
+    # the unit game times c = 2**n lcm(1..n), whose component is integral,
+    # as the exact spectral solve scales it; u(N) alone is read off the row
+    _check_memory(n, 1, 112, "exact spectral solve")  # 97..114 B at n = 17..20
+    c = lcm(*range(1, n + 1)) << n
+    unit = np.zeros(1 << n, dtype=np.int64)
+    unit[joined] = c
+    return Fraction(int(_spectral_lift(n, unit, [i])[0, -1]), c)

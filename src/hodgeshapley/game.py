@@ -219,17 +219,39 @@ def game_from_spec(spec: Mapping) -> Game:
     table = spec.get("values", {})
     if not isinstance(table, Mapping):
         raise SpecFileError("'values' must map coalition literals to values", location="values")
-    zero = Fraction(0) if mode == RATIONAL else 0.0
-    vals = [zero] * (1 << n)
-    # canonical keys resolve through one table when the listing is dense
-    # enough to pay for it; other spellings go through the parser
-    canonical = {}
-    if 4 * len(table) >= 1 << n:
-        keys = co.joined_members(range(1 << n), [str(p) for p in range(n)])
-        canonical = {f"[{key}]": S for S, key in enumerate(keys)}
+    # canonical keys resolve through the label table when the listing is
+    # dense enough to pay for building it
+    index = co.canonical_index(n) if 4 * len(table) >= 1 << n else {}
+    vals = _float_listing(table, n, index) if mode == FLOAT else None
+    if vals is None:
+        vals = _parsed_listing(table, n, mode, index)
+    return Game(n, mode, vals, tuple(str(p) for p in players))
+
+
+def _float_listing(table: Mapping, n: int,
+                   index: Mapping[str, co.Coalition]) -> np.ndarray | None:
+    """The float value array of a listing in array passes, or None unless
+    every key is in ``index`` and every value an int or float that is
+    finite in float64, with 0 at the empty coalition; the per-entry parser
+    takes every other listing, and names its first bad entry."""
+    at, literals = list(map(index.get, table)), list(table.values())
+    if None in at or not set(map(type, literals)) <= {int, float}:
+        return None
+    try:
+        x = np.array(literals, dtype=np.float64)
+    except OverflowError:  # an int past float64's range
+        return None
+    vals = np.zeros(1 << n)
+    vals[at] = x
+    return vals if np.isfinite(x).all() and vals[0] == 0 else None
+
+
+def _parsed_listing(table: Mapping, n: int, mode: str, index: Mapping[str, co.Coalition]) -> list:
+    """The value table of a listing, parsed entry by entry."""
+    vals = [Fraction(0) if mode == RATIONAL else 0.0] * (1 << n)
     listed = {}  # coalition -> the key that listed it
     for key, literal in table.items():
-        S = canonical.get(key)
+        S = index.get(key)
         try:
             if S is None:
                 S = co.parse_coalition(key, n)
@@ -244,7 +266,7 @@ def game_from_spec(spec: Mapping) -> Game:
             raise SpecFileError("the empty coalition may only be listed with value 0",
                                 location=f"values.{key}")
         vals[S] = x
-    return game_from_values(n, vals, mode, names=[str(p) for p in players])
+    return vals
 
 
 def read_spec_file(path):

@@ -498,13 +498,30 @@ def degree_product_weighting(g: GameGraph) -> GameGraph:
 
     On the full cube every degree is n, so the weighting is the constant n**2.
     """
+    n = g.n
     if g.is_full_cube:
-        return GameGraph(g.n, g.vertex_mask, g.edge_mask, EdgeWeighting.constant(g.n * g.n))
+        return GameGraph(n, g.vertex_mask, g.edge_mask, EdgeWeighting.constant(n * n))
     deg = _endpoint_sums(g.edge_mask)
-    products = deg[g.edge_base] * deg[g.edge_dst]
-    weighting = EdgeWeighting._explicit_arrays(g.edge_base, g.edge_player, products,
-                                               np.ones_like(products))
-    return GameGraph(g.n, g.vertex_mask, g.edge_mask, weighting)
+    # the product on each edge in the layout of edge_mask, and in the
+    # (2**n, n) layout of _edge_table, whose nonzeros run in (base, player)
+    # order; every edge joins two vertices of degree at least 1
+    products = np.zeros(g.edge_mask.shape, dtype=np.int64)
+    table = np.zeros((1 << n, n), dtype=np.int64)
+    for i in range(n):
+        ends = deg.reshape(-1, 2, 1 << i)
+        np.multiply(ends[:, 0], ends[:, 1], out=products[i].reshape(-1, 1 << i),
+                    where=g.edge_mask[i].reshape(-1, 1 << i))
+        table.reshape(-1, 2, 1 << i, n)[:, 0, :, i] = products[i].reshape(-1, 1 << i)
+    at = np.flatnonzero(table != 0)
+    bases, players = np.divmod(at, n)
+    nums = table.reshape(-1)[at]
+    weighting = EdgeWeighting(EXPLICIT, bases=bases, players=players, numerators=nums,
+                              denominators=np.ones_like(nums))
+    out = GameGraph(n, g.vertex_mask, g.edge_mask, weighting)
+    # what player_weights would build from the explicit arrays: every
+    # product is an integer far below 2**53
+    out.__dict__["player_weights"] = products.astype(np.float64)
+    return out
 
 
 # ---------------------------------------------------------------------------

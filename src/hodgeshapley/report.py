@@ -2,10 +2,13 @@
 
 A table's rows are the feasible coalitions ordered by one lexsort on
 (size, bitset), and its efficiency check is one vectorised comparison.
-Float cells are formatted with ``%.12g`` once per row, which gives the
-text of ``game.format_scalar`` cell by cell; rational cells go through
-``format_scalar``.  The CSV quotes exactly what ``csv.writer`` quotes:
-only coalition keys with a comma, since no cell holds a comma or quote.
+Every format writes a row with one ``%`` format: float cells go in as
+they are (``%.12g``, which gives the text of ``game.format_scalar``, or
+``%r``, JSON's float text), rational cells as their ``format_scalar``
+text.  Coalition keys come from ``coalition.canonical_keys``.  The CSV
+quotes exactly what ``csv.writer`` quotes: only coalition keys with a
+comma, since no cell holds a comma or quote; the JSON is the text of
+``json.dumps(..., indent=2)``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .graph import GameGraph, _popcounts
 from .solve import Decomposition, SolverConfig, decompose
 
 _FORMATS = ("text", "csv", "json")
+_BLOCK = 1024  # table rows formatted per pass
 
 
 class _FloatEfficiencyError(ConvergenceError, ValueError):
@@ -34,7 +39,7 @@ class _FloatEfficiencyError(ConvergenceError, ValueError):
     input, though a ValueError like every failed table check."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionTable:
     """One row per feasible coalition (sorted by size, then bitset value);
     the final row is the grand coalition, whose component values are the
@@ -44,12 +49,19 @@ class DecompositionTable:
     mode: str
     names: tuple[str, ...] | None
     coalitions: tuple[co.Coalition, ...]
-    game_column: tuple
-    component_columns: tuple  # component_columns[i][row]
+    values: np.ndarray  # (rows, n + 1): v, then each component; object in rational mode
+
+    @property
+    def game_column(self) -> tuple:
+        return tuple(self.values[:, 0].tolist())
+
+    @property
+    def component_columns(self) -> tuple:  # component_columns[i][row]
+        return tuple(map(tuple, self.values[:, 1:].T.tolist()))
 
     @property
     def allocation(self) -> tuple:
-        return tuple(col[-1] for col in self.component_columns)
+        return tuple(self.values[-1, 1:].tolist())
 
 
 def build_table(d: Decomposition, v: Game) -> DecompositionTable:
@@ -74,9 +86,8 @@ def build_table(d: Decomposition, v: Game) -> DecompositionTable:
             f"float components miss v at {where} by {gaps[bad[0]]:.3g} (tolerance "
             f"{tol:.3g}); the weights may be too badly scaled for float64: use the "
             f"exact backend (--backend dense-rational)")
-    game_col, *comp_cols = map(tuple, columns.tolist())
-    return DecompositionTable(g.n, v.mode, v.names, tuple(order.tolist()), game_col,
-                              tuple(comp_cols))
+    columns.setflags(write=False)
+    return DecompositionTable(g.n, v.mode, v.names, tuple(order.tolist()), columns.T)
 
 
 def render_table(d: Decomposition, v: Game, format: str = "text") -> str:
@@ -91,56 +102,63 @@ def render_table(d: Decomposition, v: Game, format: str = "text") -> str:
     raise ValueError(f"unknown format {format!r}; expected one of {_FORMATS}")
 
 
-def _value_rows(t: DecompositionTable) -> Iterator[str]:
-    """Each row's game value and component values as comma-joined text.
+def _rows(t: DecompositionTable, fmt: str, labels: Sequence[str] | None = None) -> Iterator[str]:
+    """``fmt % (label, v, v_1, ..., v_n)`` for each row, or ``fmt % (v, v_1,
+    ..., v_n)`` without labels.  Float values go into the format as they
+    are; rational values as their ``format_scalar`` text.  Rows become
+    Python scalars ``_BLOCK`` at a time, so the table is never held whole
+    as Python objects."""
+    for start in range(0, len(t.coalitions), _BLOCK):
+        columns = t.values[start:start + _BLOCK].T.tolist()
+        if t.mode != FLOAT:
+            columns = [list(map(format_scalar, col)) for col in columns]
+        if labels is not None:
+            columns.insert(0, labels[start:start + _BLOCK])
+        yield from map(fmt.__mod__, zip(*columns))
 
-    Float cells go through one ``%.12g`` format per row, which gives the
-    text of ``format_scalar``.
-    """
-    rows = zip(t.game_column, *t.component_columns)
-    if t.mode == FLOAT:
-        fmt = ",".join(["%.12g"] * (t.n + 1))
-        return (fmt % row for row in rows)
-    return (",".join(map(format_scalar, row)) for row in rows)
+
+def _keys(t: DecompositionTable) -> list[str]:
+    return list(map(co.canonical_keys(t.n).__getitem__, t.coalitions))
+
+
+def _cell(t: DecompositionTable) -> str:
+    """The format of one value: ``%.12g`` gives ``format_scalar``'s float text."""
+    return "%.12g" if t.mode == FLOAT else "%s"
 
 
 def _render_text(t: DecompositionTable) -> str:
     names = t.names if t.names is not None else [str(p + 1) for p in range(t.n)]
-    rows = [["{" + label + "}", *cells.split(",")]
-            for label, cells in zip(co.joined_members(t.coalitions, names), _value_rows(t))]
+    labels = ["{" + label + "}" for label in co.joined_members(t.coalitions, names)]
+    # no cell holds a comma
+    cells = [row.split(",") for row in _rows(t, ",".join([_cell(t)] * (t.n + 1)))]
     # a second rule sets the grand coalition apart
-    lines = _text_table(["S", "v"] + [f"v_{i + 1}" for i in range(t.n)], rows, len(rows) - 1)
+    lines = _text_table(["S", "v"] + [f"v_{i + 1}" for i in range(t.n)],
+                        [labels, *zip(*cells)], len(labels) - 1)
     alloc = ", ".join(format_scalar(x) for x in t.allocation)
-    lines.append(f"allocation: ({alloc})")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [f"allocation: ({alloc})", ""])
 
 
 def _render_csv(t: DecompositionTable) -> str:
     # the quoting of csv.writer: only a key with a comma needs quotes, no
-    # cell does; rows stream into the buffer, so 2**n rows of text are not
-    # held twice
-    buf = io.StringIO()
-    buf.write(",".join(["coalition", "v"] + [f"v_{i + 1}" for i in range(t.n)]) + "\n")
-    keys = co.joined_members(t.coalitions, [str(p) for p in range(t.n)])
-    for key, cells in zip(keys, _value_rows(t)):
-        buf.write(f'"[{key}]",{cells}\n' if "," in key else f"[{key}],{cells}\n")
-    return buf.getvalue()
+    # cell does
+    labels = [f'"{key}"' if "," in key else key for key in _keys(t)]
+    header = ",".join(["coalition", "v"] + [f"v_{i + 1}" for i in range(t.n)])
+    rows = _rows(t, ",".join(["%s"] + [_cell(t)] * (t.n + 1)), labels)
+    # one join, so the 2**n lines of text are not copied again
+    return "\n".join(chain([header], rows, [""]))
 
 
-def _text_table(headers: list[str], rows: list[list[str]], rule_before: int | None = None
-                ) -> list[str]:
+def _text_table(headers: list[str], columns: Sequence[Sequence[str]],
+                rule_before: int | None = None) -> list[str]:
     """Lines of right-justified columns two spaces apart, the header over a
     rule; a second rule goes before row ``rule_before`` if given."""
-    widths = [max(len(h), *(len(row[c]) for row in rows)) for c, h in enumerate(headers)]
-
-    def line(cells):
-        return "  ".join(cell.rjust(w) for cell, w in zip(cells, widths))
-
+    widths = [max(len(h), max(map(len, col), default=0)) for h, col in zip(headers, columns)]
+    line = "  ".join(f"%{w}s" for w in widths)
     rule = "  ".join("-" * w for w in widths)
-    body = [line(row) for row in rows]
+    body = list(map(line.__mod__, zip(*columns)))
     if rule_before is not None:
         body.insert(rule_before, rule)
-    return [line(headers), rule] + body
+    return [line % tuple(headers), rule] + body
 
 
 def _csv_table(headers: list[str], rows: Iterable[list[str]]) -> str:
@@ -156,16 +174,18 @@ def _scalar_json(x, mode):
 
 
 def _render_json(t: DecompositionTable) -> str:
-    rows = []
-    for r, S in enumerate(t.coalitions):
-        rows.append({
-            "coalition": list(co.members(S)),
-            "v": _scalar_json(t.game_column[r], t.mode),
-            "components": [_scalar_json(col[r], t.mode) for col in t.component_columns],
-        })
-    doc = {"rows": rows,
-           "allocation": [_scalar_json(x, t.mode) for x in t.allocation]}
-    return json.dumps(doc, indent=2) + "\n"
+    # the layout of json.dumps(doc, indent=2): each list item and object
+    # member on a line of its own, indented two spaces a level; the members
+    # of a row's coalition and its components sit four levels deep
+    item = "\n" + " " * 8
+    coalitions = ["[]" if key == "[]" else f"[{item}{key[1:-1].replace(',', ',' + item)}\n      ]"
+                  for key in _keys(t)]
+    cell = "%r" if t.mode == FLOAT else '"%s"'  # JSON's float text, or a string
+    row = ('    {\n      "coalition": %s,\n      "v": ' + cell + ',\n      "components": ['
+           + item + ("," + item).join([cell] * t.n) + "\n      ]\n    }")
+    alloc = json.dumps([_scalar_json(x, t.mode) for x in t.allocation], indent=2)
+    return "".join(['{\n  "rows": [\n', ",\n".join(_rows(t, row, coalitions)),
+                    '\n  ],\n  "allocation": ', alloc.replace("\n", "\n  "), "\n}\n"])
 
 
 def parse_rendered_json(text: str) -> dict:
@@ -227,7 +247,7 @@ def compare_allocations(g: GameGraph, v: Game, cfg: SolverConfig | None = None,
     if format == "csv":
         return _csv_table(headers, rows)
     if format == "text":
-        return "\n".join(_text_table(headers, rows)) + "\n"
+        return "\n".join(_text_table(headers, list(zip(*rows)))) + "\n"
     raise ValueError(f"unknown format {format!r}; expected one of {_FORMATS}")
 
 

@@ -238,7 +238,7 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     if v.is_rational:
         # fractions included, decomposes at n = 14..17 took +39 / 81 / 172 / 347 MiB
         # and 0.5 / 0.8 / 1.8 / 5 s, one component +5 / 8 / 15 / 30 MiB (2 vCPUs)
-        _check_memory(g, k, 170 * k + 70, "exact spectral solve",
+        _check_memory(n, k, 170 * k + 70, "exact spectral solve",
                       f" and {2e-6 * (k + 0.5) * rows:,.1f} s")
         values, D = _over_common_denominator(v.values)
         c = math.lcm(*range(1, n + 1)) << n
@@ -246,7 +246,7 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     # X and the right-hand sides: decomposes and single components at
     # n = 12..16 peaked at 2 k + 2.0..3.4 vectors of 2**n floats and the
     # chunk (tracemalloc)
-    _check_memory(g, k, 8 * (2 * k + 6), "float solve")
+    _check_memory(n, k, 8 * (2 * k + 6), "float solve")
     values = np.asarray(v.values, dtype=np.float64)
     _, scale = np.frexp(np.max(np.abs(values)))
     R = np.zeros((k, rows))
@@ -609,13 +609,14 @@ def _physical_memory() -> int:
         return 0
 
 
-def _check_memory(g: GameGraph, k: int, per_coalition: float, what: str, cost: str = "") -> None:
-    """CapacityError when a solve for k players on g, at this many bytes per
-    coalition and the product chunk, needs more than physical memory."""
-    need, have = per_coalition * (1 << g.n) + 8 * _chunk_floats(1 << g.n, k), _physical_memory()
+def _check_memory(n: int, k: int, per_coalition: float, what: str, cost: str = "") -> None:
+    """CapacityError when a solve for k players on n players' coalitions, at
+    this many bytes per coalition and the product chunk, needs more than
+    physical memory."""
+    need, have = per_coalition * (1 << n) + 8 * _chunk_floats(1 << n, k), _physical_memory()
     if have and need > have:
         raise CapacityError(
-            f"{what} of {k} players at n = {g.n} needs about {need / 2 ** 30:,.1f} GiB{cost}, "
+            f"{what} of {k} players at n = {n} needs about {need / 2 ** 30:,.1f} GiB{cost}, "
             f"more than this machine's {have / 2 ** 30:,.1f} GiB of physical memory")
 
 
@@ -762,7 +763,7 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
         # per player four CG buffers, half a scratch, the component's copy and
         # the apply's b * x, plus the weight table and five vectors: full-cube
         # decomposes at n = 16 peaked at 5.1-6.1 * n * 2**n * 8 bytes over v
-        _check_memory(g, k, 8 * (6 * k + g.n / 2 + 5), "float solve")
+        _check_memory(g.n, k, 8 * (6 * k + g.n / 2 + 5), "float solve")
         B = _rhs(g, np.asarray(v.values, dtype=np.float64), players)
         peak = _verify_mean_zero(g, B)
         X, preconditioner, iterations, residuals = _cg_float(

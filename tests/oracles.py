@@ -5,6 +5,9 @@ least squares, permutation enumeration) with no reliance on the package
 operators or solvers, so agreement is meaningful.
 """
 
+import csv
+import io
+import json
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -138,3 +141,71 @@ def modular_inverse(A, p):
             if i != k and c:
                 M[i] = [(x - c * y) % p for x, y in zip(M[i], M[k])]
     return [row[m:] for row in M]
+
+
+def render_table_reference(n, mode, names, feasible, game, components, format):
+    """A decomposition table as render_table prints it, cell by cell:
+    ``format_scalar`` per cell, ``csv.writer`` for CSV and
+    ``json.dumps(indent=2)`` for JSON.  game and components[i] are value
+    sequences over all 2**n coalitions; rows are the feasible coalitions
+    by size, then bitset."""
+    from hodgeshapley.game import format_scalar
+
+    rows = sorted(feasible, key=lambda S: (bin(S).count("1"), S))
+    members = {S: [p for p in range(n) if S >> p & 1] for S in rows}
+    cells = {S: [game[S]] + [c[S] for c in components] for S in rows}
+    headers = ["v"] + [f"v_{i + 1}" for i in range(n)]
+    if format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["coalition"] + headers)
+        for S in rows:
+            key = "[" + ",".join(map(str, members[S])) + "]"
+            writer.writerow([key] + [format_scalar(x) for x in cells[S]])
+        return buf.getvalue()
+    if format == "json":
+        def scalar(x):
+            return format_scalar(x) if mode == "rational" else float(x)
+        doc = {"rows": [{"coalition": members[S], "v": scalar(cells[S][0]),
+                         "components": [scalar(x) for x in cells[S][1:]]} for S in rows],
+               "allocation": [scalar(x) for x in cells[rows[-1]][1:]]}
+        return json.dumps(doc, indent=2) + "\n"
+    labels = names if names is not None else [str(p + 1) for p in range(n)]
+    table = [["{" + ",".join(labels[p] for p in members[S]) + "}"]
+             + [format_scalar(x) for x in cells[S]] for S in rows]
+    widths = [max(len(row[c]) for row in [["S"] + headers] + table) for c in range(n + 2)]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+             for row in [["S"] + headers] + table]
+    rule = "  ".join("-" * w for w in widths)
+    lines[1:1] = [rule]
+    lines.insert(len(lines) - 1, rule)
+    alloc = ", ".join(format_scalar(x) for x in cells[rows[-1]][1:])
+    return "\n".join(lines) + f"\nallocation: ({alloc})\n"
+
+
+def game_from_spec_per_entry(spec):
+    """The game_from_spec of a spec with a 'players' list and a known mode,
+    one entry at a time through parse_coalition and parse_scalar: the
+    values and names, or the SpecFileError the first bad entry raises."""
+    from hodgeshapley import coalition as co
+    from hodgeshapley.errors import SpecFileError
+    from hodgeshapley.game import RATIONAL, Game, parse_scalar
+
+    n, mode = len(spec["players"]), spec.get("mode", RATIONAL)
+    vals = [Fraction(0) if mode == RATIONAL else 0.0] * (1 << n)
+    listed = {}
+    for key, literal in spec.get("values", {}).items():
+        try:
+            S = co.parse_coalition(key, n)
+            x = parse_scalar(literal, mode)
+        except ValueError as exc:
+            raise SpecFileError(str(exc), location=f"values.{key}") from None
+        if S in listed:
+            raise SpecFileError(f"coalition {co.coalition_key(S)} is listed twice, as "
+                                f"{listed[S]!r} and {key!r}", location=f"values.{key}")
+        listed[S] = key
+        if S == 0 and x != 0:
+            raise SpecFileError("the empty coalition may only be listed with value 0",
+                                location=f"values.{key}")
+        vals[S] = x
+    return Game(n, mode, vals, tuple(map(str, spec["players"])))

@@ -276,10 +276,11 @@ def test_pure_bargaining_matches_solver():
 
 
 def test_shapley_coefficient_route():
-    for n in range(2, 7):
+    for n in range(1, 13):
         for s in range(n):
             expected = Fraction(factorial(s) * factorial(n - 1 - s), factorial(n))
-            assert cf.verify_shapley_coefficient(n, s, 0) == expected
+            for i in {0, s, n - 1}:
+                assert cf.verify_shapley_coefficient(n, s, i) == expected
 
 
 def test_shapley_coefficient_past_the_lifting_cap():

@@ -93,10 +93,21 @@ def test_members_round_trip():
 
 
 def test_joined_members_spell_the_canonical_keys():
-    # game_from_spec resolves canonical keys through this table
     for n in range(0, 8):
         keys = co.joined_members(range(1 << n), [str(p) for p in range(n)])
         assert [f"[{k}]" for k in keys] == [co.coalition_key(S) for S in range(1 << n)]
+
+
+def test_canonical_keys_table():
+    # game_from_spec resolves canonical keys through this table, and
+    # render_table labels its CSV and JSON rows from it
+    for n in range(0, 8):
+        keys = co.canonical_keys(n)
+        assert list(keys) == [co.coalition_key(S) for S in range(1 << n)]
+        assert co.canonical_index(n) == {key: S for S, key in enumerate(keys)}
+        assert co.canonical_keys(n) is keys  # built once per player count
+    with pytest.raises(CapacityError):
+        co.canonical_keys(co.PLAYER_CAP + 1)
 
 
 def test_parse_and_key():

@@ -11,6 +11,7 @@ from hodgeshapley import game as gm
 from hodgeshapley import graph as gr
 from hodgeshapley import report as rp
 from hodgeshapley import solve as sv
+from oracles import render_table_reference
 
 
 def bits(*players):
@@ -395,3 +396,56 @@ def test_float_csv_matches_per_cell_reference():
         writer.writerow([co.coalition_key(S), gm.format_scalar(v.values[S])]
                         + [gm.format_scalar(c.values[S]) for c in dec.components])
     assert rp.render_table(dec, v, "csv") == buf.getvalue()
+
+
+_SPECIAL_FLOATS = [-0.0, 5e-324, 1e-17, 0.1, 2 / 3, 3.0, 1e16, 123456789012.5, -2.5e20, 1e100]
+
+
+def _synthetic_decomposition(n, mode, restricted, names, rng):
+    """A decomposition whose components sum to the game, without a solve:
+    random components for players 1..n-1 and the rest in the last one;
+    float tables take values from 1e-20 to 1e20 and the special values."""
+    g = gr.full_hypercube(n)
+    if restricted:
+        g = gr.restrict(g, [bits(0, 1)] + ([bits(2, 3, 4)] if n >= 6 else []))
+    rows = 1 << n
+    if mode == gm.FLOAT:
+        table = rng.standard_normal((n + 1, rows)) * 10.0 ** rng.integers(-20, 21, (n + 1, rows))
+        for k, x in enumerate(_SPECIAL_FLOATS):
+            table[k % (n + 1), 1 + (3 * k) % (rows - 1)] = x
+        table[0, rows // 2] = 1e100  # the float check's scale, so a component may hold one
+    else:
+        table = np.array([[Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 13)))
+                           for _ in range(rows)] for _ in range(n + 1)], dtype=object)
+    table[:, 0] = 0
+    table[n] = table[0] - table[1:n].sum(axis=0)
+    v = gm.Game(n, mode, table[0], names)
+    comps = tuple(gm.Game(n, mode, row, names) for row in table[1:])
+    return g, v, sv.Decomposition(g, v, comps, (), 0)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("mode", [gm.RATIONAL, gm.FLOAT])
+def test_render_matches_the_cell_by_cell_reference(n, mode):
+    rng = np.random.default_rng([n, mode == gm.FLOAT])
+    for restricted in (False, True):
+        for names in (None, tuple(f"p{i}" for i in range(n - 1)) + ("last,one",)):
+            g, v, dec = _synthetic_decomposition(n, mode, restricted, names, rng)
+            for fmt in ("text", "csv", "json"):
+                expected = render_table_reference(
+                    n, mode, names, g.vertices.tolist(), v.values,
+                    [c.values for c in dec.components], fmt)
+                assert rp.render_table(dec, v, fmt) == expected, (restricted, names, fmt)
+
+
+@pytest.mark.parametrize("mode", [gm.RATIONAL, gm.FLOAT])
+def test_render_in_blocks_of_rows(monkeypatch, mode):
+    # rows become Python scalars a block at a time: blocks of 7 rows give
+    # many full blocks and a partial last one
+    monkeypatch.setattr(rp, "_BLOCK", 7)
+    n, names = 6, ("a", "b", "c", "d", "e", "f")
+    g, v, dec = _synthetic_decomposition(n, mode, True, names, np.random.default_rng(7))
+    for fmt in ("text", "csv", "json"):
+        expected = render_table_reference(n, mode, names, g.vertices.tolist(), v.values,
+                                          [c.values for c in dec.components], fmt)
+        assert rp.render_table(dec, v, fmt) == expected, fmt
