@@ -1,14 +1,15 @@
 """Exact rational solves of the pinned Laplacian systems by lifting.
 
-``DixonSolver`` takes a nonsingular integer matrix A (the caller scales
-the weights by their common denominator, which keeps the Laplacian
-symmetric and leaves the solution unchanged) and solves ``A X = B`` for a
-block of integer right-hand sides at once, as Python ints over one common
-denominator.
+``DixonSolver(m, rows, cols, entries)`` takes a nonsingular m x m integer
+matrix A by its nonzeros (the caller scales the weights by their common
+denominator, which keeps the Laplacian symmetric and leaves the solution
+unchanged) and solves ``A X = B`` for a block of integer right-hand sides
+at once, as Python ints over one common denominator.
 
 It inverts A in float64 once (LAPACK) and lifts dyadic digits
 (numeric-symbolic lifting, Wan 2006).  With the approximation ``N / 2**E``
-and its exact residual ``r = 2**E B - A N``, a step takes ``x = F r``,
+and its exact residual ``r = 2**E B - A N``, a step takes ``x = F r`` on
+r's float view (``_float_view``: its bits above ``2**62`` shifted off),
 rounds ``y = rint(2**s x)`` with s set so that y's largest entry has
 ``_STEP_BITS`` bits (fewer when that keeps ``A y`` in int64), and updates
 ``r <- 2**s r - A y`` and ``N <- 2**s N + y`` exactly, over A's nonzeros:
@@ -18,20 +19,20 @@ and leaves E as it is).
 Each step gains the bits that float64 resolves, about 44 to 48 on
 size-plus-one and constant cubes.  The digits accumulate in int64 limbs
 (``_Digits``), so a step costs no Python int arithmetic.  At ``E = 64, 128,
-256, ...`` bits the solver reconstructs a candidate: the first entries
-alone reject most early candidates, then continued fractions over a
-running common denominator give every entry, and only a candidate that
+256, ...`` bits (``_tries``) the solver reconstructs a candidate: the first
+entries alone reject most early candidates, then continued fractions over
+a running common denominator give every entry, and only a candidate that
 passes ``_check`` is returned.  The Hadamard bound on ``det A`` fixes the
 bit count at which a candidate is guaranteed; past it the count doubles a
 few more times as a last resort.
 
 Some systems are beyond float64: a weight spread of ``10**16`` between
 neighbouring edges leaves a float step no bits.  When the float inverse
-is not finite, or a step gains fewer than ``_MIN_GAIN_BITS`` bits (the
-scale-up less the residual's growth), or the residual leaves float64's
-range, the solver inverts A mod p once instead and lifts p-adic digits
-for this and every later block.  That inverse is Gauss-Jordan on ``[A |
-I]`` mod p, blocked in panels of ``_PANEL`` pivot columns.  Within a panel
+or a float step is not finite, a step gains fewer than ``_MIN_GAIN_BITS``
+bits (the scale-up less the residual's growth), or no candidate passes,
+the solver inverts A mod p once instead and lifts p-adic digits for this
+and every later block.  That inverse is Gauss-Jordan on ``[A | I]`` mod
+p, blocked in panels of ``_PANEL`` pivot columns.  Within a panel
 the row-by-row steps touch only the panel's ``m x _PANEL`` slice and
 record the panel's transform ``I + V``; the rest of the matrix then takes
 one product ``V @ M[panel rows]`` mod p, over the columns those rows can
@@ -42,8 +43,8 @@ into 13-bit halves: each half's entries stay below ``2**13`` and M's below
 step's product of the inverse with the residual block mod p splits the
 residuals the same way; its sums of ``m <= 2**12`` products stay below
 ``2**50.1``.  The digits accumulate as ``acc += x * p**k``, and at ``k =
-2, 4, 8, ...`` and the Hadamard count the solver reconstructs a candidate
-by rational reconstruction mod ``p**k``.
+2, 4, 8, ...`` and the Hadamard count, on the float route's schedule, the
+solver reconstructs a candidate by rational reconstruction mod ``p**k``.
 
 ``_check`` verifies every returned block, ``A X = den B``, against the
 exact integer matrix; it is the only correctness guarantee, so neither a
@@ -149,18 +150,12 @@ class DixonSolver:
     """Exact rational solves of an integer system: dyadic lifting on a
     float64 inverse, or p-adic lifting where float64 falls short.
 
-    A is a dense square array of int64 or of Python ints (object dtype), or
-    is given by ``nonzeros=(m, rows, cols, entries)``, its m x m shape and
-    its nonzeros with rows in ascending order; the float64 inverse is then
+    A is m x m, given by its nonzeros ``entries`` at ``(rows, cols)``, rows
+    in ascending order, as int64 or Python ints; the float64 inverse is
     built without a dense integer copy of A.
     """
 
-    def __init__(self, A: np.ndarray | None = None, *, nonzeros: tuple | None = None):
-        if nonzeros is None:
-            rows, cols = np.nonzero(A)
-            m, entries = A.shape[0], A[rows, cols]
-        else:
-            m, rows, cols, entries = nonzeros
+    def __init__(self, m: int, rows: np.ndarray, cols: np.ndarray, entries: np.ndarray):
         if m > _MAX_UNKNOWNS:
             raise ValueError(f"system too large for the lifting solver ({m} unknowns)")
         self._m = m
@@ -228,10 +223,6 @@ class DixonSolver:
         """Bits of the answer after which reconstruction finds it (Hadamard bound)."""
         return int(2 * self._log2_det) + max(1, max_b).bit_length() + self._m.bit_length() + 30
 
-    def _guaranteed_digits(self, max_b: int) -> int:
-        """The same count in digits mod p."""
-        return int(self._guaranteed_bits(max_b) / np.log2(self.p)) + 2
-
     def solve(self, B: np.ndarray) -> tuple[np.ndarray, int]:
         """``(X, den)`` with ``A X = den * B`` exactly: B and X are (m, k)
         arrays of ints, X of Python ints, over one common denominator."""
@@ -245,9 +236,9 @@ class DixonSolver:
         return self._lift_p_adic(B, max_b)
 
     def _float_step(self, rf: np.ndarray) -> tuple[np.ndarray, int] | None:
-        """``(y, s)``: y = rint(2**s F r) in int64 for the float copy rf of
-        r, with s set so that the largest entry has ``_step_bits`` bits;
-        None when F r is not finite and nonzero."""
+        """``(y, s)``: y = rint(2**s F rf) in int64, rf a float view of the
+        residual, with s set so that the largest entry has ``_step_bits``
+        bits; None when F rf is not finite and nonzero."""
         with np.errstate(all="ignore"):
             x = self._F @ rf
             peak = np.max(np.abs(x))
@@ -258,25 +249,20 @@ class DixonSolver:
 
     def _lift_float(self, B: np.ndarray, max_b: int) -> tuple[np.ndarray, int] | None:
         """Dyadic lifting: ``N / 2**E`` approaches ``A^-1 B`` with the exact
-        residual ``r = 2**E B - A N``; None when a step gains fewer than
-        ``_MIN_GAIN_BITS`` or r leaves float64's range."""
+        residual ``r = 2**E B - A N``; None when a float step is not finite
+        or gains fewer than ``_MIN_GAIN_BITS``, or every candidate fails."""
         # reconstruction needs 2**E past 2 err det(A)**2, err as below
         guaranteed = self._guaranteed_bits(max_b) + self._err_scale.bit_length() + self._row_bits
-        tries = sorted({1 << e for e in range(_FIRST_TRY_BITS.bit_length() - 1,
-                                              guaranteed.bit_length()) if 1 << e < guaranteed}
-                       | {guaranteed << e for e in range(_LAST_RESORT_DOUBLINGS + 1)})
         digits = _Digits(B.shape)
         E = tried = 0
-        view = _float_view(B)
-        if view is None:
-            return None
-        r, rf, r_bits = view
-        for bound in tries:
+        r, rf, r_bits, t = _float_view(B)
+        for bound in _tries(_FIRST_TRY_BITS, guaranteed):
             while E < bound and r_bits:
                 step = self._float_step(rf)
                 if step is None:
                     return None
                 y, s = step
+                s -= t  # rf is r / 2**t
                 # r <- 2**up r - A y 2**down, with one of up and down zero
                 up, down = max(s, 0), max(-s, 0)
                 if r.dtype == self._data.dtype == np.int64 and not down and r_bits + up <= 61:
@@ -287,11 +273,11 @@ class DixonSolver:
                     r = (r.astype(object) << up) - (self._product(self._entries, y) << down)
                 digits.add(y, E + s)
                 E += up
-                view = _float_view(r)
                 # the step's gain: its scale-up plus the residual's fall
-                if view is None or up + r_bits - view[2] < _MIN_GAIN_BITS:
+                before = up + r_bits
+                r, rf, r_bits, t = _float_view(r)
+                if before - r_bits < _MIN_GAIN_BITS:
                     return None
-                r, rf, r_bits = view
             if E <= tried and r_bits:
                 continue  # no new bits since the last candidate
             tried = E
@@ -309,18 +295,14 @@ class DixonSolver:
 
     def _lift_p_adic(self, B: np.ndarray, max_b: int) -> tuple[np.ndarray, int]:
         """p-adic lifting on the inverse mod p."""
-        # try powers of two below the guaranteed count, then that count,
-        # then double it as a last resort
-        guaranteed = self._guaranteed_digits(max_b)
-        tries = {1 << e for e in range(1, guaranteed.bit_length()) if 1 << e < guaranteed}
-        tries.update(guaranteed << e for e in range(_LAST_RESORT_DOUBLINGS + 1))
+        tries = _tries(2, int(self._guaranteed_bits(max_b) / np.log2(self.p)) + 2)
         p = self.p
         # with A x exact in int64 (|A x| < 2**62) and |r| < 2**62, r - A x
         # fits int64 and dividing by p brings it back below 2**62
         r = B.astype(np.int64) if self._data.dtype == np.int64 and max_b < 1 << 62 else B
         acc = np.zeros(B.shape, dtype=object)
         pk = 1
-        for k in range(1, max(tries) + 1):
+        for k in range(1, tries[-1] + 1):
             x = self._matvec_mod((r % p).astype(np.float64))
             acc += x.astype(object) * pk
             pk *= p
@@ -336,19 +318,29 @@ class DixonSolver:
         return bool(np.all(self._product(self._entries, X) == den * B))
 
 
-def _float_view(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """``(r, rf, bits)``: r, as int64 when its entries fit; its float64
-    copy; and bits with ``|r| < 2**bits`` (a bit to spare for rf's
-    rounding).  None when r is past float64's range."""
-    try:
-        rf = r.astype(np.float64)
-    except OverflowError:
-        return None
-    peak = np.max(np.abs(rf))
-    bits = int(np.frexp(peak)[1]) + 1 if peak else 0
-    if r.dtype == object and bits <= 62:
+def _tries(first: int, guaranteed: int) -> list[int]:
+    """Where a lift reconstructs a candidate, in bits or digits of the
+    answer: first and its doublings below the guaranteed count, then that
+    count, then ``_LAST_RESORT_DOUBLINGS`` doublings of it."""
+    below = [first << e for e in range(guaranteed.bit_length()) if first << e < guaranteed]
+    return below + [guaranteed << e for e in range(_LAST_RESORT_DOUBLINGS + 1)]
+
+
+def _max_bits(r: np.ndarray) -> int:
+    """Bits of the largest magnitude in an integer array (0 when all are 0)."""
+    return int(np.max(np.abs(r))).bit_length()
+
+
+def _float_view(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """``(r, rf, bits, t)`` for an integer array r: r, as int64 when its
+    entries fit; rf, the float64 copy of ``r >> t``; bits with ``|r| <
+    2**bits``; and t, the bits above ``2**62`` shifted off, so rf is in
+    float64's range however large r is."""
+    bits = _max_bits(r)
+    t = max(0, bits - 62)
+    if r.dtype == object and not t:
         r = r.astype(np.int64)
-    return r, rf, bits
+    return r, (r >> t if t else r).astype(np.float64), bits, t
 
 
 class _Digits:

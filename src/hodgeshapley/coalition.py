@@ -150,10 +150,6 @@ def joined_members(coalitions: Iterable[Coalition], names: Sequence[str]) -> lis
 
 def coalition_label(S: Coalition, names: Sequence[str] | None = None) -> str:
     """Human-readable label: member names, or 1-indexed numbers like {1,3}."""
-    if S == 0:
-        return "{}"
-    if names is not None:
-        parts = [names[p] for p in members(S)]
-    else:
-        parts = [str(p + 1) for p in members(S)]
-    return "{" + ",".join(parts) + "}"
+    n = int(S).bit_length()
+    names = [str(p + 1) for p in range(n)] if names is None else names[:n]
+    return "{" + joined_members([S], names)[0] + "}"

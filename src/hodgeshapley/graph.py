@@ -56,11 +56,11 @@ def _no_entries() -> np.ndarray:
 class EdgeWeighting:
     """Strictly positive weight per hypercube edge.
 
-    Kinds: a single constant; a per-cardinality table indexed by |base|
-    (length n); or explicit per-edge weights with a default for unlisted
-    edges.  A weight of zero is never allowed -- absent cooperation is
-    modeled by removing the edge, which keeps the Laplacian kernel
-    one-dimensional.
+    Kinds: a single constant (``default``); a per-cardinality table
+    indexed by |base| (length n); or explicit per-edge weights with
+    ``default`` for unlisted edges.  A weight of zero is never allowed --
+    absent cooperation is modeled by removing the edge, which keeps the
+    Laplacian kernel one-dimensional.
 
     Explicit weights are four parallel arrays sorted by (base, player):
     ``bases``, ``players`` and each weight in lowest terms as
@@ -69,7 +69,6 @@ class EdgeWeighting:
     """
 
     kind: str
-    constant_value: Fraction = Fraction(1)
     table: tuple[Fraction, ...] = ()
     default: Fraction = Fraction(1)
     bases: np.ndarray = field(default_factory=_no_entries)
@@ -82,7 +81,7 @@ class EdgeWeighting:
         c = Fraction(c)
         if c <= 0:
             raise ValueError("edge weights must be strictly positive")
-        return EdgeWeighting(CONSTANT, constant_value=c)
+        return EdgeWeighting(CONSTANT, default=c)
 
     @staticmethod
     def by_cardinality(values: Sequence) -> "EdgeWeighting":
@@ -139,14 +138,12 @@ class EdgeWeighting:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EdgeWeighting):
             return NotImplemented
-        return (self.kind, self.constant_value, self.table, self.default) == \
-            (other.kind, other.constant_value, other.table, other.default) \
+        return (self.kind, self.table, self.default) == (other.kind, other.table, other.default) \
             and all(np.array_equal(getattr(self, a), getattr(other, a))
                     for a in ("bases", "players", "numerators", "denominators"))
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.constant_value, self.table, self.default,
-                     len(self.bases)))
+        return hash((self.kind, self.table, self.default, len(self.bases)))
 
     @cached_property
     def _keys(self) -> np.ndarray:
@@ -155,7 +152,7 @@ class EdgeWeighting:
     def by_size(self, n: int) -> tuple[Fraction, ...]:
         """Weight of an edge without an explicit entry, by its base size 0, ..., n - 1."""
         if self.kind != BY_CARDINALITY:
-            return (self.constant_value if self.kind == CONSTANT else self.default,) * n
+            return (self.default,) * n
         if n > len(self.table):
             raise ValueError(f"cardinality table too short for edge base size {n - 1}")
         return self.table[:n]
@@ -171,8 +168,10 @@ class EdgeWeighting:
 
     @property
     def permutation_invariant(self) -> bool:
-        """True when the weighting is symmetric under every player relabeling."""
-        return self.kind in (CONSTANT, BY_CARDINALITY)
+        """True when no edge has an explicit weight: every weight then
+        depends on its base's size alone (``by_size``), so the weighting is
+        symmetric under every player relabeling."""
+        return len(self.bases) == 0
 
 
 def _edge_keys(base, player):

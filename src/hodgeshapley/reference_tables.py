@@ -168,6 +168,5 @@ ALL_REFERENCES = (
 )
 
 # Known allocations for the glove game under different rules.
-GLOVE_SHAPLEY = (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6))
 GLOVE_HOLDOUT_1_HODGE = (Fraction(1, 2), Fraction(3, 10), Fraction(1, 5))
 GLOVE_HOLDOUT_1_PRECEDENCE = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))

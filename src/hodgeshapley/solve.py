@@ -69,7 +69,7 @@ from typing import Sequence
 import numpy as np
 
 from . import operators as ops
-from ._exact import _MAX_UNKNOWNS, _MIN_GAIN_BITS, _STEP_BITS, DixonSolver
+from ._exact import _MAX_UNKNOWNS, _MIN_GAIN_BITS, _STEP_BITS, DixonSolver, _float_view, _max_bits
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .game import FLOAT, RATIONAL, Game
 from .graph import GameGraph, _endpoint_sums, _popcounts
@@ -190,7 +190,7 @@ def _rational_solver(g: GameGraph) -> DixonSolver:
     rows, cols = np.concatenate([s, t, np.arange(m)]), np.concatenate([t, s, np.arange(m)])
     order = np.lexsort((cols, rows))
     entries = np.concatenate([off, off, deg[1:]])[order]
-    solver = _rational_solvers[g] = DixonSolver(nonzeros=(m, rows[order], cols[order], entries))
+    solver = _rational_solvers[g] = DixonSolver(m, rows[order], cols[order], entries)
     return solver
 
 
@@ -271,18 +271,14 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     return X, 1, residuals.tolist()
 
 
-def _max_bits(r: np.ndarray) -> int:
-    """Bits of the largest magnitude in an integer array (0 when all are 0)."""
-    return int(np.max(np.abs(r))).bit_length()
-
-
 def _spectral_lift(n: int, x: np.ndarray, players: Sequence[int]) -> np.ndarray:
     """Python-int rows N with ``L_1 N[j] = L_{1,i} x`` (i = players[j]) and
     ``N[j, 0] = 0``, for ints x whose pinned solutions are integral, by
     dyadic lifting (Wan 2006) with a known denominator.  A step keeps the
-    top ``_STEP_BITS`` bits ``y = rint(2**-h L_1^+ r)`` of a float solve of
-    the exact residual r and updates ``r -= 2**h L_1 y``, ``N += 2**h y``
-    exactly, in int64 while the bits allow.  ``L_1``'s condition number is
+    top ``_STEP_BITS`` bits ``y = rint(2**-h L_1^+ r)`` of a float solve on
+    the exact residual r's float view (``_float_view``, as the lifting
+    solver's) and updates ``r -= 2**h L_1 y``, ``N += 2**h y`` exactly, in
+    int64 while the bits allow.  ``L_1``'s condition number is
     n, so a step gains over 40 bits and r ends at 0, the proof; a gain under
     ``_MIN_GAIN_BITS`` is a bug and raises."""
     rows, k = 1 << n, len(players)
@@ -293,10 +289,8 @@ def _spectral_lift(n: int, x: np.ndarray, players: Sequence[int]) -> np.ndarray:
     bound = 0  # on |N|: int64 holds N while bound < 2**62
     Ly = np.empty((k, rows), dtype=np.int64)
     scratch = np.empty((k, rows // 2), dtype=np.int64)
-    bits = _max_bits(r)
+    r, z, bits, t = _float_view(r)
     while bits:
-        t = max(0, bits - 62)
-        z = (r >> t).astype(np.float64)
         pseudo_inverse(z, z)
         z -= z[:, :1].copy()  # the pinned solution is integral; L_1^+ r's need not be
         peak = np.max(np.abs(z))
@@ -311,7 +305,8 @@ def _spectral_lift(n: int, x: np.ndarray, players: Sequence[int]) -> np.ndarray:
             r = r.astype(object) - (Ly.astype(object) << h)
         bound += 1 << (_STEP_BITS + h)
         N = N + (y << h if bound < 1 << 62 else y.astype(object) << h)
-        before, bits = bits, _max_bits(r)
+        before = bits
+        r, z, bits, t = _float_view(r)
         if bits and before - bits < _MIN_GAIN_BITS:
             raise ArithmeticError(f"spectral lifting step gained {before - bits} bits, "
                                   f"fewer than {_MIN_GAIN_BITS}; this is a bug")
@@ -743,7 +738,7 @@ def _spectral_applies(g: GameGraph) -> bool:
     """Whether g is a full cube whose edges all weigh the same, in any
     weighting kind; the engine solves at unit weight."""
     w = g.weighting
-    return g.is_full_cube and len(w.bases) == 0 and len(set(w.by_size(g.n))) == 1
+    return g.is_full_cube and w.permutation_invariant and len(set(w.by_size(g.n))) == 1
 
 
 def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):

@@ -67,3 +67,26 @@ def test_a_run_without_a_result_line_is_a_failure(bench_pairs, tmp_path, monkeyp
                                                                        "failed": 0}}
     assert module.summarize([{"side": "parent", "seed": 1, **_result(0.2)}],
                             {"wall_s": "lower"}) == ["failed operations: parent 0, change 0"]
+
+
+def test_each_run_compiles_into_its_own_empty_cache(bench_pairs, tmp_path, monkeypatch):
+    # a __pycache__ left in a tree by a test run must not spare one side
+    # the compile of src/
+    module, _ = bench_pairs
+    caches = []
+
+    class Proc:
+        returncode, stdout, stderr = 0, '{"metrics": {}, "failed": 0}\n', ""
+
+    def run(args, cwd, env, **kw):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert cache.is_dir() and not any(cache.iterdir())
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        caches.append(cache)
+        return Proc
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(module.subprocess, "run", run)
+    for _ in range(2):
+        assert "result" in module._run(tmp_path, "exact-suite", 1, 1.0)
+    assert caches[0] != caches[1] and not any(c.exists() for c in caches)

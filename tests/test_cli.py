@@ -65,6 +65,21 @@ def test_weights_file(glove_path, tmp_path, capsys):
     assert "13/17" in capsys.readouterr().out
 
 
+def test_explicit_weights_that_list_no_edge_are_size_only(glove_path, tmp_path, capsys):
+    # the same weighting as constant(1): the classical methods and checks apply
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps({"kind": "explicit", "entries": []}))
+    weights = ["--weights", f"file:{wpath}"]
+    for method in ("direct", "permutation"):
+        assert main(["shapley", "--game", glove_path, "--method", method, *weights]) == 0
+        assert capsys.readouterr().out.strip() == "(2/3, 1/6, 1/6)"
+    assert main(["verify", "--game", glove_path, *weights]) == 0
+    out = capsys.readouterr().out
+    assert "PASS  allocation matches the classical formula" in out
+    assert "PASS  classical formula matches the permutation average" in out
+    assert "FAIL" not in out
+
+
 def test_constraints_file_weights(glove_path, tmp_path, capsys):
     cpath = tmp_path / "c.json"
     cpath.write_text(json.dumps(

@@ -133,6 +133,13 @@ def test_permutation_invariance_flag():
     assert not gr.EdgeWeighting.explicit({gr.Edge(0, 0): 2}).permutation_invariant
 
 
+def test_explicit_weights_without_entries_are_size_only():
+    # one description per constant weighting: the default of every unlisted edge
+    empty = gr.EdgeWeighting.explicit({}, default=3)
+    assert empty.permutation_invariant
+    assert empty.by_size(4) == gr.EdgeWeighting.constant(3).by_size(4) == (Fraction(3),) * 4
+
+
 def test_constraints_spec():
     spec = {"removed_coalitions": ["[1]"],
             "removed_edges": [{"base": "[]", "player": 0}],

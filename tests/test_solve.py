@@ -526,6 +526,12 @@ def test_blocked_inverse_singular_mod_p_returns_none():
     assert _exact._modular_inverse_matrix(np.array(A, dtype=np.int64), _P) is None
 
 
+def _dense_solver(A):
+    """The lifting solver of a dense integer matrix, built from its nonzeros."""
+    rows, cols = np.nonzero(A)
+    return _exact.DixonSolver(len(A), rows, cols, A[rows, cols])
+
+
 def _pinned_integer_laplacian(g):
     """The solver's scaled pinned matrix, rebuilt from the oracle's Laplacian."""
     edges = [(e.base, e.player) for e in g.edges()]
@@ -581,7 +587,7 @@ def test_lifting_rejects_early_candidates_on_a_200_digit_rhs():
     # the p-adic route, forced on a system the float route solves
     n = 8
     A = _pinned_integer_laplacian(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)))
-    solver = _exact.DixonSolver(np.array(A, dtype=np.int64))
+    solver = _dense_solver(np.array(A, dtype=np.int64))
     solver._factor_mod_p()
     B, x_true, x_small = _long_and_short_rhs(A, 58)
     verdicts, steps = [], []
@@ -605,7 +611,7 @@ def test_lifting_rejects_early_candidates_on_a_200_digit_rhs():
 def test_float_lifting_takes_a_200_digit_rhs_top_bits_first():
     n = 8
     A = _pinned_integer_laplacian(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)))
-    solver = _exact.DixonSolver(np.array(A, dtype=np.int64))
+    solver = _dense_solver(np.array(A, dtype=np.int64))
     B, x_true, x_small = _long_and_short_rhs(A, 58)
     step = solver._float_step
 
@@ -659,7 +665,7 @@ def test_float_lifting_matches_the_p_adic_route(monkeypatch, n):
         assert float_solver.p is None
         with monkeypatch.context() as patch:
             patch.setattr(_exact, "_MIN_GAIN_BITS", 1 << 20)
-            p_adic = _exact.DixonSolver(float_solver._dense())
+            p_adic = _dense_solver(float_solver._dense())
             Y, den_p = p_adic.solve(B)
         assert p_adic.p is not None
         assert [Fraction(x, den) for x in X.flat] == [Fraction(y, den_p) for y in Y.flat]
@@ -692,11 +698,76 @@ def test_suite_graphs_never_take_the_p_adic_route(monkeypatch):
 def test_float_range_overflow_takes_the_p_adic_route():
     # an entry past float64's range: no float inverse, p-adic from the start
     A = np.array([[10 ** 400, -1], [-1, 2]], dtype=object)
-    solver = _exact.DixonSolver(A)
+    solver = _dense_solver(A)
     assert solver.p is not None
     B = np.array([[1], [3]], dtype=object)
     X, den = solver.solve(B)
     assert (A.dot(X) == den * B).all()
+
+
+def _small_system(seed):
+    """The pinned Laplacian of a weighted cube at n = 4, its solver, and a
+    block of three integer right-hand sides; the answer takes two float steps."""
+    g = gr.full_hypercube(4, gr.EdgeWeighting.by_cardinality([1, 3, 5, 7]))
+    A = np.array(_pinned_integer_laplacian(g), dtype=np.int64)
+    rng = random.Random(seed)
+    B = np.array([[rng.randint(-10 ** 6, 10 ** 6) for _ in range(3)] for _ in A], dtype=object)
+    return A, _dense_solver(A), B
+
+
+def _assert_solves(A, solver, B):
+    X, den = solver.solve(B)
+    assert solver._check(X, den, B)
+    assert (A.astype(object).dot(X) == den * B).all()
+
+
+def test_lifting_solver_refuses_past_its_unknowns_cap(monkeypatch):
+    # a restricted cube at n = 5 has 30 pinned unknowns
+    monkeypatch.setattr(_exact, "_MAX_UNKNOWNS", 29)
+    g = gr.restrict(gr.full_hypercube(5, gr.EdgeWeighting.size_plus_one(5)), [bits(0, 1)])
+    with pytest.raises(ValueError, match=r"too large for the lifting solver \(30 unknowns\)"):
+        sv.decompose(g, rational_game(random.Random(70), 5))
+
+
+def test_lifting_solver_refuses_a_singular_matrix():
+    with pytest.raises(_exact.SingularMatrixError, match="singular"):
+        _dense_solver(np.array([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], dtype=np.int64))
+
+
+def test_a_float_step_past_float64_takes_the_p_adic_route():
+    A, solver, B = _small_system(71)
+    solver._F = solver._F * 1e308  # every product F r overflows
+    steps, step = [], solver._float_step
+    solver._float_step = lambda rf: steps.append(step(rf)) or steps[-1]
+    _assert_solves(A, solver, B)
+    assert steps == [None]
+    assert solver.p is not None and solver._F is None
+
+
+def test_float_lifting_tries_each_bit_count_once(monkeypatch):
+    # from a first try at 1 bit, one float step passes several tries at
+    # once; the tries it passed reuse no candidate
+    monkeypatch.setattr(_exact, "_FIRST_TRY_BITS", 1)
+    calls, reconstruct = [], _exact._reconstruct_dyadic
+    monkeypatch.setattr(_exact, "_reconstruct_dyadic",
+                        lambda N, E, err: calls.append((N.shape, E)) or reconstruct(N, E, err))
+    A, solver, B = _small_system(72)
+    _assert_solves(A, solver, B)
+    assert solver.p is None
+    assert len(calls) > 1 and len(set(calls)) == len(calls), calls
+    assert calls[0][1] > 16  # the first step passed the tries at 1, 2, 4, 8 and 16 bits
+
+
+def test_failed_float_candidates_take_the_p_adic_route(monkeypatch):
+    # no dyadic candidate passes: the float route runs through every try,
+    # up to the last resort, and hands the block to the p-adic route
+    calls = []
+    monkeypatch.setattr(_exact, "_reconstruct_dyadic", lambda N, E, err: calls.append(E))
+    A, solver, B = _small_system(73)
+    _assert_solves(A, solver, B)
+    assert solver.p is not None
+    last_resort = solver._guaranteed_bits(max(map(abs, B.flat))) << _exact._LAST_RESORT_DOUBLINGS
+    assert calls[-1] >= last_resort
 
 
 def test_convergent_matches_brute_force():
@@ -937,9 +1008,12 @@ def test_subcube_laplacian_chunks_every_block(monkeypatch):
 
 def test_subcube_laplacian_refuses_levels_out_of_range():
     n = 6
-    table = [Fraction(10) ** (80 * (-1) ** s) for s in range(n)]
-    g = gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality(table))
-    assert sv._subcube_laplacian(g, 1) is None
+    # 10**+-80 already misses the product tolerance through underflow;
+    # 10**+-40 factors within it, and only the range check refuses it
+    for e in (80, 40):
+        table = [Fraction(10) ** (e * (-1) ** s) for s in range(n)]
+        g = gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality(table))
+        assert sv._subcube_laplacian(g, 1) is None
     assert sv._subcube_laplacian(gr.full_hypercube(n), 1) is not None
 
 
@@ -1423,6 +1497,26 @@ def test_spectral_lift_on_huge_values_matches_the_lifting_route(monkeypatch):
         assert [s.backend for s in spectral.diagnostics] == [sv.SPECTRAL] * n
         assert [s.backend for s in factored.diagnostics] == [sv.DENSE_RATIONAL] * n
         for a, b in zip(spectral.components, factored.components):
+            assert a.values == b.values
+
+
+def test_huge_values_lift_on_the_float_inverse(monkeypatch):
+    # right-hand sides past float64's range lift from their top 62 bits
+    # down on the float inverse; the mod-p inverse never runs
+    def never(*args):
+        raise AssertionError("the mod-p inverse ran")
+
+    monkeypatch.setattr(_exact, "_modular_inverse_matrix", never)
+    rng = random.Random(48)
+    for n in (4, 5, 6):
+        v = _huge_game(rng, n)
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        listed = gr.EdgeWeighting.explicit({gr.Edge(0, 0): c}, c)
+        lifted = sv.decompose(gr.full_hypercube(n, listed), v)
+        spectral = sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.constant(c)), v)
+        assert [s.backend for s in lifted.diagnostics] == [sv.DENSE_RATIONAL] * n
+        assert max(abs(x) for x in v.values) > 2 ** 1024
+        for a, b in zip(lifted.components, spectral.components):
             assert a.values == b.values
 
 

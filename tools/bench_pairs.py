@@ -5,7 +5,9 @@
 REV is checked out in a temporary ``git worktree``; pair j (from 1) runs
 ``bench/run.py --workload WORKLOAD --seed FIRST+j-1 --seconds S`` once on
 REV and once on the working tree, REV first on odd pairs and second on even
-ones, each run in its own checkout (so each imports its own ``src/``).
+ones, each run in its own checkout (so each imports its own ``src/``) and
+with its own empty bytecode cache (``PYTHONPYCACHEPREFIX``), so both sides
+compile ``src/`` and neither reads a ``__pycache__`` left in its tree.
 The runs go to ``BENCH_<L>.json`` at the repo root, and each end-to-end
 metric's medians, quartiles and the number of pairs the working tree wins
 are printed.  A run that fails (a nonzero exit, or no result line) stops
@@ -39,10 +41,12 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One bench/run.py run in tree: ``{"result": ...}``, its result JSON
     (the last line of stdout), or ``{"exit_code": ..., "stderr": ...}``,
     the last lines of its stderr, when it fails or prints no result."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
-                          cwd=tree, env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)  # the run's later imports read the cache
+        proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                               "--seed", str(seed), "--seconds", str(seconds)],
+                              cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 0 and lines:
         try:
@@ -135,8 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     last = args.first_seed + args.pairs - 1
     out = {
         "label": args.label,
-        "command": f"PYTHONDONTWRITEBYTECODE=1 python3 bench/run.py --workload {args.workload} "
-                   f"--seed SEED --seconds {args.seconds:g}",
+        "command": f"PYTHONPYCACHEPREFIX=<empty directory per run> python3 bench/run.py "
+                   f"--workload {args.workload} --seed SEED --seconds {args.seconds:g}",
         "parent": rev,
         "order": f"alternating pairs over seeds {args.first_seed}..{last}, "
                  "parent first on odd-numbered pairs",
