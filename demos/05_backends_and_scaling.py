@@ -2,9 +2,10 @@
 
 The exact backend reproduces reference fractions bit-for-bit.  On the
 full cube with constant weights both backends take every component from
-the same float64 Walsh-Hadamard transforms (the spectral engine), as far
-as memory goes: float mode stops at a residual tolerance, and rational
-mode repeats the float solve on the exact integer residual until it is
+the same float64 Walsh-Hadamard transforms (the spectral engine), each
+player's on the half of the coalitions without it, as far as memory
+goes: float mode stops at a residual tolerance, and rational mode
+repeats the float solve on the exact integer residual until it is
 exactly 0.
 Elsewhere the exact backend inverts the Laplacian once in float64 and
 lifts exact digits of every player's solution from that inverse, which

@@ -3,7 +3,8 @@
 Each component game solves the singular system ``L_w v_i = L_{w_i} v``
 normalized by ``v_i({}) = 0``.  Only the scalar field differs between the
 modes, so one code path serves both.  Every engine keeps the k players it
-solves for in one player-major ``(k, 2**n)`` C-contiguous array, row j
+solves for in one player-major ``(k, 2**n)`` C-contiguous array (the
+spectral engine solves on ``(k, 2**(n-1))`` half rows), row j
 holding player ``players[j]`` over all coalitions: ``object`` arrays of
 Python ints in rational mode, ``float64`` in float mode, and exactly 0 on
 the infeasible coalitions of a restricted graph.  A per-player scalar
@@ -19,9 +20,12 @@ Rational mode computes on Python ints over one common denominator (v as
 the component games.  On the full cube with one weight c on every edge,
 both modes run the spectral engine: the Walsh transform diagonalises both
 operators (``L_w`` has eigenvalue ``2c|T|`` and ``L_{w_i}`` ``2c[i in
-T]`` on the character of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.  Both
-apply ``L_1^+`` to each player's own ``L_{1,i} v`` and stop at the
-relative residual ``cg_tolerance``, or at an exact integer residual of 0
+T]`` on the character of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.
+``L_{1,i} v`` is antisymmetric in player i, so both solve each player on
+the half cube of the ``2**(n-1)`` coalitions without i, where ``L_1``
+acts as ``L_{n-1} + 2I`` (definite, eigenvalue ``2(|T| + 1)``), mirror
+the half row into the full one and stop at the relative residual
+``cg_tolerance``, or at an exact integer residual of 0
 (``_spectral_lift``).  Every other graph in rational mode lifts exact
 digits from a float64 inverse of the integer pinned Laplacian (``_exact``;
 the matrix is built from the edge arrays, once per graph, up to 4096
@@ -120,8 +124,9 @@ class PlayerSolveStats:
     """One player's solve: the engine; its CG iterations (0 outside CG);
     its relative residual, which is ``|r| / |b|`` where CG stops, ``|L_{1,i}
     v - L_1 x| / |L_{1,i} v|`` at unit weights in the float spectral
-    engine, and 0 in rational mode; and the CG preconditioner, "walsh" or
-    "jacobi" ("" outside CG)."""
+    engine (read off the half rows, whose norms are both the full rows'
+    over sqrt(2)), and 0 in rational mode; and the CG preconditioner,
+    "walsh" or "jacobi" ("" outside CG)."""
 
     player: int
     backend: str
@@ -224,14 +229,38 @@ def _add_player_laplacian(w_i: np.ndarray | None, i: int, x: np.ndarray, out: np
     out[:, :, 0] -= d
 
 
+def _half_differences(x: np.ndarray, players: Sequence[int], out: np.ndarray) -> None:
+    """out[j] = x(S) - x(S | {i}) for i = players[j] on the coalitions S
+    without i, which ``L_{1,i} x`` takes there; a half row is indexed by S
+    with bit i dropped, so by the coalitions of the other n - 1 players."""
+    for j, i in enumerate(players):
+        pair = x.reshape(-1, 2, 1 << i)
+        np.subtract(pair[:, 0], pair[:, 1], out=out[j].reshape(-1, 1 << i))
+
+
+def _mirror(Y: np.ndarray, players: Sequence[int], out: np.ndarray) -> None:
+    """out[j] = the row antisymmetric in player i = players[j] whose half
+    on the coalitions without i is Y[j], normalized to 0 at {}: ``y(S) -
+    y({})`` at S and ``-y(S) - y({})`` at S | {i}."""
+    for j, i in enumerate(players):
+        y, pair = Y[j].reshape(-1, 1 << i), out[j].reshape(-1, 2, 1 << i)
+        np.subtract(y, Y[j, 0], out=pair[:, 0])
+        np.subtract(0 - Y[j, 0], y, out=pair[:, 1])  # not -y({}): a zero row stays +0.0
+
+
 def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     """Components of v for the given players on a full cube with constant
     weights, as ``(X, den, residuals)``: the components are X / den, and
     residuals the float check's relative residuals (0 in ints).
 
+    ``L_{1,i} v`` is antisymmetric under ``S -> S ^ {i}`` and ``L_1``
+    commutes with that flip, so player i's solve runs on the half cube of
+    coalitions without i, where ``L_1`` acts on an antisymmetric row as
+    ``L_{n-1} + 2I`` (definite, eigenvalue ``2(|T| + 1)`` on the character
+    of T, a set of the other players), and ``_mirror`` writes the full row.
     In ints X = 2**n * lcm(1..n) * D * (the component), D the lcm of v's
-    denominators.  Floats scale v by a power of two first, as ``_cg_float``
-    does, so a null player's column is exactly 0; a check past
+    denominators.  Floats scale each half row by a power of two, as
+    ``_cg_float`` does, and a null player's row is exactly 0; a check past
     ``cfg.cg_tolerance`` raises ConvergenceError.
     """
     n, k, rows = g.n, len(players), 1 << g.n
@@ -243,73 +272,86 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
         values, D = _over_common_denominator(v.values)
         c = math.lcm(*range(1, n + 1)) << n
         return _spectral_lift(n, values * c, players), c * D, [0.0] * k
-    # X and the right-hand sides: decomposes and single components at
-    # n = 12..16 peaked at 2 k + 2.0..3.4 vectors of 2**n floats and the
-    # chunk (tracemalloc)
+    # X, plus the half right-hand sides and solutions: decomposes and single
+    # components at n = 12..16 peaked at 2 k + 0.2..2.1 vectors of 2**n
+    # floats and the chunk (tracemalloc)
     _check_memory(n, k, 8 * (2 * k + 6), "float solve")
     values = np.asarray(v.values, dtype=np.float64)
-    _, scale = np.frexp(np.max(np.abs(values)))
-    R = np.zeros((k, rows))
-    _add_rhs(None, np.ldexp(values, -scale), players, R)
-    norms = np.sqrt(_row_dots(R, R))
-    prod = np.empty(_chunk_floats(rows, k))
-    # L_1^+; its T = {} term is a round-off constant, normalized away
-    X = np.empty_like(R)
-    _unit_pseudo_inverse(n, prod)(R, X)
-    np.negative(R, out=R)  # becomes L_1 X - L_{1,i} v, a sum of sub-cube Laplacians
-    for a, s in _player_blocks(n):
-        _block_product(s * np.eye(1 << s) - _cube_adjacency(s), a, X, R, prod, add=True)
-    X -= X[:, :1].copy()  # normalize v_i({}) = 0
-    gap = np.sqrt(_row_dots(R, R))
+    # halved when some |v(S)| >= 2**1023, so that no difference overflows
+    shift = max(0, int(np.frexp(np.max(np.abs(values)))[1]) - 1023)
+    B = np.empty((k, rows >> 1))
+    _half_differences(np.ldexp(values, -shift), players, B)
+    # each row by the power of two that brings its peak into [0.5, 1), as
+    # in _cg_float, so a player far below the game's scale keeps its bits
+    _, scale = np.frexp(np.maximum(B.max(axis=1), -B.min(axis=1)))
+    np.ldexp(B, -scale[:, None], out=B)
+    # a half row's norm is its full row's over sqrt(2), on both sides of the ratio
+    norms = np.sqrt(_row_dots(B, B))
+    prod = np.empty(_chunk_floats(rows >> 1, k))
+    Y = np.empty_like(B)
+    _unit_pseudo_inverse(n, prod)(B, Y)
+    np.negative(B, out=B)  # becomes (L_{n-1} + 2I) Y - B, a sum of sub-cube products
+    for a, s in _player_blocks(n - 1):
+        M = (s + 2 * (a == 0)) * np.eye(1 << s) - _cube_adjacency(s)
+        _block_product(M, a, Y, B, prod, add=True)
+    gap = np.sqrt(_row_dots(B, B))
     residuals = np.divide(gap, norms, out=np.where(gap > 0, np.inf, 0.0), where=norms > 0)
     c = np.argmin(residuals <= cfg.cg_tolerance)  # the first miss, if any
     if not residuals[c] <= cfg.cg_tolerance:
         raise ConvergenceError(
             f"spectral solve for player {players[c]} missed tolerance {cfg.cg_tolerance} "
             f"(relative residual {residuals[c]:.3e})", residual_history=[float(residuals[c])])
-    np.ldexp(X, scale, out=X)
+    np.ldexp(Y, (scale + shift)[:, None], out=Y)
+    X = np.empty((k, rows))
+    _mirror(Y, players, X)
     return X, 1, residuals.tolist()
 
 
 def _spectral_lift(n: int, x: np.ndarray, players: Sequence[int]) -> np.ndarray:
     """Python-int rows N with ``L_1 N[j] = L_{1,i} x`` (i = players[j]) and
     ``N[j, 0] = 0``, for ints x whose pinned solutions are integral, by
-    dyadic lifting (Wan 2006) with a known denominator.  A step keeps the
-    top ``_STEP_BITS`` bits ``y = rint(2**-h L_1^+ r)`` of a float solve on
-    the exact residual r's float view (``_float_view``, as the lifting
-    solver's) and updates ``r -= 2**h L_1 y``, ``N += 2**h y`` exactly, in
-    int64 while the bits allow.  ``L_1``'s condition number is
-    n, so a step gains over 40 bits and r ends at 0, the proof; a gain under
+    dyadic lifting (Wan 2006) with a known denominator.
+
+    The lift runs on the half rows of ``_spectral``: Y with ``(L_{n-1} +
+    2I) Y = B``, B from ``_half_differences``, whose solution is integral
+    too, and ``_mirror`` gives N.  A step keeps the top ``_STEP_BITS`` bits
+    ``y = rint(2**-h (L_{n-1} + 2I)^-1 r)`` of a float solve on the exact
+    residual r's float view (``_float_view``, as the lifting solver's) and
+    updates ``r -= 2**h (L_{n-1} + 2I) y``, ``Y += 2**h y`` exactly, in
+    int64 while the bits allow.  The system's condition number is n, so a
+    step gains over 40 bits and r ends at 0, the proof; a gain under
     ``_MIN_GAIN_BITS`` is a bug and raises."""
-    rows, k = 1 << n, len(players)
-    r = np.zeros((k, rows), dtype=np.int64 if _max_bits(x) <= 61 else object)
-    _add_rhs(None, x.astype(r.dtype), players, r)
-    pseudo_inverse = _unit_pseudo_inverse(n, np.empty(_chunk_floats(rows, k)))
-    N = np.zeros((k, rows), dtype=np.int64)
-    bound = 0  # on |N|: int64 holds N while bound < 2**62
-    Ly = np.empty((k, rows), dtype=np.int64)
-    scratch = np.empty((k, rows // 2), dtype=np.int64)
+    half, k = 1 << (n - 1), len(players)
+    r = np.empty((k, half), dtype=np.int64 if _max_bits(x) <= 61 else object)
+    _half_differences(x.astype(r.dtype), players, r)
+    solve = _unit_pseudo_inverse(n, np.empty(_chunk_floats(half, k)))
+    Y = np.zeros((k, half), dtype=np.int64)
+    bound = 0  # on |Y|: int64 holds Y and its mirror while bound < 2**62
+    Ly = np.empty((k, half), dtype=np.int64)
+    scratch = np.empty((k, half // 2), dtype=np.int64)
     r, z, bits, t = _float_view(r)
     while bits:
-        pseudo_inverse(z, z)
-        z -= z[:, :1].copy()  # the pinned solution is integral; L_1^+ r's need not be
+        solve(z, z)
         peak = np.max(np.abs(z))
         if not peak < np.inf:
             raise ArithmeticError("spectral float step is not finite; this is a bug")
         h = max(0, int(np.frexp(peak)[1]) + t - _STEP_BITS)
         y = np.rint(np.ldexp(z, t - h)).astype(np.int64)
-        _laplacian(None, y, Ly, scratch)  # |L_1 y| <= 2 n 2**_STEP_BITS: exact in int64
+        _laplacian(None, y, Ly, scratch)  # |(L_{n-1} + 2I) y| <= 2 n 2**_STEP_BITS
+        Ly += y << 1
         if r.dtype == np.int64 and _max_bits(Ly) + h <= 62:
             r -= Ly << h  # both terms below 2**62
         else:
             r = r.astype(object) - (Ly.astype(object) << h)
         bound += 1 << (_STEP_BITS + h)
-        N = N + (y << h if bound < 1 << 62 else y.astype(object) << h)
+        Y = Y + (y << h if bound < 1 << 62 else y.astype(object) << h)
         before = bits
         r, z, bits, t = _float_view(r)
         if bits and before - bits < _MIN_GAIN_BITS:
             raise ArithmeticError(f"spectral lifting step gained {before - bits} bits, "
                                   f"fewer than {_MIN_GAIN_BITS}; this is a bug")
+    N = np.empty((k, half << 1), dtype=Y.dtype)
+    _mirror(Y, players, N)
     return N.astype(object)
 
 
@@ -378,7 +420,7 @@ def _chunks(shape: tuple[int, int, int]) -> list[tuple[slice, slice]]:
 def _player_blocks(n: int) -> list[tuple[int, int]]:
     """(first player, width) of the near-equal blocks of at most
     ``_BLOCK_PLAYERS`` players that the sub-cube products act on."""
-    count = -(-n // _BLOCK_PLAYERS)
+    count = max(1, -(-n // _BLOCK_PLAYERS))  # n = 0: one block of no players
     bounds = [n * j // count for j in range(count + 1)]
     return [(a, e - a) for a, e in zip(bounds, bounds[1:])]
 
@@ -550,19 +592,18 @@ def _walsh_fits(g: GameGraph) -> bool:
                 <= _WALSH_MAX_SPREAD * np.min(w, where=present, initial=np.inf))
 
 
-def _unit_pseudo_inverse(n: int, prod: np.ndarray):
-    """``apply(r, z)``: z = L_1^+ r for C-contiguous (k, 2**n) arrays, where
-    L_1 is the unweighted cube Laplacian; z may be r.
+def _walsh_inverse(eigenvalues: np.ndarray, prod: np.ndarray):
+    """``apply(r, z)``: z = ``A^-1 r`` for C-contiguous (k, 2**m) arrays,
+    where A has ``eigenvalues[T]`` on the Walsh character of each coalition
+    T of m players; z may be r.
 
-    L_1 has eigenvalue 2|T| on the Walsh character of T, so its
-    pseudo-inverse is two Walsh transforms around a division by 2|T|; T = {}
-    takes 2 instead of 0, which keeps it definite.  The first transform
-    block reads r and writes z; every later product runs in place on z,
-    through the product chunk prod.
+    That is two Walsh transforms around a division by the table.  The first
+    transform block reads r and writes z; every later product runs in place
+    on z, through the product chunk prod.
     """
-    # 1 / (2 max(|T|, 1)), times 2**-n for the two unnormalised transforms
-    inv = np.ldexp(1.0, -n - 1) / np.maximum(_popcounts(n), 1)
-    blocks = [(a, _hadamard(w)) for a, w in _player_blocks(n)]
+    m = len(eigenvalues).bit_length() - 1
+    inv = np.ldexp(1.0, -m) / eigenvalues  # 2**-m for the two unnormalised transforms
+    blocks = [(a, _hadamard(s)) for a, s in _player_blocks(m)]
     (a0, H0), rest = blocks[0], blocks[1:]
 
     def apply(r: np.ndarray, z: np.ndarray) -> None:
@@ -570,6 +611,26 @@ def _unit_pseudo_inverse(n: int, prod: np.ndarray):
         _blocked_walsh(z, rest, prod)
         z *= inv
         _blocked_walsh(z, blocks, prod)
+
+    return apply
+
+
+def _unit_pseudo_inverse(n: int, prod: np.ndarray):
+    """``apply(r, z)``: z = L_1^+ r, L_1 the unweighted cube Laplacian of n
+    players, by ``_walsh_inverse``; z may be r.
+
+    On (k, 2**n) arrays the table is L_1's, 2|T|, with 2 instead of 0 at
+    T = {}, which keeps it definite.  (k, 2**(n-1)) arrays hold the halves
+    on the coalitions without i of rows antisymmetric in a player i, as
+    ``_half_differences`` writes them; their characters are the T that hold
+    i, so the table is the upper half of L_1's, ``2(|T| + 1)`` over the
+    other players, the inverse of ``L_{n-1} + 2I``.
+    """
+    table = 2.0 * np.maximum(_popcounts(n), 1)
+    solves = {len(t): _walsh_inverse(t, prod) for t in (table, table[len(table) // 2:])}
+
+    def apply(r: np.ndarray, z: np.ndarray) -> None:
+        solves[r.shape[1]](r, z)
 
     return apply
 

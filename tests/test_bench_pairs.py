@@ -90,3 +90,51 @@ def test_each_run_compiles_into_its_own_empty_cache(bench_pairs, tmp_path, monke
     for _ in range(2):
         assert "result" in module._run(tmp_path, "exact-suite", 1, 1.0)
     assert caches[0] != caches[1] and not any(c.exists() for c in caches)
+
+
+def test_each_run_starts_from_its_own_copy_of_the_template(bench_pairs, tmp_path,
+                                                           monkeypatch):
+    # the standard library's bytecode comes from the template, and a run
+    # that writes its own src/ bytecode leaves the template as it was
+    module, _ = bench_pairs
+    template = tmp_path / "template"
+    (template / "usr" / "lib").mkdir(parents=True)
+    (template / "usr" / "lib" / "json.pyc").write_bytes(b"stdlib")
+    monkeypatch.setattr(module, "_template", template)
+    caches = []
+
+    class Proc:
+        returncode, stdout, stderr = 0, '{"metrics": {}, "failed": 0}\n', ""
+
+    def run(args, cwd, env, **kw):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert (cache / "usr" / "lib" / "json.pyc").read_bytes() == b"stdlib"
+        assert cache != template
+        (cache / "src.pyc").write_bytes(b"src")
+        caches.append(cache)
+        return Proc
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    for _ in range(2):
+        assert "result" in module._run(tmp_path, "exact-suite", 1, 1.0)
+    assert caches[0] != caches[1] and not any(c.exists() for c in caches)
+    assert sorted(p.name for p in template.rglob("*.pyc")) == ["json.pyc"]
+
+
+def test_the_template_leaves_out_the_working_tree(bench_pairs, tmp_path, monkeypatch):
+    module, _ = bench_pairs
+    prefix = tmp_path / "prefix"
+
+    def run(args, cwd, env, **kw):
+        assert cwd == tmp_path and "--seconds" in args
+        assert "PYTHONDONTWRITEBYTECODE" not in env
+        for path in ("usr/lib/json.pyc", f"{tmp_path.relative_to(tmp_path.anchor)}/src/x.pyc"):
+            target = Path(env["PYTHONPYCACHEPREFIX"]) / path
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(b"")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(module.subprocess, "run", run)
+    module._compile_template(prefix, "exact-suite")
+    assert [p.relative_to(prefix).as_posix() for p in prefix.rglob("*.pyc")] == \
+        ["usr/lib/json.pyc"]

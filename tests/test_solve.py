@@ -1732,6 +1732,90 @@ def test_float_spectral_refuses_past_physical_memory_before_any_transform(monkey
         sv.solve_component(gr.full_hypercube(n), v, 0)
 
 
+def test_float_spectral_scales_each_row_by_its_own_power_of_two():
+    # the last player's only marginal is 2**-60 against a game of about
+    # 2**1000: under one power of two for the whole game its half row would
+    # sit below 2**-1022 and lose its bits; at its own scale it keeps them
+    n = 6
+    rng = np.random.default_rng(57)
+    base, last = np.ldexp(rng.standard_normal(1 << n), 1000), 1 << (n - 1)
+    vals = np.array([base[S & ~last] - base[0] for S in range(1 << n)])
+    vals[last] = 2.0 ** -60
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    g = gr.full_hypercube(n)
+    exact = np.array([float(x) for x in sv.solve_component(g, v.as_rational(), n - 1).values])
+    dec = sv.decompose(g, v)
+    assert dec.diagnostics[-1].backend == sv.SPECTRAL
+    for comp in (dec.components[-1].values, sv.solve_component(g, v, n - 1).values):
+        assert np.max(np.abs(comp - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_spectral_half_cube_inverse_solves_the_antisymmetric_rows():
+    # on rows antisymmetric in player i, L_1 is L_{n-1} + 2I on the half
+    # without i, and the half-row inverse is that half of L_1^+
+    rng = np.random.default_rng(54)
+    for n in range(1, 9):
+        players = list(range(n))
+        x = rng.standard_normal(1 << n)
+        full = np.zeros((n, 1 << n))
+        sv._add_rhs(None, x, players, full)
+        half = np.empty((n, 1 << (n - 1)))
+        sv._half_differences(x, players, half)
+        prod = np.empty(sv._chunk_floats(1 << n, n))
+        solve = sv._unit_pseudo_inverse(n, prod)
+        Z, Y = np.empty_like(full), np.empty_like(half)
+        solve(full, Z)
+        solve(half, Y)
+        for j, i in enumerate(players):
+            pair = Z[j].reshape(-1, 2, 1 << i)
+            assert np.allclose(pair[:, 0].ravel(), Y[j], rtol=0, atol=1e-14)
+            assert np.allclose(pair[:, 1], -pair[:, 0], rtol=0, atol=1e-14)
+        X = np.empty_like(full)
+        sv._mirror(Y, players, X)
+        assert np.allclose(X, Z - Z[:, :1], rtol=0, atol=1e-14) and not X[:, 0].any()
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_a_wrong_half_cube_table_fails_loudly(monkeypatch, n):
+    # the half-cube inverse gets the table 2|T| + 1 instead of 2(|T| + 1):
+    # the float check names the first player it fails and the exact lift
+    # stalls; neither returns a wrong answer
+    original = sv._walsh_inverse
+
+    def wrong(eigenvalues, prod):
+        if len(eigenvalues) == 1 << (n - 1):
+            eigenvalues = eigenvalues - 1
+        return original(eigenvalues, prod)
+
+    monkeypatch.setattr(sv, "_walsh_inverse", wrong)
+    v = gm.game_from_values(n, random_dyadic_values(random.Random(55 + n), n))
+    g = gr.full_hypercube(n)
+    with pytest.raises(ConvergenceError, match="spectral solve for player 0 "):
+        sv.decompose(g, v.as_float())
+    with pytest.raises(ConvergenceError, match=f"spectral solve for player {n - 1} "):
+        sv.solve_component(g, v.as_float(), n - 1)
+    with pytest.raises(ArithmeticError, match="spectral lifting step gained"):
+        sv.decompose(g, v)
+    with pytest.raises(ArithmeticError, match="spectral lifting step gained"):
+        sv.solve_component(g, v, n - 1)
+
+
+def test_a_flipped_mirror_fails_the_exact_efficiency_check(monkeypatch):
+    # u(S | {i}) = y(S) - y({}) in place of -y(S) - y({}): the lift's own
+    # residual is on the half rows and stays 0, so decompose's integer
+    # efficiency identity is what catches it
+    def flipped(Y, players, out):
+        for j, i in enumerate(players):
+            pair = out[j].reshape(-1, 2, 1 << i)
+            pair[:, 0] = pair[:, 1] = Y[j].reshape(-1, 1 << i) - Y[j, 0]
+
+    monkeypatch.setattr(sv, "_mirror", flipped)
+    for n in (2, 5):
+        v = rational_game(random.Random(56 + n), n)
+        with pytest.raises(ArithmeticError, match="efficiency identity"):
+            sv.decompose(gr.full_hypercube(n), v)
+
+
 def test_float_routing():
     n = 6
     v = gm.game_from_values(n, random_dyadic_values(random.Random(50), n)).as_float()

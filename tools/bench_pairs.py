@@ -6,15 +6,19 @@ REV is checked out in a temporary ``git worktree``; pair j (from 1) runs
 ``bench/run.py --workload WORKLOAD --seed FIRST+j-1 --seconds S`` once on
 REV and once on the working tree, REV first on odd pairs and second on even
 ones, each run in its own checkout (so each imports its own ``src/``) and
-with its own empty bytecode cache (``PYTHONPYCACHEPREFIX``), so both sides
+with its own bytecode cache (``PYTHONPYCACHEPREFIX``), so both sides
 compile ``src/`` and neither reads a ``__pycache__`` left in its tree.
-The runs go to ``BENCH_<L>.json`` at the repo root, and each end-to-end
-metric's medians, quartiles and the number of pairs the working tree wins
-are printed.  A run that fails (a nonzero exit, or no result line) stops
-the pairs: it is recorded with its exit code and the tail of its stderr,
-the JSON is still written, the complete pairs are summarized, and the
-exit status is 1.  Nothing under ``bench/`` is edited; the worktree is
-removed when the pairs are done.
+Each run's cache starts as a copy of one template, the bytecode of one
+short warm-up run (the standard library, numpy and the rest of what a run
+imports from outside the trees) without the tree's own files, so a run
+compiles its ``src/`` and ``bench/`` only, as a plain ``bench/run.py`` run
+in a fresh checkout does.  The runs go to ``BENCH_<L>.json`` at the repo
+root, and each end-to-end metric's medians, quartiles and the number of
+pairs the working tree wins are printed.  A run that fails (a nonzero
+exit, or no result line) stops the pairs: it is recorded with its exit
+code and the tail of its stderr, the JSON is still written, the complete
+pairs are summarized, and the exit status is 1.  Nothing under ``bench/``
+is edited; the worktree is removed when the pairs are done.
 """
 
 from __future__ import annotations
@@ -37,16 +41,35 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+# The bytecode cache that each run's own cache starts as a copy of, set by
+# main() for its pairs; None starts a run from an empty cache.
+_template: Path | None = None
+
+
+def _bench_env(cache: Path | str) -> dict:
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # the run's later imports read the cache
+    return env
+
+
+def _compile_template(prefix: Path, workload: str) -> None:
+    """Fill prefix with the bytecode of one short run of the working tree's
+    bench, less the files of the tree itself."""
+    subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+                    "--seconds", "0"], cwd=ROOT, env=_bench_env(prefix), capture_output=True)
+    shutil.rmtree(prefix / ROOT.relative_to(ROOT.anchor), ignore_errors=True)
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One bench/run.py run in tree: ``{"result": ...}``, its result JSON
     (the last line of stdout), or ``{"exit_code": ..., "stderr": ...}``,
     the last lines of its stderr, when it fails or prints no result."""
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-        env.pop("PYTHONDONTWRITEBYTECODE", None)  # the run's later imports read the cache
+        if _template is not None:
+            shutil.copytree(_template, cache, dirs_exist_ok=True)
         proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                                "--seed", str(seed), "--seconds", str(seconds)],
-                              cwd=tree, env=env, capture_output=True, text=True)
+                              cwd=tree, env=_bench_env(cache), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode == 0 and lines:
         try:
@@ -113,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
 
+    global _template
     rev = _git("rev-parse", "--short", args.rev)
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -121,6 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     _git("worktree", "add", "--detach", str(tree), rev)
     runs = []
     try:
+        _template = tmp / "pycache"
+        _compile_template(_template, args.workload)
         schedule = [(j, args.first_seed + j - 1, side) for j in range(1, args.pairs + 1)
                     for side in (("parent", "change") if j % 2 else ("change", "parent"))]
         for j, seed, side in schedule:
@@ -133,14 +159,16 @@ def main(argv: list[str] | None = None) -> int:
             wall = run["result"]["metrics"].get("wall_s", {}).get("value", float("nan"))
             print(f"pair {j} seed {seed} {side}: wall_s {wall:.4g}", flush=True)
     finally:
+        _template = None
         _git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(tmp, ignore_errors=True)
 
     last = args.first_seed + args.pairs - 1
     out = {
         "label": args.label,
-        "command": f"PYTHONPYCACHEPREFIX=<empty directory per run> python3 bench/run.py "
-                   f"--workload {args.workload} --seed SEED --seconds {args.seconds:g}",
+        "command": f"PYTHONPYCACHEPREFIX=<per-run copy of a warm-up run's bytecode outside "
+                   f"both trees> python3 bench/run.py --workload {args.workload} --seed SEED "
+                   f"--seconds {args.seconds:g}",
         "parent": rev,
         "order": f"alternating pairs over seeds {args.first_seed}..{last}, "
                  "parent first on odd-numbered pairs",
