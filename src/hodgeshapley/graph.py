@@ -4,11 +4,11 @@ Vertices are coalitions (bitset ints); the oriented edge ``(S, S|{i})``
 is named by its base coalition plus the joining player and always kept
 in that canonical orientation.  A graph is two boolean masks, one over
 the ``2**n`` coalitions and one over the ``n * 2**(n-1)`` cube edges in
-the solvers' ``(player, slot)`` layout; per-edge arrays are derived only
-when a per-edge API asks for them.  Restricted cooperation removes
-vertices and edges; the remaining graph must stay connected, keep the
-empty and grand coalitions, and keep every vertex reachable from the
-empty coalition by adding one player at a time.
+the solvers' ``(player, slot)`` layout, as are its weight tables; the
+edge list is derived only when a per-edge API asks for it.  Restricted
+cooperation removes vertices and edges; the remaining graph must stay
+connected, keep the empty and grand coalitions, and keep every vertex
+reachable from the empty coalition by adding one player at a time.
 """
 
 from __future__ import annotations
@@ -186,9 +186,9 @@ class GameGraph:
     ``edge_mask[i, slot]`` marks the edge ``(S, S|{i})``, slot being S
     with bit i squeezed out, so row i lines up with the half-views
     ``x.reshape(2**(n-1-i), 2, 2**i)[:, 0]`` of a vector on all ``2**n``
-    coalitions.  Per-vertex and per-edge arrays are derived lazily and
-    cached; edges come in ascending ``(base, player)`` order, the order of
-    every ``EdgeFunction``.
+    coalitions.  Vertex arrays, the edge list and the weight tables are
+    derived lazily and cached; edges come in ascending ``(base, player)``
+    order, the order of every ``EdgeFunction``.
     """
 
     n: int
@@ -253,31 +253,9 @@ class GameGraph:
     def edge_player(self) -> np.ndarray:
         return self._edges[1]
 
-    @cached_property
-    def edge_dst(self) -> np.ndarray:
-        return self.edge_base | (np.int64(1) << self.edge_player)
-
-    @cached_property
-    def edge_slot(self) -> np.ndarray:
-        """Column of each edge in ``edge_mask``: its base without the player's bit."""
-        return _squeeze_bit(self.edge_base, self.edge_player)
-
-    @cached_property
-    def edge_src_pos(self) -> np.ndarray:
-        return self.vertex_pos[self.edge_base]
-
-    @cached_property
-    def edge_dst_pos(self) -> np.ndarray:
-        return self.vertex_pos[self.edge_dst]
-
     def edges(self) -> Iterable[Edge]:
         for b, p in zip(self.edge_base.tolist(), self.edge_player.tolist()):
             yield Edge(b, p)
-
-    @cached_property
-    def edge_index(self) -> dict:
-        return {Edge(b, p): k
-                for k, (b, p) in enumerate(zip(self.edge_base.tolist(), self.edge_player.tolist()))}
 
     # -- weights and degrees ----------------------------------------------
 
@@ -313,18 +291,6 @@ class GameGraph:
         return table, scale
 
     @cached_property
-    def weight_fractions(self) -> tuple[Fraction, ...]:
-        """Exact weight per feasible edge; built only where rational mode asks for it."""
-        table, scale = self.integer_weights
-        at = (self.edge_player, self.edge_slot)
-        return tuple(Fraction(x, scale) for x in table[at].tolist())
-
-    @cached_property
-    def weight_floats(self) -> np.ndarray:
-        """Float weight per feasible edge; equals ``float`` of each weight fraction."""
-        return self.player_weights[self.edge_player, self.edge_slot]
-
-    @cached_property
     def player_weights(self) -> np.ndarray:
         """Float weight of each edge in the layout of ``edge_mask``; absent edges weigh 0.
 
@@ -358,13 +324,15 @@ def _popcounts(n: int) -> np.ndarray:
     return out
 
 
-def _edge_table(n: int, edge_mask: np.ndarray) -> np.ndarray:
-    """``edge_mask`` as a (2**n, n) bool table whose entry [S, i] marks the
-    edge (S, S|{i}); its nonzeros run in ascending (base, player) order."""
-    table = np.zeros((1 << n, n), dtype=bool)
+def _edge_table(n: int, table: np.ndarray) -> np.ndarray:
+    """A table laid out like ``edge_mask``, of any dtype, as a (2**n, n)
+    table whose entry [S, i] is the edge (S, S|{i})'s (zero where S holds
+    i); the nonzeros of ``_edge_table(n, edge_mask)`` run in ascending
+    (base, player) order, the edge order."""
+    out = np.zeros((1 << n, n), dtype=table.dtype)
     for i in range(n):
-        table.reshape(-1, 2, 1 << i, n)[:, 0, :, i] = edge_mask[i].reshape(-1, 1 << i)
-    return table
+        out.reshape(-1, 2, 1 << i, n)[:, 0, :, i] = table[i].reshape(-1, 1 << i)
+    return out
 
 
 def _squeeze_bit(base: np.ndarray, player: np.ndarray) -> np.ndarray:
@@ -501,19 +469,13 @@ def degree_product_weighting(g: GameGraph) -> GameGraph:
     if g.is_full_cube:
         return GameGraph(n, g.vertex_mask, g.edge_mask, EdgeWeighting.constant(n * n))
     deg = _endpoint_sums(g.edge_mask)
-    # the product on each edge in the layout of edge_mask, and in the
-    # (2**n, n) layout of _edge_table, whose nonzeros run in (base, player)
-    # order; every edge joins two vertices of degree at least 1
-    products = np.zeros(g.edge_mask.shape, dtype=np.int64)
-    table = np.zeros((1 << n, n), dtype=np.int64)
+    products = np.zeros(g.edge_mask.shape, dtype=np.int64)  # in the layout of edge_mask
     for i in range(n):
         ends = deg.reshape(-1, 2, 1 << i)
         np.multiply(ends[:, 0], ends[:, 1], out=products[i].reshape(-1, 1 << i),
                     where=g.edge_mask[i].reshape(-1, 1 << i))
-        table.reshape(-1, 2, 1 << i, n)[:, 0, :, i] = products[i].reshape(-1, 1 << i)
-    at = np.flatnonzero(table != 0)
-    bases, players = np.divmod(at, n)
-    nums = table.reshape(-1)[at]
+    bases, players = g._edges
+    nums = _edge_table(n, products)[bases, players]
     weighting = EdgeWeighting(EXPLICIT, bases=bases, players=players, numerators=nums,
                               denominators=np.ones_like(nums))
     out = GameGraph(n, g.vertex_mask, g.edge_mask, weighting)

@@ -5,17 +5,19 @@ The discrete gradient ``d`` sends vertex functions to edge functions,
 only the edges a single player joins on.  The weighted adjoint reverses
 direction: incoming edges contribute ``+w f``, outgoing edges ``-w f``.
 Composing the two gives the (weighted) graph Laplacian without ever
-materializing a matrix; each apply is one pass over the feasible edges.
+materializing a matrix.  As in the solvers, player i's edges pair the two
+halves of ``x.reshape(-1, 2, 2**i)`` for x on all ``2**n`` coalitions.
 
 Values are numpy arrays whose dtype carries the scalar mode: ``object``
 arrays of ``Fraction`` in rational mode, ``float64`` in float mode.  Each
 operator is written once for both; the mode only picks the dtype, the
-zero and the edge weights (``weight_fractions`` or ``weight_floats``).
+zero and the edge weights (``player_weights``, or ``integer_weights`` as
+fractions), which ``graph._edge_table`` reads out in edge order.
 
 Edge values are stored in canonical orientation only (base to base|{i});
 the sign convention for the reverse orientation lives entirely inside
-``d_star``.  Float-mode reductions accumulate in fixed edge-index order,
-so repeated runs are bit-reproducible.
+``d_star``.  Float-mode reductions accumulate in a fixed order, so
+repeated runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from . import coalition as co
 from .errors import DomainError
 from .game import RATIONAL, Game
-from .graph import GameGraph
+from .graph import GameGraph, _edge_table
 
 
 def _zero(mode: str):
@@ -39,8 +41,23 @@ def _as_values(mode: str, values) -> np.ndarray:
     return np.asarray(values, dtype=object if mode == RATIONAL else np.float64)
 
 
+def _on_edges(g: GameGraph, table: np.ndarray) -> np.ndarray:
+    """A table laid out like ``g.edge_mask``, read out in edge order."""
+    return _edge_table(g.n, table)[g.edge_base, g.edge_player]
+
+
 def _edge_weights(g: GameGraph, mode: str) -> np.ndarray:
-    return _as_values(mode, g.weight_fractions if mode == RATIONAL else g.weight_floats)
+    if mode != RATIONAL:
+        return _on_edges(g, g.player_weights)
+    W, D_w = g.integer_weights
+    return _as_values(mode, [Fraction(x, D_w) for x in _on_edges(g, W).tolist()])
+
+
+def _padded(u: "VertexFunction") -> np.ndarray:
+    """u on all 2**n coalitions, zero on the infeasible ones."""
+    x = np.full(1 << u.graph.n, _zero(u.mode), dtype=u.values.dtype)
+    x[u.graph.vertices] = u.values
+    return x
 
 
 def _scalar(x):
@@ -81,8 +98,11 @@ class EdgeFunction:
         object.__setattr__(self, "values", _as_values(self.mode, self.values))
 
     def value_at(self, edge) -> object:
-        k = self.graph.edge_index.get(tuple(edge))
-        if k is None:
+        # a binary search of the edge list, (base, player) in ascending order
+        g, (base, player) = self.graph, map(int, edge)
+        lo, hi = np.searchsorted(g.edge_base, [base, base + 1])
+        k = lo + int(np.searchsorted(g.edge_player[lo:hi], player))
+        if not (k < hi and g.edge_player[k] == player):
             raise DomainError(f"edge {edge} is not a feasible edge")
         return self.values[k]
 
@@ -103,10 +123,7 @@ def game_from_vertex_function(u: VertexFunction, names=None) -> Game:
     On a restricted graph the infeasible entries are padding only; every
     consumer in this package reads feasible coalitions exclusively.
     """
-    g = u.graph
-    vals = np.full(1 << g.n, _zero(u.mode), dtype=u.values.dtype)
-    vals[g.vertices] = u.values
-    return Game(g.n, u.mode, vals, names)
+    return Game(u.graph.n, u.mode, _padded(u), names)
 
 
 def _check_same_graph(a, b):
@@ -116,10 +133,19 @@ def _check_same_graph(a, b):
         raise TypeError(f"scalar mode mismatch: {a.mode} vs {b.mode}")
 
 
+def _gradient(u: VertexFunction, players) -> EdgeFunction:
+    """u(S|{i}) - u(S) on the edges of the given players, zero on the others."""
+    g, x = u.graph, _padded(u)
+    table = np.full(g.edge_mask.shape, _zero(u.mode), dtype=x.dtype)
+    for i in players:
+        pair = x.reshape(-1, 2, 1 << i)
+        np.subtract(pair[:, 1], pair[:, 0], out=table[i].reshape(-1, 1 << i))
+    return EdgeFunction(g, u.mode, _on_edges(g, table))
+
+
 def d(u: VertexFunction) -> EdgeFunction:
     """Discrete gradient: marginal value along each feasible edge."""
-    g = u.graph
-    return EdgeFunction(g, u.mode, u.values[g.edge_dst_pos] - u.values[g.edge_src_pos])
+    return _gradient(u, range(u.graph.n))
 
 
 def d_i(i: int, u: VertexFunction) -> EdgeFunction:
@@ -127,21 +153,23 @@ def d_i(i: int, u: VertexFunction) -> EdgeFunction:
     g = u.graph
     if not 0 <= i < g.n:
         raise DomainError(f"player index {i} outside [0, {g.n})")
-    mine = g.edge_player == i
-    vals = np.full(g.num_edges, _zero(u.mode), dtype=u.values.dtype)
-    vals[mine] = u.values[g.edge_dst_pos[mine]] - u.values[g.edge_src_pos[mine]]
-    return EdgeFunction(g, u.mode, vals)
+    return _gradient(u, [i])
 
 
 def d_star(f: EdgeFunction) -> VertexFunction:
-    """Weighted adjoint of d: signed, weighted edge sums at each vertex."""
-    g = f.graph
+    """Weighted adjoint of d: signed, weighted edge sums at each vertex.
+
+    A vertex sums its incoming edges by descending player and its outgoing
+    ones by ascending player, apart: in edge order, as ``np.bincount`` would."""
+    g, n, zero = f.graph, f.graph.n, _zero(f.mode)
     wf = _edge_weights(g, f.mode) * f.values
-    incoming = np.full(g.num_vertices, _zero(f.mode), dtype=wf.dtype)
-    outgoing = incoming.copy()
-    np.add.at(incoming, g.edge_dst_pos, wf)
-    np.add.at(outgoing, g.edge_src_pos, wf)
-    return VertexFunction(g, f.mode, incoming - outgoing)
+    table = np.full((1 << n, n), zero, dtype=wf.dtype)  # the layout of _edge_table
+    table[g.edge_base, g.edge_player] = wf
+    sums = np.full((2, 1 << n), zero, dtype=wf.dtype)  # at the edges' bases, at their tops
+    for end, order in ((1, reversed(range(n))), (0, range(n))):
+        for i in order:
+            sums[end].reshape(-1, 2, 1 << i)[:, end] += table[:, i].reshape(-1, 2, 1 << i)[:, 0]
+    return VertexFunction(g, f.mode, (sums[1] - sums[0])[g.vertices])
 
 
 def laplacian_apply(u: VertexFunction) -> VertexFunction:

@@ -4,11 +4,11 @@ A table's rows are the feasible coalitions ordered by one lexsort on
 (size, bitset), and its efficiency check is one vectorised comparison.
 Every format writes a row with one ``%`` format: float cells go in as
 they are (``%.12g``, which gives the text of ``game.format_scalar``, or
-``%r``, JSON's float text), rational cells as their ``format_scalar``
-text.  Coalition keys come from ``coalition.canonical_keys``.  The CSV
-quotes exactly what ``csv.writer`` quotes: only coalition keys with a
-comma, since no cell holds a comma or quote; the JSON is the text of
-``json.dumps(..., indent=2)``.
+``%r``, JSON's float text), rational cells as ``%s``, which gives
+``format_scalar``'s text of a ``Fraction``.  Coalition keys come from
+``coalition.canonical_keys``.  The CSV quotes exactly what ``csv.writer``
+quotes: only coalition keys with a comma, since no cell holds a comma or
+quote; the JSON is the text of ``json.dumps(..., indent=2)``.
 """
 
 from __future__ import annotations
@@ -104,14 +104,12 @@ def render_table(d: Decomposition, v: Game, format: str = "text") -> str:
 
 def _rows(t: DecompositionTable, fmt: str, labels: Sequence[str] | None = None) -> Iterator[str]:
     """``fmt % (label, v, v_1, ..., v_n)`` for each row, or ``fmt % (v, v_1,
-    ..., v_n)`` without labels.  Float values go into the format as they
-    are; rational values as their ``format_scalar`` text.  Rows become
-    Python scalars ``_BLOCK`` at a time, so the table is never held whole
-    as Python objects."""
+    ..., v_n)`` without labels.  Values go into the format as they are:
+    ``'%s' % Fraction`` is ``format_scalar``'s text.  Rows become Python
+    scalars ``_BLOCK`` at a time, so the table is never held whole as
+    Python objects."""
     for start in range(0, len(t.coalitions), _BLOCK):
         columns = t.values[start:start + _BLOCK].T.tolist()
-        if t.mode != FLOAT:
-            columns = [list(map(format_scalar, col)) for col in columns]
         if labels is not None:
             columns.insert(0, labels[start:start + _BLOCK])
         yield from map(fmt.__mod__, zip(*columns))

@@ -3,57 +3,41 @@
 Each component game solves the singular system ``L_w v_i = L_{w_i} v``
 normalized by ``v_i({}) = 0``.  Only the scalar field differs between the
 modes, so one code path serves both.  Every engine keeps the k players it
-solves for in one player-major ``(k, 2**n)`` C-contiguous array (the
-spectral engine solves on ``(k, 2**(n-1))`` half rows), row j
-holding player ``players[j]`` over all coalitions: ``object`` arrays of
-Python ints in rational mode, ``float64`` in float mode, and exactly 0 on
-the infeasible coalitions of a restricted graph.  A per-player scalar
-(step size, power-of-two scale, dot product, deflation sum) broadcasts as
-a ``(k, 1)`` column, and sums over coalitions run along the contiguous
-axis.  Player i's edges pair the two halves of ``x.reshape(k,
-2**(n-1-i), 2, 2**i)``, so ``L_{w_i}`` is a difference of half-views
-scaled by row i of ``GameGraph.player_weights`` (or of its integer twin
-``integer_weights``), and ``L_w`` is the sum of the n of them.
+solves for in one player-major C-contiguous ``(k, 2**n)`` array (``(k,
+2**(n-1))`` half rows in the spectral engine), row j holding player
+``players[j]``: ``object`` arrays of Python ints in rational mode,
+``float64`` in float mode, exactly 0 on infeasible coalitions.  A
+per-player scalar broadcasts as a ``(k, 1)`` column.  Player i's edges
+pair the two halves of ``x.reshape(k, 2**(n-1-i), 2, 2**i)``, so
+``L_{w_i}`` is a difference of half-views scaled by row i of
+``GameGraph.player_weights`` (or of ``integer_weights``), and ``L_w`` is
+the sum of the n of them.
 
 Rational mode computes on Python ints over one common denominator (v as
 ``D v``, the weights as ``integer_weights``); fractions are built only for
 the component games.  On the full cube with one weight c on every edge,
-both modes run the spectral engine: the Walsh transform diagonalises both
-operators (``L_w`` has eigenvalue ``2c|T|`` and ``L_{w_i}`` ``2c[i in
-T]`` on the character of T), so ``v_i^(T) = [i in T] v^(T) / |T|``.
-``L_{1,i} v`` is antisymmetric in player i, so both solve each player on
-the half cube of the ``2**(n-1)`` coalitions without i, where ``L_1``
-acts as ``L_{n-1} + 2I`` (definite, eigenvalue ``2(|T| + 1)``), mirror
-the half row into the full one and stop at the relative residual
-``cg_tolerance``, or at an exact integer residual of 0
-(``_spectral_lift``).  Every other graph in rational mode lifts exact
-digits from a float64 inverse of the integer pinned Laplacian (``_exact``;
-the matrix is built from the edge arrays, once per graph, up to 4096
+both modes run the spectral engine (``_spectral``): the Walsh transform
+diagonalises both operators, so ``v_i^(T) = [i in T] v^(T) / |T|``, and
+each player is solved on the half cube of the coalitions without it,
+stopping at the relative residual ``cg_tolerance`` or at an exact integer
+residual of 0 (``_spectral_lift``).  Every other graph in rational mode
+lifts exact digits from a float64 inverse of the integer pinned Laplacian
+(``_exact``; built once per graph from the slot tables, up to 4096
 unknowns, and ``CapacityError`` comes before any right-hand side past
 that).  ``decompose`` checks ``sum_i v_i = v`` exactly after either engine.
 
-Every other graph in float mode runs ``cg_float``: preconditioned
-conjugate gradient on all rows at once in preallocated buffers.  Each row
-is scaled by the power of two that brings its largest entry into [0.5, 1)
-(exact, so any game float64 holds solves to the same bits, scaled), keeps
-its own step sizes, is deflated to mean zero over the feasible coalitions
-every step, and stops when its unpreconditioned relative residual meets
-the tolerance, keeping its place with zero step sizes.  Weights within
-three decades take the Walsh preconditioner ``z = s * L_1^+ (s * r)``,
-``s = sqrt(n / deg)``: under ten iterations on size plus one and
-restricted degree products, about twenty on random explicit weights;
-wider weights take Jacobi.  When the graph keeps every cube edge between
-two feasible coalitions and every weight factors as ``w(S, S|{i}) = c_0
-b(S) b(S|{i})`` (constant, by cardinality, size plus one, degree product,
-on the full cube or with coalitions removed), ``L_w x = deg * x - c_0 b *
-A(b * x)`` with b = 0 on infeasible coalitions, and the cube adjacency A
-is a Kronecker sum over the players: a block of up to five players
-a..a+s-1 is one matmul over ``x.reshape(-1, 2**s, 2**a)`` (a single GEMM
-``x.reshape(-1, 2**s) @ M.T`` for a = 0), in chunks of at most 512 KiB.
-The Walsh transform is the Kronecker product of the blocks' Hadamard
-matrices through the same products.  The factors b and the
-preconditioner are read off the weights once per graph.  Other graphs,
-the right-hand sides and the exact engines keep the half-view passes.
+Every other graph in float mode runs ``cg_float`` (``_cg_float``):
+preconditioned conjugate gradient on all rows at once in preallocated
+buffers, each row scaled by its own power of two and stopped at its own
+relative residual.  Weights within three decades take the Walsh
+preconditioner ``z = s * L_1^+ (s * r)``, ``s = sqrt(n / deg)``, wider
+ones Jacobi.  Where every weight factors as ``w(S, S|{i}) = c_0 b(S)
+b(S|{i})`` on a graph that keeps every cube edge between two feasible
+coalitions, ``L_w`` is a few chunked sub-cube matmuls
+(``_subcube_laplacian``); other graphs, the right-hand sides and the
+exact engines keep the half-view passes.  Both float engines first divide
+a game near the top of float64's range by a power of two (``_prescaled``,
+exact), and refuse a component past that range with ``ConvergenceError``.
 The solve refuses with ``CapacityError`` at entry when its buffers, about
 ``(6.5 n + 5) * 2**n * 8`` bytes for a full decompose (``(2 n + 6) * 2**n
 * 8`` on the spectral route), would exceed physical memory.  Every route
@@ -76,7 +60,7 @@ from . import operators as ops
 from ._exact import _MAX_UNKNOWNS, _MIN_GAIN_BITS, _STEP_BITS, DixonSolver, _float_view, _max_bits
 from .errors import CapacityError, ConfigError, ConvergenceError
 from .game import FLOAT, RATIONAL, Game
-from .graph import GameGraph, _endpoint_sums, _popcounts
+from .graph import GameGraph, _edge_table, _endpoint_sums, _popcounts
 
 DENSE_RATIONAL = "dense_rational"
 CG_FLOAT = "cg_float"
@@ -184,12 +168,13 @@ def _rational_solver(g: GameGraph) -> DixonSolver:
             f"the dense system would hold {m * m:,} entries; estimated "
             f"{5.0 * growth ** 3:,.0f} s to factor, {0.32 * growth ** 2:,.0f} s per "
             f"player's solve and {0.56 * growth ** 2:,.1f} GB")
-    w = g.integer_weights[0][g.edge_player, g.edge_slot]
-    if max(w) * g.n < 1 << 62:  # a diagonal entry sums at most n weights
-        w = w.astype(np.int64)
-    s, t = g.edge_src_pos, g.edge_dst_pos
-    deg = np.zeros(m + 1, dtype=w.dtype)
-    np.add.at(deg, np.concatenate([s, t]), np.concatenate([w, w]))
+    W = g.integer_weights[0]
+    if W.max() * g.n < 1 << 62:  # a diagonal entry sums at most n weights
+        W = W.astype(np.int64)
+    deg = _endpoint_sums(W)[g.vertex_mask]
+    base, player = g.edge_base, g.edge_player
+    w = _edge_table(g.n, W)[base, player]
+    s, t = g.vertex_pos[base], g.vertex_pos[base | 1 << player]
     # the nonzeros without {}'s row and column (position 0, only ever a source)
     s, t, off = s[s > 0] - 1, t[s > 0] - 1, -w[s > 0]
     rows, cols = np.concatenate([s, t, np.arange(m)]), np.concatenate([t, s, np.arange(m)])
@@ -276,11 +261,10 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     # components at n = 12..16 peaked at 2 k + 0.2..2.1 vectors of 2**n
     # floats and the chunk (tracemalloc)
     _check_memory(n, k, 8 * (2 * k + 6), "float solve")
-    values = np.asarray(v.values, dtype=np.float64)
     # halved when some |v(S)| >= 2**1023, so that no difference overflows
-    shift = max(0, int(np.frexp(np.max(np.abs(values)))[1]) - 1023)
+    values, shift = _prescaled(np.asarray(v.values, dtype=np.float64), 1)
     B = np.empty((k, rows >> 1))
-    _half_differences(np.ldexp(values, -shift), players, B)
+    _half_differences(values, players, B)
     # each row by the power of two that brings its peak into [0.5, 1), as
     # in _cg_float, so a player far below the game's scale keeps its bits
     _, scale = np.frexp(np.maximum(B.max(axis=1), -B.min(axis=1)))
@@ -301,10 +285,29 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
         raise ConvergenceError(
             f"spectral solve for player {players[c]} missed tolerance {cfg.cg_tolerance} "
             f"(relative residual {residuals[c]:.3e})", residual_history=[float(residuals[c])])
-    np.ldexp(Y, (scale + shift)[:, None], out=Y)
     X = np.empty((k, rows))
-    _mirror(Y, players, X)
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports it
+        np.ldexp(Y, (scale + shift)[:, None], out=Y)
+        _mirror(Y, players, X)
+    _check_range(X, players)
     return X, 1, residuals.tolist()
+
+
+def _prescaled(values: np.ndarray, headroom: int) -> tuple[np.ndarray, int]:
+    """``(values * 2**-shift, shift)``, the least shift that brings every
+    |value| below ``2**(1024 - headroom)``, exactly; a game already there
+    comes back as it is, with shift 0."""
+    shift = max(0, int(np.frexp(np.max(np.abs(values)))[1]) - (1024 - headroom))
+    return (np.ldexp(values, -shift) if shift else values), shift
+
+
+def _check_range(X: np.ndarray, players: Sequence[int]) -> None:
+    """ConvergenceError naming the first player whose component is not finite."""
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ConvergenceError(
+            f"the component of player {players[int(np.argmin(finite))]} exceeds float64's "
+            f"range; --backend dense-rational gives exact components")
 
 
 def _spectral_lift(n: int, x: np.ndarray, players: Sequence[int]) -> np.ndarray:
@@ -677,7 +680,7 @@ def _check_memory(n: int, k: int, per_coalition: float, what: str, cost: str = "
 
 
 def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[int], tol: float,
-              max_iters: int):
+              max_iters: int, shift: int = 0):
     """Deflated CG for L_w X = R, every row at once; R is overwritten.
 
     Row j solves for player ``players[j]`` with the scalar recurrence of
@@ -688,7 +691,8 @@ def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[i
     largest magnitude, ``peak``, lies in [0.5, 1), and its dot products
     neither overflow nor underflow.  A row stops when its unpreconditioned
     relative residual meets tol; its step sizes are zero from then on, so
-    its x and r stay as they are.  Returns (X, preconditioner, iterations,
+    its x and r stay as they are.  X comes back times ``2**shift``, inf
+    where that leaves float64.  Returns (X, preconditioner, iterations,
     residuals), the lists in ``players`` order.
     """
     k, cols = R.shape
@@ -764,7 +768,8 @@ def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[i
             residual_history=[float(h[c]) for h in history])
     X -= X[:, :1].copy()  # normalize v_i({}) = 0
     X[:, infeasible] = 0.0
-    np.ldexp(X, scale, out=X)
+    with np.errstate(over="ignore"):
+        np.ldexp(X, scale + shift, out=X)
     return X, preconditioner, iterations.tolist(), residuals.tolist()
 
 
@@ -820,10 +825,14 @@ def _solve(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
         # the apply's b * x, plus the weight table and five vectors: full-cube
         # decomposes at n = 16 peaked at 5.1-6.1 * n * 2**n * 8 bytes over v
         _check_memory(g.n, k, 8 * (6 * k + g.n / 2 + 5), "float solve")
-        B = _rhs(g, np.asarray(v.values, dtype=np.float64), players)
+        # B's entries reach 2 |v| max(w), and the mean-zero check sums 2**n of them
+        headroom = g.n + 1 + int(np.frexp(np.max(g.player_weights))[1])
+        values, shift = _prescaled(np.asarray(v.values, dtype=np.float64), headroom)
+        B = _rhs(g, values, players)
         peak = _verify_mean_zero(g, B)
         X, preconditioner, iterations, residuals = _cg_float(
-            g, B, peak, players, cfg.cg_tolerance, cfg.max_iters_for(g.n))
+            g, B, peak, players, cfg.cg_tolerance, cfg.max_iters_for(g.n), shift)
+        _check_range(X, players)
         return X, 1, CG_FLOAT, preconditioner, iterations, residuals
     # the pinned solver comes first, so that a system past its capacity
     # is refused before any right-hand side is built

@@ -22,6 +22,20 @@ def cube_edges(n, feasible):
             if not (S >> i) & 1 and (S | (1 << i)) in vs]
 
 
+def edge_weights(g):
+    """The weight of each edge of the graph g as a Fraction, in the order of
+    g.edges(), read from its weighting one edge at a time."""
+    return [g.weighting.weight(e) for e in g.edges()]
+
+
+def edge_positions(g):
+    """(source, destination): the positions in g.vertices of each edge's two
+    ends, in the order of g.edges()."""
+    pos = {S: k for k, S in enumerate(g.vertices.tolist())}
+    ends = [(pos[e.base], pos[e.base | (1 << e.player)]) for e in g.edges()]
+    return tuple(np.array(side) for side in zip(*ends))
+
+
 def lstsq_component(n, feasible, edges, weights, values, i):
     """Weighted least-squares fit of d u to player i's marginal edge values.
 

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py keeps the pairs it finished when a run fails."""
+"""tools/bench_pairs.py keeps the pairs it finished when a run fails, and
+records both sides' src/ line counts."""
 
 import importlib.util
 import json
@@ -138,3 +139,27 @@ def test_the_template_leaves_out_the_working_tree(bench_pairs, tmp_path, monkeyp
     module._compile_template(prefix, "exact-suite")
     assert [p.relative_to(prefix).as_posix() for p in prefix.rglob("*.pyc")] == \
         ["usr/lib/json.pyc"]
+
+
+def test_the_pair_file_records_both_sides_src_line_counts(bench_pairs, tmp_path, monkeypatch,
+                                                         capsys):
+    module, _ = bench_pairs
+
+    def git(*args):
+        if args[:2] == ("worktree", "add"):  # the parent's checkout
+            (Path(args[3]) / "src" / "pkg").mkdir(parents=True)
+            (Path(args[3]) / "src" / "pkg" / "a.py").write_text("x = 1\n" * 7)
+        return "abc1234"
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n" * 4)
+    (tmp_path / "src" / "b.py").write_text("y = 2\n")
+    (tmp_path / "src" / "notes.txt").write_text("not counted\n")
+    monkeypatch.setattr(module, "_git", git)
+    monkeypatch.setattr(module, "_compile_template", lambda prefix, workload: None)
+    monkeypatch.setattr(module, "_run", lambda tree, workload, seed, seconds: _result(0.1))
+    assert module.main(["HEAD", "exact-suite", "--pairs", "1", "--seconds", "1",
+                        "--label", "t"]) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert out["src_lines"] == {"parent": 7, "change": 5}
+    assert "src/ lines: parent 7, change 5" in capsys.readouterr().out

@@ -258,6 +258,23 @@ def test_exit_code_float_efficiency_miss(tmp_path, capsys):
     assert main(args + ["--backend", "dense-rational"]) == 0
 
 
+@pytest.mark.parametrize("weights", ["constant", "size-plus-one"])
+def test_exit_code_float_components_past_float64(tmp_path, capsys, weights):
+    # the exact components of +-1.7e308 leave float64's range: a float solve
+    # stops with exit 4, not with the bad-spec exit 2 of an overflowed table
+    n = 6
+    values = np.where(np.arange(1 << n) % 2 == 1, 1.7e308, -1.7e308)
+    values[0] = 0.0
+    gpath = tmp_path / "top.json"
+    gpath.write_text(json.dumps(gm.game_to_spec(gm.game_from_values(n, values, gm.FLOAT))))
+    args = ["decompose", "--game", str(gpath), "--weights", weights, "--format", "csv"]
+    assert main(args + ["--backend", "cg"]) == 4
+    err = capsys.readouterr().err
+    assert "error: the component of player 0 exceeds float64's range" in err
+    assert "--backend dense-rational" in err
+    assert main(args + ["--backend", "dense-rational"]) == 0
+
+
 def test_csv_format(glove_path, capsys):
     assert main(["decompose", "--game", glove_path, "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -11,8 +11,8 @@ from hodgeshapley import game as gm
 from hodgeshapley import graph as gr
 from hodgeshapley import solve as sv
 from hodgeshapley.errors import CapacityError, DomainError
-from oracles import brute_shapley, dense_laplacian, feasible_orders, order_average, \
-    random_rational_values
+from oracles import brute_shapley, dense_laplacian, edge_weights, feasible_orders, \
+    order_average, random_rational_values
 
 
 def bits(*players):
@@ -307,8 +307,8 @@ def test_unit_game_component_solves_the_single_edge_system():
         for g in (gr.full_hypercube(n), gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)),
                   gr.restrict(gr.full_hypercube(n), [bits(1), bits(0, 2)][:n - 1])):
             edges = list(g.edges())
-            weights = dict(zip(edges, g.weight_fractions))
-            feasible, L = dense_laplacian(n, g.vertices.tolist(), edges, g.weight_fractions)
+            weights = dict(zip(edges, edge_weights(g)))
+            feasible, L = dense_laplacian(n, g.vertices.tolist(), edges, edge_weights(g))
             L = [[(k, a) for k, a in enumerate(row) if a] for row in L]
             for T in feasible[1:]:
                 dec = sv.decompose(g, gm.game_from_map(n, {T: Fraction(1)}))

@@ -8,6 +8,7 @@ import pytest
 from hodgeshapley import coalition as co
 from hodgeshapley import graph as gr
 from hodgeshapley.errors import DomainError, InfeasibilityError, SpecFileError
+from oracles import edge_positions, edge_weights
 
 
 def bits(*players):
@@ -80,7 +81,7 @@ def test_restrict_no_dangling_endpoints():
         except InfeasibilityError:
             continue
         feasible = set(h.vertices.tolist())
-        for e, d in zip(h.edge_base.tolist(), h.edge_dst.tolist()):
+        for e, d in zip(h.edge_base.tolist(), (h.edge_base | 1 << h.edge_player).tolist()):
             assert e in feasible and d in feasible
         assert 0 in feasible and (1 << n) - 1 in feasible
 
@@ -96,14 +97,14 @@ def test_degree_after_removal():
 
 def test_degree_product_full_cube():
     g = gr.degree_product_weighting(gr.full_hypercube(3))
-    assert all(w == 9 for w in g.weight_fractions)
+    assert all(w == 9 for w in edge_weights(g))
 
 
 def test_degree_product_after_removal():
     g = gr.degree_product_weighting(gr.restrict(gr.full_hypercube(3), [bits(1)]))
-    k = g.edge_index[gr.Edge(0, 2)]  # edge from {} to {2}: degrees 2 and 3
-    assert g.weight_fractions[k] == 6
-    assert len(set(g.weight_fractions)) > 1
+    k = list(g.edges()).index(gr.Edge(0, 2))  # edge from {} to {2}: degrees 2 and 3
+    assert edge_weights(g)[k] == 6
+    assert len(set(edge_weights(g))) > 1
 
 
 def test_weighting_kinds():
@@ -256,6 +257,11 @@ def test_restrict_matches_loop_reference():
         assert list(zip(h.edge_base.tolist(), h.edge_player.tolist())) == kept_e
 
 
+def _slot(e):
+    """The column of the edge e in the (player, slot) layout: its base without the player's bit."""
+    return (e.base >> (e.player + 1)) << e.player | e.base & ((1 << e.player) - 1)
+
+
 def _weight_graphs():
     explicit = gr.EdgeWeighting.explicit(
         {gr.Edge(0, 0): Fraction(1, 3), gr.Edge(bits(1), 0): Fraction(7, 5),
@@ -272,19 +278,12 @@ def _weight_graphs():
     yield gr.degree_product_weighting(gr.restrict(gr.full_hypercube(4), [bits(1, 2)]))
 
 
-def test_weight_floats_equal_fraction_floats():
-    for g in _weight_graphs():
-        expected = np.array([float(w) for w in g.weight_fractions])
-        assert g.weight_floats.dtype == np.float64
-        assert np.array_equal(g.weight_floats, expected)
-
-
 def test_player_weights_layout():
     for g in _weight_graphs():
         n = g.n
         assert g.player_weights.shape == (n, 1 << (n - 1))
         expected = np.zeros((n, 1 << (n - 1)))
-        for e, w in zip(g.edges(), g.weight_fractions):
+        for e, w in zip(g.edges(), edge_weights(g)):
             low = e.base & ((1 << e.player) - 1)
             expected[e.player, (e.base >> (e.player + 1)) << e.player | low] = float(w)
         assert np.array_equal(g.player_weights, expected)
@@ -311,17 +310,17 @@ def test_integer_weights_are_python_ints_over_one_denominator():
             assert all(type(x) is int for x in table.flat)
             assert all(x == 0 for x in table[~g.edge_mask])
             exact = [g.weighting.weight(e) for e in g.edges()]
-            on_edges = [Fraction(x, scale) for x in table[g.edge_player, g.edge_slot]]
-            assert on_edges == exact == list(g.weight_fractions)
+            on_edges = [Fraction(table[e.player, _slot(e)], scale) for e in g.edges()]
+            assert on_edges == exact == edge_weights(g)
             assert scale == math.lcm(*(f.denominator for f in exact))
 
 
 def test_degree_product_weighting_unchanged():
     # the numpy products give the same EdgeWeighting as per-edge Fractions
     g = gr.restrict(gr.full_hypercube(4), [bits(1), bits(0, 2, 3)])
-    deg = g.degrees
+    deg, (src, dst) = g.degrees, edge_positions(g)
     expected = gr.EdgeWeighting.explicit(
-        {e: Fraction(int(deg[g.edge_src_pos[k]]) * int(deg[g.edge_dst_pos[k]]))
+        {e: Fraction(int(deg[src[k]]) * int(deg[dst[k]]))
          for k, e in enumerate(g.edges())})
     assert gr.degree_product_weighting(g).weighting == expected
 
@@ -340,10 +339,11 @@ def _assert_weights_match(g, expected):
     for e, w in zip(g.edges(), expected):
         got = g.weighting.weight(e)
         assert type(got) is Fraction and got == w
-    assert g.weight_fractions == tuple(expected)
-    assert all(type(w) is Fraction for w in g.weight_fractions)
+    assert edge_weights(g) == list(expected)
+    assert all(type(w) is Fraction for w in edge_weights(g))
     floats = np.array([float(w) for w in expected])
-    assert g.weight_floats.tobytes() == floats.tobytes()
+    on_edges = np.array([g.player_weights[e.player, _slot(e)] for e in g.edges()])
+    assert on_edges.tobytes() == floats.tobytes()
     assert g.player_weights.tobytes() == _loop_player_weights(g, expected).tobytes()
 
 
@@ -357,8 +357,8 @@ def test_degree_product_arrays_match_mapping(n):
         if 2 <= co.size(S) <= n - 2 and all(co.distance(S, T) >= 3 for T in removed):
             removed.append(S)
     g = gr.restrict(gr.full_hypercube(n), removed)
-    deg = g.degrees
-    mapping = {e: Fraction(int(deg[g.edge_src_pos[k]]) * int(deg[g.edge_dst_pos[k]]))
+    deg, (src, dst) = g.degrees, edge_positions(g)
+    mapping = {e: Fraction(int(deg[src[k]]) * int(deg[dst[k]]))
                for k, e in enumerate(g.edges())}
     from_map = gr.GameGraph(n, g.vertex_mask, g.edge_mask,
                             gr.EdgeWeighting.explicit(mapping))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,7 +9,10 @@ from hodgeshapley import coalition as co
 from hodgeshapley import game as gm
 from hodgeshapley import graph as gr
 from hodgeshapley import operators as ops
-from oracles import cube_edges, dense_laplacian, random_rational_values
+from hodgeshapley import solve as sv
+from hodgeshapley.errors import DomainError
+from oracles import cube_edges, dense_laplacian, edge_positions, edge_weights, \
+    random_rational_values
 
 
 def bits(*players):
@@ -213,7 +217,7 @@ def test_matrix_free_matches_dense_assembly():
             g = random_graph(rng, n)
             edges = [(e.base, e.player) for e in g.edges()]
             feasible, L = dense_laplacian(n, g.vertices.tolist(), edges,
-                                          g.weight_fractions)
+                                          edge_weights(g))
             u = random_vertex_function(rng, g)
             dense = [sum((L[r][c] * u.values[c] for c in range(len(feasible))),
                          Fraction(0)) for r in range(len(feasible))]
@@ -246,7 +250,7 @@ def test_kernel_is_one_dimensional():
     for _ in range(6):
         g = random_graph(rng, 3)
         edges = [(e.base, e.player) for e in g.edges()]
-        _, L = dense_laplacian(3, g.vertices.tolist(), edges, g.weight_fractions)
+        _, L = dense_laplacian(3, g.vertices.tolist(), edges, edge_weights(g))
         arr = np.array([[float(x) for x in row] for row in L])
         eig = np.linalg.eigvalsh(arr)
         assert eig[0] < 1e-9
@@ -284,13 +288,28 @@ def _random_pair(rng, g):
     return u, f, u_f, f_f
 
 
+def _without_an_edge(rng, n):
+    """A weighted full cube less one edge between two feasible coalitions,
+    which random_graph never removes; the edge's top keeps another way in."""
+    g = random_graph(rng, n, restricted=False)
+    return gr.restrict(g, [], [rng.choice([e for e in g.edges() if e.base])])
+
+
+def _reference_graphs(rng, most):
+    """random_graph's graphs on 2..most players, graphs less an edge, and n = 1."""
+    for _ in range(12):
+        yield random_graph(rng, rng.randint(2, most))
+    for n in range(2, most + 1):
+        yield _without_an_edge(rng, n)
+    yield random_graph(rng, 1)
+
+
 def test_float_operators_bit_identical_to_reference_formulas():
     rng = random.Random(14)
-    for _ in range(12):
-        g = random_graph(rng, rng.randint(2, 6))
+    for g in _reference_graphs(rng, 6):
         _, _, u, f = _random_pair(rng, g)
         _, _, _, h = _random_pair(rng, g)
-        src, dst, w = g.edge_src_pos, g.edge_dst_pos, g.weight_floats
+        (src, dst), w = edge_positions(g), np.array([float(x) for x in edge_weights(g)])
         diff = u.values[dst] - u.values[src]
         assert _same_bits(ops.d(u).values, diff)
         for i in range(g.n):
@@ -315,12 +334,11 @@ def test_float_operators_bit_identical_to_reference_formulas():
 
 def test_rational_operators_are_fraction_arrays_equal_to_list_formulas():
     rng = random.Random(15)
-    for _ in range(12):
-        g = random_graph(rng, rng.randint(2, 5))
+    for g in _reference_graphs(rng, 5):
         u, f, _, _ = _random_pair(rng, g)
         h = random_edge_function(rng, g)
-        src, dst = g.edge_src_pos.tolist(), g.edge_dst_pos.tolist()
-        players, weights = g.edge_player.tolist(), g.weight_fractions
+        src, dst = (side.tolist() for side in edge_positions(g))
+        players, weights = g.edge_player.tolist(), edge_weights(g)
         uv, fv, hv = list(u.values), list(f.values), list(h.values)
         results = {"d": (ops.d(u).values, [uv[t] - uv[s] for s, t in zip(src, dst)])}
         for i in range(g.n):
@@ -348,6 +366,28 @@ def test_rational_operators_are_fraction_arrays_equal_to_list_formulas():
         for S, x in zip(g.vertices.tolist(), uv):
             padded[S] = x
         assert v.values == tuple(padded)
+        # the half-view residual check and the operators agree exactly, on
+        # components that do not split v, so the residuals are not all 0
+        dec = sv.decompose(g, v)
+        guesses = tuple(ops.game_from_vertex_function(_random_pair(rng, g)[0])
+                        for _ in range(g.n))
+        for d in (dec, dataclasses.replace(dec, components=guesses)):
+            residuals = sv.residual_orthogonality(g, v, d)
+            assert residuals == [ops.d_star(sv.edge_residual(g, v, d, i)).norm_inf()
+                                 for i in range(g.n)]
+        assert any(residuals)
+
+
+@pytest.mark.parametrize("edge", [(0, 3), (0, 9), (0, -1), (1, 0), (5, 2), (8, 0), (-1, 0),
+                                  (-8, 1)])
+def test_edge_value_at_rejects_malformed_edges(edge):
+    # on 3 players: a player >= n or negative, a base that holds the player,
+    # a base >= 2**n or negative; a wrapped or masked index must not answer
+    g = gr.full_hypercube(3)
+    f = ops.EdgeFunction(g, gm.RATIONAL, [Fraction(k) for k in range(g.num_edges)])
+    assert f.value_at(gr.Edge(0b100, 0)) == list(g.edges()).index((0b100, 0))
+    with pytest.raises(DomainError, match="is not a feasible edge"):
+        f.value_at(edge)
 
 
 def test_vertex_value_at_rejects_coalitions_off_the_graph():

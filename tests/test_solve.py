@@ -18,7 +18,7 @@ from hodgeshapley import _exact
 from hodgeshapley.reference_tables import ALL_REFERENCES
 from hodgeshapley.errors import CapacityError, ConfigError, ConvergenceError, \
     InfeasibilityError
-from oracles import dense_laplacian, lstsq_component, modular_inverse, \
+from oracles import dense_laplacian, edge_weights, lstsq_component, modular_inverse, \
     random_rational_values, random_dyadic_values
 from test_operators import random_graph
 
@@ -77,7 +77,7 @@ def test_decompose_matches_least_squares_oracle():
         v = rational_game(rng, n)
         dec = sv.decompose(g, v)
         edges = [(e.base, e.player) for e in g.edges()]
-        weights = [float(w) for w in g.weight_fractions]
+        weights = [float(w) for w in edge_weights(g)]
         values = [float(x) for x in v.values]
         for i in range(n):
             expected = lstsq_component(n, g.vertices.tolist(), edges, weights, values, i)
@@ -387,10 +387,10 @@ def _assert_solves_oracle_system(g, v, dec):
     # each component x solves L x = L_i v on the feasible vertices, x({}) = 0,
     # with both matrices assembled from the raw edge list
     edges = [(e.base, e.player) for e in g.edges()]
-    feasible, L = dense_laplacian(g.n, g.vertices.tolist(), edges, g.weight_fractions)
+    feasible, L = dense_laplacian(g.n, g.vertices.tolist(), edges, edge_weights(g))
     vals = [v.values[S] for S in feasible]
     for i, comp in enumerate(dec.components):
-        own = [(e, w) for e, w in zip(edges, g.weight_fractions) if e[1] == i]
+        own = [(e, w) for e, w in zip(edges, edge_weights(g)) if e[1] == i]
         _, L_i = dense_laplacian(g.n, feasible, [e for e, _ in own], [w for _, w in own])
         x = [comp.values[S] for S in feasible]
         assert x[0] == 0
@@ -535,7 +535,7 @@ def _dense_solver(A):
 def _pinned_integer_laplacian(g):
     """The solver's scaled pinned matrix, rebuilt from the oracle's Laplacian."""
     edges = [(e.base, e.player) for e in g.edges()]
-    _, L = dense_laplacian(g.n, g.vertices.tolist(), edges, g.weight_fractions)
+    _, L = dense_laplacian(g.n, g.vertices.tolist(), edges, edge_weights(g))
     scale = math.lcm(*(x.denominator for row in L for x in row))
     return [[int(x * scale) for x in row[1:]] for row in L[1:]]
 
@@ -936,6 +936,68 @@ def test_cg_components_scale_exactly_with_the_game(shift):
         assert scaled.efficiency_gap == np.ldexp(base.efficiency_gap, shift)
 
 
+def _alternating_game(n, amplitude):
+    """v(S) = amplitude for odd bitsets S and -amplitude for even ones, v({}) = 0."""
+    vals = np.where(np.arange(1 << n) % 2 == 1, amplitude, -amplitude)
+    vals[0] = 0.0
+    return gm.game_from_values(n, vals, gm.FLOAT)
+
+
+def _route_weightings(n):
+    """A weighting per float route: the spectral engine's and CG's."""
+    return ((gr.EdgeWeighting.constant(1), sv.SPECTRAL),
+            (gr.EdgeWeighting.size_plus_one(n), sv.CG_FLOAT))
+
+
+def test_float_games_near_the_top_of_the_range_decompose_on_both_routes():
+    # +-3e307: the components peak at 5.5e307, inside float64, but CG's
+    # right-hand sides, up to 2 |v| max(w) = 3.6e308, overflowed before the
+    # game was first scaled down by a power of two
+    n = 6
+    v = _alternating_game(n, 3e307)
+    small = gm.game_from_values(n, np.ldexp(v.values, -64), gm.FLOAT)
+    cfg = sv.SolverConfig(backend=sv.CG_FLOAT)
+    for weighting, engine in _route_weightings(n):
+        g = gr.full_hypercube(n, weighting)
+        dec = sv.decompose(g, v, cfg)
+        assert dec.diagnostics[0].backend == engine
+        exact = sv.decompose(g, v.as_rational()).components
+        for comp, ref in zip(dec.components, exact):
+            ref = np.array([float(x) for x in ref.values])
+            assert np.max(np.abs(comp.values - ref)) <= 1e-10 * np.max(np.abs(ref)), engine
+        # the scaling is exact: the components are the scaled-down game's
+        # components scaled back up, bit for bit
+        base = sv.decompose(g, small, cfg)
+        for comp, ref in zip(dec.components, base.components):
+            assert np.array_equal(comp.values, np.ldexp(ref.values, 64)), engine
+        assert dec.diagnostics == base.diagnostics
+
+
+def test_prescaling_leaves_games_below_its_threshold_as_they_are():
+    # |v| < 2**1001 fits under 2**(1024 - 23)
+    values = np.array([0.0, 2.0 ** 1000, -3.0])
+    for headroom in (0, 23):
+        scaled, shift = sv._prescaled(values, headroom)
+        assert scaled is values and shift == 0
+    scaled, shift = sv._prescaled(values, 25)
+    assert shift == 2 and np.array_equal(scaled, np.ldexp(values, -2))
+
+
+def test_float_components_past_float64_are_refused_on_both_routes():
+    # +-1.7e308: the exact components reach about 2**1025, past float64;
+    # they used to overflow with a RuntimeWarning and fail as a bad game spec
+    n = 6
+    v = _alternating_game(n, 1.7e308)
+    for weighting, _ in _route_weightings(n):
+        g = gr.full_hypercube(n, weighting)
+        for solve in (lambda: sv.decompose(g, v), lambda: sv.solve_component(g, v, 0)):
+            with pytest.raises(ConvergenceError, match=r"component of player 0 exceeds "
+                               r"float64's range; --backend dense-rational"):
+                solve()
+        exact = sv.decompose(g, v.as_rational())
+        assert max(abs(x) for x in exact.components[0].values) > np.finfo(float).max
+
+
 # ---------------------------------------------------------------------------
 # the sub-cube Laplacian of float CG (weights c0 * b(S) * b(T) on the edges
 # between feasible coalitions)
@@ -1029,7 +1091,7 @@ def test_product_factors_refuse_graphs_that_do_not_factor():
         assert sv._product_factors(h) is None
         assert sv._subcube_laplacian(h, 1) is None
     # one degree-product weight off by a relative 1e-9
-    entries = dict(zip(g.edges(), g.weight_fractions))
+    entries = dict(zip(g.edges(), edge_weights(g)))
     entries[edge] *= 1 + Fraction(1, 10 ** 9)
     off = gr.GameGraph(n, g.vertex_mask, g.edge_mask, gr.EdgeWeighting.explicit(entries))
     assert sv._product_factors(off) is None

@@ -17,8 +17,10 @@ root, and each end-to-end metric's medians, quartiles and the number of
 pairs the working tree wins are printed.  A run that fails (a nonzero
 exit, or no result line) stops the pairs: it is recorded with its exit
 code and the tail of its stderr, the JSON is still written, the complete
-pairs are summarized, and the exit status is 1.  Nothing under ``bench/``
-is edited; the worktree is removed when the pairs are done.
+pairs are summarized, and the exit status is 1.  The JSON and the summary
+also give both sides' ``src/`` line count (``bench/probe.src_line_count``).
+Nothing under ``bench/`` is edited; the worktree is removed when the pairs
+are done.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import runpy
 import shutil
 import statistics
 import subprocess
@@ -34,6 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+src_line_count = runpy.run_path(str(ROOT / "bench" / "probe.py"))["src_line_count"]
 
 
 def _git(*args: str) -> str:
@@ -143,6 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     tree = tmp / rev
     _git("worktree", "add", "--detach", str(tree), rev)
+    src_lines = {"parent": src_line_count(tree / "src"), "change": src_line_count(ROOT / "src")}
     runs = []
     try:
         _template = tmp / "pycache"
@@ -173,11 +178,13 @@ def main(argv: list[str] | None = None) -> int:
         "order": f"alternating pairs over seeds {args.first_seed}..{last}, "
                  "parent first on odd-numbered pairs",
         "host": _host(),
+        "src_lines": src_lines,
         "runs": runs,
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path.name}")
+    print(f"src/ lines: parent {src_lines['parent']}, change {src_lines['change']}")
     for line in summarize(runs, better):
         print(line)
     return 0 if all("result" in run for run in runs) else 1
