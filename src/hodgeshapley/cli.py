@@ -8,8 +8,10 @@ Each subcommand takes only the flags it reads: ``fixtures`` takes none,
 and ``verify`` prints PASS/FAIL lines, so it has no ``--format``.
 
 Exit codes: 0 success; 1 failed invariant in verify/fixtures; 2 spec
-parse error; 3 infeasible/disconnected graph; 4 solver non-convergence,
-or float components that miss the game in a rendered table.
+parse error, or a capacity refusal (``CapacityError``, for example
+``--method precedence`` past 10 players or an exact solve past 4096
+unknowns); 3 infeasible/disconnected graph; 4 solver non-convergence, or
+float components that miss the game in a rendered table.
 All diagnostics go to stderr.
 """
 

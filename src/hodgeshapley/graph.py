@@ -308,12 +308,53 @@ class GameGraph:
         return table
 
     @cached_property
+    def _product_form(self) -> tuple[float, np.ndarray] | None:
+        """``(c0, b)`` with ``w(S, S|{i}) = c0 * b(S) * b(S|{i})`` on every
+        edge, b 0 on infeasible coalitions; None unless g keeps every cube
+        edge between two feasible coalitions.  A size table ``c_s`` gives
+        ``c0 = c_0`` and ``b(S) = b_|S|``, ``b_0 = 1``, ``b_{s+1} = c_s / (c0
+        b_s)`` in exact fractions, None past ``_LEVEL_RANGE``; explicit
+        weights have none, unless ``degree_product_weighting`` sets it."""
+        w, n = self.weighting, self.n
+        if not w.permutation_invariant or not _keeps_feasible_edges(self):
+            return None
+        sizes = w.by_size(n)
+        levels = [Fraction(1)]
+        for c in sizes:
+            levels.append(c / (sizes[0] * levels[-1]))
+        # checked on the fractions: float() of a level past 2**1024 raises
+        if not all(1 / _LEVEL_RANGE < b < _LEVEL_RANGE for b in levels):
+            return None
+        b = np.array([float(x) for x in levels])[_popcounts(n)]
+        b[~self.vertex_mask] = 0.0
+        return float(sizes[0]), b
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         """Orientation-blind incident-edge count per feasible vertex."""
         return _endpoint_sums(self.edge_mask)[self.vertex_mask]
 
     def degree(self, S: co.Coalition) -> int:
         return int(self.degrees[self.position(S)])
+
+
+# Range of the levels b of a product form, which keeps b * x far from
+# overflow and from subnormals; a table past it runs the per-player kernel.
+_LEVEL_RANGE = Fraction(2) ** 256
+
+
+def _feasible_edges(n: int, vertex_mask: np.ndarray) -> np.ndarray:
+    """The cube edges between two feasible coalitions, in the layout of ``edge_mask``."""
+    out = np.empty((n, 1 << max(n - 1, 0)), dtype=bool)
+    for i in range(n):
+        ends = vertex_mask.reshape(-1, 2, 1 << i)
+        np.logical_and(ends[:, 0], ends[:, 1], out=out[i].reshape(-1, 1 << i))
+    return out
+
+
+def _keeps_feasible_edges(g: GameGraph) -> bool:
+    """Whether g has every cube edge between two feasible coalitions, and no other."""
+    return np.array_equal(g.edge_mask, _feasible_edges(g.n, g.vertex_mask))
 
 
 def _popcounts(n: int) -> np.ndarray:
@@ -446,10 +487,8 @@ def restrict(g: GameGraph, removed_vertices: Iterable[co.Coalition] = (),
         g.position(S)  # raises unless S is a feasible vertex
     vertex_mask = g.vertex_mask.copy()
     vertex_mask[list(rv)] = False
-    edge_mask = g.edge_mask.copy()
-    for i in range(n):  # keep the edges whose two ends stay feasible
-        ends = vertex_mask.reshape(-1, 2, 1 << i)
-        edge_mask[i] &= (ends[:, 0] & ends[:, 1]).reshape(-1)
+    # keep the edges whose two ends stay feasible
+    edge_mask = g.edge_mask & _feasible_edges(n, vertex_mask)
     for b, p in {(int(b), int(p)) for b, p in removed_edges}:
         if not (0 <= p < n and 0 <= b <= full):
             raise DomainError(f"({b}, {p}) is not an edge of the {n}-player cube")
@@ -464,6 +503,9 @@ def degree_product_weighting(g: GameGraph) -> GameGraph:
     """Reweight every edge by the product of its endpoint degrees.
 
     On the full cube every degree is n, so the weighting is the constant n**2.
+    Elsewhere the result carries the product form ``(1, deg)`` whenever g
+    keeps every cube edge between two feasible coalitions; the degrees are
+    small integers, so ``deg(S) * deg(T)`` is each weight bit for bit.
     """
     n = g.n
     if g.is_full_cube:
@@ -482,6 +524,8 @@ def degree_product_weighting(g: GameGraph) -> GameGraph:
     # what player_weights would build from the explicit arrays: every
     # product is an integer far below 2**53
     out.__dict__["player_weights"] = products.astype(np.float64)
+    if _keeps_feasible_edges(g):
+        out.__dict__["_product_form"] = (1.0, deg.astype(np.float64))
     return out
 
 

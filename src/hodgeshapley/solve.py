@@ -31,18 +31,20 @@ preconditioned conjugate gradient on all rows at once in preallocated
 buffers, each row scaled by its own power of two and stopped at its own
 relative residual.  Weights within three decades take the Walsh
 preconditioner ``z = s * L_1^+ (s * r)``, ``s = sqrt(n / deg)``, wider
-ones Jacobi.  Where every weight factors as ``w(S, S|{i}) = c_0 b(S)
-b(S|{i})`` on a graph that keeps every cube edge between two feasible
-coalitions, ``L_w`` is a few chunked sub-cube matmuls
-(``_subcube_laplacian``); other graphs, the right-hand sides and the
-exact engines keep the half-view passes.  Both float engines first divide
-a game near the top of float64's range by a power of two (``_prescaled``,
-exact), and refuse a component past that range with ``ConvergenceError``.
-The solve refuses with ``CapacityError`` at entry when its buffers, about
-``(6.5 n + 5) * 2**n * 8`` bytes for a full decompose (``(2 n + 6) * 2**n
-* 8`` on the spectral route), would exceed physical memory.  Every route
-needs numpy alone, and all land on the same answer, unique up to
-constants on a connected graph.
+ones Jacobi.  Where a graph carries a product form ``w(S, S|{i}) = c_0
+b(S) b(S|{i})`` (``GameGraph._product_form``: size tables and degree
+products, on a graph that keeps every cube edge between two feasible
+coalitions), ``L_w`` is a few chunked sub-cube matmuls
+(``_subcube_laplacian``); every other explicit weighting, other graphs,
+the right-hand sides and the exact engines keep the half-view passes.
+Both float engines first divide a game near the top of float64's range
+by a power of two (``_prescaled``, exact), and refuse a component past
+that range with ``ConvergenceError``.  The solve refuses with
+``CapacityError`` at entry when its buffers, about ``(6.5 n + 5) * 2**n
+* 8`` bytes for a full decompose (``(2 n + 6) * 2**n * 8`` on the
+spectral route), would exceed physical memory.  Every route needs numpy
+alone, and all land on the same answer, unique up to constants on a
+connected graph.
 """
 
 from __future__ import annotations
@@ -397,9 +399,6 @@ _BLOCK_PLAYERS = 5
 # 0.029 s and its wall time rose about 5 % (three pairs of 12 s
 # bench/run.py runs, 2 vCPUs).
 _CHUNK = 1 << 16
-# Range of the coalition scaling b: b * x then stays far from overflow and
-# from subnormals; a weighting past it runs the per-player kernel.
-_LEVEL_RANGE = 2.0 ** 256
 
 
 def _chunk_floats(cols: int, k: int) -> int:
@@ -471,87 +470,33 @@ def _block_product(M: np.ndarray, a: int, x: np.ndarray, out: np.ndarray, prod: 
             o[...] = t
 
 
-def _product_factors(g: GameGraph):
-    """``(c0, b)`` with ``w(S, S|{i}) = c0 * b(S) * b(S|{i})`` on every cube
-    edge, b a float per coalition with ``b({}) = 1`` and 0 on infeasible
-    coalitions; None when g lacks an edge between two feasible coalitions,
-    when a weight misses the product by more than a few ulp per level, or
-    when b leaves ``_LEVEL_RANGE``.
-
-    c0 is the weight of the first edge out of {}; every other feasible
-    coalition takes b from one feasible in-edge, level by level, which the
-    graph's formability guarantees.  Read from ``player_weights`` alone.
-    """
-    n, w, feasible = g.n, g.player_weights, g.vertex_mask
-    via = np.full(1 << n, -1)  # the joining player of each coalition's chosen in-edge
-    up = np.zeros(1 << n)      # that edge's weight
-    for i in reversed(range(n)):
-        ends = feasible.reshape(-1, 2, 1 << i)
-        present = g.edge_mask[i].reshape(-1, 1 << i)
-        if not np.array_equal(present, ends[:, 0] & ends[:, 1]):
-            return None
-        np.copyto(via.reshape(-1, 2, 1 << i)[:, 1], i, where=present)
-        np.copyto(up.reshape(-1, 2, 1 << i)[:, 1], w[i].reshape(-1, 1 << i), where=present)
-    if np.any(via[1:][feasible[1:]] < 0):
-        return None
-    c0 = float(w[np.argmax(g.edge_mask[:, 0]), 0])
-    b = np.zeros(1 << n)
-    b[0] = 1.0
-    sizes = _popcounts(n)
-    tol = 4 * (n + 1) * np.finfo(float).eps
-    with np.errstate(all="ignore"):
-        for level in range(1, n + 1):
-            T = np.flatnonzero((sizes == level) & feasible)
-            b[T] = up[T] / (c0 * b[T ^ (1 << via[T])])
-        for i in range(n):
-            h = b.reshape(-1, 2, 1 << i)
-            w_i = w[i].reshape(-1, 1 << i)
-            if not np.all(np.abs(c0 * h[:, 0] * h[:, 1] - w_i) <= tol * w_i):
-                return None
-        if not np.all((1 / _LEVEL_RANGE < b[feasible]) & (b[feasible] < _LEVEL_RANGE)):
-            return None
-    return c0, b
-
-
-_float_plans: "weakref.WeakKeyDictionary[GameGraph, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _float_plan(g: GameGraph) -> tuple:
-    """``(_product_factors(g), _walsh_fits(g), deg)``, deg the weighted
-    degree of every coalition, cached per graph: a decompose and a verify
-    on one graph, or ``solve_component`` over every player, read the
-    weights once."""
-    plan = _float_plans.get(g)
-    if plan is None:
-        plan = _float_plans[g] = (_product_factors(g), _walsh_fits(g),
-                                  _endpoint_sums(g.player_weights))
-    return plan
-
-
 def _subcube_laplacian(g: GameGraph, k: int, prod: np.ndarray | None = None):
     """``apply(x, out)``, out = L_w x for C-contiguous (k, 2**n) arrays, as
-    sub-cube matmuls; None unless ``_product_factors`` factors g's weights.
+    sub-cube matmuls; None unless g has a ``GameGraph._product_form``.
 
     With ``w(S, S|{i}) = c0 b(S) b(S|{i})`` on exactly the edges between
     feasible coalitions, ``L_w = diag(deg) - c0 diag(b) A diag(b)``, where
-    A is the unweighted cube adjacency and b is 0 on infeasible coalitions.
-    A is a Kronecker sum over the players, so over a block of s players
-    starting at bit a it acts on the view ``x.reshape(-1, 2**s, 2**a)`` as
-    one matmul with the s-cube's adjacency (``_block_product``), through
-    the product chunk prod, which is allocated here when not given.  Unless
-    b is 1 everywhere, ``b * x`` is written once per apply into a buffer of
-    x's shape.
+    A is the unweighted cube adjacency, b is 0 on infeasible coalitions and
+    the weighted degree is ``deg = c0 b (A b)``.  A is a Kronecker sum over
+    the players, so over a block of s players starting at bit a it acts on
+    the view ``x.reshape(-1, 2**s, 2**a)`` as one matmul with the s-cube's
+    adjacency (``_block_product``), through the product chunk prod, which
+    is allocated here when not given.  Unless b is 1 everywhere, ``b * x``
+    is written once per apply into a buffer of x's shape.
     """
-    factors, _, deg = _float_plan(g)
-    if factors is None:
+    if g._product_form is None:
         return None
-    c0, b = factors
+    c0, b = g._product_form
     n = g.n
-    diag = np.divide(deg, b, out=np.zeros_like(deg), where=b > 0)
-    scaled = bool(np.any(b != 1.0))
     blocks = [(a, -c0 * _cube_adjacency(s)) for a, s in _player_blocks(n)]
     if prod is None:
         prod = np.empty(_chunk_floats(1 << n, k))
+    # deg / b = c0 A b, by the same products; -c0 A b accumulates here
+    diag = np.zeros(1 << n)
+    for a, M in blocks:
+        _block_product(M, a, b, diag, prod, add=True)
+    np.negative(diag, out=diag)
+    scaled = bool(np.any(b != 1.0))
     bx = np.empty((k, 1 << n)) if scaled else None
 
     def apply(x: np.ndarray, out: np.ndarray) -> None:
@@ -699,14 +644,14 @@ def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[i
     w = g.player_weights
     m = g.num_vertices
     infeasible = np.flatnonzero(~g.vertex_mask)
-    _, walsh, deg = _float_plan(g)
+    deg = _endpoint_sums(w)
     scratch = np.empty((k, cols // 2))
     prod = np.empty(_chunk_floats(cols, k))
     apply = _subcube_laplacian(g, k, prod)
     if apply is None:
         def apply(x, out):
             _laplacian(w, x, out, scratch)
-    if walsh:
+    if _walsh_fits(g):
         preconditioner = WALSH
         precondition = _walsh_preconditioner(g.n, deg, prod)
     else:
@@ -897,8 +842,11 @@ def residual_orthogonality(g: GameGraph, v: Game, dec: Decomposition) -> list:
     That vertex function is ``L_w v_i - L_{w_i} v``, so one sweep of
     half-view passes gives every player's at once: exactly in rational
     mode, on ints over one common denominator.  Float mode applies ``L_w``
-    as the sub-cube products of ``_subcube_laplacian`` where the weights
-    factor.
+    as the sub-cube products of ``_subcube_laplacian`` where g carries a
+    product form.  It first divides v and the components by the power of
+    two that brings the larger of their peaks into [0.5, 1), exactly, so
+    that neither a game near the top of float64's range overflows nor a
+    subnormal one loses its bits, and scales the peaks back at the end.
     """
     k = len(dec.components)
     apply = None
@@ -910,6 +858,8 @@ def residual_orthogonality(g: GameGraph, v: Game, dec: Decomposition) -> list:
     else:
         values, D = np.asarray(v.values, dtype=np.float64), 1
         X, den = np.array([c.values for c in dec.components], dtype=np.float64), 1
+        _, scale = np.frexp(max(np.max(np.abs(values)), np.max(np.abs(X))))
+        values, X = np.ldexp(values, -scale), np.ldexp(X, -scale)
         W, D_w = g.player_weights, 1
         apply = _subcube_laplacian(g, k)
     # D den D_w (L_w X_i / den - L_{w_i} v / D), row by row
@@ -921,8 +871,11 @@ def residual_orthogonality(g: GameGraph, v: Game, dec: Decomposition) -> list:
     if D != 1:
         out *= D
     _add_rhs(W, values * -den, range(k), out)
-    peaks = np.abs(out[:, g.vertex_mask]).max(axis=1).tolist()
-    return [Fraction(x, D * den * D_w) for x in peaks] if v.is_rational else peaks
+    peaks = np.abs(out[:, g.vertex_mask]).max(axis=1)
+    if v.is_rational:
+        return [Fraction(x, D * den * D_w) for x in peaks.tolist()]
+    with np.errstate(over="ignore"):  # a residual past float64's range reads inf
+        return np.ldexp(peaks, scale).tolist()
 
 
 def edge_residual(g: GameGraph, v: Game, dec: Decomposition, i: int) -> ops.EdgeFunction:

@@ -275,6 +275,42 @@ def test_exit_code_float_components_past_float64(tmp_path, capsys, weights):
     assert main(args + ["--backend", "dense-rational"]) == 0
 
 
+@pytest.mark.parametrize("case", ["top", "subnormal"])
+def test_verify_float_games_at_both_ends_of_the_range(tmp_path, capsys, case):
+    # games that decompose handles: +-3e307 on size-plus-one weights, and a
+    # subnormal game on the size table 1000, 1/1000, ... (the Jacobi route)
+    n = 6
+    if case == "top":
+        values = np.where(np.arange(1 << n) % 2 == 1, 3e307, -3e307)
+        weights = "size-plus-one"
+    else:
+        values = np.random.default_rng(3).standard_normal(1 << n) * 1e-310
+        spec = tmp_path / "weights.json"
+        spec.write_text(json.dumps({"kind": "by_cardinality",
+                                    "values": ["1000", "1/1000"] * (n // 2)}))
+        weights = f"file:{spec}"
+    values[0] = 0.0
+    gpath = tmp_path / "game.json"
+    gpath.write_text(json.dumps(gm.game_to_spec(gm.game_from_values(n, values, gm.FLOAT))))
+    for backend in ("cg", "dense-rational"):
+        assert main(["verify", "--game", str(gpath), "--weights", weights,
+                     "--backend", backend]) == 0, backend
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and out.count("PASS") >= 2, (backend, out)
+
+
+def test_exit_code_capacity_refusal(tmp_path, holdout_path, capsys):
+    # permutation enumeration past 10 players is refused with exit 2
+    n = 11
+    gpath = tmp_path / "big.json"
+    gpath.write_text(json.dumps(gm.game_to_spec(
+        gm.game_from_values(n, np.arange(1 << n, dtype=float), gm.FLOAT))))
+    assert main(["shapley", "--game", str(gpath), "--constraints", holdout_path,
+                 "--method", "precedence"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n <= 10" in err
+
+
 def test_csv_format(glove_path, capsys):
     assert main(["decompose", "--game", glove_path, "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import os
 import random
@@ -998,6 +1000,46 @@ def test_float_components_past_float64_are_refused_on_both_routes():
         assert max(abs(x) for x in exact.components[0].values) > np.finfo(float).max
 
 
+def _subnormal_game(n):
+    """A standard-normal game scaled by 1e-310, into float64's subnormals."""
+    vals = np.random.default_rng(3).standard_normal(1 << n) * 1e-310
+    vals[0] = 0.0
+    return gm.game_from_values(n, vals, gm.FLOAT)
+
+
+def _alternating_thousands(n):
+    """The size table 1000, 1/1000, 1000, ...: weights past the Walsh spread."""
+    return gr.EdgeWeighting.by_cardinality(
+        [Fraction(1000) ** (-1) ** s for s in range(n)])
+
+
+@pytest.mark.parametrize("case", ["top", "subnormal"])
+def test_float_residual_orthogonality_at_both_ends_of_the_range(case):
+    # L_w of the components overflowed at +-3e307 (nan peaks), and b * x
+    # underflowed on a subnormal game with levels down to 1e-18, which the
+    # residual check took for a failed split; both decompose
+    n = 6
+    if case == "top":
+        g = gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n))
+        v, preconditioner, e = _alternating_game(n, 3e307), sv.WALSH, -64
+    else:
+        g = gr.full_hypercube(n, _alternating_thousands(n))
+        v, preconditioner, e = _subnormal_game(n), sv.JACOBI, 1000
+    dec = sv.decompose(g, v)
+    assert {s.preconditioner for s in dec.diagnostics} == {preconditioner}
+    residuals = sv.residual_orthogonality(g, v, dec)
+    assert max(residuals) <= 1e-8 * np.max(np.abs(v.values))
+    assert max(sv.residual_orthogonality(g, v.as_rational(),
+                                         sv.decompose(g, v.as_rational()))) == 0
+    # the scaling is exact: the game and components scaled by 2**e give the
+    # peaks scaled by 2**e, bit for bit
+    scaled = dataclasses.replace(dec, components=tuple(
+        gm.game_from_values(n, np.ldexp(c.values, e), gm.FLOAT) for c in dec.components))
+    got = sv.residual_orthogonality(
+        g, gm.game_from_values(n, np.ldexp(v.values, e), gm.FLOAT), scaled)
+    assert np.array_equal(np.ldexp(got, -e), residuals)
+
+
 # ---------------------------------------------------------------------------
 # the sub-cube Laplacian of float CG (weights c0 * b(S) * b(T) on the edges
 # between feasible coalitions)
@@ -1079,50 +1121,189 @@ def test_subcube_laplacian_refuses_levels_out_of_range():
     assert sv._subcube_laplacian(gr.full_hypercube(n), 1) is not None
 
 
-def test_product_factors_refuse_graphs_that_do_not_factor():
+def test_product_form_refuses_graphs_that_do_not_factor():
     n = 6
     g = _product_graph(n, "degree-product", 7)
-    assert sv._product_factors(g) is not None
+    assert g._product_form is not None
     # a removed edge between two feasible coalitions
     edge = gr.Edge(bits(1), 2)
     assert g.contains_vertex(bits(1)) and g.contains_vertex(bits(1, 2))
     for h in (gr.restrict(gr.full_hypercube(n), [], [edge]), gr.restrict(g, [], [edge]),
               _restricted_explicit_graph(n, 43)):
-        assert sv._product_factors(h) is None
+        assert h._product_form is None
         assert sv._subcube_laplacian(h, 1) is None
     # one degree-product weight off by a relative 1e-9
     entries = dict(zip(g.edges(), edge_weights(g)))
     entries[edge] *= 1 + Fraction(1, 10 ** 9)
     off = gr.GameGraph(n, g.vertex_mask, g.edge_mask, gr.EdgeWeighting.explicit(entries))
-    assert sv._product_factors(off) is None
+    assert off._product_form is None
 
 
-def test_product_factors_run_once_per_graph(monkeypatch):
-    # solve_component over every player reads the weights once; the cache
-    # changes no bit of any component
+def _count_product_forms(monkeypatch):
+    """The graphs whose ``_product_form`` is computed from now on, in order."""
+    prop, calls = gr.GameGraph.__dict__["_product_form"], []
+
+    def counted(g):
+        calls.append(g)
+        return prop.func(g)
+
+    traced = functools.cached_property(counted)
+    traced.__set_name__(gr.GameGraph, "_product_form")
+    monkeypatch.setattr(gr.GameGraph, "_product_form", traced)
+    return calls
+
+
+def test_product_form_is_computed_once_per_graph(monkeypatch):
+    # solve_component over every player computes the form once; the cached
+    # form changes no bit of any component.  A degree-product graph gets its
+    # form where its weights are made and never computes it.
     n = 7
     vals = np.random.default_rng(54).standard_normal(1 << n)
     vals[0] = 0.0
     v = gm.game_from_values(n, vals, gm.FLOAT)
-    uncached = [sv.solve_component(_product_graph(n, "degree-product", 54), v, i).values
-                for i in range(n)]
-    factors, calls = sv._product_factors, []
+    for weighting, computed in (("size-plus-one", 1), ("degree-product", 0)):
+        uncached = [sv.solve_component(_product_graph(n, weighting, 54), v, i).values
+                    for i in range(n)]
+        with monkeypatch.context() as patch:
+            calls = _count_product_forms(patch)
+            g = _product_graph(n, weighting, 54)
+            assert not g.vertex_mask.all()
+            for i in range(n):
+                comp = sv.solve_component(g, v, i)
+                assert np.array_equal(comp.values, uncached[i])
+            assert calls == [g] * computed
+            dec = sv.decompose(g, v)
+            sv.residual_orthogonality(g, v, dec)
+            assert calls == [g] * computed
+        assert g._product_form is not None
+        assert {s.preconditioner for s in dec.diagnostics} == {sv.WALSH}
 
-    def counted(g):
-        calls.append(g)
-        return factors(g)
 
-    monkeypatch.setattr(sv, "_product_factors", counted)
-    g = _product_graph(n, "degree-product", 54)
-    assert not g.vertex_mask.all()
+def _random_size_table(rng, n):
+    """A by-cardinality table of n ratios within 10**+-6."""
+    return gr.EdgeWeighting.by_cardinality(
+        [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) for _ in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_product_form_matches_the_weights(seed):
+    # c0 * b(S) * b(S|{i}) is every edge's weight within the 4 (n + 1) eps
+    # relative tolerance of the old numerical search, and b is exactly 0 off
+    # the feasible coalitions
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    eps = np.finfo(float).eps
+    for weighting in (gr.EdgeWeighting.constant(Fraction(rng.randint(1, 99), rng.randint(1, 9))),
+                      gr.EdgeWeighting.size_plus_one(n), _random_size_table(rng, n)):
+        cube = gr.full_hypercube(n, weighting)
+        for g in (cube, _vertex_restricted(cube, seed)):
+            c0, b = g._product_form
+            assert c0 == float(weighting.by_size(n)[0])
+            assert np.all(b[~g.vertex_mask] == 0.0)
+            w = g.player_weights
+            for i in range(n):
+                ends = b.reshape(-1, 2, 1 << i)
+                product = (c0 * ends[:, 0] * ends[:, 1]).reshape(-1)
+                assert np.all(np.abs(product - w[i]) <= 4 * (n + 1) * eps * w[i])
+
+
+def test_degree_products_carry_their_form_bit_for_bit():
+    # whatever the input weighting, here explicit: c0 = 1 and b = the degrees
+    n = 7
+    rng = random.Random(56)
+    entries = {e: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+               for e in gr.full_hypercube(n).edges() if rng.random() < 0.5}
+    g = _vertex_restricted(gr.full_hypercube(n, gr.EdgeWeighting.explicit(entries)), 56)
+    assert not g.vertex_mask.all() and g._product_form is None
+    h = gr.degree_product_weighting(g)
+    c0, b = h._product_form
+    assert c0 == 1.0 and np.array_equal(b[h.vertex_mask], h.degrees)
+    assert np.all(b[~h.vertex_mask] == 0.0)
+    # the weights as the explicit arrays give them, not the table built alongside
+    fresh = gr.GameGraph(n, h.vertex_mask, h.edge_mask, h.weighting).player_weights
     for i in range(n):
-        comp = sv.solve_component(g, v, i)
-        assert np.array_equal(comp.values, uncached[i])
-    assert calls == [g]
-    dec = sv.decompose(g, v)
-    sv.residual_orthogonality(g, v, dec)
-    assert calls == [g]
-    assert {s.preconditioner for s in dec.diagnostics} == {sv.WALSH}
+        ends = b.reshape(-1, 2, 1 << i)
+        product = (c0 * ends[:, 0] * ends[:, 1]).reshape(-1)
+        assert np.array_equal(product, h.player_weights[i])
+        assert np.array_equal(product, fresh[i])
+
+
+def _count_laplacians(monkeypatch):
+    """A list that grows by one on every call of the per-player ``_laplacian``."""
+    kernel, calls = sv._laplacian, []
+
+    def counted(*args):
+        calls.append(None)
+        kernel(*args)
+
+    monkeypatch.setattr(sv, "_laplacian", counted)
+    return calls
+
+
+def test_graphs_without_a_product_form_take_the_per_player_kernel(monkeypatch):
+    n = 6
+    vals = np.random.default_rng(57).standard_normal(1 << n)
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    edge = gr.Edge(bits(1), 2)
+    less_an_edge = gr.restrict(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)), [],
+                               [edge])
+    assert less_an_edge.contains_vertex(bits(1)) and less_an_edge.contains_vertex(bits(1, 2))
+    degree_products = gr.degree_product_weighting(_product_graph(n, "constant", 57))
+    assert degree_products._product_form is not None
+    # explicit weights that equal the degree products: the same graph to
+    # round-off, but nothing reads the form off the float weights
+    listed = gr.GameGraph(n, degree_products.vertex_mask, degree_products.edge_mask,
+                          gr.EdgeWeighting.explicit(dict(zip(degree_products.edges(),
+                                                             edge_weights(degree_products)))))
+    # levels up to 10**320: no float() of a level runs before the range check
+    alternating = gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality(
+        [Fraction(10) ** (80 * (-1) ** s) for s in range(n)]))
+    for g in (less_an_edge, gr.degree_product_weighting(less_an_edge), listed, alternating):
+        assert g._product_form is None
+        assert sv._subcube_laplacian(g, 1) is None
+        # the residual check of the exact components (float CG does not
+        # converge on weights 10**+-80), and the float decompose elsewhere
+        exact = sv.decompose(g, v.as_rational())
+        exact = dataclasses.replace(exact, components=tuple(c.as_float()
+                                                            for c in exact.components))
+        with monkeypatch.context() as patch:
+            calls = _count_laplacians(patch)
+            sv.residual_orthogonality(g, v, exact)
+            assert len(calls) == 1
+            if g is not alternating:
+                sv.decompose(g, v)
+                assert len(calls) > 1
+    dec = sv.decompose(listed, v)
+    ref = sv.decompose(degree_products, v)
+    for comp, want in zip(dec.components, ref.components):
+        assert np.max(np.abs(comp.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+
+
+def test_benchmark_graphs_keep_their_route(monkeypatch):
+    # graphs shaped like every benchmark case, at small n: constant cubes
+    # run spectral, size-plus-one cubes and restricted degree-product cubes
+    # run CG with the Walsh preconditioner and the sub-cube apply, and their
+    # residual check applies L_w by sub-cube products too
+    n = 7
+    vals = np.random.default_rng(58).standard_normal(1 << n) * 10.0
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    removed = [bits(0, 1), bits(2, 3, 4), bits(1, 5, 6)]
+    cases = ((gr.full_hypercube(n), sv.SPECTRAL, ""),
+             (gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)), sv.CG_FLOAT, sv.WALSH),
+             (gr.degree_product_weighting(gr.restrict(gr.full_hypercube(n), removed)),
+              sv.CG_FLOAT, sv.WALSH))
+    for g, engine, preconditioner in cases:
+        assert g._product_form is not None
+        with monkeypatch.context() as patch:
+            calls = _count_laplacians(patch)
+            dec = sv.decompose(g, v, sv.SolverConfig(backend=sv.CG_FLOAT))
+            residuals = sv.residual_orthogonality(g, v, dec)
+        assert calls == []
+        assert {(s.backend, s.preconditioner) for s in dec.diagnostics} == \
+            {(engine, preconditioner)}
+        assert max(residuals) <= 1e-9 * np.max(np.abs(vals))
 
 
 def test_float_residual_orthogonality_takes_the_subcube_apply(monkeypatch):
