@@ -20,7 +20,10 @@ both modes run the spectral engine (``_spectral``): the Walsh transform
 diagonalises both operators, so ``v_i^(T) = [i in T] v^(T) / |T|``, and
 each player is solved on the half cube of the coalitions without it,
 stopping at the relative residual ``cg_tolerance`` or at an exact integer
-residual of 0 (``_spectral_lift``).  Every other graph in rational mode
+residual of 0 (``_spectral_lift``).  A float call for three or more
+players transforms one potential ``phi = L_1^+ v`` instead and reads each
+player's half row off phi's differences in that player; a row that fails
+its check is solved again on its own.  Every other graph in rational mode
 lifts exact digits from a float64 inverse of the integer pinned Laplacian
 (``_exact``; built once per graph from the slot tables, up to 4096
 unknowns, and ``CapacityError`` comes before any right-hand side past
@@ -41,7 +44,7 @@ Both float engines first divide a game near the top of float64's range
 by a power of two (``_prescaled``, exact), and refuse a component past
 that range with ``ConvergenceError``.  The solve refuses with
 ``CapacityError`` at entry when its buffers, about ``(6.5 n + 5) * 2**n
-* 8`` bytes for a full decompose (``(2 n + 6) * 2**n * 8`` on the
+* 8`` bytes for a full decompose (``(2 n + 2) * 2**n * 8`` on the
 spectral route), would exceed physical memory.  Every route needs numpy
 alone, and all land on the same answer, unique up to constants on a
 connected graph.
@@ -111,8 +114,9 @@ class PlayerSolveStats:
     its relative residual, which is ``|r| / |b|`` where CG stops, ``|L_{1,i}
     v - L_1 x| / |L_{1,i} v|`` at unit weights in the float spectral
     engine (read off the half rows, whose norms are both the full rows'
-    over sqrt(2)), and 0 in rational mode; and the CG preconditioner,
-    "walsh" or "jacobi" ("" outside CG)."""
+    over sqrt(2), whether x came from the game's potential or from the
+    player's own half-row solve), and 0 in rational mode; and the CG
+    preconditioner, "walsh" or "jacobi" ("" outside CG)."""
 
     player: int
     backend: str
@@ -235,6 +239,15 @@ def _mirror(Y: np.ndarray, players: Sequence[int], out: np.ndarray) -> None:
         np.subtract(0 - Y[j, 0], y, out=pair[:, 1])  # not -y({}): a zero row stays +0.0
 
 
+# Fewest players whose float spectral solve reads its rows off the game's
+# potential: fewer half rows move no more data than the potential's one
+# full row.  Three break even: 2.1-2.2 ms on their own half rows against
+# 2.2-2.3 ms through the potential at n = 15, 17.2-17.4 against 17.5-18.4
+# ms at n = 18; fifteen players took 8.5-9.0 against 4.3-4.4 ms (medians
+# of 21 and 9 calls, two runs each, one BLAS thread)
+_POTENTIAL_PLAYERS = 3
+
+
 def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     """Components of v for the given players on a full cube with constant
     weights, as ``(X, den, residuals)``: the components are X / den, and
@@ -246,9 +259,18 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     ``L_{n-1} + 2I`` (definite, eigenvalue ``2(|T| + 1)`` on the character
     of T, a set of the other players), and ``_mirror`` writes the full row.
     In ints X = 2**n * lcm(1..n) * D * (the component), D the lcm of v's
-    denominators.  Floats scale each half row by a power of two, as
-    ``_cg_float`` does, and a null player's row is exactly 0; a check past
-    ``cfg.cg_tolerance`` raises ConvergenceError.
+    denominators, lifted row by row.
+
+    Floats scale each half row by a power of two, as ``_cg_float`` does,
+    and a null player's row is exactly 0.  ``L_1`` and every ``L_{1,i}``
+    are diagonal in the Walsh basis, so they commute and ``v_i = L_{1,i}
+    phi`` for the one potential ``phi = L_1^+ v``: a call for at least
+    ``_POTENTIAL_PLAYERS`` players transforms phi's single row, and player
+    i's half row is phi's difference in i.  Each row is then checked on its
+    half system, and one the potential cannot serve (a player far below
+    the game's scale) is solved again on its own half row and checked
+    again.  Smaller calls solve every half row on its own.  A check past
+    ``cfg.cg_tolerance`` on a row's own solve raises ConvergenceError.
     """
     n, k, rows = g.n, len(players), 1 << g.n
     if v.is_rational:
@@ -259,40 +281,83 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
         values, D = _over_common_denominator(v.values)
         c = math.lcm(*range(1, n + 1)) << n
         return _spectral_lift(n, values * c, players), c * D, [0.0] * k
-    # X, plus the half right-hand sides and solutions: decomposes and single
-    # components at n = 12..16 peaked at 2 k + 0.2..2.1 vectors of 2**n
-    # floats and the chunk (tracemalloc)
-    _check_memory(n, k, 8 * (2 * k + 6), "float solve")
+    # the half rows, their solutions and the potential come and go before
+    # X; with the component games' copies of X, decomposes at n = 12..18
+    # peaked at 2 k - 3.5..-0.1 vectors of 2**n floats and single components
+    # at 2 k + 1.1..1.8, over the chunk (tracemalloc)
+    _check_memory(n, k, 8 * (2 * k + 2), "float solve")
     # halved when some |v(S)| >= 2**1023, so that no difference overflows
     values, shift = _prescaled(np.asarray(v.values, dtype=np.float64), 1)
-    B = np.empty((k, rows >> 1))
-    _half_differences(values, players, B)
-    # each row by the power of two that brings its peak into [0.5, 1), as
-    # in _cg_float, so a player far below the game's scale keeps its bits
-    _, scale = np.frexp(np.maximum(B.max(axis=1), -B.min(axis=1)))
-    np.ldexp(B, -scale[:, None], out=B)
-    # a half row's norm is its full row's over sqrt(2), on both sides of the ratio
-    norms = np.sqrt(_row_dots(B, B))
     prod = np.empty(_chunk_floats(rows >> 1, k))
-    Y = np.empty_like(B)
-    _unit_pseudo_inverse(n, prod)(B, Y)
-    np.negative(B, out=B)  # becomes (L_{n-1} + 2I) Y - B, a sum of sub-cube products
-    for a, s in _player_blocks(n - 1):
-        M = (s + 2 * (a == 0)) * np.eye(1 << s) - _cube_adjacency(s)
-        _block_product(M, a, Y, B, prod, add=True)
-    gap = np.sqrt(_row_dots(B, B))
-    residuals = np.divide(gap, norms, out=np.where(gap > 0, np.inf, 0.0), where=norms > 0)
-    c = np.argmin(residuals <= cfg.cg_tolerance)  # the first miss, if any
-    if not residuals[c] <= cfg.cg_tolerance:
+    solve = _unit_pseudo_inverse(n, prod)
+    Y = np.empty((k, rows >> 1))
+    scale, residuals = np.zeros(k, dtype=int), np.zeros(k)
+    redo = np.arange(k)  # the rows solved on their own half row
+    if k >= _POTENTIAL_PLAYERS:
+        B, scale, live = _half_rows(values, players)
+        # phi of the game brought into [0.5, 1), exactly; player i's half
+        # difference of it solves for B[j] at B[j]'s own scale
+        _, top = np.frexp(np.max(np.abs(values)))
+        phi = np.ldexp(values, -top).reshape(1, rows)
+        solve(phi, phi)
+        _half_differences(phi[0], players, Y)
+        del phi
+        with np.errstate(over="ignore"):
+            np.ldexp(Y, (top - scale)[:, None], out=Y)
+        # (L_{n-1} + 2I)^-1 is at most 1/2 in the max norm and |B| < 1, so a
+        # row past 1 (inf included) is wrong; it is zeroed before the check
+        fits = np.maximum(Y.max(axis=1), -Y.min(axis=1)) <= 1
+        Y[~(fits & live)] = 0.0
+        residuals = _half_residuals(n, Y, B, prod)
+        del B
+        redo = np.flatnonzero(live & ~(fits & (residuals <= cfg.cg_tolerance)))
+    if redo.size:
+        Z, scale[redo], _ = _half_rows(values, [players[j] for j in redo])
+        W = np.empty_like(Z)
+        solve(Z, W)
+        residuals[redo] = _half_residuals(n, W, Z, prod)
+        Y[redo] = W
+        del Z, W
+    missed = ~(residuals <= cfg.cg_tolerance)
+    c = np.argmax(missed)  # the first miss, if any
+    if missed[c]:
         raise ConvergenceError(
             f"spectral solve for player {players[c]} missed tolerance {cfg.cg_tolerance} "
-            f"(relative residual {residuals[c]:.3e})", residual_history=[float(residuals[c])])
+            f"(relative residual {residuals[c]:.3e}); --backend dense-rational gives exact "
+            f"components", residual_history=[float(residuals[c])])
     X = np.empty((k, rows))
     with np.errstate(over="ignore", invalid="ignore"):  # _check_range reports it
         np.ldexp(Y, (scale + shift)[:, None], out=Y)
         _mirror(Y, players, X)
     _check_range(X, players)
     return X, 1, residuals.tolist()
+
+
+def _half_rows(values: np.ndarray, players: Sequence[int]):
+    """``(B, scale, live)``: the half right-hand sides ``_half_differences``
+    of values for the given players, each row times the power of two that
+    brings its peak into [0.5, 1) (``B[j] * 2**scale[j]`` is the difference),
+    as in ``_cg_float``, so a player far below the game's scale keeps its
+    bits; live is False on the rows that are exactly 0."""
+    B = np.empty((len(players), len(values) >> 1))
+    _half_differences(values, players, B)
+    mantissa, scale = np.frexp(np.maximum(B.max(axis=1), -B.min(axis=1)))
+    np.ldexp(B, -scale[:, None], out=B)
+    return B, scale, mantissa > 0
+
+
+def _half_residuals(n: int, Y: np.ndarray, B: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """Each row's relative residual ``|(L_{n-1} + 2I) Y[j] - B[j]| / |B[j]|``
+    on (k, 2**(n-1)) half rows, 0 where both are 0, by the sub-cube products;
+    B is overwritten.  A half row's norm is its full row's over sqrt(2), on
+    both sides of the ratio."""
+    norms = np.sqrt(_row_dots(B, B))
+    np.negative(B, out=B)  # becomes (L_{n-1} + 2I) Y - B
+    for a, s in _player_blocks(n - 1):
+        M = (s + 2 * (a == 0)) * np.eye(1 << s) - _cube_adjacency(s)
+        _block_product(M, a, Y, B, prod, add=True)
+    gap = np.sqrt(_row_dots(B, B))
+    return np.divide(gap, norms, out=np.where(gap > 0, np.inf, 0.0), where=norms > 0)
 
 
 def _prescaled(values: np.ndarray, headroom: int) -> tuple[np.ndarray, int]:
@@ -709,7 +774,8 @@ def _cg_float(g: GameGraph, R: np.ndarray, peak: np.ndarray, players: Sequence[i
         c = np.flatnonzero(running)[0]
         raise ConvergenceError(
             f"CG for player {players[c]} did not reach tolerance {tol} in {max_iters} "
-            f"iterations (relative residual {history[-1][c]:.3e})",
+            f"iterations (relative residual {history[-1][c]:.3e}); --backend dense-rational "
+            f"gives exact components",
             residual_history=[float(h[c]) for h in history])
     X -= X[:, :1].copy()  # normalize v_i({}) = 0
     X[:, infeasible] = 0.0

@@ -275,6 +275,26 @@ def test_exit_code_float_components_past_float64(tmp_path, capsys, weights):
     assert main(args + ["--backend", "dense-rational"]) == 0
 
 
+def test_exit_code_float_cg_miss_names_the_exact_backend(tmp_path, capsys):
+    # sizes weighted 10**80 and 10**-80 in turn: float CG stops short of its
+    # tolerance (exit 4), and the message names the backend that decomposes
+    # the game exactly
+    n = 6
+    values = np.random.default_rng(57).standard_normal(1 << n)
+    values[0] = 0.0
+    gpath = tmp_path / "game.json"
+    gpath.write_text(json.dumps(gm.game_to_spec(gm.game_from_values(n, values, gm.FLOAT))))
+    wpath = tmp_path / "weights.json"
+    wpath.write_text(json.dumps({"kind": "by_cardinality",
+                                 "values": [str(10 ** 80), f"1/{10 ** 80}"] * (n // 2)}))
+    args = ["decompose", "--game", str(gpath), "--weights", f"file:{wpath}", "--format", "csv"]
+    assert main(args + ["--backend", "cg"]) == 4
+    err = capsys.readouterr().err
+    assert "error: CG for player 0 did not reach tolerance" in err
+    assert "--backend dense-rational" in err
+    assert main(args + ["--backend", "dense-rational"]) == 0
+
+
 @pytest.mark.parametrize("case", ["top", "subnormal"])
 def test_verify_float_games_at_both_ends_of_the_range(tmp_path, capsys, case):
     # games that decompose handles: +-3e307 on size-plus-one weights, and a

@@ -1280,6 +1280,24 @@ def test_graphs_without_a_product_form_take_the_per_player_kernel(monkeypatch):
         assert np.max(np.abs(comp.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
 
 
+def test_a_cg_miss_points_to_the_exact_backend():
+    # sizes weighted 10**80 and 10**-80 in turn (the per-player kernel with
+    # Jacobi): float CG stops short of its tolerance, and the error names
+    # the backend that decomposes the game exactly
+    n = 6
+    g = gr.full_hypercube(n, gr.EdgeWeighting.by_cardinality(
+        [Fraction(10) ** (80 * (-1) ** s) for s in range(n)]))
+    vals = np.random.default_rng(57).standard_normal(1 << n)
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    with pytest.raises(ConvergenceError, match=r"^CG for player 0 did not reach tolerance 1e-12 "
+                                               r"in 640 iterations \(relative residual .*\); "
+                                               r"--backend dense-rational gives exact "
+                                               r"components$"):
+        sv.decompose(g, v)
+    assert sv.decompose(g, v.as_rational()).efficiency_gap == 0
+
+
 def test_benchmark_graphs_keep_their_route(monkeypatch):
     # graphs shaped like every benchmark case, at small n: constant cubes
     # run spectral, size-plus-one cubes and restricted degree-product cubes
@@ -1827,6 +1845,106 @@ def test_spectral_capacity_error_before_any_work(monkeypatch):
         sv.solve_component(gr.full_hypercube(n), v, 0)
 
 
+def _recorded_inverses(monkeypatch):
+    """A list that gets a copy of every input of an ``L_1^+`` apply
+    (``_unit_pseudo_inverse``): a (1, 2**n) row for the game's potential,
+    (rows, 2**(n-1)) for half rows solved on their own."""
+    original, inputs = sv._unit_pseudo_inverse, []
+
+    def recorded(n, prod):
+        apply = original(n, prod)
+
+        def solve(r, z):
+            inputs.append(r.copy())
+            apply(r, z)
+        return solve
+
+    monkeypatch.setattr(sv, "_unit_pseudo_inverse", recorded)
+    return inputs
+
+
+def _own_half_row(v, i):
+    """Player i's half right-hand side ``v(S) - v(S | {i})`` on the
+    coalitions S without i, times the power of two that brings its peak
+    into [0.5, 1)."""
+    pair = np.asarray(v.values).reshape(-1, 2, 1 << i)
+    d = (pair[:, 0] - pair[:, 1]).ravel()
+    return np.ldexp(d, -np.frexp(np.max(np.abs(d)))[1])
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_float_spectral_reads_every_row_off_the_potential(monkeypatch, n):
+    # standard-normal games from 2**-900 to 2**900: every component is the
+    # exact one's float to within 1e-12 of its peak, and from n = 3 on no
+    # row is solved again on its own (below, the half rows are the route)
+    rng = np.random.default_rng(200 + n)
+    g = gr.full_hypercube(n, gr.EdgeWeighting.constant(5))
+    inputs = _recorded_inverses(monkeypatch)
+    for shift in (-900, -40, 0, 40, 900):
+        vals = np.ldexp(rng.standard_normal(1 << n), shift)
+        vals[0] = 0.0
+        v = gm.game_from_values(n, vals, gm.FLOAT)
+        exact = [np.array([float(x) for x in sv.solve_component(g, v.as_rational(), i).values])
+                 for i in range(n)]
+        inputs.clear()
+        dec = sv.decompose(g, v)
+        assert [x.shape for x in inputs] == \
+            ([(1, 1 << n)] if n >= 3 else [(n, 1 << (n - 1))]), shift
+        assert {s.backend for s in dec.diagnostics} == {sv.SPECTRAL}
+        for ref, comp in zip(exact, dec.components):
+            assert np.max(np.abs(comp.values - ref)) <= 1e-12 * np.max(np.abs(ref)), shift
+
+
+def test_float_spectral_transforms_one_potential_row_per_call(monkeypatch):
+    # the saving: three or more players cost one Walsh inverse of the
+    # game's (1, 2**n) row and none of the (k, 2**(n-1)) half rows; one or
+    # two players keep the half-row inverse
+    n = 9
+    vals = np.random.default_rng(61).standard_normal(1 << n)
+    vals[0] = 0.0
+    v = gm.game_from_values(n, vals, gm.FLOAT)
+    g = gr.full_hypercube(n)
+    inputs = _recorded_inverses(monkeypatch)
+    dec = sv.decompose(g, v)
+    assert [x.shape for x in inputs] == [(1, 1 << n)]
+    for players, shape in (([0, 4, 8], (1, 1 << n)), ([2, 7], (2, 1 << (n - 1)))):
+        inputs.clear()
+        X = sv._solve(g, v, players, sv.SolverConfig())[0]
+        assert [x.shape for x in inputs] == [shape]
+        for x, i in zip(X, players):
+            want = dec.components[i].values
+            assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
+    inputs.clear()
+    comp = sv.solve_component(g, v, 3)
+    assert [x.shape for x in inputs] == [(1, 1 << (n - 1))]
+    assert np.max(np.abs(comp.values - dec.components[3].values)) <= \
+        1e-13 * np.max(np.abs(comp.values))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_a_wrong_potential_table_falls_back_on_every_row(monkeypatch, n):
+    # the game's potential gets the table 2|T| - 1 (1 at T = {}) instead of
+    # 2|T|: the check catches every row, every row is solved again on its
+    # own half row, and the components are the unmutated ones
+    v = gm.game_from_values(n, random_dyadic_values(random.Random(62 + n), n)).as_float()
+    g = gr.full_hypercube(n)
+    ref = sv.decompose(g, v)
+    original = sv._walsh_inverse
+
+    def wrong(eigenvalues, prod):
+        if len(eigenvalues) == 1 << n:
+            eigenvalues = eigenvalues - 1
+        return original(eigenvalues, prod)
+
+    monkeypatch.setattr(sv, "_walsh_inverse", wrong)
+    inputs = _recorded_inverses(monkeypatch)
+    dec = sv.decompose(g, v)
+    assert [x.shape for x in inputs] == [(1, 1 << n), (n, 1 << (n - 1))]
+    assert all(s.backend == sv.SPECTRAL and s.residual <= 1e-14 for s in dec.diagnostics)
+    for comp, want in zip(dec.components, ref.components):
+        assert np.max(np.abs(comp.values - want.values)) <= 1e-12 * np.max(np.abs(want.values))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_float_spectral_matches_cg_and_the_exact_engine(n):
     rng = random.Random(100 + n)
@@ -1848,14 +1966,17 @@ def test_float_spectral_matches_cg_and_the_exact_engine(n):
             assert np.max(np.abs(comp.values - X[i])) <= 1e-13 * scale
 
 
-def test_float_spectral_null_players_get_exact_zeros():
+def test_float_spectral_null_players_get_exact_zeros(monkeypatch):
     n = 7
     base = np.random.default_rng(46).standard_normal(1 << n)
     null = (1 << 1) | (1 << 4)
     v = gm.game_from_values(n, [base[S & ~null] - base[0] for S in range(1 << n)], gm.FLOAT)
     g = gr.full_hypercube(n)
+    inputs = _recorded_inverses(monkeypatch)
     dec = sv.decompose(g, v)
     assert dec.diagnostics[1].backend == sv.SPECTRAL
+    # the potential alone: no row, null or not, is solved again on its own
+    assert [x.shape for x in inputs] == [(1, 1 << n)]
     for i in (1, 4):
         assert not np.any(dec.components[i].values)
         assert not np.any(sv.solve_component(g, v, i).values)
@@ -1900,14 +2021,20 @@ def test_float_spectral_keeps_a_small_player_accurate_to_its_own_scale(monkeypat
         laplacian(*args)
 
     monkeypatch.setattr(sv, "_laplacian", counted)
+    inputs = _recorded_inverses(monkeypatch)
     for name, (g, (engine, preconditioner, per_player), bound) in _small_player_graphs(n).items():
         exact = np.array([float(x) for x in sv.solve_component(g, v.as_rational(), n - 1).values])
         calls.clear()
+        inputs.clear()
         dec = sv.decompose(g, v)
         assert (dec.diagnostics[-1].backend, dec.diagnostics[-1].preconditioner) == \
             (engine, preconditioner), name
         assert bool(calls) == per_player, name
         if engine == sv.SPECTRAL:
+            # the potential misses the small player's row, and that row
+            # alone is solved again on its own half row, to its own scale
+            assert [x.shape for x in inputs] == [(1, 1 << n), (1, 1 << (n - 1))]
+            assert np.array_equal(inputs[1][0], _own_half_row(v, n - 1))
             assert dec.diagnostics[-1].residual <= 1e-14
         for comp in (dec.components[-1].values, sv.solve_component(g, v, n - 1).values):
             assert np.max(np.abs(comp - exact)) <= bound * np.max(np.abs(exact)), name
@@ -1934,7 +2061,8 @@ def test_float_spectral_check_catches_a_corrupted_transform(monkeypatch):
     vals[0] = 0.0
     v = gm.game_from_values(n, vals, gm.FLOAT)
     g = gr.full_hypercube(n)
-    with pytest.raises(ConvergenceError, match=r"player 0 .* tolerance 1e-20") as err:
+    with pytest.raises(ConvergenceError, match=r"player 0 .* tolerance 1e-20 .*; --backend "
+                                               r"dense-rational gives exact components$") as err:
         sv.decompose(g, v, sv.SolverConfig(cg_tolerance=1e-20))
     assert len(err.value.residual_history) == 1  # no iteration to repeat
     original = sv._blocked_walsh
@@ -1951,8 +2079,8 @@ def test_float_spectral_check_catches_a_corrupted_transform(monkeypatch):
 
 
 def test_float_spectral_refuses_past_physical_memory_before_any_transform(monkeypatch):
-    # at n = 10 a decompose needs about 8 * 2**10 * (2n + 6) bytes plus a
-    # chunk of 8 * 2**10 * n (0.28 MiB) on the spectral route, and about
+    # at n = 10 a decompose needs about 8 * 2**10 * (2n + 2) bytes plus a
+    # chunk of 8 * 2**10 * n (0.25 MiB) on the spectral route, and about
     # 8 * 2**10 * (6.5n + 5) bytes plus the chunk (0.62 MiB) in CG
     n = 10
     vals = np.random.default_rng(49).standard_normal(1 << n)
@@ -1966,19 +2094,22 @@ def test_float_spectral_refuses_past_physical_memory_before_any_transform(monkey
     def never(*args):
         raise AssertionError("transform ran past the cap")
 
+    # neither the game's potential nor a half row is transformed
+    monkeypatch.setattr(sv, "_unit_pseudo_inverse", never)
     monkeypatch.setattr(sv, "_blocked_walsh", never)
     monkeypatch.setattr(sv, "_physical_memory", lambda: 200_000)
     with pytest.raises(CapacityError, match="float solve of 10 players at n = 10"):
         sv.decompose(gr.full_hypercube(n), v)
-    monkeypatch.setattr(sv, "_physical_memory", lambda: 50_000)  # one player needs 72 KiB
+    monkeypatch.setattr(sv, "_physical_memory", lambda: 30_000)  # one player needs 40 KiB
     with pytest.raises(CapacityError, match="float solve of 1 players at n = 10"):
         sv.solve_component(gr.full_hypercube(n), v, 0)
 
 
-def test_float_spectral_scales_each_row_by_its_own_power_of_two():
+def test_float_spectral_scales_each_row_by_its_own_power_of_two(monkeypatch):
     # the last player's only marginal is 2**-60 against a game of about
     # 2**1000: under one power of two for the whole game its half row would
-    # sit below 2**-1022 and lose its bits; at its own scale it keeps them
+    # sit below 2**-1022 and lose its bits; at its own scale it keeps them.
+    # The game's potential cannot carry it, so that row alone is solved again
     n = 6
     rng = np.random.default_rng(57)
     base, last = np.ldexp(rng.standard_normal(1 << n), 1000), 1 << (n - 1)
@@ -1987,8 +2118,12 @@ def test_float_spectral_scales_each_row_by_its_own_power_of_two():
     v = gm.game_from_values(n, vals, gm.FLOAT)
     g = gr.full_hypercube(n)
     exact = np.array([float(x) for x in sv.solve_component(g, v.as_rational(), n - 1).values])
+    inputs = _recorded_inverses(monkeypatch)
     dec = sv.decompose(g, v)
     assert dec.diagnostics[-1].backend == sv.SPECTRAL
+    assert [x.shape for x in inputs] == [(1, 1 << n), (1, 1 << (n - 1))]
+    assert np.array_equal(inputs[1][0], _own_half_row(v, n - 1))
+    assert dec.diagnostics[-1].residual <= 1e-14
     for comp in (dec.components[-1].values, sv.solve_component(g, v, n - 1).values):
         assert np.max(np.abs(comp - exact)) <= 1e-13 * np.max(np.abs(exact))
 
@@ -2022,7 +2157,10 @@ def test_spectral_half_cube_inverse_solves_the_antisymmetric_rows():
 def test_a_wrong_half_cube_table_fails_loudly(monkeypatch, n):
     # the half-cube inverse gets the table 2|T| + 1 instead of 2(|T| + 1):
     # the float check names the first player it fails and the exact lift
-    # stalls; neither returns a wrong answer
+    # stalls; neither returns a wrong answer.  A float decompose of three or
+    # more players reads its rows off the game's potential, which does not
+    # read this table, so the float calls here are single components, which
+    # solve their half rows on their own
     original = sv._walsh_inverse
 
     def wrong(eigenvalues, prod):
@@ -2034,7 +2172,7 @@ def test_a_wrong_half_cube_table_fails_loudly(monkeypatch, n):
     v = gm.game_from_values(n, random_dyadic_values(random.Random(55 + n), n))
     g = gr.full_hypercube(n)
     with pytest.raises(ConvergenceError, match="spectral solve for player 0 "):
-        sv.decompose(g, v.as_float())
+        sv.solve_component(g, v.as_float(), 0)
     with pytest.raises(ConvergenceError, match=f"spectral solve for player {n - 1} "):
         sv.solve_component(g, v.as_float(), n - 1)
     with pytest.raises(ArithmeticError, match="spectral lifting step gained"):
