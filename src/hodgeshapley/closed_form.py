@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Iterator
 
 import numpy as np
@@ -271,10 +271,10 @@ def verify_shapley_coefficient(n: int, s: int, i: int) -> Fraction:
     if not 0 <= i < n:
         raise DomainError(f"player index {i} outside [0, {n})")
     joined = co.from_members([j for j in range(n) if j != i][:s] + [i], n)
-    # the unit game times c = 2**n lcm(1..n), whose component is integral,
-    # as the exact spectral solve scales it; u(N) alone is read off the row
+    # the lift solves for the unit game times its integral scale c; u(N)
+    # alone is read off the row
     _check_memory(n, 1, 112, "exact spectral solve")  # 97..114 B at n = 17..20
-    c = lcm(*range(1, n + 1)) << n
     unit = np.zeros(1 << n, dtype=np.int64)
-    unit[joined] = c
-    return Fraction(int(_spectral_lift(n, unit, [i])[0, -1]), c)
+    unit[joined] = 1
+    N, c = _spectral_lift(n, unit, [i])
+    return Fraction(int(N[0, -1]), c)

@@ -207,10 +207,9 @@ def game_from_spec(spec: Mapping) -> Game:
     "values": {"[0,1]": "1", ...}}.  Unlisted coalitions default to 0; the
     empty coalition may be listed only with value 0.
     """
-    try:
-        players = list(spec["players"])
-    except (KeyError, TypeError):
-        raise SpecFileError("game spec needs a 'players' name list", location="players") from None
+    players = spec.get("players") if isinstance(spec, Mapping) else None
+    if not isinstance(players, (list, tuple)):  # a string or an object is no name list
+        raise SpecFileError("game spec needs a 'players' name list", location="players")
     n = len(players)
     co.check_player_count(n)
     mode = spec.get("mode", RATIONAL)

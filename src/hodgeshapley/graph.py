@@ -553,10 +553,10 @@ def _coalition_at(text, n: int, location: str) -> co.Coalition:
 def _edge_at(item, n: int, location: str, needs: str) -> Edge:
     """The cube edge a spec entry names by 'base' and 'player'; needs says what a
     malformed entry lacks."""
-    try:
-        base, p = item["base"], int(item["player"])
-    except (KeyError, TypeError, ValueError):
-        raise SpecFileError(needs, location=location) from None
+    # the player is a JSON integer: not 1.7, true or "1"
+    if not isinstance(item, Mapping) or "base" not in item or type(item.get("player")) is not int:
+        raise SpecFileError(needs, location=location)
+    base, p = item["base"], item["player"]
     S = _coalition_at(base, n, location)
     if not 0 <= p < n:
         raise SpecFileError(f"player {p} outside [0, {n})", location=location)

@@ -18,16 +18,17 @@ Rational mode computes on Python ints over one common denominator (v as
 the component games.  On the full cube with one weight c on every edge,
 both modes run the spectral engine (``_spectral``): the Walsh transform
 diagonalises both operators, so ``v_i^(T) = [i in T] v^(T) / |T|``, and
-each player is solved on the half cube of the coalitions without it,
-stopping at the relative residual ``cg_tolerance`` or at an exact integer
-residual of 0 (``_spectral_lift``).  A float call for three or more
-players transforms one potential ``phi = L_1^+ v`` instead and reads each
-player's half row off phi's differences in that player; a row that fails
-its check is solved again on its own.  Every other graph in rational mode
-lifts exact digits from a float64 inverse of the integer pinned Laplacian
-(``_exact``; built once per graph from the slot tables, up to 4096
-unknowns, and ``CapacityError`` comes before any right-hand side past
-that).  ``decompose`` checks ``sum_i v_i = v`` exactly after either engine.
+each player is solved on the half cube of the coalitions without it.
+Rational mode lifts each half row to an exact integer residual of 0
+(``_spectral_lift``).  Float mode transforms one potential ``phi = L_1^+
+v`` per call and reads each player's half row off phi's differences in
+that player, checked at the relative residual ``cg_tolerance``; a row
+that fails its check is solved again on its own.  Every other graph in
+rational mode lifts exact digits from a float64 inverse of the integer
+pinned Laplacian (``_exact``; built once per graph from the slot tables,
+up to 4096 unknowns, and ``CapacityError`` comes before any right-hand
+side past that).  ``decompose`` checks ``sum_i v_i = v`` exactly after
+either engine.
 
 Every other graph in float mode runs ``cg_float`` (``_cg_float``):
 preconditioned conjugate gradient on all rows at once in preallocated
@@ -239,15 +240,6 @@ def _mirror(Y: np.ndarray, players: Sequence[int], out: np.ndarray) -> None:
         np.subtract(0 - Y[j, 0], y, out=pair[:, 1])  # not -y({}): a zero row stays +0.0
 
 
-# Fewest players whose float spectral solve reads its rows off the game's
-# potential: fewer half rows move no more data than the potential's one
-# full row.  Three break even: 2.1-2.2 ms on their own half rows against
-# 2.2-2.3 ms through the potential at n = 15, 17.2-17.4 against 17.5-18.4
-# ms at n = 18; fifteen players took 8.5-9.0 against 4.3-4.4 ms (medians
-# of 21 and 9 calls, two runs each, one BLAS thread)
-_POTENTIAL_PLAYERS = 3
-
-
 def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     """Components of v for the given players on a full cube with constant
     weights, as ``(X, den, residuals)``: the components are X / den, and
@@ -258,19 +250,17 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
     coalitions without i, where ``L_1`` acts on an antisymmetric row as
     ``L_{n-1} + 2I`` (definite, eigenvalue ``2(|T| + 1)`` on the character
     of T, a set of the other players), and ``_mirror`` writes the full row.
-    In ints X = 2**n * lcm(1..n) * D * (the component), D the lcm of v's
-    denominators, lifted row by row.
+    Ints lift each half row exactly (``_spectral_lift``).
 
     Floats scale each half row by a power of two, as ``_cg_float`` does,
     and a null player's row is exactly 0.  ``L_1`` and every ``L_{1,i}``
     are diagonal in the Walsh basis, so they commute and ``v_i = L_{1,i}
-    phi`` for the one potential ``phi = L_1^+ v``: a call for at least
-    ``_POTENTIAL_PLAYERS`` players transforms phi's single row, and player
-    i's half row is phi's difference in i.  Each row is then checked on its
-    half system, and one the potential cannot serve (a player far below
-    the game's scale) is solved again on its own half row and checked
-    again.  Smaller calls solve every half row on its own.  A check past
-    ``cfg.cg_tolerance`` on a row's own solve raises ConvergenceError.
+    phi`` for the one potential ``phi = L_1^+ v``: every call transforms
+    phi's single row, and player i's half row is phi's difference in i.
+    Each row is then checked on its half system, and one the potential
+    cannot serve (a player far below the game's scale) is solved again on
+    its own half row and checked again; a miss there past
+    ``cfg.cg_tolerance`` raises ConvergenceError.
     """
     n, k, rows = g.n, len(players), 1 << g.n
     if v.is_rational:
@@ -279,38 +269,35 @@ def _spectral(g: GameGraph, v: Game, players: Sequence[int], cfg: SolverConfig):
         _check_memory(n, k, 170 * k + 70, "exact spectral solve",
                       f" and {2e-6 * (k + 0.5) * rows:,.1f} s")
         values, D = _over_common_denominator(v.values)
-        c = math.lcm(*range(1, n + 1)) << n
-        return _spectral_lift(n, values * c, players), c * D, [0.0] * k
+        N, c = _spectral_lift(n, values, players)
+        return N, c * D, [0.0] * k
     # the half rows, their solutions and the potential come and go before
     # X; with the component games' copies of X, decomposes at n = 12..18
-    # peaked at 2 k - 3.5..-0.1 vectors of 2**n floats and single components
-    # at 2 k + 1.1..1.8, over the chunk (tracemalloc)
+    # peaked at 2 k - 9.2..-0.1 vectors of 2**n floats and single components
+    # at 2 k + 1.5..2.0, over the chunk (tracemalloc)
     _check_memory(n, k, 8 * (2 * k + 2), "float solve")
     # halved when some |v(S)| >= 2**1023, so that no difference overflows
     values, shift = _prescaled(np.asarray(v.values, dtype=np.float64), 1)
-    prod = np.empty(_chunk_floats(rows >> 1, k))
+    prod = np.empty(_chunk_floats(rows >> 1, max(k, 2)))  # two half rows hold phi's row
     solve = _unit_pseudo_inverse(n, prod)
+    B, scale, live = _half_rows(values, players)
+    # phi of the game brought into [0.5, 1), exactly; player i's half
+    # difference of it solves for B[j] at B[j]'s own scale
+    _, top = np.frexp(np.max(np.abs(values)))
+    phi = np.ldexp(values, -top).reshape(1, rows)
+    solve(phi, phi)
     Y = np.empty((k, rows >> 1))
-    scale, residuals = np.zeros(k, dtype=int), np.zeros(k)
-    redo = np.arange(k)  # the rows solved on their own half row
-    if k >= _POTENTIAL_PLAYERS:
-        B, scale, live = _half_rows(values, players)
-        # phi of the game brought into [0.5, 1), exactly; player i's half
-        # difference of it solves for B[j] at B[j]'s own scale
-        _, top = np.frexp(np.max(np.abs(values)))
-        phi = np.ldexp(values, -top).reshape(1, rows)
-        solve(phi, phi)
-        _half_differences(phi[0], players, Y)
-        del phi
-        with np.errstate(over="ignore"):
-            np.ldexp(Y, (top - scale)[:, None], out=Y)
-        # (L_{n-1} + 2I)^-1 is at most 1/2 in the max norm and |B| < 1, so a
-        # row past 1 (inf included) is wrong; it is zeroed before the check
-        fits = np.maximum(Y.max(axis=1), -Y.min(axis=1)) <= 1
-        Y[~(fits & live)] = 0.0
-        residuals = _half_residuals(n, Y, B, prod)
-        del B
-        redo = np.flatnonzero(live & ~(fits & (residuals <= cfg.cg_tolerance)))
+    _half_differences(phi[0], players, Y)
+    del phi
+    with np.errstate(over="ignore"):
+        np.ldexp(Y, (top - scale)[:, None], out=Y)
+    # (L_{n-1} + 2I)^-1 is at most 1/2 in the max norm and |B| < 1, so a
+    # row past 1 (inf included) is wrong; it is zeroed before the check
+    fits = np.maximum(Y.max(axis=1), -Y.min(axis=1)) <= 1
+    Y[~(fits & live)] = 0.0
+    residuals = _half_residuals(n, Y, B, prod)
+    del B
+    redo = np.flatnonzero(live & ~(fits & (residuals <= cfg.cg_tolerance)))
     if redo.size:
         Z, scale[redo], _ = _half_rows(values, [players[j] for j in redo])
         W = np.empty_like(Z)
@@ -377,23 +364,26 @@ def _check_range(X: np.ndarray, players: Sequence[int]) -> None:
             f"range; --backend dense-rational gives exact components")
 
 
-def _spectral_lift(n: int, x: np.ndarray, players: Sequence[int]) -> np.ndarray:
-    """Python-int rows N with ``L_1 N[j] = L_{1,i} x`` (i = players[j]) and
-    ``N[j, 0] = 0``, for ints x whose pinned solutions are integral, by
-    dyadic lifting (Wan 2006) with a known denominator.
+def _spectral_lift(n: int, x: np.ndarray, players: Sequence[int]) -> tuple[np.ndarray, int]:
+    """``(N, c)``: Python-int rows N with ``L_1 N[j] = c L_{1,i} x`` (i =
+    players[j]) and ``N[j, 0] = 0``, for an int vector x, and ``c = 2**n
+    lcm(1..n)``, which makes those pinned solutions integral, by dyadic
+    lifting (Wan 2006) with a known denominator.
 
     The lift runs on the half rows of ``_spectral``: Y with ``(L_{n-1} +
-    2I) Y = B``, B from ``_half_differences``, whose solution is integral
-    too, and ``_mirror`` gives N.  A step keeps the top ``_STEP_BITS`` bits
-    ``y = rint(2**-h (L_{n-1} + 2I)^-1 r)`` of a float solve on the exact
-    residual r's float view (``_float_view``, as the lifting solver's) and
-    updates ``r -= 2**h (L_{n-1} + 2I) y``, ``Y += 2**h y`` exactly, in
-    int64 while the bits allow.  The system's condition number is n, so a
+    2I) Y = B``, B from ``_half_differences`` of ``c x``, whose solution is
+    integral too, and ``_mirror`` gives N.  A step keeps the top
+    ``_STEP_BITS`` bits ``y = rint(2**-h (L_{n-1} + 2I)^-1 r)`` of a float
+    solve on the exact residual r's float view (``_float_view``, as the
+    lifting solver's) and updates ``r -= 2**h (L_{n-1} + 2I) y``, ``Y +=
+    2**h y`` exactly, in int64 while the bits allow.  The system's condition number is n, so a
     step gains over 40 bits and r ends at 0, the proof; a gain under
     ``_MIN_GAIN_BITS`` is a bug and raises."""
     half, k = 1 << (n - 1), len(players)
-    r = np.empty((k, half), dtype=np.int64 if _max_bits(x) <= 61 else object)
-    _half_differences(x.astype(r.dtype), players, r)
+    c = math.lcm(*range(1, n + 1)) << n
+    fits = (int(np.max(np.abs(x))) * c).bit_length() <= 61  # c x, and so r, in int64
+    r = np.empty((k, half), dtype=np.int64 if fits else object)
+    _half_differences(x.astype(r.dtype) * c, players, r)
     solve = _unit_pseudo_inverse(n, np.empty(_chunk_floats(half, k)))
     Y = np.zeros((k, half), dtype=np.int64)
     bound = 0  # on |Y|: int64 holds Y and its mirror while bound < 2**62
@@ -422,7 +412,7 @@ def _spectral_lift(n: int, x: np.ndarray, players: Sequence[int]) -> np.ndarray:
                                   f"fewer than {_MIN_GAIN_BITS}; this is a bug")
     N = np.empty((k, half << 1), dtype=Y.dtype)
     _mirror(Y, players, N)
-    return N.astype(object)
+    return N.astype(object), c
 
 
 def _add_rhs(w: np.ndarray | None, x: np.ndarray, players: Sequence[int], out: np.ndarray) -> None:
@@ -637,13 +627,16 @@ def _unit_pseudo_inverse(n: int, prod: np.ndarray):
     on the coalitions without i of rows antisymmetric in a player i, as
     ``_half_differences`` writes them; their characters are the T that hold
     i, so the table is the upper half of L_1's, ``2(|T| + 1)`` over the
-    other players, the inverse of ``L_{n-1} + 2I``.
+    other players, the inverse of ``L_{n-1} + 2I``.  Each width's inverse
+    is built on the first call at that width.
     """
-    table = 2.0 * np.maximum(_popcounts(n), 1)
-    solves = {len(t): _walsh_inverse(t, prod) for t in (table, table[len(table) // 2:])}
+    solves = {}  # by row width
 
     def apply(r: np.ndarray, z: np.ndarray) -> None:
-        solves[r.shape[1]](r, z)
+        width = r.shape[1]
+        if width not in solves:
+            solves[width] = _walsh_inverse(2.0 * np.maximum(_popcounts(n)[-width:], 1), prod)
+        solves[width](r, z)
 
     return apply
 

@@ -1,8 +1,10 @@
-"""tools/bench_pairs.py keeps the pairs it finished when a run fails, and
-records both sides' src/ line counts."""
+"""tools/bench_pairs.py keeps the pairs it finished when a run fails,
+runs both sides from fresh copies at paths of equal length, and records
+both sides' src/ line counts."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ def bench_pairs(tmp_path, monkeypatch):
     git = []
     monkeypatch.setattr(module, "ROOT", tmp_path)
     monkeypatch.setattr(module, "_git", lambda *args: git.append(args) or "abc1234")
+    monkeypatch.setattr(module, "_checkout", lambda rev, dest: dest.mkdir(parents=True))
     return module, git
 
 
@@ -32,7 +35,7 @@ def test_a_failed_run_keeps_the_finished_pairs(bench_pairs, tmp_path, monkeypatc
     calls = []
 
     def run(tree, workload, seed, seconds):
-        side = "change" if tree == tmp_path else "parent"
+        side = tree.name
         calls.append((seed, side))
         if (seed, side) == (12, "change"):
             return {"exit_code": 3, "stderr": "Traceback ...\nIndexError: boom"}
@@ -44,8 +47,8 @@ def test_a_failed_run_keeps_the_finished_pairs(bench_pairs, tmp_path, monkeypatc
     assert status == 1
     # pair 2 runs the change first; its failure stops the pairs
     assert calls == [(11, "parent"), (11, "change"), (12, "change")]
-    assert [args[:2] for args in git] == [("rev-parse", "--short"), ("worktree", "add"),
-                                           ("worktree", "remove")]
+    assert git == [("rev-parse", "--short", "HEAD"), ("rev-parse", "--short", "HEAD"),
+                   ("status", "--porcelain")]
     runs = json.loads((tmp_path / "BENCH_t.json").read_text())["runs"]
     assert [(r["seed"], r["side"]) for r in runs] == calls
     assert runs[-1] == {"side": "change", "seed": 12, "exit_code": 3,
@@ -145,17 +148,17 @@ def test_the_pair_file_records_both_sides_src_line_counts(bench_pairs, tmp_path,
                                                          capsys):
     module, _ = bench_pairs
 
-    def git(*args):
-        if args[:2] == ("worktree", "add"):  # the parent's checkout
-            (Path(args[3]) / "src" / "pkg").mkdir(parents=True)
-            (Path(args[3]) / "src" / "pkg" / "a.py").write_text("x = 1\n" * 7)
-        return "abc1234"
+    def checkout(rev, dest):
+        if rev is None:  # the working tree's copy
+            (dest / "src").mkdir(parents=True)
+            (dest / "src" / "a.py").write_text("x = 1\n" * 4)
+            (dest / "src" / "b.py").write_text("y = 2\n")
+            (dest / "src" / "notes.txt").write_text("not counted\n")
+        else:
+            (dest / "src" / "pkg").mkdir(parents=True)
+            (dest / "src" / "pkg" / "a.py").write_text("x = 1\n" * 7)
 
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "a.py").write_text("x = 1\n" * 4)
-    (tmp_path / "src" / "b.py").write_text("y = 2\n")
-    (tmp_path / "src" / "notes.txt").write_text("not counted\n")
-    monkeypatch.setattr(module, "_git", git)
+    monkeypatch.setattr(module, "_checkout", checkout)
     monkeypatch.setattr(module, "_compile_template", lambda prefix, workload: None)
     monkeypatch.setattr(module, "_run", lambda tree, workload, seed, seconds: _result(0.1))
     assert module.main(["HEAD", "exact-suite", "--pairs", "1", "--seconds", "1",
@@ -163,3 +166,68 @@ def test_the_pair_file_records_both_sides_src_line_counts(bench_pairs, tmp_path,
     out = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert out["src_lines"] == {"parent": 7, "change": 5}
     assert "src/ lines: parent 7, change 5" in capsys.readouterr().out
+
+
+def test_both_sides_run_from_fresh_copies_at_paths_of_equal_length(bench_pairs, tmp_path,
+                                                                   monkeypatch):
+    # a tree's location alone moved float-cube's peak_rss_mb by about 2 MB,
+    # so neither side runs in the repo itself
+    module, _ = bench_pairs
+    copies, trees = [], set()
+
+    def checkout(rev, dest):
+        copies.append((rev, dest))
+        dest.mkdir(parents=True)
+
+    def run(tree, workload, seed, seconds):
+        assert tree.is_dir()
+        trees.add(tree)
+        return _result(0.1)
+
+    monkeypatch.setattr(module, "_checkout", checkout)
+    monkeypatch.setattr(module, "_compile_template", lambda prefix, workload: None)
+    monkeypatch.setattr(module, "_run", run)
+    assert module.main(["HEAD~1", "exact-suite", "--pairs", "2", "--seconds", "1",
+                        "--label", "t"]) == 0
+    assert [rev for rev, _ in copies] == ["abc1234", None]
+    assert trees == {dest for _, dest in copies}
+    parent, change = (str(dest) for _, dest in copies)
+    assert len(parent) == len(change) and tmp_path not in map(Path, (parent, change))
+    assert not any(Path(p).exists() for p in (parent, change))
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert (out["parent"], out["change"]) == ("abc1234", "abc1234 with uncommitted changes")
+
+
+def test_checkout_copies_a_commit_or_the_working_tree(tmp_path, monkeypatch):
+    # a commit's files as committed; the working tree's as they are,
+    # untracked ones included and ignored ones left out
+    spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / "src" / "a.py").write_text("old\n")
+    (repo / "gone.py").write_text("deleted in the tree\n")
+    (repo / ".gitignore").write_text("*.log\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (repo / "src" / "a.py").write_text("new\n")
+    (repo / "src" / "b.py").write_text("untracked\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.py").unlink()
+    monkeypatch.setattr(module, "ROOT", repo)
+    module._checkout("HEAD", tmp_path / "parent")
+    module._checkout(None, tmp_path / "change")
+    files = {side: {p.relative_to(tmp_path / side).as_posix(): p.read_text()
+                    for p in (tmp_path / side).rglob("*") if p.is_file()}
+             for side in ("parent", "change")}
+    assert files["parent"] == {"src/a.py": "old\n", "gone.py": "deleted in the tree\n",
+                               ".gitignore": "*.log\n"}
+    assert files["change"] == {"src/a.py": "new\n", "src/b.py": "untracked\n",
+                               ".gitignore": "*.log\n"}

@@ -356,6 +356,29 @@ def test_exit_code_removed_edge_player_out_of_range(glove_path, tmp_path, capsys
     assert f"error: removed_edges[0]: player {player} outside [0, 3)" in err
 
 
+@pytest.mark.parametrize("game, constraints, location", [
+    ({"players": "abc", "values": {}}, None, "players"),
+    ({"players": {"x": 1, "y": 2}, "values": {}}, None, "players"),
+    (_GLOVE_SPEC, {"removed_edges": [{"base": "[]", "player": 1.7}]}, "removed_edges[0]"),
+    (_GLOVE_SPEC, {"removed_edges": [{"base": "[]", "player": True}]}, "removed_edges[0]"),
+    (_GLOVE_SPEC, {"weights": {"kind": "explicit", "entries": [
+        {"base": "[]", "player": 0.9, "w": "2"}]}}, "weights.entries[0]"),
+], ids=["players-string", "players-object", "edge-player-1.7", "edge-player-true",
+        "weight-player-0.9"])
+def test_exit_code_spec_fields_of_the_wrong_json_type(tmp_path, capsys, game, constraints,
+                                                      location):
+    # each of these used to decompose: "abc" as three players, 1.7 and true
+    # as player 1, 0.9 as player 0
+    argv = ["decompose"]
+    for flag, spec in (("--game", game), ("--constraints", constraints)):
+        if spec is not None:
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(spec))
+            argv += [flag, str(path)]
+    assert main(argv) == 2
+    assert f"error: {location}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["direct", "permutation"])
 def test_shapley_classical_methods_refuse_other_graphs(glove_path, holdout_path, tmp_path,
                                                         capsys, method):

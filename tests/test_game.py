@@ -175,6 +175,15 @@ def test_game_spec_errors():
         gm.game_from_spec({"players": ["a"], "mode": "decimal"})
 
 
+@pytest.mark.parametrize("players", ["abc", {"x": 1, "y": 2}, 3, None],
+                         ids=["string", "object", "number", "null"])
+def test_game_spec_players_must_be_a_list(players):
+    # a string used to give one player per character, an object one per key
+    with pytest.raises(SpecFileError, match="'players' name list") as err:
+        gm.game_from_spec({"players": players, "values": {}})
+    assert err.value.location == "players"
+
+
 @pytest.mark.parametrize("dense", [False, True])  # keys parsed one by one, or via the table
 def test_game_spec_rejects_a_coalition_listed_twice(dense):
     n = 4

@@ -458,6 +458,20 @@ def test_constraints_spec_rejects_out_of_range_edge_players(player):
         gr.constraints_from_spec(spec, 3)
 
 
+@pytest.mark.parametrize("player", [1.7, 0.9, 1.0, True, "1", None],
+                         ids=["1.7", "0.9", "1.0", "true", "string", "null"])
+def test_spec_edge_players_must_be_json_integers(player):
+    # int() used to read 1.7 and true as player 1 and 0.9 as player 0
+    entry = {"base": "[]", "player": player}
+    with pytest.raises(SpecFileError, match=r"^removed_edges\[1\]: removed edge needs 'base' "
+                                            r"and an integer 'player'$"):
+        gr.constraints_from_spec({"removed_edges": [{"base": "[]", "player": 0}, entry]}, 3)
+    weights = {"kind": "explicit", "entries": [{**entry, "w": "2"}]}
+    with pytest.raises(SpecFileError, match=r"^weights\.entries\[0\]: an explicit weight entry "
+                                            r"needs 'base', an integer 'player' and 'w'$"):
+        gr.constraints_from_spec({"weights": weights}, 3)
+
+
 def test_masks_are_the_graph():
     g = gr.restrict(gr.full_hypercube(3), [bits(1)], [gr.Edge(bits(0), 2)])
     assert g.vertex_mask.tolist() == [S != bits(1) for S in range(8)]

@@ -17,6 +17,7 @@ from hodgeshapley import graph as gr
 from hodgeshapley import operators as ops
 from hodgeshapley import solve as sv
 from hodgeshapley import _exact
+from hodgeshapley import closed_form
 from hodgeshapley.reference_tables import ALL_REFERENCES
 from hodgeshapley.errors import CapacityError, ConfigError, ConvergenceError, \
     InfeasibilityError
@@ -1783,19 +1784,20 @@ def test_huge_values_lift_on_the_float_inverse(monkeypatch):
 
 @pytest.mark.parametrize("top", [61, 62, 63])
 def test_spectral_lift_across_the_int64_boundary(top):
-    # right-hand sides L_{1,i} x whose largest entries sit just below and
-    # above 2**62, where the residual leaves int64 for Python ints; x is a
-    # multiple of 2**n lcm(1..n), so the pinned solution is integral
+    # right-hand sides L_{1,i} c x whose largest entries sit just below and
+    # above 2**62, where the residual leaves int64 for Python ints; the
+    # lift's own scale c = 2**n lcm(1..n) makes the pinned solution integral
     n = 5
     c = math.lcm(*range(1, n + 1)) << n
     rng = random.Random(top)
     m = ((1 << top) - 1) // c
-    x = np.array([c * rng.randint(-m, m) for _ in range(1 << n)], dtype=object)
-    assert sv._max_bits(x) == top  # 61 keeps the right-hand sides in int64
+    x = np.array([rng.randint(-m, m) for _ in range(1 << n)], dtype=object)
+    assert sv._max_bits(x * c) == top  # 61 keeps the right-hand sides in int64
     players = range(n)
-    N = sv._spectral_lift(n, x, players)
+    N, scale = sv._spectral_lift(n, x, players)
+    assert scale == c
     R = np.zeros((n, 1 << n), dtype=object)
-    sv._add_rhs(None, x, players, R)
+    sv._add_rhs(None, x * c, players, R)
     assert 62 <= sv._max_bits(R) <= 64
     LN = np.zeros_like(N)
     sv._laplacian(None, N, LN, np.empty((n, 1 << (n - 1)), dtype=object))
@@ -1875,8 +1877,8 @@ def _own_half_row(v, i):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_float_spectral_reads_every_row_off_the_potential(monkeypatch, n):
     # standard-normal games from 2**-900 to 2**900: every component is the
-    # exact one's float to within 1e-12 of its peak, and from n = 3 on no
-    # row is solved again on its own (below, the half rows are the route)
+    # exact one's float to within 1e-12 of its peak, and no row is solved
+    # again on its own
     rng = np.random.default_rng(200 + n)
     g = gr.full_hypercube(n, gr.EdgeWeighting.constant(5))
     inputs = _recorded_inverses(monkeypatch)
@@ -1888,17 +1890,15 @@ def test_float_spectral_reads_every_row_off_the_potential(monkeypatch, n):
                  for i in range(n)]
         inputs.clear()
         dec = sv.decompose(g, v)
-        assert [x.shape for x in inputs] == \
-            ([(1, 1 << n)] if n >= 3 else [(n, 1 << (n - 1))]), shift
+        assert [x.shape for x in inputs] == [(1, 1 << n)], shift
         assert {s.backend for s in dec.diagnostics} == {sv.SPECTRAL}
         for ref, comp in zip(exact, dec.components):
             assert np.max(np.abs(comp.values - ref)) <= 1e-12 * np.max(np.abs(ref)), shift
 
 
 def test_float_spectral_transforms_one_potential_row_per_call(monkeypatch):
-    # the saving: three or more players cost one Walsh inverse of the
-    # game's (1, 2**n) row and none of the (k, 2**(n-1)) half rows; one or
-    # two players keep the half-row inverse
+    # any number of players costs one Walsh inverse of the game's (1, 2**n)
+    # row and none of the (k, 2**(n-1)) half rows
     n = 9
     vals = np.random.default_rng(61).standard_normal(1 << n)
     vals[0] = 0.0
@@ -1907,16 +1907,16 @@ def test_float_spectral_transforms_one_potential_row_per_call(monkeypatch):
     inputs = _recorded_inverses(monkeypatch)
     dec = sv.decompose(g, v)
     assert [x.shape for x in inputs] == [(1, 1 << n)]
-    for players, shape in (([0, 4, 8], (1, 1 << n)), ([2, 7], (2, 1 << (n - 1)))):
+    for players in ([0, 4, 8], [2, 7]):
         inputs.clear()
         X = sv._solve(g, v, players, sv.SolverConfig())[0]
-        assert [x.shape for x in inputs] == [shape]
+        assert [x.shape for x in inputs] == [(1, 1 << n)]
         for x, i in zip(X, players):
             want = dec.components[i].values
             assert np.max(np.abs(x - want)) <= 1e-13 * np.max(np.abs(want))
     inputs.clear()
     comp = sv.solve_component(g, v, 3)
-    assert [x.shape for x in inputs] == [(1, 1 << (n - 1))]
+    assert [x.shape for x in inputs] == [(1, 1 << n)]
     assert np.max(np.abs(comp.values - dec.components[3].values)) <= \
         1e-13 * np.max(np.abs(comp.values))
 
@@ -2157,28 +2157,71 @@ def test_spectral_half_cube_inverse_solves_the_antisymmetric_rows():
 def test_a_wrong_half_cube_table_fails_loudly(monkeypatch, n):
     # the half-cube inverse gets the table 2|T| + 1 instead of 2(|T| + 1):
     # the float check names the first player it fails and the exact lift
-    # stalls; neither returns a wrong answer.  A float decompose of three or
-    # more players reads its rows off the game's potential, which does not
-    # read this table, so the float calls here are single components, which
-    # solve their half rows on their own
-    original = sv._walsh_inverse
+    # stalls; neither returns a wrong answer.  A float call reads its rows
+    # off the game's potential, which does not read this table, so the
+    # float calls here also get the wrong potential table 2|T| - 1 (1 at
+    # T = {}), which sends every row to its own half row
+    original, wrong_widths = sv._walsh_inverse, {1 << (n - 1)}
 
     def wrong(eigenvalues, prod):
-        if len(eigenvalues) == 1 << (n - 1):
+        if len(eigenvalues) in wrong_widths:
             eigenvalues = eigenvalues - 1
         return original(eigenvalues, prod)
 
     monkeypatch.setattr(sv, "_walsh_inverse", wrong)
     v = gm.game_from_values(n, random_dyadic_values(random.Random(55 + n), n))
     g = gr.full_hypercube(n)
+    wrong_widths.add(1 << n)
+    with pytest.raises(ConvergenceError, match="spectral solve for player 0 "):
+        sv.decompose(g, v.as_float())
     with pytest.raises(ConvergenceError, match="spectral solve for player 0 "):
         sv.solve_component(g, v.as_float(), 0)
     with pytest.raises(ConvergenceError, match=f"spectral solve for player {n - 1} "):
         sv.solve_component(g, v.as_float(), n - 1)
+    wrong_widths.remove(1 << n)
     with pytest.raises(ArithmeticError, match="spectral lifting step gained"):
         sv.decompose(g, v)
     with pytest.raises(ArithmeticError, match="spectral lifting step gained"):
         sv.solve_component(g, v, n - 1)
+
+
+def test_each_call_builds_only_the_walsh_inverse_it_uses(monkeypatch):
+    # the full-cube table serves the float potential and the Walsh
+    # preconditioner, the half-cube table the exact lift and a float row
+    # solved again on its own; neither is built for a call that does not
+    # read it
+    n = 6
+    full, half = 1 << n, 1 << (n - 1)
+    original, widths = sv._walsh_inverse, []
+
+    def recorded(eigenvalues, prod):
+        widths.append(len(eigenvalues))
+        return original(eigenvalues, prod)
+
+    monkeypatch.setattr(sv, "_walsh_inverse", recorded)
+    v = gm.game_from_values(n, random_dyadic_values(random.Random(64), n))
+    g = gr.full_hypercube(n)
+    # the last player's only marginal sits 2**-60 below a game of about 1,
+    # which the potential cannot carry
+    small = v.as_float().values.copy()
+    last = 1 << (n - 1)
+    small[last:] = small[:last]
+    small[last] = 2.0 ** -60
+    calls = {
+        "float decompose": (lambda: sv.decompose(g, v.as_float()), [full]),
+        "float component": (lambda: sv.solve_component(g, v.as_float(), 2), [full]),
+        "walsh cg": (lambda: sv.decompose(gr.full_hypercube(n, gr.EdgeWeighting.size_plus_one(n)),
+                                          v.as_float()), [full]),
+        "fallback": (lambda: sv.decompose(g, gm.game_from_values(n, small, gm.FLOAT)),
+                     [full, half]),
+        "exact decompose": (lambda: sv.decompose(g, v), [half]),
+        "exact component": (lambda: sv.solve_component(g, v, 2), [half]),
+        "shapley coefficient": (lambda: closed_form.verify_shapley_coefficient(n, 2, 1), [half]),
+    }
+    for name, (call, built) in calls.items():
+        widths.clear()
+        call()
+        assert widths == built, name
 
 
 def test_a_flipped_mirror_fails_the_exact_efficiency_check(monkeypatch):

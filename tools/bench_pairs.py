@@ -2,12 +2,16 @@
 
     python3 tools/bench_pairs.py REV WORKLOAD --pairs N --seconds S --label L
 
-REV is checked out in a temporary ``git worktree``; pair j (from 1) runs
+Both sides run from fresh copies at paths of equal length in one
+temporary directory: ``parent``, REV's committed files (``git archive``),
+and ``change``, the working tree's files as they are, committed or not,
+less what ``.gitignore`` leaves out; a tree's location alone moved
+``float-cube``'s ``peak_rss_mb`` by about 2 MB.  Pair j (from 1) runs
 ``bench/run.py --workload WORKLOAD --seed FIRST+j-1 --seconds S`` once on
-REV and once on the working tree, REV first on odd pairs and second on even
-ones, each run in its own checkout (so each imports its own ``src/``) and
-with its own bytecode cache (``PYTHONPYCACHEPREFIX``), so both sides
-compile ``src/`` and neither reads a ``__pycache__`` left in its tree.
+each copy, REV first on odd pairs and second on even ones, each run in its
+own copy (so each imports its own ``src/``) and with its own bytecode
+cache (``PYTHONPYCACHEPREFIX``), so both sides compile ``src/`` and
+neither reads a ``__pycache__`` left in its tree.
 Each run's cache starts as a copy of one template, the bytecode of one
 short warm-up run (the standard library, numpy and the rest of what a run
 imports from outside the trees) without the tree's own files, so a run
@@ -18,9 +22,9 @@ pairs the working tree wins are printed.  A run that fails (a nonzero
 exit, or no result line) stops the pairs: it is recorded with its exit
 code and the tail of its stderr, the JSON is still written, the complete
 pairs are summarized, and the exit status is 1.  The JSON and the summary
-also give both sides' ``src/`` line count (``bench/probe.src_line_count``).
-Nothing under ``bench/`` is edited; the worktree is removed when the pairs
-are done.
+also give both sides' ``src/`` line count (``bench/probe.src_line_count``),
+and the JSON the working tree's commit.  Nothing under ``bench/`` is
+edited; the copies are removed when the pairs are done.
 """
 
 from __future__ import annotations
@@ -54,6 +58,21 @@ def _bench_env(cache: Path | str) -> dict:
     env = dict(os.environ, PYTHONPYCACHEPREFIX=str(cache))
     env.pop("PYTHONDONTWRITEBYTECODE", None)  # the run's later imports read the cache
     return env
+
+
+def _checkout(rev: str | None, dest: Path) -> None:
+    """Write rev's committed files into the new directory dest, or, for rev
+    None, the working tree's files that git tracks or would track."""
+    dest.mkdir(parents=True)
+    if rev is not None:
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+        return
+    for name in _git("ls-files", "-z", "--cached", "--others", "--exclude-standard").split("\0"):
+        if (ROOT / name).is_file():  # not a tracked file deleted in the tree
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def _compile_template(prefix: Path, workload: str) -> None:
@@ -144,18 +163,22 @@ def main(argv: list[str] | None = None) -> int:
     rev = _git("rev-parse", "--short", args.rev)
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    head = _git("rev-parse", "--short", "HEAD")
+    if _git("status", "--porcelain"):
+        head += " with uncommitted changes"
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    tree = tmp / rev
-    _git("worktree", "add", "--detach", str(tree), rev)
-    src_lines = {"parent": src_line_count(tree / "src"), "change": src_line_count(ROOT / "src")}
+    trees = {"parent": tmp / "parent", "change": tmp / "change"}  # paths of equal length
     runs = []
     try:
+        _checkout(rev, trees["parent"])
+        _checkout(None, trees["change"])
+        src_lines = {side: src_line_count(tree / "src") for side, tree in trees.items()}
         _template = tmp / "pycache"
         _compile_template(_template, args.workload)
         schedule = [(j, args.first_seed + j - 1, side) for j in range(1, args.pairs + 1)
                     for side in (("parent", "change") if j % 2 else ("change", "parent"))]
         for j, seed, side in schedule:
-            run = _run(tree if side == "parent" else ROOT, args.workload, seed, args.seconds)
+            run = _run(trees[side], args.workload, seed, args.seconds)
             runs.append({"side": side, "seed": seed, **run})
             if "result" not in run:
                 print(f"pair {j} seed {seed} {side}: exit code {run['exit_code']}\n"
@@ -165,7 +188,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"pair {j} seed {seed} {side}: wall_s {wall:.4g}", flush=True)
     finally:
         _template = None
-        _git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(tmp, ignore_errors=True)
 
     last = args.first_seed + args.pairs - 1
@@ -175,6 +197,7 @@ def main(argv: list[str] | None = None) -> int:
                    f"both trees> python3 bench/run.py --workload {args.workload} --seed SEED "
                    f"--seconds {args.seconds:g}",
         "parent": rev,
+        "change": head,
         "order": f"alternating pairs over seeds {args.first_seed}..{last}, "
                  "parent first on odd-numbered pairs",
         "host": _host(),
