@@ -7,11 +7,16 @@ side), ``verify`` (invariant checks on the given input), ``fixtures``
 Each subcommand takes only the flags it reads: ``fixtures`` takes none,
 and ``verify`` prints PASS/FAIL lines, so it has no ``--format``.
 
+The solver flags default to ``SolverConfig``'s, so a spec is solved in
+its own mode: exactly if rational, in float64 if float.  A ``--backend``
+that names the other mode converts the game first, with a note on stderr.
+
 Exit codes: 0 success; 1 failed invariant in verify/fixtures; 2 spec
 parse error, or a capacity refusal (``CapacityError``, for example
-``--method precedence`` past 10 players or an exact solve past 4096
-unknowns); 3 infeasible/disconnected graph; 4 solver non-convergence, or
-float components that miss the game in a rendered table.
+``--method precedence`` or a restricted ``compare`` past 10 players, or
+an exact solve past 4096 unknowns); 3 infeasible/disconnected graph; 4
+solver non-convergence, or float components that miss the game in a
+rendered table.
 All diagnostics go to stderr.
 """
 
@@ -25,7 +30,7 @@ import numpy as np
 from . import closed_form as cf
 from . import coalition as co
 from .errors import ConvergenceError, InfeasibilityError, SpecFileError
-from .game import FLOAT, RATIONAL, Game, load_game, parse_scalar, read_spec_file
+from .game import RATIONAL, Game, load_game, parse_scalar, read_spec_file
 from .graph import EdgeWeighting, degree_product_weighting, full_hypercube, \
     load_constraints, restrict, weighting_from_spec
 from .reference_tables import ALL_REFERENCES
@@ -39,10 +44,8 @@ _METHODS = ("direct", "permutation", "hodge", "precedence")
 def _build_weighting(tag: str, n: int) -> EdgeWeighting | None:
     """Weighting from a CLI tag: constant, constant:<c>, size-plus-one,
     degree-product, or file:PATH."""
-    if tag is None:
-        return None
-    if tag == "degree-product":
-        return None  # applied to the restricted graph afterwards
+    if tag in (None, "degree-product"):
+        return None  # degree products are applied to the restricted graph afterwards
     name, _, value = tag.partition(":")
     if tag == "constant" or (name == "constant" and value):
         return EdgeWeighting.constant(parse_scalar(value, RATIONAL) if value else 1)
@@ -72,14 +75,13 @@ def _load_inputs(args: argparse.Namespace):
 
 
 def _solver_inputs(args: argparse.Namespace, v: Game) -> tuple[Game, SolverConfig]:
-    """The game in the backend's scalar mode, noting a conversion, and the
-    solver configuration."""
-    backend = _BACKEND_FLAGS[args.backend]
-    if backend == DENSE_RATIONAL and v.mode != RATIONAL:
-        print("note: promoting float game to exact rationals for dense-rational",
-              file=sys.stderr)
+    """The game in the mode ``--backend`` names (its own mode without the
+    flag), noting a conversion, and the solver configuration."""
+    backend = _BACKEND_FLAGS.get(args.backend)
+    if backend == DENSE_RATIONAL and not v.is_rational:
+        print("note: promoting float game to exact rationals for dense-rational", file=sys.stderr)
         v = v.as_rational()
-    elif backend == CG_FLOAT and v.mode != FLOAT:
+    elif backend == CG_FLOAT and v.is_rational:
         print(f"note: converting rational game to floats for {backend}", file=sys.stderr)
         v = v.as_float()
     return v, SolverConfig(backend=backend, cg_tolerance=args.tol, cg_max_iters=args.max_iters)
@@ -146,28 +148,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixtures(args: argparse.Namespace) -> int:
-    mismatches = 0
-    tables_ok = 0
+    mismatches = tables_ok = 0
     for ref in ALL_REFERENCES:
-        g = ref.graph()
-        v = ref.game()
-        dec = decompose(g, v, SolverConfig(backend=DENSE_RATIONAL))
-        expected = ref.expected()
+        v = ref.game()  # rational: solved exactly
+        dec = decompose(ref.graph(), v)
         bad = 0
-        for S, row in expected.items():
+        for S, row in ref.expected().items():
             got = (v.values[S],) + tuple(c.values[S] for c in dec.components)
             if got != row:
                 bad += 1
                 print(f"MISMATCH {ref.key} at {co.coalition_key(S)}: "
                       f"expected {tuple(map(str, row))}, got {tuple(map(str, got))}",
                       file=sys.stderr)
-        if bad == 0:
-            tables_ok += 1
+        tables_ok += bad == 0
         mismatches += bad
     # exercise the float backend on the plain-cube benchmark
     ref = ALL_REFERENCES[0]
     expect = np.array([[float(x) for x in row[1:]] for row in ref.expected().values()])
-    dec = decompose(ref.graph(), ref.game().as_float(), SolverConfig(backend=CG_FLOAT))
+    dec = decompose(ref.graph(), ref.game().as_float())
     got = np.array([[c.values[S] for c in dec.components] for S in ref.expected()])
     if not np.allclose(got, expect, atol=1e-9):
         mismatches += 1
@@ -192,10 +190,11 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", metavar="SPEC",
                        help="constant | constant:<c> | size-plus-one | degree-product "
                             "| file:PATH")
-        p.add_argument("--backend", choices=sorted(_BACKEND_FLAGS), default="dense-rational")
-        p.add_argument("--tol", type=float, default=1e-12,
+        p.add_argument("--backend", choices=sorted(_BACKEND_FLAGS),
+                       help="solve in this mode (default: the game spec's mode)")
+        p.add_argument("--tol", type=float, default=SolverConfig.cg_tolerance,
                        help="relative residual tolerance of float solves")
-        p.add_argument("--max-iters", type=int, default=None, help="CG iteration cap")
+        p.add_argument("--max-iters", type=int, help="CG iteration cap")
         if formats:
             p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         return p

@@ -120,7 +120,9 @@ class Game:
 
 def game_from_values(n: int, values: Sequence, mode: str = RATIONAL,
                      names: Sequence[str] | None = None) -> Game:
-    return Game(n, mode, tuple(values), None if names is None else tuple(names))
+    """Game from a full value table; an array is kept whole, not split per coalition."""
+    values = values if isinstance(values, np.ndarray) else tuple(values)
+    return Game(n, mode, values, None if names is None else tuple(names))
 
 
 def game_from_map(n: int, table: Mapping[co.Coalition, object], mode: str = RATIONAL,

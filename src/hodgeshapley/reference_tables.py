@@ -25,6 +25,15 @@ def _frac_rows(rows):
     return tuple((tuple(m), tuple(Fraction(x) for x in vals)) for m, vals in rows)
 
 
+# each weights tag's cube weighting; degree products come after restriction
+_WEIGHTINGS = {
+    "constant": EdgeWeighting.constant(1),
+    "size-plus-one": EdgeWeighting.size_plus_one(3),
+    "reluctant-first": EdgeWeighting.explicit({Edge(0, 0): Fraction(1, 2)}),
+    "degree-product": None,
+}
+
+
 @dataclass(frozen=True)
 class ReferenceDecomposition:
     key: str
@@ -37,20 +46,9 @@ class ReferenceDecomposition:
         return make_glove_game()
 
     def graph(self) -> GameGraph:
-        n = 3
-        if self.weights == "constant":
-            weighting = EdgeWeighting.constant(1)
-        elif self.weights == "size-plus-one":
-            weighting = EdgeWeighting.size_plus_one(n)
-        elif self.weights == "reluctant-first":
-            weighting = EdgeWeighting.explicit({Edge(0, 0): Fraction(1, 2)})
-        elif self.weights == "degree-product":
-            weighting = EdgeWeighting.constant(1)  # replaced after restriction
-        else:
-            raise ValueError(f"unknown weights tag {self.weights!r}")
-        g = full_hypercube(n, weighting)
+        g = full_hypercube(3, _WEIGHTINGS[self.weights])
         if self.removed_coalitions:
-            g = restrict(g, [co.from_members(m, n) for m in self.removed_coalitions])
+            g = restrict(g, [co.from_members(m, 3) for m in self.removed_coalitions])
         if self.weights == "degree-product":
             g = degree_product_weighting(g)
         return g

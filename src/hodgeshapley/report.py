@@ -223,13 +223,13 @@ def compare_allocations(g: GameGraph, v: Game, cfg: SolverConfig | None = None,
                         format: str = "text") -> str:
     """One row per player: the component-game allocation next to the
     classical formula (full cube) or the feasible-permutation average
-    (restricted graph), with absolute differences."""
-    dec = decompose(g, v, cfg)
-    hodge = dec.allocation()
+    (restricted graph), with absolute differences.  The reference comes
+    first, so a graph past the enumeration cap is refused before the solve."""
     if g.is_full_cube:
         other_name, other = "classical", cf.shapley_values(v)
     else:
         other_name, other = "precedence", cf.precedence_shapley_values(g, v)
+    hodge = decompose(g, v, cfg).allocation()
     diffs = [abs(h - o) for h, o in zip(hodge, other)]
 
     if format == "json":

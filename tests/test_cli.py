@@ -4,13 +4,16 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hodgeshapley import cli
 from hodgeshapley import game as gm
+from hodgeshapley import report as rp
 from hodgeshapley import solve as sv
+from hodgeshapley.errors import CapacityError
 from hodgeshapley.cli import main
 
 
@@ -467,3 +470,87 @@ def test_dead_flags_are_refused(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_solver_flags_default_to_the_solver_config():
+    # an unset flag falls through to SolverConfig: the backend follows the game
+    defaults = sv.SolverConfig()
+    for command in ("decompose", "shapley", "compare", "verify"):
+        args = cli._make_parser().parse_args([command, "--game", "g.json"])
+        assert args.backend is None, command
+        assert args.tol == defaults.cg_tolerance, command
+        assert args.max_iters == defaults.cg_max_iters, command
+
+
+_COMMANDS = {
+    "decompose": ["decompose", "--format", "csv"],
+    "shapley": ["shapley", "--method", "hodge"],
+    "compare": ["compare"],
+    "verify": ["verify"],
+}
+
+
+@pytest.mark.parametrize("backend", [None, "dense-rational", "cg"])
+@pytest.mark.parametrize("mode", [gm.RATIONAL, gm.FLOAT])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_cli_solves_in_the_spec_mode_unless_the_backend_names_the_other(
+        tmp_path, capsys, command, mode, backend):
+    path = tmp_path / "glove.json"
+    path.write_text(json.dumps(gm.game_to_spec(gm.make_glove_game(mode))))
+    first, *rest = _COMMANDS[command]
+    argv = [first, "--game", str(path), *rest]
+    if backend is not None:
+        argv += ["--backend", backend]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    solved = {None: mode, "dense-rational": gm.RATIONAL, "cg": gm.FLOAT}[backend]
+    noted = "note: promoting" in err or "note: converting" in err
+    assert noted == (solved != mode), err
+    if command == "verify":
+        # the classical checks are exact, so they run on a rational solve only
+        assert "FAIL" not in out
+        assert ("classical formula" in out) == (solved == gm.RATIONAL), out
+    else:
+        assert ("/" in out) == (solved == gm.RATIONAL), out
+
+
+def _write_restricted_spec(tmp_path, n, mode):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(1 << n) if mode == gm.FLOAT else \
+        [Fraction(int(x), 256) for x in rng.integers(-1000, 1001, 1 << n)]
+    values[0] = 0
+    gpath = tmp_path / "game.json"
+    gpath.write_text(json.dumps(gm.game_to_spec(gm.game_from_values(n, values, mode))))
+    cpath = tmp_path / "constraints.json"
+    cpath.write_text(json.dumps({"removed_coalitions": ["[0,1]", "[2,3,4]"]}))
+    return ["--game", str(gpath), "--constraints", str(cpath)]
+
+
+def test_restricted_float_spec_past_the_exact_limit_decomposes_in_floats(tmp_path, capsys):
+    # 8,189 unknowns: promoted to rationals, as --backend dense-rational
+    # does, the exact solve refuses past 4,096 (exit 2)
+    n = 13
+    argv = ["decompose", *_write_restricted_spec(tmp_path, n, gm.FLOAT), "--format", "csv"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1 + (1 << n) - 2
+    assert lines[-1].startswith('"[0,1,2,3,4,5,6,7,8,9,10,11,12]",') and "/" not in out
+    assert main(argv + ["--backend", "dense-rational"]) == 2
+    assert "exceeds the limit of 4096" in capsys.readouterr().err
+
+
+def test_compare_refuses_past_the_enumeration_cap_before_the_solve(tmp_path, capsys,
+                                                                   monkeypatch):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decompose called before the capacity check")
+
+    monkeypatch.setattr(rp, "decompose", no_decompose)
+    argv = ["compare", *_write_restricted_spec(tmp_path, 11, gm.RATIONAL)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "n <= 10" in err
+    g, v = cli._load_inputs(cli._make_parser().parse_args(argv))
+    with pytest.raises(CapacityError):
+        rp.compare_allocations(g, v)

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -114,6 +115,29 @@ def test_linear_combine_float():
     mix = gm.linear_combine(2, v, -0.5, w)
     assert mix.mode == gm.FLOAT
     assert np.array_equal(mix.values, 2 * v.values - 0.5 * w.values)
+
+
+def test_game_from_values_keeps_an_array_whole():
+    # a float table passes to Game as one array: the peak is Game's own
+    # copy, where a tuple of numpy scalars took about six times the array
+    n = 16
+    x = np.random.default_rng(16).standard_normal(1 << n)
+    x[0] = 0.0
+    names = [f"p{i}" for i in range(n)]
+    tracemalloc.start()
+    v = gm.game_from_values(n, x, gm.FLOAT, names)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 2 * x.nbytes
+    assert v.mode == gm.FLOAT and v.names == tuple(names)
+    assert np.array_equal(v.values, x) and v.values is not x
+
+
+@pytest.mark.parametrize("kind", [list, tuple, lambda xs: np.array(xs, dtype=object)])
+def test_game_from_values_rational_sequences(kind):
+    values = [Fraction(S, 3) for S in range(8)]
+    v = gm.game_from_values(3, kind(values))
+    assert v.mode == gm.RATIONAL and v.values == tuple(values)
 
 
 def test_linear_combine_mode_mismatch():
